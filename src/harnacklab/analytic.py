@@ -57,8 +57,7 @@ def invariant_measure(model: OuLevyModel) -> GaussianMeasure:
     """Gaussian steady-state law of a stable jump-free model."""
     if model.has_jumps:
         raise ValueError("no closed-form invariant law with a jump part")
-    r_inf = linops.lyapunov_solve(model.drift_matrix, model.noise_cov)
-    return GaussianMeasure(mean=invariant_mean(model), cov=r_inf)
+    return GaussianMeasure(mean=invariant_mean(model), cov=model.steady_covariance())
 
 
 def transition_law(model: OuLevyModel, t: float, x) -> GaussianMeasure:
@@ -86,8 +85,6 @@ def pushforward_adjoint(adjoint: AdjointModel, nu: GaussianMeasure, t: float) ->
     The invariant law (steady-state mean and covariance of the base model)
     is a fixed point of this map.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
     prop = adjoint.propagator(t)
     mean = adjoint.m_inf + prop @ (nu.mean - adjoint.m_inf)
     cov = prop @ nu.cov @ prop.T + adjoint.gramian(t)

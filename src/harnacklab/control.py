@@ -73,8 +73,6 @@ def gamma_norm(model: OuLevyModel, t: float, x, rank_tol: float = linops.DEFAULT
     the range of ``R_t^{1/2}`` (range-projector residual test), infinite
     otherwise.
     """
-    if t <= 0:
-        raise ValueError("horizon must be positive")
     snap = model.snapshot(t)
     fac = snap.gramian_sqrt
     v = snap.propagator @ np.asarray(x, dtype=float).reshape(-1)
@@ -92,8 +90,6 @@ def gamma_operator_norm(model: OuLevyModel, t: float, rank_tol: float = linops.D
     fails the norm is reported as infinite (this convention also covers the
     case of a map bounded only on a proper domain).
     """
-    if t <= 0:
-        raise ValueError("horizon must be positive")
     snap = model.snapshot(t)
     fac = snap.gramian_sqrt
     if fac.rank < snap.dim:
@@ -146,8 +142,6 @@ def min_energy_control(model: OuLevyModel, t: float, x0, K: int) -> NullControl:
     """
     if K < 1:
         raise ValueError("grid size must be at least 1")
-    if t <= 0:
-        raise ValueError("horizon must be positive")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     grid = np.linspace(0.0, t, K + 1)
     snap = model.snapshot(t)

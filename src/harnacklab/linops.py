@@ -48,6 +48,12 @@ def check_symmetric(s, name="matrix") -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only, so that an in-place edit of a shared array raises."""
+    a.setflags(write=False)
+    return a
+
+
 def spectral_abscissa(a) -> float:
     """Largest real part of the eigenvalues of ``a``."""
     return float(np.linalg.eigvals(as_square_matrix(a)).real.max())
@@ -72,7 +78,7 @@ class PsdFactorization:
     Eigenvalues are sorted nonincreasing, with everything at or below
     ``rank_tol * max eigenvalue`` treated as exactly zero.  The factorization
     exposes the symmetric square root, its pseudo-inverse (defined on the
-    range), and the orthogonal projector onto the range.
+    range), and the orthogonal projector onto the range, all read-only.
     """
 
     eigenvalues: np.ndarray
@@ -87,31 +93,31 @@ class PsdFactorization:
     @cached_property
     def matrix(self) -> np.ndarray:
         v, w = self.eigenvectors, self.eigenvalues
-        return (v * w) @ v.T
+        return read_only((v * w) @ v.T)
 
     @cached_property
     def sqrt_matrix(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * np.sqrt(self.eigenvalues)) @ v.T
+        return read_only((v * np.sqrt(self.eigenvalues)) @ v.T)
 
     @cached_property
     def pinv_sqrt_matrix(self) -> np.ndarray:
         v, w = self.eigenvectors, self.eigenvalues
         inv = np.zeros_like(w)
         inv[: self.rank] = 1.0 / np.sqrt(w[: self.rank])
-        return (v * inv) @ v.T
+        return read_only((v * inv) @ v.T)
 
     @cached_property
     def pinv_matrix(self) -> np.ndarray:
         v, w = self.eigenvectors, self.eigenvalues
         inv = np.zeros_like(w)
         inv[: self.rank] = 1.0 / w[: self.rank]
-        return (v * inv) @ v.T
+        return read_only((v * inv) @ v.T)
 
     @cached_property
     def range_projector(self) -> np.ndarray:
         vr = self.eigenvectors[:, : self.rank]
-        return vr @ vr.T
+        return read_only(vr @ vr.T)
 
     def apply_sqrt(self, x) -> np.ndarray:
         return np.asarray(x) @ self.sqrt_matrix.T if np.ndim(x) > 1 else self.sqrt_matrix @ np.asarray(x)
@@ -150,7 +156,7 @@ def psd_sqrt_pinv(s, rank_tol: float = DEFAULT_RANK_TOL) -> PsdFactorization:
     thresh = rank_tol * wmax
     rank = int(np.count_nonzero(w > thresh))
     w = np.where(w > thresh, w, 0.0)
-    return PsdFactorization(eigenvalues=w, eigenvectors=v, rank=rank, rank_tol=rank_tol)
+    return PsdFactorization(eigenvalues=read_only(w), eigenvectors=read_only(v), rank=rank, rank_tol=rank_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +165,7 @@ class SemigroupSnapshot:
 
     Holds the propagator ``e^{tA}``, the mean-square Gramian
     ``int_0^t e^{sA} R e^{sA'} ds`` with its spectral factorization, and the
-    accumulated drift offset ``int_0^t e^{sA} a ds``.
+    accumulated drift offset ``int_0^t e^{sA} a ds``, all read-only.
     """
 
     t: float
@@ -202,14 +208,14 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     block[:d, d:] = r
     block[d:, d:] = -a.T
     e = sla.expm(t * block)
-    propagator = e[:d, :d]
+    propagator = read_only(e[:d, :d])
     gramian = e[:d, d:] @ propagator.T
-    gramian = 0.5 * (gramian + gramian.T)
+    gramian = read_only(0.5 * (gramian + gramian.T))
 
     aug = np.zeros((d + 1, d + 1))
     aug[:d, :d] = a
     aug[:d, d] = offset
-    mean_shift = sla.expm(t * aug)[:d, d]
+    mean_shift = read_only(sla.expm(t * aug)[:d, d])
     return SemigroupSnapshot(t=float(t), propagator=propagator, gramian=gramian, mean_shift=mean_shift)
 
 

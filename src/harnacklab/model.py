@@ -71,7 +71,12 @@ class CompoundPoissonSpec:
 @dataclass(frozen=True, eq=False)
 class OuLevyModel:
     """Finite-dimensional OU model: drift matrix, noise covariance, drift
-    offset, optional compound-Poisson jump part."""
+    offset, optional compound-Poisson jump part.
+
+    Keeps read-only copies of its arrays and memoizes, with read-only arrays,
+    what it derives from them: snapshots and propagators per ``t``, the noise
+    root, the steady covariance and the adjoint dynamics.
+    """
 
     drift_matrix: np.ndarray
     noise_cov: np.ndarray
@@ -79,7 +84,7 @@ class OuLevyModel:
     jump: CompoundPoissonSpec | None = None
 
     def __post_init__(self):
-        a = linops.as_square_matrix(self.drift_matrix, "drift matrix")
+        a = linops.as_square_matrix(self.drift_matrix, "drift matrix").copy()
         r = linops.check_symmetric(self.noise_cov, "noise covariance")
         d = a.shape[0]
         if r.shape[0] != d:
@@ -87,14 +92,22 @@ class OuLevyModel:
         wmin = float(np.linalg.eigvalsh(r).min())
         if wmin < -linops.DEFAULT_RANK_TOL * max(1.0, float(np.abs(r).max())):
             raise linops.NotPsdError(f"noise covariance has eigenvalue {wmin:.3e} < 0")
-        offset = np.zeros(d) if self.drift_offset is None else np.asarray(self.drift_offset, dtype=float).reshape(-1)
+        offset = np.zeros(d) if self.drift_offset is None else np.array(self.drift_offset, dtype=float).reshape(-1)
         if offset.shape[0] != d:
             raise ValueError("drift offset dimension mismatch")
         if self.jump is not None and self.jump.atoms is not None and self.jump.atoms.shape[1] != d:
             raise ValueError("jump atom dimension mismatch")
-        object.__setattr__(self, "drift_matrix", a)
-        object.__setattr__(self, "noise_cov", r)
-        object.__setattr__(self, "drift_offset", offset)
+        object.__setattr__(self, "drift_matrix", linops.read_only(a))
+        object.__setattr__(self, "noise_cov", linops.read_only(r))
+        object.__setattr__(self, "drift_offset", linops.read_only(offset))
+        object.__setattr__(self, "_memo", {})
+
+    def _memoized(self, key, build):
+        """``build()``, computed on the first request for ``key`` only.  A value
+        must not refer back to the model: a cycle would outlive its last use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def dim(self) -> int:
@@ -105,13 +118,20 @@ class OuLevyModel:
         return self.jump is not None
 
     def snapshot(self, t: float) -> linops.SemigroupSnapshot:
-        return linops.semigroup_snapshot(self.drift_matrix, self.noise_cov, self.drift_offset, t)
+        return self._memoized(("snapshot", float(t)), lambda: linops.semigroup_snapshot(
+            self.drift_matrix, self.noise_cov, self.drift_offset, t))
 
     def propagator(self, t: float) -> np.ndarray:
-        return linops.matrix_exponential(self.drift_matrix, t)
+        return self._memoized(("propagator", float(t)),
+                              lambda: linops.read_only(linops.matrix_exponential(self.drift_matrix, t)))
 
     def noise_sqrt(self, rank_tol: float = linops.DEFAULT_RANK_TOL) -> linops.PsdFactorization:
-        return linops.psd_sqrt_pinv(self.noise_cov, rank_tol)
+        return self._memoized(("noise_sqrt", float(rank_tol)), lambda: linops.psd_sqrt_pinv(self.noise_cov, rank_tol))
+
+    def steady_covariance(self) -> np.ndarray:
+        """Solution ``S`` of ``A S + S A' = -R``; raises for a non-Hurwitz drift."""
+        return self._memoized("steady_covariance",
+                              lambda: linops.read_only(linops.lyapunov_solve(self.drift_matrix, self.noise_cov)))
 
     def is_stable(self) -> bool:
         return linops.spectral_abscissa(self.drift_matrix) < 0
@@ -193,47 +213,36 @@ def verify_h_condition(model: OuLevyModel, h: HFunction, times, probes) -> HCond
     reported whenever ``T_t R x`` leaves the range of ``R^{1/2}``.
     """
     rfac = model.noise_sqrt()
-    r = model.noise_cov
+    x = np.array([np.ravel(p) for p in probes], dtype=float)
+    if not (np.linalg.norm(x, axis=1) > 0).all():
+        raise ValueError("probes must be nonzero vectors")
+    rx = x @ model.noise_cov
+    sqrt_norms = np.linalg.norm(rfac.apply_sqrt(x), axis=1)
     worst = 0.0
     failures = []
-    n = 0
-    for t in times:
-        prop = model.propagator(float(t))
-        hv = h(float(t))
+    for t in map(float, times):
+        hv = h(t)
         if not hv > 0:
             raise ValueError(f"decay profile must be positive, got h({t}) = {hv}")
-        root_h = float(np.sqrt(hv))
-        for i, x in enumerate(probes):
-            x = np.asarray(x, dtype=float).reshape(-1)
-            if not np.linalg.norm(x) > 0:
-                raise ValueError("probes must be nonzero vectors")
-            n += 1
-            v = prop @ (r @ x)
-            rhs = root_h * float(np.linalg.norm(rfac.apply_sqrt(x)))
-            if not rfac.in_range(v):
-                failures.append((float(t), i, float("inf"), rhs))
-                worst = float("inf")
-                continue
-            lhs = float(np.linalg.norm(rfac.apply_pinv_sqrt(v)))
-            if lhs <= H_CONDITION_SLACK and rhs <= H_CONDITION_SLACK:
-                ratio = 0.0
-            elif rhs == 0.0:
-                ratio = float("inf")
-            else:
-                ratio = lhs / rhs
-            worst = max(worst, ratio)
-            if lhs > rhs + H_CONDITION_SLACK:
-                failures.append((float(t), i, lhs, rhs))
-    return HConditionReport(certified=not failures, worst_ratio=worst, n_checked=n, failures=tuple(failures))
+        rhs = float(np.sqrt(hv)) * sqrt_norms
+        v = rx @ model.propagator(t).T
+        in_range = (np.linalg.norm(v - v @ rfac.range_projector, axis=1)
+                    <= rfac.rank_tol * np.maximum(1.0, np.linalg.norm(v, axis=1)))
+        lhs = np.where(in_range, np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1), np.inf)
+        ratio = np.divide(lhs, rhs, out=np.full_like(lhs, np.inf), where=rhs > 0)
+        ratio[(lhs <= H_CONDITION_SLACK) & (rhs <= H_CONDITION_SLACK)] = 0.0
+        worst = max(worst, float(ratio.max()))
+        failures += [(t, int(i), float(lhs[i]), float(rhs[i]))
+                     for i in np.flatnonzero(lhs > rhs + H_CONDITION_SLACK)]
+    return HConditionReport(not failures, worst, n_checked=len(times) * len(x), failures=tuple(failures))
 
 
 def default_h_probes(dim: int) -> list[np.ndarray]:
     """Deterministic probe set: coordinate axes plus two mixed directions."""
-    probes = [np.eye(dim)[i] for i in range(dim)]
+    probes = list(np.eye(dim))  # rows of one identity, not one identity per row
     probes.append(np.ones(dim) / np.sqrt(dim))
     if dim > 1:
-        alt = np.array([(-1.0) ** i for i in range(dim)]) / np.sqrt(dim)
-        probes.append(alt)
+        probes.append(np.array([(-1.0) ** i for i in range(dim)]) / np.sqrt(dim))
     return probes
 
 
@@ -335,11 +344,15 @@ class AdjointModel:
         return self.base.dim
 
     def as_model(self) -> OuLevyModel:
-        """The adjoint dynamics as a centered jump-free model."""
-        return OuLevyModel(drift_matrix=self.drift_matrix, noise_cov=self.base.noise_cov)
+        """The adjoint dynamics as a centered jump-free model; the one that
+        `build_adjoint` memoized on the base model unless built by hand."""
+        model = self.base._memo.get("adjoint")
+        if model is None or model.drift_matrix is not self.drift_matrix:
+            model = OuLevyModel(drift_matrix=self.drift_matrix, noise_cov=self.base.noise_cov)
+        return model
 
     def propagator(self, t: float) -> np.ndarray:
-        return linops.matrix_exponential(self.drift_matrix, t)
+        return self.as_model().propagator(t)
 
     def gramian(self, t: float) -> np.ndarray:
         return self.as_model().snapshot(t).gramian
@@ -370,9 +383,11 @@ def build_adjoint(model: OuLevyModel, rank_tol: float = linops.DEFAULT_RANK_TOL)
     """
     if model.has_jumps:
         raise ValueError("adjoint construction requires a jump-free model")
-    r_inf = linops.lyapunov_solve(model.drift_matrix, model.noise_cov)
+    r_inf = model.steady_covariance()
     w = np.linalg.eigvalsh(r_inf)
     if w.min() <= rank_tol * max(1.0, w.max()):
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
-    a_tilde = r_inf @ np.linalg.solve(r_inf, model.drift_matrix).T
-    return AdjointModel(base=model, r_inf=r_inf, m_inf=invariant_mean(model), drift_matrix=a_tilde)
+    # memoize the adjoint dynamics, not the AdjointModel: it refers to the model
+    adjoint = model._memoized("adjoint", lambda: OuLevyModel(
+        drift_matrix=r_inf @ np.linalg.solve(r_inf, model.drift_matrix).T, noise_cov=model.noise_cov))
+    return AdjointModel(base=model, r_inf=r_inf, m_inf=invariant_mean(model), drift_matrix=adjoint.drift_matrix)

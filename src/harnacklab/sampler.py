@@ -194,8 +194,6 @@ def sample_ou_endpoint(model: OuLevyModel, t: float, x, rng: RngStream) -> np.nd
     factorization; each of the ``Poisson(rate*t)`` jumps is transported by
     the propagator over an independent uniform age.  No time grid enters.
     """
-    if t <= 0:
-        raise ValueError("time must be positive")
     x = np.asarray(x, dtype=float).reshape(-1)
     snap = model.snapshot(t)
     transport = _jump_transport(model) if model.has_jumps else None
@@ -263,14 +261,9 @@ def wa_path(model: OuLevyModel, grid, rng: RngStream) -> np.ndarray:
     gen = rng.generator()
     d = model.dim
     out = np.zeros((grid.shape[0], d))
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     for k in range(grid.shape[0] - 1):
-        delta = float(grid[k + 1] - grid[k])
-        if delta not in cache:
-            snap = model.snapshot(delta)
-            cache[delta] = (snap.propagator, snap.gramian_sqrt.sqrt_matrix)
-        prop, root = cache[delta]
-        out[k + 1] = prop @ out[k] + root @ gen.standard_normal(d)
+        snap = model.snapshot(float(grid[k + 1] - grid[k]))
+        out[k + 1] = snap.propagator @ out[k] + snap.gramian_sqrt.sqrt_matrix @ gen.standard_normal(d)
     return out
 
 
@@ -442,8 +435,6 @@ def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStre
     the shifted noise reproduces the endpoint up to the control's terminal
     residual (at most 1e-8 relative for accepted controls).
     """
-    if t <= 0:
-        raise ValueError("horizon must be positive")
     x, y, ctrl = _coupling_control(model, t, x, y, K)
     u = ctrl.values[:-1]
     delta = t / K

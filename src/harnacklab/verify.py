@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import analytic, control, linops, sampler
 from .model import HFunction, OuLevyModel, SemilinearSpec, build_adjoint, default_h_probes, verify_h_condition
@@ -129,12 +128,12 @@ def _closed_form_available(model: OuLevyModel, f) -> bool:
     return not model.has_jumps or model.jump.exp_moment is not None
 
 
-def _propagated_sq_integral(model: OuLevyModel, t: float, x: np.ndarray) -> float:
-    def val(s: float) -> float:
-        return float(np.sum((linops.matrix_exponential(model.drift_matrix, s) @ x) ** 2))
-
-    out, _ = scipy.integrate.quad(val, 0.0, t, epsabs=1e-11, epsrel=1e-11, limit=200)
-    return float(out)
+def _propagated_sq_integral(model: OuLevyModel, t: float, *points: np.ndarray) -> float:
+    """Sum over the points of ``int_0^t |e^{sA} x|^2 ds = x' G x``, with ``G``
+    the Gramian of ``(A', I)`` at ``t``: one augmented-block expm."""
+    d = model.dim
+    g = linops.semigroup_snapshot(model.drift_matrix.T, np.eye(d), np.zeros(d), t).gramian
+    return float(sum(x @ g @ x for x in points))
 
 
 def _echo(**kw) -> dict:
@@ -441,7 +440,7 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
 
 def _default_probes(model: OuLevyModel, *pts) -> list[np.ndarray]:
     probes = [np.zeros(model.dim)]
-    probes += [np.eye(model.dim)[i] for i in range(model.dim)]
+    probes += list(np.eye(model.dim))  # rows of one identity, not one identity per row
     probes += [2.0 * np.ones(model.dim)]
     probes += [np.asarray(p, dtype=float).reshape(-1) for p in pts]
     return probes
@@ -509,9 +508,7 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     if spec.k2 == 0.0:
         growth_integral = spec.k1 * t
     else:
-        growth_integral = spec.k1 * t + spec.k2 * (
-            _propagated_sq_integral(model, t, x) + _propagated_sq_integral(model, t, y)
-        )
+        growth_integral = spec.k1 * t + spec.k2 * _propagated_sq_integral(model, t, x, y)
     log_exp_term = (
         alpha * q * float(gam) ** 2 / (2.0 * (alpha - q))
         + alpha * ((p + 1.0) / (p - 1.0) + (q + 1.0) / (q * (q - 1.0))) * growth_integral

@@ -229,3 +229,56 @@ class TestJumpSuiteGenerator:
     def test_shipped_suite_matches_generator(self):
         shipped = json.loads((SCENARIO_DIR / "jump_suite.json").read_text())
         assert shipped == cli.random_jump_suite(20260810, count=50, n=20_000)
+
+
+def _jump_free_suite_config(d: int = 3) -> dict:
+    """One model with the ten jump-free check kinds at one time ``t``.
+
+    ``A = R^(1/2) M R^(-1/2)`` with ``sym(M) = -I``, so ``h = exp(-t)``
+    passes the decay certificate of the HWI check.
+    """
+    rng = np.random.default_rng(7)
+    b = rng.normal(size=(d, d))
+    r = b @ b.T / d + 0.5 * np.eye(d)
+    w, v = np.linalg.eigh(r)
+    skew = rng.normal(size=(d, d))
+    a = (v * np.sqrt(w)) @ v.T @ (0.5 * (skew - skew.T) - np.eye(d)) @ (v / np.sqrt(w)) @ v.T
+    x, y = [0.1] * d, [0.3] + [0.0] * (d - 1)
+    common = {"t": 0.8, "x": x, "y": y}
+    nu = {"mean": [0.2] * d, "cov": (0.5 * np.eye(d)).tolist()}
+    f_exp = {"kind": "exp", "c": [0.2] * d}
+    checks = [
+        {"kind": "harnack", "id": "harnack_exact", **common, "alpha": 2.0, "f": f_exp},
+        {"kind": "harnack", "id": "harnack_opnorm", **common, "alpha": 2.0, "f": f_exp,
+         "bound_mode": "operator_norm"},
+        {"kind": "log_harnack", "id": "log_harnack", **common, "f": {"kind": "one_plus_sigmoid", "c": [0.5] * d}},
+        {"kind": "gradient", "id": "gradient", **common, "f": {"kind": "tanh", "c": [0.5] * d}},
+        {"kind": "kernel_harnack", "id": "kernel_power", **common, "alpha": 2.0},
+        {"kind": "kernel_kl", "id": "kernel_kl", **common},
+        {"kind": "density_norm", "id": "density_norm", "t": 0.8, "x": x, "alpha": 2.0},
+        {"kind": "hyper_constant", "id": "hyper_constant", "t": 0.8, "alpha": 2.0, "epsilon": 0.002},
+        {"kind": "entropy_cost", "id": "entropy_cost", "t": 0.8, "nu": nu},
+        {"kind": "hwi", "id": "hwi", "t": 0.8, "nu": nu, "h": {"kind": "exponential", "rate": 1.0}},
+    ]
+    return {"dim": d, "A": a.tolist(), "R": r.tolist(), "seed": 11,
+            "checks": [{**c, "n": 2000} for c in checks]}
+
+
+class TestSemigroupStateOncePerModel:
+    def test_ten_check_kinds_share_snapshots_and_one_lyapunov_solve(self, monkeypatch):
+        from harnacklab import linops
+
+        calls = {"semigroup_snapshot": 0, "lyapunov_solve": 0}
+        for name in calls:
+            original = getattr(linops, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(linops, name, counted)
+        reports = cli.run_scenario(cli.Scenario.parse(_jump_free_suite_config()))
+        assert len(reports) == 11
+        assert all(r.passed for r in reports)
+        # one snapshot of the model and one of its adjoint, both at t
+        assert calls == {"semigroup_snapshot": 2, "lyapunov_solve": 1}

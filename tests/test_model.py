@@ -1,12 +1,17 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from harnacklab import (
+    AdjointModel,
     CompoundPoissonSpec,
     HFunction,
     OuLevyModel,
     SemilinearSpec,
     build_adjoint,
+    analytic,
     check_assumption_A_sufficient,
     linops,
     verify_h_condition,
@@ -211,3 +216,111 @@ class TestSemilinearSpec:
     def test_negative_constants_rejected(self):
         with pytest.raises(ValueError):
             SemilinearSpec(drift_fn=lambda pts: pts, k1=-1.0, k2=0.0)
+
+
+def _h_condition_reference(model, h, times, probes):
+    """Probe-by-probe evaluation of the decay certificate: the reference for
+    the batched `verify_h_condition`."""
+    rfac = model.noise_sqrt()
+    worst, failures = 0.0, []
+    for t in times:
+        prop = linops.matrix_exponential(model.drift_matrix, t)
+        for i, x in enumerate(np.asarray(probes, dtype=float)):
+            v = prop @ (model.noise_cov @ x)
+            rhs = np.sqrt(h(t)) * float(np.linalg.norm(rfac.apply_sqrt(x)))
+            if not rfac.in_range(v):
+                failures.append((t, i, np.inf, rhs))
+                worst = np.inf
+                continue
+            lhs = float(np.linalg.norm(rfac.apply_pinv_sqrt(v)))
+            worst = max(worst, lhs / rhs)
+            if lhs > rhs + 1e-9:
+                failures.append((t, i, lhs, rhs))
+    return worst, failures
+
+
+class TestHConditionBatched:
+    @pytest.mark.parametrize("dim, rank, contractive", [(4, 4, False), (4, 2, False), (7, 7, False), (5, 5, True)])
+    def test_matches_probe_by_probe_reference(self, dim, rank, contractive):
+        rng = np.random.default_rng(40 + dim + rank)
+        b = rng.normal(size=(dim, rank))
+        r = b @ b.T + 1e-3 * (rank == dim) * np.eye(dim)
+        a = make_stable(rng, dim)
+        if contractive:
+            # A = R^(1/2) M R^(-1/2) with sym(M) = -I: certified for exp(-t) and 1
+            root = linops.psd_sqrt_pinv(r)
+            m_skew = rng.normal(size=(dim, dim))
+            a = root.sqrt_matrix @ (0.5 * (m_skew - m_skew.T) - np.eye(dim)) @ root.pinv_sqrt_matrix
+        m = OuLevyModel(drift_matrix=a, noise_cov=r)
+        times = [0.1, 0.4, 1.3]
+        probes = default_h_probes(dim) + list(rng.normal(size=(5, dim)))
+        for h in (HFunction.exponential(1.0), HFunction.constant(1.0), HFunction.exponential(3.0)):
+            rep = verify_h_condition(m, h, times, probes)
+            worst, failures = _h_condition_reference(m, h, times, probes)
+            if contractive and h.label != "exp(-3 t)":
+                assert rep.certified
+            assert rep.n_checked == len(times) * len(probes)
+            assert rep.certified == (not failures)
+            assert [f[:2] for f in rep.failures] == [f[:2] for f in failures]
+            # the batched products sum in another order: allow a few ulps
+            assert rep.worst_ratio == pytest.approx(worst, rel=1e-12)
+            for got, want in zip(rep.failures, failures):
+                assert got[2:] == pytest.approx(want[2:], rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 3, 200])
+    def test_default_probes_share_one_identity(self, dim):
+        # one d x d identity for the axes plus the two mixed directions;
+        # an identity per axis probe would pin d * d * d * 8 bytes
+        bases = {id(b): b.nbytes for b in (p if p.base is None else p.base for p in default_h_probes(dim))}
+        assert sum(bases.values()) <= (dim + 2) * dim * 8
+
+
+class TestMemoizedState:
+    def test_repeated_requests_return_the_same_objects(self, nonnormal_model):
+        m = nonnormal_model
+        assert m.snapshot(0.7) is m.snapshot(np.float64(0.7))
+        assert m.propagator(0.7) is m.propagator(0.7)
+        assert m.noise_sqrt() is m.noise_sqrt()
+        assert m.steady_covariance() is m.steady_covariance()
+        assert build_adjoint(m).as_model() is build_adjoint(m).as_model()
+        assert build_adjoint(m).as_model().snapshot(0.7) is build_adjoint(m).as_model().snapshot(0.7)
+
+    def test_memoized_arrays_are_read_only(self, nonnormal_model):
+        m = nonnormal_model
+        snap = m.snapshot(0.7)
+        with pytest.raises(ValueError):
+            snap.gramian[0, 0] = 1.0
+        fac = snap.gramian_sqrt
+        arrays = [snap.propagator, snap.mean_shift, fac.eigenvalues, fac.eigenvectors, fac.matrix,
+                  fac.sqrt_matrix, fac.pinv_sqrt_matrix, fac.pinv_matrix, fac.range_projector,
+                  m.propagator(0.7), m.steady_covariance(), m.noise_sqrt().sqrt_matrix,
+                  m.drift_matrix, m.noise_cov, m.drift_offset, build_adjoint(m).propagator(0.7)]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_model_owns_its_arrays(self):
+        a, offset = np.array([[-1.0]]), np.array([0.5])
+        m = OuLevyModel(drift_matrix=a, noise_cov=[[1.0]], drift_offset=offset)
+        a[0, 0], offset[0] = 3.0, 0.0
+        assert m.drift_matrix[0, 0] == -1.0 and m.drift_offset[0] == 0.5
+        assert a.flags.writeable
+
+    def test_memo_is_freed_without_the_cycle_collector(self):
+        m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2))
+        adj = build_adjoint(m)
+        adj.gamma_operator_norm(0.5)
+        analytic.pushforward_adjoint(adj, analytic.invariant_measure(m), 0.5)
+        verify_h_condition(m, HFunction.exponential(1.0), [0.5], default_h_probes(2))
+        refs = [weakref.ref(m), weakref.ref(adj.as_model())]
+        gc.disable()
+        try:
+            del m, adj
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_hand_built_adjoint_data_gets_its_own_model(self, nonnormal_model):
+        built = build_adjoint(nonnormal_model)
+        other = np.diag([-3.0, -4.0])
+        manual = AdjointModel(base=nonnormal_model, r_inf=built.r_inf, m_inf=built.m_inf, drift_matrix=other)
+        assert np.array_equal(manual.as_model().drift_matrix, other)
+        assert built.as_model() is not manual.as_model()

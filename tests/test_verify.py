@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 
 import harnacklab as hl
 from harnacklab import OuLevyModel, analytic, verify
@@ -364,3 +366,34 @@ class TestNoViolations:
             rep = verify.check_harnack(m, float(rng.uniform(0.4, 1.5)), x, y,
                                        float(rng.uniform(1.5, 4.0)), f, n=4000, seed=3000 + i)
             assert rep.verdict != verify.VIOLATED
+
+
+class TestPropagatedSquareIntegral:
+    def test_closed_form_matches_quadrature(self):
+        a = np.array([[-1.0, 3.0, 0.5], [0.0, -0.5, 2.0], [0.2, 0.0, -2.0]])  # non-normal
+        m = OuLevyModel(drift_matrix=a, noise_cov=np.eye(3))
+        t = 1.3
+        x, y = np.array([0.3, -1.2, 0.7]), np.array([-2.0, 0.1, 0.4])
+
+        def quad(p):
+            val, _ = scipy.integrate.quad(lambda s: float(np.sum((scipy.linalg.expm(s * a) @ p) ** 2)), 0.0, t,
+                                          epsabs=1e-14, epsrel=1e-13, limit=200)
+            return val
+
+        for pts in ((x,), (x, y)):
+            want = sum(quad(p) for p in pts)
+            assert verify._propagated_sq_integral(m, t, *pts) == pytest.approx(want, rel=1e-10)
+
+    def test_quadratic_growth_inside_horizon_holds(self, scalar_model):
+        spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.001)
+        rep = verify.check_semilinear_harnack(scalar_model, spec, 1.0, [0.3], [0.0], 4.0, 1.3, 1.3,
+                                              ClippedExpObservable([0.3], 5.0), n=2000, K=16, seed=19)
+        assert rep.verdict in PASS
+
+
+@pytest.mark.parametrize("dim", [1, 4, 100])
+def test_default_probes_share_one_identity(dim):
+    m = OuLevyModel(drift_matrix=-np.eye(dim), noise_cov=np.eye(dim))
+    probes = verify._default_probes(m, np.ones(dim))
+    bases = {id(b): b.nbytes for b in (p if p.base is None else p.base for p in probes)}
+    assert sum(bases.values()) <= (dim + 3) * dim * 8
