@@ -71,6 +71,12 @@ def matrix_exponential(a, t: float) -> np.ndarray:
     return sla.expm(t * a)
 
 
+def matrix_exponentials(a: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``exp(t*a)`` for each ``t >= 0`` in ``times``, stacked ``(len(times), d, d)``;
+    scipy runs one Pade routine per slice, so each is bitwise `matrix_exponential`."""
+    return sla.expm(np.multiply.outer(times, a))
+
+
 @dataclass(frozen=True, eq=False)
 class PsdFactorization:
     """Rank-revealing spectral factorization of a symmetric PSD matrix.

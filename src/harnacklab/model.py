@@ -75,7 +75,8 @@ class OuLevyModel:
 
     Keeps read-only copies of its arrays and memoizes, with read-only arrays,
     what it derives from them: snapshots and propagators per ``t``, the noise
-    root, the steady covariance and the adjoint dynamics.
+    root, the steady covariance, the stability flag, the adjoint dynamics, and
+    the sampler's jump transport and path-step samplers.
     """
 
     drift_matrix: np.ndarray
@@ -134,7 +135,7 @@ class OuLevyModel:
                               lambda: linops.read_only(linops.lyapunov_solve(self.drift_matrix, self.noise_cov)))
 
     def is_stable(self) -> bool:
-        return linops.spectral_abscissa(self.drift_matrix) < 0
+        return self._memoized("is_stable", lambda: linops.spectral_abscissa(self.drift_matrix) < 0)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact stochastic simulation of the OU-Levy dynamics.
 
 Endpoint samples are exact in distribution: the Gaussian part is drawn from
-the factorized time-``t`` Gramian and the compound-Poisson part is
-transported jump by jump with uniformly distributed ages, so no inequality
-check pays a time-discretization penalty unless it genuinely needs paths.
+the factorized time-``t`` Gramian and each compound-Poisson jump is moved
+by the propagator over a uniform age, a block of jumps at a time, so no
+inequality check pays a time-discretization penalty unless it needs paths.
 Path-based functionality (stochastic convolution, change-of-measure weights,
 the coupled pair, the perturbed-drift estimator) uses a fixed grid whose
 only approximation is the left-point rule in the stochastic integral of the
@@ -29,6 +29,9 @@ from .model import OuLevyModel, SemilinearSpec
 
 #: Replicates per RNG stream in vectorized Monte Carlo estimators.
 MC_BLOCK = 4096
+
+#: Bytes of stacked propagators per expm call in the eigenbasis-free jump transport.
+_EXPM_STACK_BYTES = 8 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,13 +67,8 @@ class RngStream:
 
 def _stream_blocks(seed: int, n: int) -> Iterator[tuple[np.random.Generator, int]]:
     """Fixed-size replicate blocks, one keyed stream per block."""
-    done = 0
-    block = 0
-    while done < n:
-        size = min(MC_BLOCK, n - done)
-        yield RngStream(seed, block).generator(), size
-        done += size
-        block += 1
+    for block, done in enumerate(range(0, n, MC_BLOCK)):
+        yield RngStream(seed, block).generator(), min(MC_BLOCK, n - done)
 
 
 @dataclass(frozen=True)
@@ -124,19 +122,24 @@ class _JumpTransport:
     drift: np.ndarray
 
     def apply(self, ages: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """``e^{v A} xi`` for each (age v, jump xi) pair, vectorized."""
+        """``e^{v A} xi`` for each (age v, jump xi) pair: in the eigenbasis, or by stacked exact expm."""
         if self.diagonalizable:
             w = self.modes_inv @ sizes.T
             w = w * np.exp(np.multiply.outer(self.rates, ages))
             return (self.modes @ w).T.real
         out = np.empty_like(sizes)
-        for i, (v, xi) in enumerate(zip(ages, sizes)):
-            out[i] = linops.matrix_exponential(self.drift, float(v)) @ xi
+        step = max(1, _EXPM_STACK_BYTES // self.drift.nbytes)
+        for lo in range(0, ages.shape[0], step):
+            props = linops.matrix_exponentials(self.drift, ages[lo:lo + step])
+            out[lo:lo + step] = np.matmul(props, sizes[lo:lo + step, :, None])[:, :, 0]
         return out
 
 
 def _jump_transport(model: OuLevyModel) -> _JumpTransport:
-    a = model.drift_matrix
+    return model._memoized("jump_transport", lambda: _build_jump_transport(model.drift_matrix))
+
+
+def _build_jump_transport(a: np.ndarray) -> _JumpTransport:
     try:
         rates, modes = np.linalg.eig(a)
         modes_inv = np.linalg.inv(modes)
@@ -148,7 +151,7 @@ def _jump_transport(model: OuLevyModel) -> _JumpTransport:
         ok = False
     if not ok:
         return _JumpTransport(False, None, None, None, a)
-    return _JumpTransport(True, modes, rates, modes_inv, a)
+    return _JumpTransport(True, *map(linops.read_only, (modes, rates, modes_inv)), a)
 
 
 def _jump_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: int,
@@ -157,19 +160,17 @@ def _jump_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: in
     j = model.jump
     counts = gen.poisson(j.rate * t, size=size)
     total = int(counts.sum())
-    out = np.zeros((size, model.dim))
     if total == 0:
-        return out
+        return np.zeros((size, model.dim))
     ages = gen.uniform(0.0, t, size=total)
     if j.atoms is not None:
-        idx = gen.choice(j.atoms.shape[0], size=total, p=j.probs)
-        sizes = j.atoms[idx]
+        sizes = np.take(j.atoms, gen.choice(j.atoms.shape[0], size=total, p=j.probs), axis=0)
     else:
         sizes = np.atleast_2d(np.asarray(j.sampler(gen, total), dtype=float))
     moved = transport.apply(ages, sizes)
     rows = np.repeat(np.arange(size), counts)
-    np.add.at(out, rows, moved)
-    return out
+    # bincount adds in the order of ``rows`` from 0.0, bitwise as np.add.at
+    return np.stack([np.bincount(rows, weights=col, minlength=size) for col in moved.T], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +357,6 @@ class _StepSampler:
     """Joint draw of a Brownian increment and the matching convolution
     innovation over one step, with the exact cross-covariance."""
 
-    delta: float
     propagator: np.ndarray
     cross_over_delta: np.ndarray
     cond_root: np.ndarray
@@ -371,14 +371,17 @@ class _StepSampler:
 
 
 def _step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
+    return model._memoized(("step_sampler", float(delta)), lambda: _build_step_sampler(model, float(delta)))
+
+
+def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
     snap = model.snapshot(delta)
     cross = linops.convolution_factor(model.drift_matrix, model.noise_sqrt().sqrt_matrix, delta)
     cond = snap.gramian - (cross @ cross.T) / delta
     cond_root = linops.psd_sqrt_pinv(0.5 * (cond + cond.T)).sqrt_matrix
     return _StepSampler(
-        delta=delta,
         propagator=snap.propagator,
-        cross_over_delta=cross / delta,
+        cross_over_delta=linops.read_only(cross / delta),
         cond_root=cond_root,
         root_delta=float(np.sqrt(delta)),
     )
@@ -484,16 +487,16 @@ def _require_semilinear_setting(model: OuLevyModel) -> None:
         raise ValueError("perturbed-drift estimation requires a zero drift offset")
 
 
-def _semilinear_blocks(model, spec, t, x, K, seed, n, want_sq_integral=False):
+def _semilinear_blocks(model, spec, t, x, K, seed, n):
     """Path blocks for the perturbed-drift weight: yields per-block final
-    convolution values, log-weights, and (optionally) the time integral of
-    the squared convolution norm."""
+    convolution values and log-weights."""
     x = np.asarray(x, dtype=float).reshape(-1)
     delta = t / K
     step = _step_sampler(model, delta)
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
-    proj = rfac.range_projector
+    # the range test only raises, and only can when R^{1/2} has a null space
+    proj = rfac.range_projector if rfac.rank < model.dim else None
 
     # deterministic mean path e^{t_k A} x at the left grid points
     mean_path = np.empty((K, model.dim))
@@ -504,31 +507,21 @@ def _semilinear_blocks(model, spec, t, x, K, seed, n, want_sq_integral=False):
     for gen, size in _stream_blocks(seed, n):
         conv = np.zeros((size, model.dim))
         log_rho = np.zeros(size)
-        sq = np.zeros(size)
         for k in range(K):
             state = conv + mean_path[k]
             drift = np.asarray(spec.drift_fn(state), dtype=float)
             if drift.shape != state.shape:
                 raise ValueError("drift function must map (m, d) states to (m, d) values")
-            out_of_range = drift - drift @ proj.T
-            norms = np.linalg.norm(out_of_range, axis=1)
-            scale = np.maximum(1.0, np.linalg.norm(drift, axis=1))
-            bad = norms > 1e-8 * scale
-            if bad.any():
-                idx = int(np.argmax(bad))
-                raise RuntimeError(
-                    f"drift value leaves the range of R^(1/2) at state {state[idx]}"
-                )
+            if proj is not None:
+                norms = np.linalg.norm(drift - drift @ proj.T, axis=1)
+                bad = np.flatnonzero(norms > 1e-8 * np.maximum(1.0, np.linalg.norm(drift, axis=1)))
+                if bad.size:
+                    raise RuntimeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
             psi = drift @ pinv_root.T
             dw, eta = step.draw(gen, size)
             log_rho += np.einsum("ij,ij->i", psi, dw) - 0.5 * delta * np.einsum("ij,ij->i", psi, psi)
-            nxt = conv @ step.propagator.T + eta
-            if want_sq_integral:
-                sq += 0.5 * delta * (
-                    np.einsum("ij,ij->i", conv, conv) + np.einsum("ij,ij->i", nxt, nxt)
-                )
-            conv = nxt
-        yield conv, log_rho, sq
+            conv = conv @ step.propagator.T + eta
+        yield conv, log_rho
 
 
 def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
@@ -550,7 +543,7 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     def run(k_steps: int):
         end_term = model.propagator(t) @ x
         s1 = s2 = r1 = r2 = 0.0
-        for conv, log_rho, _ in _semilinear_blocks(model, spec, t, x, k_steps, seed, n):
+        for conv, log_rho in _semilinear_blocks(model, spec, t, x, k_steps, seed, n):
             rho = np.exp(log_rho)
             vals = rho * eval_rows(f, conv + end_term)
             if not np.isfinite(vals).all():
@@ -578,7 +571,7 @@ def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x
     _require_semilinear_setting(model)
     powers = [float(p) for p in powers]
     sums = {p: [0.0, 0.0] for p in powers}
-    for _, log_rho, _ in _semilinear_blocks(model, spec, t, x, K, seed, n):
+    for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
         for p in powers:
             vals = np.exp(p * log_rho)
             sums[p][0] += float(vals.sum())

@@ -318,6 +318,22 @@ class TestMemoizedState:
         finally:
             gc.enable()
 
+    def test_stability_flag_computed_once(self, monkeypatch):
+        calls = []
+        abscissa = linops.spectral_abscissa
+        monkeypatch.setattr(linops, "spectral_abscissa", lambda a: calls.append(a) or abscissa(a))
+        m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2),
+                        drift_offset=[0.5, -0.5])
+        for _ in range(3):
+            assert m.is_stable() is True
+            invariant_mean(m)
+            analytic.heat_kernel_kl(m, 0.7, [0.0, 0.0], [0.3, 0.1])
+            analytic.kernel_harnack_lhs(m, 0.7, [0.0, 0.0], [0.3, 0.1], 2.0)
+        assert len(calls) == 1
+        unstable = OuLevyModel(drift_matrix=[[0.5]], noise_cov=[[1.0]])
+        assert unstable.is_stable() is False and unstable.is_stable() is False
+        assert len(calls) == 2
+
     def test_hand_built_adjoint_data_gets_its_own_model(self, nonnormal_model):
         built = build_adjoint(nonnormal_model)
         other = np.diag([-3.0, -4.0])

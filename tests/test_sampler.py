@@ -112,6 +112,165 @@ class TestEndpointSampling:
         assert within_sigma(est.mean, est.std_error, 3.0)
 
 
+
+def _reference_jump_block(model, t, gen, size, transport):
+    """The jump block as first written: ``j.atoms[idx]``, one expm per jump
+    for a drift without an eigenbasis, and an ``np.add.at`` scatter."""
+    j = model.jump
+    counts = gen.poisson(j.rate * t, size=size)
+    total = int(counts.sum())
+    out = np.zeros((size, model.dim))
+    if total == 0:
+        return out
+    ages = gen.uniform(0.0, t, size=total)
+    if j.atoms is not None:
+        idx = gen.choice(j.atoms.shape[0], size=total, p=j.probs)
+        sizes = j.atoms[idx]
+    else:
+        sizes = np.atleast_2d(np.asarray(j.sampler(gen, total), dtype=float))
+    if transport.diagonalizable:
+        moved = transport.apply(ages, sizes)
+    else:
+        moved = np.empty_like(sizes)
+        for i, (v, xi) in enumerate(zip(ages, sizes)):
+            moved[i] = hl.linops.matrix_exponential(transport.drift, float(v)) @ xi
+    np.add.at(out, np.repeat(np.arange(size), counts), moved)
+    return out
+
+
+def _jordan_drift(rng, dim):
+    """One Jordan block: equal diagonal, nonzero superdiagonal."""
+    a = np.triu(rng.normal(0.0, 0.3, size=(dim, dim)), k=2)
+    return a + np.diag(rng.uniform(0.5, 1.5, size=dim - 1), k=1) - np.eye(dim)
+
+
+def _jump_law_model(drift, rate, atoms=None, sampler_fn=None):
+    d = drift.shape[0]
+    jump = hl.CompoundPoissonSpec(rate=rate, atoms=atoms, sampler=sampler_fn)
+    return OuLevyModel(drift_matrix=drift, noise_cov=np.eye(d), jump=jump)
+
+
+def _jump_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name.startswith("atoms_d"):
+        d = int(name[-1])
+        return _jump_law_model(make_stable(rng, d), 3.0, atoms=rng.uniform(-1.2, 1.2, size=(3, d)))
+    if name == "eigen_real":
+        return _jump_law_model(np.array([[-1.0, 0.4], [0.1, -2.0]]), 2.5, atoms=[[1.0, -0.5], [0.2, 0.7]])
+    if name == "eigen_complex":
+        return _jump_law_model(np.array([[-1.0, 2.0], [-2.0, -1.0]]), 2.5, atoms=[[1.0, -0.5], [0.2, 0.7]])
+    if name.startswith("jordan_d"):
+        d = int(name[-1])
+        return _jump_law_model(_jordan_drift(rng, d), 2.0, atoms=rng.uniform(-1.2, 1.2, size=(2, d)))
+    if name == "sampler_law":
+        return _jump_law_model(_jordan_drift(rng, 2), 2.0,
+                               sampler_fn=lambda gen, size: gen.standard_normal((size, 2)))
+    raise KeyError(name)
+
+
+class TestJumpBlockBitwise:
+    """The block-at-a-time jump transport reproduces the jump-by-jump
+    reference bit for bit, from the same draws."""
+
+    @pytest.mark.parametrize("name", ["atoms_d1", "atoms_d2", "atoms_d3", "eigen_real", "eigen_complex",
+                                      "jordan_d2", "jordan_d3", "sampler_law"])
+    def test_matches_reference(self, name):
+        m = _jump_case(name)
+        transport = sampler._jump_transport(m)
+        assert transport.diagonalizable == (not name.startswith(("jordan", "sampler")))
+        for seed in range(3):
+            got = sampler._jump_block(m, 1.3, RngStream(seed, 0).generator(), 1000, transport)
+            want = _reference_jump_block(m, 1.3, RngStream(seed, 0).generator(), 1000, transport)
+            assert got.shape == want.shape == (1000, m.dim)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["atoms_d2", "jordan_d3"])
+    def test_block_without_jumps(self, name):
+        m = _jump_case(name)
+        tiny = _jump_law_model(m.drift_matrix, 1e-12, atoms=m.jump.atoms)
+        transport = sampler._jump_transport(tiny)
+        got = sampler._jump_block(tiny, 1.0, RngStream(5, 0).generator(), 64, transport)
+        want = _reference_jump_block(tiny, 1.0, RngStream(5, 0).generator(), 64, transport)
+        assert np.array_equal(got, want) and not got.any()
+
+    @pytest.mark.parametrize("name", ["atoms_d3", "jordan_d2"])
+    def test_block_with_some_empty_replicates(self, name):
+        m = _jump_case(name)
+        sparse = _jump_law_model(m.drift_matrix, 0.5, atoms=m.jump.atoms)
+        transport = sampler._jump_transport(sparse)
+        got = sampler._jump_block(sparse, 1.0, RngStream(6, 0).generator(), 500, transport)
+        want = _reference_jump_block(sparse, 1.0, RngStream(6, 0).generator(), 500, transport)
+        empty = ~got.any(axis=1)
+        assert 0 < empty.sum() < 500
+        assert np.array_equal(got, want)
+
+    def test_large_jordan_drift_is_chunked(self, monkeypatch):
+        d = 40
+        m = _jump_law_model(_jordan_drift(np.random.default_rng(40), d), 30.0,
+                            atoms=np.random.default_rng(41).uniform(-1.0, 1.0, size=(2, d)))
+        budget = sampler._EXPM_STACK_BYTES // (8 * d * d)
+        stacks = []
+        stacked = hl.linops.matrix_exponentials
+
+        def counted(a, times):
+            stacks.append(len(times))
+            return stacked(a, times)
+
+        monkeypatch.setattr(hl.linops, "matrix_exponentials", counted)
+        transport = sampler._jump_transport(m)
+        assert not transport.diagonalizable
+        got = sampler._jump_block(m, 1.0, RngStream(7, 0).generator(), 64, transport)
+        want = _reference_jump_block(m, 1.0, RngStream(7, 0).generator(), 64, transport)
+        assert np.array_equal(got, want)
+        assert len(stacks) >= 2 and max(stacks) <= budget
+        assert sum(stacks) > budget
+
+
+class TestSamplerStateMemo:
+    """Sampler state is built once per model and shared by later calls."""
+
+    def test_jump_transport_built_once(self, monkeypatch):
+        m = _jump_case("eigen_real")
+        built = []
+        build = sampler._build_jump_transport
+        monkeypatch.setattr(sampler, "_build_jump_transport", lambda a: built.append(a) or build(a))
+        first = sampler._jump_transport(m)
+        hl.estimate_semigroup(m, 1.0, [0.0, 0.0], lambda pts: pts[:, 0], 200, 1)
+        hl.estimate_semigroup(m, 0.5, [0.1, 0.0], lambda pts: pts[:, 1], 200, 2)
+        hl.sample_ou_endpoint(m, 0.5, [0.0, 0.0], RngStream(3, 0))
+        assert sampler._jump_transport(m) is first
+        assert len(built) == 1
+
+    def test_step_sampler_built_once(self, monkeypatch, scalar_model):
+        from harnacklab.testfuncs import drift_scaled_sine
+
+        built = []
+        build = sampler._build_step_sampler
+        monkeypatch.setattr(sampler, "_build_step_sampler", lambda m, delta: built.append(delta) or build(m, delta))
+        spec = drift_scaled_sine(scalar_model, 0.3)
+        for seed in (1, 2):
+            hl.semilinear_estimate(scalar_model, spec, 0.8, [0.2], ExpObservable([0.3]), 200, 16, seed)
+        sampler.semilinear_rho_moments(scalar_model, spec, 0.8, [0.2], [2.0], 200, 16, 3)
+        delta = 0.8 / 16
+        assert sampler._step_sampler(scalar_model, delta) is sampler._step_sampler(scalar_model, np.float64(delta))
+        assert delta in built and len(built) == len(set(built))
+
+    def test_sampler_state_refers_only_to_arrays(self):
+        import gc
+        import weakref
+
+        m = _jump_case("jordan_d2")
+        hl.estimate_semigroup(m, 1.0, [0.0, 0.0], lambda pts: pts[:, 0], 200, 1)
+        sampler._step_sampler(m, 0.1)
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestWaPath:
     def test_zero_noise_path_is_zero(self):
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[0.0]])
@@ -287,6 +446,15 @@ class TestSemilinear:
                              k1=2.0, k2=0.0)
         with pytest.raises(RuntimeError, match="range"):
             hl.semilinear_estimate(m, bad, 1.0, [0.0, 0.0], ConstantObservable(1.0), 200, 8, 0)
+
+    def test_drift_leaving_the_range_mid_path_aborts(self):
+        # F(x) = (0, x_1) is in the range of R^(1/2) = diag(1, 0) only at x_1 = 0,
+        # which the path leaves after its first step
+        m = OuLevyModel(drift_matrix=np.diag([-1.0, -1.0]), noise_cov=np.diag([1.0, 0.0]))
+        spec = hl.SemilinearSpec(drift_fn=lambda pts: np.stack([np.zeros(len(pts)), pts[:, 0]], axis=1),
+                                 k1=1.0, k2=1.0)
+        with pytest.raises(RuntimeError, match="range"):
+            hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 200, 8, 0)
 
     def test_nonzero_offset_rejected(self):
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]], drift_offset=[0.5])
