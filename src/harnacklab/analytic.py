@@ -27,21 +27,21 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GaussianMeasure:
-    """Mean-covariance pair; covariance must be symmetric PSD."""
+    """Mean-covariance pair, held as read-only copies; covariance must be symmetric PSD."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         cov = linops.check_symmetric(self.cov, "covariance")
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.shape[0] != cov.shape[0]:
             raise ValueError("mean and covariance dimensions differ")
         wmin = float(np.linalg.eigvalsh(cov).min())
         if wmin < -linops.DEFAULT_RANK_TOL * max(1.0, float(np.abs(cov).max())):
             raise linops.NotPsdError(f"covariance has eigenvalue {wmin:.3e} < 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", linops.read_only(mean))
+        object.__setattr__(self, "cov", linops.read_only(cov))
 
     @property
     def dim(self) -> int:
@@ -54,10 +54,11 @@ class GaussianMeasure:
 
 
 def invariant_measure(model: OuLevyModel) -> GaussianMeasure:
-    """Gaussian steady-state law of a stable jump-free model."""
+    """Gaussian steady-state law of a stable jump-free model (memoized on the model)."""
     if model.has_jumps:
         raise ValueError("no closed-form invariant law with a jump part")
-    return GaussianMeasure(mean=invariant_mean(model), cov=model.steady_covariance())
+    return model._memoized("invariant_measure", lambda: GaussianMeasure(
+        mean=invariant_mean(model), cov=model.steady_covariance()))
 
 
 def transition_law(model: OuLevyModel, t: float, x) -> GaussianMeasure:

@@ -12,12 +12,14 @@ previsible integrands.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
-of ``MC_BLOCK`` replicates and fold block results in stream order, so
-results are bitwise reproducible regardless of how blocks are scheduled.
+of ``MC_BLOCK`` replicates and merge each block's centered moments into one
+``RunningMoments`` accumulator in stream order, so results are bitwise
+reproducible regardless of how blocks are scheduled.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -93,18 +95,71 @@ class GirsanovWeight:
         return float(np.exp(self.log_rho))
 
 
-class NonFiniteValueError(RuntimeError):
-    """A test function returned a non-finite value during estimation."""
+class NonFiniteValueError(ValueError):
+    """An observable or a weight turned non-finite during estimation."""
+
+
+class RunningMoments:
+    """Streaming count, mean and central sums ``M2``-``M4`` of blocks of values.
+
+    Each block is centered on its own mean, and its moments are merged into
+    the running ones in block order by the pairwise update of Chan, Golub &
+    LeVeque (1983), extended to ``M3`` and ``M4`` by Pebay (2008).  No power
+    sum of raw values is formed, so a common offset does not cancel the
+    spread.  This is the one place that rejects non-finite values.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.mean = 0.0
+        self._m2 = self._m3 = self._m4 = 0.0
+
+    def add(self, values) -> None:
+        v = np.asarray(values, dtype=float).reshape(-1)
+        na, nb = self.n, v.shape[0]
+        mb = float(v.mean())
+        if not math.isfinite(mb):  # a non-finite value, or a block sum that overflows
+            bad = int(np.count_nonzero(~np.isfinite(v)))
+            raise NonFiniteValueError(f"{bad} non-finite value(s) in the block at replicate {na}")
+        n = na + nb
+        dev = v - mb
+        dev2 = dev * dev
+        m2b, m3b, m4b = float(dev2.sum()), float((dev2 * dev).sum()), float((dev2 * dev2).sum())
+        delta = mb - self.mean
+        cross = delta * delta * na * nb / n
+        self._m4 += (m4b + cross * delta * delta * (na * na - na * nb + nb * nb) / (n * n)
+                     + 6.0 * delta * delta * (na * na * m2b + nb * nb * self._m2) / (n * n)
+                     + 4.0 * delta * (na * m3b - nb * self._m3) / n)
+        self._m3 += m3b + cross * delta * (na - nb) / n + 3.0 * delta * (na * m2b - nb * self._m2) / n
+        self._m2 += m2b + cross
+        self.mean += delta * (nb / n)
+        self.n = n
+
+    @property
+    def variance(self) -> float:
+        """Unbiased sample variance."""
+        return self._m2 / (self.n - 1)
+
+    @property
+    def variance_se(self) -> float:
+        """Standard error of ``variance``: ``sqrt((mu4 - variance^2) / n)``."""
+        return math.sqrt(max(self._m4 / self.n - self.variance**2, 0.0) / self.n)
+
+    @property
+    def std_error(self) -> float:
+        """Standard error of ``mean``."""
+        return math.sqrt(self.variance / self.n)
+
+    def estimate(self, seed: int) -> McEstimate:
+        return McEstimate(mean=self.mean, std_error=self.std_error, n=self.n, seed=seed)
 
 
 def eval_rows(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on row-stacked points, tolerating non-vectorized f."""
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-    except Exception:
-        vals = None
-    if vals is None or vals.shape != (pts.shape[0],):
-        vals = np.array([float(f(p)) for p in pts])
+    """Evaluate a vectorized ``f`` on row-stacked points ``(m, d)``; it must return ``(m,)``."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"observable returned shape {vals.shape} for {pts.shape[0]} points; "
+                         f"it must map (m, d) points to (m,) values")
     return vals
 
 
@@ -218,30 +273,18 @@ def iter_endpoint_noise(model: OuLevyModel, t: float, n: int, seed: int) -> Iter
 def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of ``E f(X_t)`` started at ``x``.
 
-    ``f`` should accept row-stacked points ``(m, d)`` and return ``(m,)``;
-    scalar-only callables are evaluated row by row.  Estimation aborts on the
-    first non-finite value of ``f``.
+    ``f`` must be vectorized: it maps row-stacked points ``(m, d)`` to
+    ``(m,)`` values, and any other shape raises ``ValueError``.  Estimation
+    aborts on the first non-finite value of ``f``.
     """
     if n < 100:
         raise ValueError("at least 100 replicates are required")
     x = np.asarray(x, dtype=float).reshape(-1)
     start = model.snapshot(t).propagator @ x
-    s1 = 0.0
-    s2 = 0.0
-    done = 0
+    acc = RunningMoments()
     for noise in iter_endpoint_noise(model, t, n, seed):
-        vals = eval_rows(f, start + noise)
-        if not np.isfinite(vals).all():
-            bad = int(np.count_nonzero(~np.isfinite(vals)))
-            raise NonFiniteValueError(
-                f"test function returned {bad} non-finite value(s) near replicate {done}"
-            )
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-        done += vals.shape[0]
-    mean = s1 / n
-    var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-    return McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
+        acc.add(eval_rows(f, start + noise))
+    return acc.estimate(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +354,7 @@ def girsanov_functional_estimates(
     ``u`` is a callable of time or an array on the left points / full grid;
     each entry of ``funcs`` maps the vector of log-weights of a block to
     per-replicate values.  One pass over the increments serves all
-    functionals, with block folding in stream order.
+    functionals, with one accumulator per functional.
     """
     grid = np.linspace(0.0, t, K + 1)
     delta = t / K
@@ -328,7 +371,7 @@ def girsanov_functional_estimates(
     half_sq = 0.5 * delta * float(np.sum(uvals * uvals))
     root = np.sqrt(delta)
 
-    sums = {name: [0.0, 0.0] for name in funcs}
+    accs = {name: RunningMoments() for name in funcs}
     for gen, size in _stream_blocks(seed, n):
         acc = np.zeros(size)
         for k in range(K):
@@ -336,15 +379,8 @@ def girsanov_functional_estimates(
             acc += dw @ uvals[k]
         log_rho = acc - half_sq
         for name, fn in funcs.items():
-            vals = np.asarray(fn(log_rho), dtype=float)
-            sums[name][0] += float(vals.sum())
-            sums[name][1] += float((vals * vals).sum())
-    out = {}
-    for name, (s1, s2) in sums.items():
-        mean = s1 / n
-        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-        out[name] = McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
-    return out
+            accs[name].add(fn(log_rho))
+    return {name: acc.estimate(seed) for name, acc in accs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +428,10 @@ def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
 # ---------------------------------------------------------------------------
 
 
-def _coupling_control(model: OuLevyModel, t: float, x, y, K: int):
+def _coupled_blocks(model, t, x, y, K, blocks):
+    """Coupled endpoints started at ``y``, one ``(size, d)`` array per
+    ``(generator, size)`` block, with their log-weights and the control's
+    squared size: yields ``(endpoints, log_rho, integral_psi_sq)``."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     ctrl = min_energy_control(model, t, y - x, K)
@@ -402,19 +441,14 @@ def _coupling_control(model: OuLevyModel, t: float, x, y, K: int):
         raise RuntimeError(
             f"null control rejected: terminal residual {ctrl.terminal_residual:.3e}"
         )
-    return x, y, ctrl
-
-
-def _coupled_blocks(model, t, x, y, K, seed, n):
-    x, y, ctrl = _coupling_control(model, t, x, y, K)
     u = ctrl.values[:-1]
     delta = t / K
     step = _step_sampler(model, delta)
     snap = model.snapshot(t)
     transport = _jump_transport(model) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
-    half_sq = 0.5 * delta * float(np.sum(u * u))
-    for gen, size in _stream_blocks(seed, n):
+    sq = delta * float(np.sum(u * u))
+    for gen, size in blocks:
         conv = np.zeros((size, model.dim))
         acc = np.zeros(size)
         for k in range(K):
@@ -424,7 +458,7 @@ def _coupled_blocks(model, t, x, y, K, seed, n):
         endpoints = base + conv
         if model.has_jumps:
             endpoints = endpoints + _jump_block(model, t, gen, size, transport)
-        yield endpoints, acc - half_sq, ctrl
+        yield endpoints, acc - 0.5 * sq, sq
 
 
 def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStream):
@@ -438,24 +472,8 @@ def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStre
     the shifted noise reproduces the endpoint up to the control's terminal
     residual (at most 1e-8 relative for accepted controls).
     """
-    x, y, ctrl = _coupling_control(model, t, x, y, K)
-    u = ctrl.values[:-1]
-    delta = t / K
-    step = _step_sampler(model, delta)
-    snap = model.snapshot(t)
-    transport = _jump_transport(model) if model.has_jumps else None
-    gen = rng.generator()
-    conv = np.zeros((1, model.dim))
-    acc = 0.0
-    for k in range(K):
-        dw, eta = step.draw(gen, 1)
-        acc += float(dw[0] @ u[k])
-        conv = conv @ step.propagator.T + eta
-    endpoint = snap.propagator @ y + snap.mean_shift + conv[0]
-    if model.has_jumps:
-        endpoint = endpoint + _jump_block(model, t, gen, 1, transport)[0]
-    sq = delta * float(np.sum(u * u))
-    return endpoint, GirsanovWeight(log_rho=acc - 0.5 * sq, integral_psi_sq=sq)
+    [(endpoints, log_rho, sq)] = _coupled_blocks(model, t, x, y, K, [(rng.generator(), 1)])
+    return endpoints[0], GirsanovWeight(log_rho=float(log_rho[0]), integral_psi_sq=sq)
 
 
 def coupled_expectation(model: OuLevyModel, t: float, x, y,
@@ -464,15 +482,10 @@ def coupled_expectation(model: OuLevyModel, t: float, x, y,
     """Monte Carlo mean of ``g(rho, endpoint)`` over coupled-pair replicates."""
     if n < 100:
         raise ValueError("at least 100 replicates are required")
-    s1 = 0.0
-    s2 = 0.0
-    for endpoints, log_rho, _ in _coupled_blocks(model, t, x, y, K, seed, n):
-        vals = np.asarray(g(np.exp(log_rho), endpoints), dtype=float)
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-    mean = s1 / n
-    var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-    return McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
+    acc = RunningMoments()
+    for endpoints, log_rho, _ in _coupled_blocks(model, t, x, y, K, _stream_blocks(seed, n)):
+        acc.add(g(np.exp(log_rho), endpoints))
+    return acc.estimate(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -540,48 +553,30 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     _require_semilinear_setting(model)
     x = np.asarray(x, dtype=float).reshape(-1)
 
-    def run(k_steps: int):
+    def run(k_steps: int) -> tuple[RunningMoments, RunningMoments]:
         end_term = model.propagator(t) @ x
-        s1 = s2 = r1 = r2 = 0.0
+        value, weight = RunningMoments(), RunningMoments()
         for conv, log_rho in _semilinear_blocks(model, spec, t, x, k_steps, seed, n):
             rho = np.exp(log_rho)
-            vals = rho * eval_rows(f, conv + end_term)
-            if not np.isfinite(vals).all():
-                raise NonFiniteValueError("non-finite weighted value in perturbed-drift estimate")
-            s1 += float(vals.sum())
-            s2 += float((vals * vals).sum())
-            r1 += float(rho.sum())
-            r2 += float((rho * rho).sum())
-        mean = s1 / n
-        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-        rho_mean = r1 / n
-        rho_var = max((r2 - n * rho_mean * rho_mean) / (n - 1), 0.0)
-        est = McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
-        return est, rho_mean, float(np.sqrt(rho_var / n))
+            weight.add(rho)
+            value.add(rho * eval_rows(f, conv + end_term))
+        return value, weight
 
-    est, rho_mean, rho_se = run(K)
-    if abs(rho_mean - 1.0) > 3.0 * max(rho_se, 1e-300):
-        est, _, _ = run(2 * K)
-    return est
+    value, weight = run(K)
+    if abs(weight.mean - 1.0) > 3.0 * max(weight.std_error, 1e-300):
+        value, _ = run(2 * K)
+    return value.estimate(seed)
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                            powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
     """Monte Carlo moments ``E rho^p`` of the perturbed-drift weight."""
     _require_semilinear_setting(model)
-    powers = [float(p) for p in powers]
-    sums = {p: [0.0, 0.0] for p in powers}
+    accs = {float(p): RunningMoments() for p in powers}
     for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
-        for p in powers:
-            vals = np.exp(p * log_rho)
-            sums[p][0] += float(vals.sum())
-            sums[p][1] += float((vals * vals).sum())
-    out = {}
-    for p, (s1, s2) in sums.items():
-        mean = s1 / n
-        var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-        out[p] = McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
-    return out
+        for p, acc in accs.items():
+            acc.add(np.exp(p * log_rho))
+    return {p: acc.estimate(seed) for p, acc in accs.items()}
 
 
 def wa_square_exp_moment(model: OuLevyModel, t: float, lam: float, n: int, K: int, seed: int) -> McEstimate:
@@ -592,7 +587,7 @@ def wa_square_exp_moment(model: OuLevyModel, t: float, lam: float, n: int, K: in
     """
     delta = t / K
     step = _step_sampler(model, delta)
-    s1 = s2 = 0.0
+    acc = RunningMoments()
     for gen, size in _stream_blocks(seed, n):
         conv = np.zeros((size, model.dim))
         sq = np.zeros(size)
@@ -603,12 +598,8 @@ def wa_square_exp_moment(model: OuLevyModel, t: float, lam: float, n: int, K: in
                 np.einsum("ij,ij->i", conv, conv) + np.einsum("ij,ij->i", nxt, nxt)
             )
             conv = nxt
-        vals = np.exp(lam * sq)
-        s1 += float(vals.sum())
-        s2 += float((vals * vals).sum())
-    mean = s1 / n
-    var = max((s2 - n * mean * mean) / (n - 1), 0.0)
-    return McEstimate(mean=mean, std_error=float(np.sqrt(var / n)), n=n, seed=seed)
+        acc.add(np.exp(lam * sq))
+    return acc.estimate(seed)
 
 
 def wa_exp_moment_constants(model: OuLevyModel) -> tuple[float, float]:

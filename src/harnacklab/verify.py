@@ -253,15 +253,6 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
                    params, seed, note)
 
 
-def _moments(s1, s2, s3, s4, n):
-    m1 = s1 / n
-    var = max((s2 - n * m1 * m1) / (n - 1), 0.0)
-    m2, m3, m4 = s2 / n, s3 / n, s4 / n
-    mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1 * m1 * m2 - 3.0 * m1**4
-    se_var = math.sqrt(max(mu4 - var * var, 0.0) / n)
-    return m1, var, se_var
-
-
 def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
                             n: int = 100_000, seed: int = 0,
                             check_id: str = "gradient") -> CheckReport:
@@ -281,32 +272,19 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
                        "x - y outside the steerable domain")
     prop = model.propagator(t)
     term_x, term_y = prop @ x, prop @ y
-    sx = np.zeros(4)
-    sy = np.zeros(4)
-    sd = np.zeros(2)
+    at_x, at_y, diff = sampler.RunningMoments(), sampler.RunningMoments(), sampler.RunningMoments()
     for noise in sampler.iter_endpoint_noise(model, t, n, sampler.mix_seed(seed, 1)):
         vx = sampler.eval_rows(f, term_x + noise)
         vy = sampler.eval_rows(f, term_y + noise)
-        for k in range(4):
-            sx[k] += float(np.sum(vx ** (k + 1)))
-            sy[k] += float(np.sum(vy ** (k + 1)))
-        diff = vx - vy
-        sd[0] += float(diff.sum())
-        sd[1] += float((diff * diff).sum())
-    mean_x, var_x, se_var_x = _moments(*sx, n)
-    mean_y, var_y, se_var_y = _moments(*sy, n)
-    mean_d = sd[0] / n
-    var_d = max((sd[1] - n * mean_d * mean_d) / (n - 1), 0.0)
-    se_d = math.sqrt(var_d / n)
-    lhs = mean_d**2
-    lhs_se = 2.0 * abs(mean_d) * se_d
+        at_x.add(vx)
+        at_y.add(vy)
+        diff.add(vx - vy)
+    lhs = diff.mean**2
+    lhs_se = 2.0 * abs(diff.mean) * diff.std_error
     gam_sq = float(gam) ** 2
     factor = math.expm1(gam_sq) if gam_sq <= 700.0 else float("inf")
-    if var_x <= var_y:
-        rhs, rhs_se = factor * var_x, factor * se_var_x
-    else:
-        rhs, rhs_se = factor * var_y, factor * se_var_y
-    return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed)
+    low = at_x if at_x.variance <= at_y.variance else at_y
+    return _report(check_id, lhs, factor * low.variance, lhs_se, factor * low.variance_se, params, seed)
 
 
 # ---------------------------------------------------------------------------

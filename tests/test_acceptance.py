@@ -19,6 +19,35 @@ from oracles import make_psd, make_stable, mc_mean, sample_gaussian, simpson_gra
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 PASS = verify.PASS_VERDICTS
 
+#: Verdict of every row of scenarios/jump_suite.json, keyed by (scenario index, check id).
+JUMP_SUITE_VERDICTS = {
+    (0, "jump_harnack#000"): verify.HOLDS, (1, "jump_harnack#001"): verify.HOLDS,
+    (2, "jump_harnack#002"): verify.HOLDS, (3, "jump_harnack#003"): verify.HOLDS,
+    (4, "jump_harnack#004"): verify.HOLDS, (5, "jump_harnack#005"): verify.HOLDS,
+    (6, "jump_harnack#006"): verify.HOLDS, (7, "jump_harnack#007"): verify.HOLDS,
+    (8, "jump_harnack#008"): verify.HOLDS, (9, "jump_harnack#009"): verify.HOLDS,
+    (10, "jump_harnack#010"): verify.HOLDS, (11, "jump_harnack#011"): verify.HOLDS,
+    (12, "jump_harnack#012"): verify.HOLDS, (13, "jump_harnack#013"): verify.HOLDS,
+    (14, "jump_harnack#014"): verify.HOLDS, (15, "jump_harnack#015"): verify.HOLDS,
+    (16, "jump_harnack#016"): verify.HOLDS, (17, "jump_harnack#017"): verify.HOLDS,
+    (18, "jump_harnack#018"): verify.HOLDS, (19, "jump_harnack#019"): verify.HOLDS,
+    (20, "jump_harnack#020"): verify.HOLDS, (21, "jump_harnack#021"): verify.HOLDS,
+    (22, "jump_harnack#022"): verify.HOLDS, (23, "jump_harnack#023"): verify.HOLDS,
+    (24, "jump_harnack#024"): verify.HOLDS, (25, "jump_harnack#025"): verify.HOLDS,
+    (26, "jump_harnack#026"): verify.HOLDS, (27, "jump_harnack#027"): verify.HOLDS,
+    (28, "jump_harnack#028"): verify.HOLDS, (29, "jump_harnack#029"): verify.HOLDS,
+    (30, "jump_harnack#030"): verify.HOLDS, (31, "jump_harnack#031"): verify.HOLDS,
+    (32, "jump_harnack#032"): verify.HOLDS, (33, "jump_harnack#033"): verify.HOLDS,
+    (34, "jump_harnack#034"): verify.HOLDS, (35, "jump_harnack#035"): verify.HOLDS,
+    (36, "jump_harnack#036"): verify.HOLDS, (37, "jump_harnack#037"): verify.HOLDS,
+    (38, "jump_harnack#038"): verify.HOLDS, (39, "jump_harnack#039"): verify.HOLDS,
+    (40, "jump_harnack#040"): verify.HOLDS, (41, "jump_harnack#041"): verify.HOLDS,
+    (42, "jump_harnack#042"): verify.HOLDS, (43, "jump_harnack#043"): verify.HOLDS,
+    (44, "jump_harnack#044"): verify.HOLDS, (45, "jump_harnack#045"): verify.HOLDS,
+    (46, "jump_harnack#046"): verify.HOLDS, (47, "jump_harnack#047"): verify.HOLDS_EQUALITY,
+    (48, "jump_harnack#048"): verify.HOLDS, (49, "jump_harnack#049"): verify.HOLDS,
+}
+
 
 def _line(num: int, desc: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
@@ -131,14 +160,18 @@ def test_criterion_06_jump_case_harnack():
         headline_ok = headline_ok and rep.verdict in PASS
 
     suite = json.loads((SCENARIO_DIR / "jump_suite.json").read_text())
-    violated = 0
-    for cfg in suite:
-        reports = cli.run_scenario(cli.Scenario.parse(cfg))
-        violated += sum(r.verdict == verify.VIOLATED for r in reports)
+    verdicts = {}
+    for index, cfg in enumerate(suite):
+        for r in cli.run_scenario(cli.Scenario.parse(cfg)):
+            verdicts[(index, r.check_id)] = r.verdict
+    violated = sum(v == verify.VIOLATED for v in verdicts.values())
+    changed = sorted(k for k in verdicts.keys() | JUMP_SUITE_VERDICTS.keys()
+                     if verdicts.get(k) != JUMP_SUITE_VERDICTS.get(k))
     elapsed = time.perf_counter() - start
-    _line(6, "compound-Poisson comparisons pass at n=1e5; 50-scenario randomized suite has no violation, < 3 min",
-          headline_ok and violated == 0 and elapsed < 180.0,
-          f"{len(suite)} scenarios, {elapsed:.1f} s")
+    _line(6, "compound-Poisson comparisons pass at n=1e5; 50-scenario randomized suite has no violation "
+             "and keeps its pinned per-row verdicts, < 3 min",
+          headline_ok and violated == 0 and not changed and elapsed < 180.0,
+          f"{len(suite)} scenarios, {elapsed:.1f} s, changed rows {changed}")
 
 
 def test_criterion_07_kernel_kl_identity():

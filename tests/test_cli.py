@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -8,6 +9,26 @@ import pytest
 from harnacklab import cli, verify
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+#: Verdict of every row of scenarios/scalar_ou.json, keyed by (scenario index, check id).
+SCALAR_OU_VERDICTS = {
+    (0, "density_norm"): verify.HOLDS,
+    (0, "entropy_cost"): verify.HOLDS,
+    (0, "entropy_cost_adjoint"): verify.HOLDS,
+    (0, "gradient"): verify.HOLDS,
+    (0, "harnack_exact_closed"): verify.HOLDS,
+    (0, "harnack_h_bound"): verify.HOLDS,
+    (0, "harnack_operator_mc"): verify.HOLDS,
+    (0, "hwi"): verify.HOLDS,
+    (0, "hwi_symmetric"): verify.HOLDS,
+    (0, "hyper_constant"): verify.HOLDS,
+    (0, "kernel_kl"): verify.HOLDS_EQUALITY,
+    (0, "kernel_power"): verify.HOLDS_EQUALITY,
+    (0, "log_harnack"): verify.HOLDS,
+    (0, "rho_moments_negative"): verify.HOLDS,
+    (0, "rho_moments_positive"): verify.HOLDS,
+    (0, "semilinear"): verify.HOLDS,
+}
 
 
 def minimal_config(**overrides):
@@ -78,6 +99,9 @@ class TestMain:
         # reports come out sorted by check id
         ids = [line.split(",")[0] for line in lines[1:]]
         assert ids == sorted(ids)
+        with out.open() as fh:
+            verdicts = {(0, row["check_id"]): row["verdict"] for row in csv.DictReader(fh)}
+        assert verdicts == SCALAR_OU_VERDICTS
 
     def test_malformed_config_exits_three(self, tmp_path):
         cfg = minimal_config(R=[[1.0, 0.5], [0.0, 1.0]], A=[[0.0, 0.0], [0.0, 0.0]], dim=2, a=[0.0, 0.0])
@@ -104,6 +128,19 @@ class TestMain:
         out = tmp_path / "tight.csv"
         assert cli.main(["--config", str(path), "--out", str(out)]) == 2
         assert "INCONCLUSIVE" in out.read_text()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_observable_exits_three(self, tmp_path, capsys):
+        # exp(400 x) overflows on the sampled endpoints: an input error, not a verdict
+        cfg = minimal_config()
+        cfg["checks"] = [{"kind": "gradient", "id": "g", "t": 1.0, "x": [0.5], "y": [0.0],
+                          "f": {"kind": "exp", "c": [400.0]}, "n": 2000}]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "overflow.csv"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
 
     def test_unknown_observable_exits_three(self, tmp_path):
         cfg = minimal_config()

@@ -297,6 +297,20 @@ class TestMemoizedState:
                   m.drift_matrix, m.noise_cov, m.drift_offset, build_adjoint(m).propagator(0.7)]
         assert not any(a.flags.writeable for a in arrays)
 
+    def test_invariant_law_is_memoized_and_read_only(self, nonnormal_model):
+        mu = analytic.invariant_measure(nonnormal_model)
+        assert analytic.invariant_measure(nonnormal_model) is mu
+        for arr in (mu.mean, mu.cov):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_measure_owns_its_arrays(self):
+        mean, cov = np.array([0.5]), np.array([[2.0]])
+        nu = analytic.GaussianMeasure(mean=mean, cov=cov)
+        mean[0], cov[0, 0] = 0.0, 1.0
+        assert nu.mean[0] == 0.5 and nu.cov[0, 0] == 2.0
+        assert mean.flags.writeable and cov.flags.writeable
+
     def test_model_owns_its_arrays(self):
         a, offset = np.array([[-1.0]]), np.array([0.5])
         m = OuLevyModel(drift_matrix=a, noise_cov=[[1.0]], drift_offset=offset)
@@ -310,7 +324,7 @@ class TestMemoizedState:
         adj.gamma_operator_norm(0.5)
         analytic.pushforward_adjoint(adj, analytic.invariant_measure(m), 0.5)
         verify_h_condition(m, HFunction.exponential(1.0), [0.5], default_h_probes(2))
-        refs = [weakref.ref(m), weakref.ref(adj.as_model())]
+        refs = [weakref.ref(m), weakref.ref(adj.as_model()), weakref.ref(analytic.invariant_measure(m))]
         gc.disable()
         try:
             del m, adj

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harnacklab as hl
 from harnacklab import OuLevyModel, analytic, sampler
@@ -8,6 +10,7 @@ from harnacklab.sampler import (
     GirsanovWeight,
     McEstimate,
     RngStream,
+    RunningMoments,
     coupled_expectation,
     girsanov_functional_estimates,
     girsanov_weight,
@@ -93,6 +96,17 @@ class TestEndpointSampling:
     def test_non_finite_observable_aborts(self, flat_model):
         with pytest.raises(sampler.NonFiniteValueError):
             hl.estimate_semigroup(flat_model, 1.0, [0.0], lambda pts: np.log(pts[:, 0]), 1000, 107)
+        assert issubclass(sampler.NonFiniteValueError, ValueError)
+
+    def test_scalar_only_observable_rejected(self, flat_model):
+        with pytest.raises(ValueError, match=r"shape \(1,\)"):
+            hl.estimate_semigroup(flat_model, 1.0, [0.0], lambda p: np.tanh(p[0]), 1000, 107)
+
+    def test_offset_keeps_the_standard_error(self, flat_model):
+        # raw power sums cancel the whole spread of 1e8 + tanh(x) and reported 0.0
+        plain = hl.estimate_semigroup(flat_model, 1.0, [0.0], lambda pts: np.tanh(pts[:, 0]), 100_000, 110)
+        shifted = hl.estimate_semigroup(flat_model, 1.0, [0.0], lambda pts: 1e8 + np.tanh(pts[:, 0]), 100_000, 110)
+        assert shifted.std_error == pytest.approx(plain.std_error, rel=1e-6)
 
     def test_minimum_sample_size_enforced(self, flat_model):
         with pytest.raises(ValueError):
@@ -111,6 +125,41 @@ class TestEndpointSampling:
         # second coordinate gains exactly the jump count in expectation
         assert within_sigma(est.mean, est.std_error, 3.0)
 
+
+class TestRunningMoments:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(blocks=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40), min_size=2, max_size=8),
+           offset=st.floats(-1e8, 1e8))
+    def test_matches_two_pass_over_concatenation(self, blocks, offset):
+        acc = RunningMoments()
+        for block in blocks:
+            acc.add(offset + np.array(block))
+        values = np.concatenate([offset + np.array(block) for block in blocks])
+        n = values.size
+        mean = values.mean()
+        dev = values - mean
+        var = float(dev @ dev) / (n - 1)
+        excess = max(float(np.mean(dev**4)) - var * var, 0.0)
+        scale = abs(offset) + float(np.abs(dev).max())
+        assert acc.n == n
+        assert acc.mean == pytest.approx(mean, rel=1e-13, abs=1e-13 * scale)
+        assert acc.variance == pytest.approx(var, rel=1e-9, abs=(1e-13 * scale) ** 2)
+        assert acc.variance_se**2 * n == pytest.approx(excess, rel=1e-8, abs=1e-8 * var * var + (1e-13 * scale) ** 4)
+
+    def test_constant_blocks_are_exact(self):
+        acc = RunningMoments()
+        for size in (1, 7, 4096):
+            acc.add(np.full(size, 3.5))
+        est = acc.estimate(9)
+        assert (est.mean, est.std_error, est.n, est.seed) == (3.5, 0.0, 4104, 9)
+        assert acc.variance == 0.0 and acc.variance_se == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, bad):
+        acc = RunningMoments()
+        acc.add([1.0, 2.0])
+        with pytest.raises(sampler.NonFiniteValueError, match="1 non-finite value.*at replicate 2"):
+            acc.add([0.5, bad])
 
 
 def _reference_jump_block(model, t, gen, size, transport):
