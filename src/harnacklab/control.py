@@ -88,13 +88,17 @@ def gamma_operator_norm(model: OuLevyModel, t: float, rank_tol: float = linops.D
     The propagator is invertible at finite dimension, so the range inclusion
     needed for boundedness holds iff the Gramian has full rank; when it
     fails the norm is reported as infinite (this convention also covers the
-    case of a map bounded only on a proper domain).
+    case of a map bounded only on a proper domain).  Memoized on the model
+    per ``t``: at large ``d`` each value is one dense SVD.
     """
-    snap = model.snapshot(t)
-    fac = snap.gramian_sqrt
-    if fac.rank < snap.dim:
-        return float("inf")
-    return float(np.linalg.norm(fac.pinv_sqrt_matrix @ snap.propagator, 2))
+    def build() -> float:
+        snap = model.snapshot(t)
+        fac = snap.gramian_sqrt
+        if fac.rank < snap.dim:
+            return float("inf")
+        return float(np.linalg.norm(fac.pinv_sqrt_matrix @ snap.propagator, 2))
+
+    return model._memoized(("gamma_operator_norm", float(t)), build)
 
 
 def _rk4_terminal(model: OuLevyModel, t: float, x0: np.ndarray, drive_half: np.ndarray) -> np.ndarray:

@@ -577,43 +577,3 @@ def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x
         for p, acc in accs.items():
             acc.add(np.exp(p * log_rho))
     return {p: acc.estimate(seed) for p, acc in accs.items()}
-
-
-def wa_square_exp_moment(model: OuLevyModel, t: float, lam: float, n: int, K: int, seed: int) -> McEstimate:
-    """Monte Carlo estimate of ``E exp(lam * int_0^t |W_A(s)|^2 ds)``.
-
-    The path integral is accumulated by the trapezoid rule on the exact-grid
-    convolution samples.
-    """
-    delta = t / K
-    step = _step_sampler(model, delta)
-    acc = RunningMoments()
-    for gen, size in _stream_blocks(seed, n):
-        conv = np.zeros((size, model.dim))
-        sq = np.zeros(size)
-        for _ in range(K):
-            _, eta = step.draw(gen, size)
-            nxt = conv @ step.propagator.T + eta
-            sq += 0.5 * delta * (
-                np.einsum("ij,ij->i", conv, conv) + np.einsum("ij,ij->i", nxt, nxt)
-            )
-            conv = nxt
-        acc.add(np.exp(lam * sq))
-    return acc.estimate(seed)
-
-
-def wa_exp_moment_constants(model: OuLevyModel) -> tuple[float, float]:
-    """Unit-horizon exponential-moment constants of the convolution.
-
-    Returns ``theta`` (trace of the unit-time Gramian) and
-    ``C0 = sup over s in (0, 1] of E exp(|W_A(s)|^2 / (4 theta))``; the
-    supremum sits at ``s = 1`` because the Gramian is monotone, and the
-    expectation is a Gaussian quadratic moment in closed form.
-    """
-    snap = model.snapshot(1.0)
-    theta = float(np.trace(snap.gramian))
-    if theta <= 0:
-        return 0.0, 1.0
-    r = np.linalg.eigvalsh(snap.gramian)
-    c0 = float(np.exp(-0.5 * np.sum(np.log1p(-r / (2.0 * theta)))))
-    return theta, c0

@@ -15,6 +15,7 @@ and classifies the margin:
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -73,12 +74,6 @@ def _exp(x: float) -> float:
     if x > 700.0:
         return float("inf")
     return math.exp(x)
-
-
-def _inconclusive(check_id, params, seed, note) -> CheckReport:
-    return CheckReport(check_id=check_id, lhs=0.0, rhs=0.0, lhs_se=0.0, rhs_se=0.0,
-                       margin=0.0, verdict=INCONCLUSIVE,
-                       params={**params, "note": note}, seed=int(seed))
 
 
 def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None) -> CheckReport:
@@ -150,6 +145,13 @@ def _echo(**kw) -> dict:
         else:
             out[k] = repr(v)
     return out
+
+
+def _measure_echo(nu: analytic.GaussianMeasure) -> dict:
+    """``nu`` by its dimension and a digest of its mean and covariance bytes;
+    the scenario already holds the matrices."""
+    digest = hashlib.sha256(nu.mean.tobytes() + nu.cov.tobytes()).hexdigest()
+    return {"dim": nu.dim, "sha256": digest[:16]}
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +363,7 @@ def check_entropy_cost(model: OuLevyModel, nu: analytic.GaussianMeasure, t: floa
         analytic.gaussian_kl(push_adj, mu),
         0.5 * op_adj**2 * w2_sq,
         0.0, 0.0,
-        _echo(t=t, nu_mean=nu.mean, nu_cov=nu.cov, variant="forward_semigroup", operator_norm=op_adj),
+        _echo(t=t, nu=_measure_echo(nu), variant="forward_semigroup", operator_norm=op_adj),
         0,
     )
 
@@ -372,7 +374,7 @@ def check_entropy_cost(model: OuLevyModel, nu: analytic.GaussianMeasure, t: floa
         analytic.gaussian_kl(push, mu),
         0.5 * op**2 * w2_sq,
         0.0, 0.0,
-        _echo(t=t, nu_mean=nu.mean, nu_cov=nu.cov, variant="adjoint_semigroup", operator_norm=op),
+        _echo(t=t, nu=_measure_echo(nu), variant="adjoint_semigroup", operator_norm=op),
         0,
     )
     return rep_forward, rep_adjoint
@@ -406,7 +408,7 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
         coef = 0.5 * adj.gamma_operator_norm(t) ** 2
         variant = "adjoint_operator_norm"
     rhs = 2.0 * fisher * h.integral_of_h(t) + coef * analytic.gaussian_w2(nu, mu) ** 2
-    params = _echo(t=t, nu_mean=nu.mean, nu_cov=nu.cov, h=h, variant=variant,
+    params = _echo(t=t, nu=_measure_echo(nu), h=h, variant=variant,
                    fisher=fisher, worst_ratio=cert.worst_ratio)
     return _report(check_id, lhs, rhs, 0.0, 0.0, params, 0)
 
@@ -424,18 +426,15 @@ def _default_probes(model: OuLevyModel, *pts) -> list[np.ndarray]:
     return probes
 
 
-def _exp_moment_horizon(model: OuLevyModel, t: float, lam: float) -> str | None:
-    """Sufficient-horizon guard for ``E exp(lam int |W_A|^2)``."""
-    if lam <= 0:
-        return None
-    theta, _ = sampler.wa_exp_moment_constants(model)
-    horizon = min(1.0, 1.0 / (4.0 * theta * lam)) if theta > 0 else 1.0
-    if t > horizon:
-        return (
-            f"t={t:g} beyond the certified exponential-moment horizon {horizon:g} "
-            f"for rate {lam:g}; moment may diverge"
-        )
-    return None
+def _exp_moment_constant(model: OuLevyModel, spec: SemilinearSpec, t: float, r: float) -> float:
+    """``E exp(2 r (2 r + 1) k2 int_0^t |W_A|^2)``: exactly 1 for ``k2 = 0``,
+    otherwise in closed form, ``inf`` where it diverges."""
+    if spec.k2 == 0.0:
+        return 1.0
+    return analytic.convolution_square_exp_moment(model, t, 2.0 * r * (2.0 * r + 1.0) * spec.k2)
+
+
+_DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
 
 
 def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float, x, y,
@@ -446,9 +445,10 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
 
     The right-hand side carries the two exponential-moment constants of the
     weight (exactly 1 for bounded perturbations with ``k2 = 0``, otherwise
-    Monte Carlo with a sufficient-horizon guard), the minimum-energy
+    exact by `analytic.convolution_square_exp_moment`), the minimum-energy
     exponent rescaled by the comparison exponents ``p, q``, and the additive
-    growth integral.
+    growth integral.  A divergent constant gives ``TRIVIAL_INFINITE_RHS``
+    before any path is drawn.
     """
     if alpha <= 1 or p <= 1 or q <= 1:
         raise ValueError("alpha, p, q must exceed 1")
@@ -463,30 +463,15 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     if not gam.in_domain:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "x - y outside the steerable domain")
+    cp = _exp_moment_constant(model, spec, t, p / (p - 1.0))
+    cq = _exp_moment_constant(model, spec, t, 1.0 / (q - 1.0))
+    if math.isinf(cp) or math.isinf(cq):
+        return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed, _DIVERGENT_CONSTANT)
 
-    pprime = p / (p - 1.0)
-    deltaq = 1.0 / (q - 1.0)
     beta_p = alpha * p / (2.0 * (p - 1.0))
     beta_q = alpha * q / (2.0 * (q - 1.0))
-    if spec.k2 == 0.0:
-        cp = cq = (1.0, 0.0)
-    else:
-        for lam in (2.0 * pprime * (2.0 * pprime + 1.0) * spec.k2,
-                    2.0 * deltaq * (2.0 * deltaq + 1.0) * spec.k2):
-            msg = _exp_moment_horizon(model, t, lam)
-            if msg:
-                return _inconclusive(check_id, params, seed, msg)
-        est_cp = sampler.wa_square_exp_moment(
-            model, t, 2.0 * pprime * (2.0 * pprime + 1.0) * spec.k2, n, K, sampler.mix_seed(seed, 3))
-        est_cq = sampler.wa_square_exp_moment(
-            model, t, 2.0 * deltaq * (2.0 * deltaq + 1.0) * spec.k2, n, K, sampler.mix_seed(seed, 4))
-        cp = (est_cp.mean, est_cp.std_error)
-        cq = (est_cq.mean, est_cq.std_error)
-
-    if spec.k2 == 0.0:
-        growth_integral = spec.k1 * t
-    else:
-        growth_integral = spec.k1 * t + spec.k2 * _propagated_sq_integral(model, t, x, y)
+    growth_integral = (spec.k1 * t if spec.k2 == 0.0
+                       else spec.k1 * t + spec.k2 * _propagated_sq_integral(model, t, x, y))
     log_exp_term = (
         alpha * q * float(gam) ** 2 / (2.0 * (alpha - q))
         + alpha * ((p + 1.0) / (p - 1.0) + (q + 1.0) / (q * (q - 1.0))) * growth_integral
@@ -502,12 +487,8 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     mean_x = max(est_x.mean, 0.0)
     lhs = mean_x**alpha
     lhs_se = alpha * mean_x ** (alpha - 1.0) * est_x.std_error
-    rhs = cp[0] ** beta_p * cq[0] ** beta_q * _exp(log_exp_term) * est_y.mean
-    rel = math.sqrt(
-        (beta_p * cp[1] / cp[0]) ** 2 + (beta_q * cq[1] / cq[0]) ** 2
-        + (est_y.std_error / est_y.mean) ** 2
-    )
-    return _report(check_id, lhs, rhs, lhs_se, abs(rhs) * rel, params, seed)
+    rhs = cp ** beta_p * cq ** beta_q * _exp(log_exp_term) * est_y.mean
+    return _report(check_id, lhs, rhs, lhs_se, abs(rhs) * (est_y.std_error / est_y.mean), params, seed)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
@@ -517,9 +498,11 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     their growth bounds.
 
     For ``k2 = 0`` the bounds are ``exp(p (2p-1) k1 t / 2)`` and
-    ``exp(delta (2 delta + 1) k1 t / 2)`` exactly; otherwise the
-    exponential-moment constant enters by Monte Carlo under the
-    sufficient-horizon guard.
+    ``exp(delta (2 delta + 1) k1 t / 2)`` exactly; otherwise the square root
+    of an exponential-moment constant, exact by
+    `analytic.convolution_square_exp_moment`, multiplies them.  A divergent
+    constant gives that row ``TRIVIAL_INFINITE_RHS``, and its moment is not
+    sampled.
     """
     if p <= 1 or delta <= 0:
         raise ValueError("need p > 1 and delta > 0")
@@ -527,39 +510,24 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     spec.validate(model, _default_probes(model, x))
     params = _echo(t=t, x=x, p=p, delta=delta, n=n, K=K, drift=spec.label,
                    k1=spec.k1, k2=spec.k2)
-
-    moments = sampler.semilinear_rho_moments(model, spec, t, x, (p, -delta), n, K,
-                                             sampler.mix_seed(seed, 1))
-
-    def c_constant(lam: float, tag: int) -> tuple[float, float] | str:
-        if spec.k2 == 0.0:
-            return 1.0, 0.0
-        msg = _exp_moment_horizon(model, t, lam)
-        if msg:
-            return msg
-        est = sampler.wa_square_exp_moment(model, t, lam, n, K, sampler.mix_seed(seed, tag))
-        return est.mean, est.std_error
+    consts = {p: _exp_moment_constant(model, spec, t, p), -delta: _exp_moment_constant(model, spec, t, delta)}
+    powers = [power for power, c in consts.items() if math.isfinite(c)]
+    moments = sampler.semilinear_rho_moments(model, spec, t, x, powers, n, K,
+                                             sampler.mix_seed(seed, 1)) if powers else {}
 
     reports = []
-    for power, const_rate, growth, tag, suffix in (
-        (p, 2.0 * p * (2.0 * p + 1.0) * spec.k2,
-         0.5 * p * (2.0 * p - 1.0), 2, "_positive"),
-        (-delta, 2.0 * delta * (2.0 * delta + 1.0) * spec.k2,
-         0.5 * delta * (2.0 * delta + 1.0), 3, "_negative"),
-    ):
-        cval = c_constant(const_rate, tag)
+    for power, growth, suffix in ((p, 0.5 * p * (2.0 * p - 1.0), "_positive"),
+                                  (-delta, 0.5 * delta * (2.0 * delta + 1.0), "_negative")):
         rid = check_id + suffix
-        if isinstance(cval, str):
-            reports.append(_inconclusive(rid, params, seed, cval))
+        if math.isinf(consts[power]):
+            reports.append(_report(rid, 0.0, float("inf"), 0.0, 0.0, params, seed, _DIVERGENT_CONSTANT))
             continue
-        c_mean, c_se = cval
         if power > 0:
             integral = (spec.k1 * t if spec.k2 == 0.0
                         else spec.k1 * t + 2.0 * spec.k2 * _propagated_sq_integral(model, t, x))
         else:
             integral = t * (spec.k1 + 2.0 * spec.k2 * float(np.sum(x**2)))
-        bound = math.sqrt(c_mean) * _exp(growth * integral)
-        bound_se = bound * 0.5 * c_se / c_mean if c_mean > 0 else 0.0
         est = moments[float(power)]
-        reports.append(_report(rid, est.mean, bound, est.std_error, bound_se, dict(params), seed))
+        reports.append(_report(rid, est.mean, math.sqrt(consts[power]) * _exp(growth * integral),
+                               est.std_error, 0.0, params, seed))
     return reports[0], reports[1]

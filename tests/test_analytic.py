@@ -8,7 +8,16 @@ import scipy.integrate
 import harnacklab as hl
 from harnacklab import OuLevyModel, analytic, build_adjoint, estimate_semigroup
 from harnacklab.analytic import GaussianMeasure
-from oracles import gaussian_logpdf, make_psd, make_stable, mc_mean, sample_gaussian, within_sigma
+from oracles import (
+    convolution_covariance_eigenvalues,
+    gaussian_logpdf,
+    make_psd,
+    make_stable,
+    mc_convolution_square_exp_moment,
+    mc_mean,
+    sample_gaussian,
+    within_sigma,
+)
 
 
 class TestMehlerExponential:
@@ -51,6 +60,64 @@ class TestMehlerExponential:
         )
         with pytest.raises(ValueError, match="exponential moment"):
             analytic.mehler_exponential(m, 1.0, [0.3], [0.0])
+
+
+class TestConvolutionSquareExpMoment:
+    def test_cameron_martin(self, flat_model):
+        # E exp(lam int_0^1 W^2) = cos(sqrt(2 lam))^(-1/2) for Brownian motion
+        got = analytic.convolution_square_exp_moment(flat_model, 1.0, 0.4)
+        assert got == pytest.approx(np.cos(np.sqrt(0.8)) ** -0.5, rel=1e-12)
+
+    def test_zero_rate_is_one(self, nonnormal_model):
+        assert analytic.convolution_square_exp_moment(nonnormal_model, 1.3, 0.0) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blow_up_at_the_conjugate_time(self, dim):
+        # A = 0, R = I: every coordinate is a Brownian motion with blow-up at
+        # t* = pi / (2 sqrt(2 lam)); at d = 2 det U = cos^2 touches zero
+        # without a sign change, and at t = 4 the sign of det U is + again.
+        # At t = 2.5 (d = 2) and t = 5 one flow over [0, t] would even end
+        # with det U > 0 and Q >= 0: only a stepped flow sees the pole
+        m = OuLevyModel(drift_matrix=np.zeros((dim, dim)), noise_cov=np.eye(dim))
+        lam = 1.0
+        t_star = np.pi / (2.0 * np.sqrt(2.0 * lam))
+        below = analytic.convolution_square_exp_moment(m, t_star - 1e-3, lam)
+        assert below == pytest.approx(np.cos(np.sqrt(2.0 * lam) * (t_star - 1e-3)) ** (-dim / 2.0), rel=1e-9)
+        for t in (t_star + 1e-3, 1.5, 2.5, 4.0, 5.0):
+            assert analytic.convolution_square_exp_moment(m, t, lam) == np.inf
+
+    def test_matches_monte_carlo_on_a_non_normal_drift(self, nonnormal_model):
+        t, lam = 1.0, 0.5
+        got = analytic.convolution_square_exp_moment(nonnormal_model, t, lam)
+        mean, se = mc_convolution_square_exp_moment(nonnormal_model, t, lam, 40_000, 512, 217)
+        assert within_sigma(mean, se, got)
+
+    def test_finiteness_matches_the_covariance_operator(self):
+        # finite exactly when 2 lam mu_max < 1, mu_max the top Nystrom
+        # eigenvalue of the covariance operator of W_A on L^2([0, t])
+        rng = np.random.default_rng(218)
+        decided = {True: 0, False: 0}
+        for _ in range(8):
+            d = int(rng.integers(1, 4))
+            a, r = make_stable(rng, d, margin=0.3, scale=0.6), make_psd(rng, d, ridge=0.2)
+            t = float(rng.uniform(0.5, 2.0))
+            mu = convolution_covariance_eigenvalues(a, r, t)
+            u = float(rng.uniform(0.3, 2.0))  # 2 lam mu_max
+            if abs(u - 1.0) < 0.02:
+                continue
+            lam = u / (2.0 * mu.max())
+            got = analytic.convolution_square_exp_moment(OuLevyModel(drift_matrix=a, noise_cov=r), t, lam)
+            if u < 1.0:
+                # Nystrom's own error grows as 1 / (1 - u) towards the boundary
+                assert got == pytest.approx(np.exp(-0.5 * np.sum(np.log1p(-2.0 * lam * mu))), rel=1e-3)
+            else:
+                assert got == np.inf
+            decided[u < 1.0] += 1
+        assert min(decided.values()) >= 2
+
+    def test_negative_rate_rejected(self, flat_model):
+        with pytest.raises(ValueError, match="nonnegative"):
+            analytic.convolution_square_exp_moment(flat_model, 1.0, -0.1)
 
 
 class TestHeatKernelKl:

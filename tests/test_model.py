@@ -13,6 +13,7 @@ from harnacklab import (
     build_adjoint,
     analytic,
     check_assumption_A_sufficient,
+    gamma_operator_norm,
     linops,
     verify_h_condition,
 )
@@ -318,10 +319,26 @@ class TestMemoizedState:
         assert m.drift_matrix[0, 0] == -1.0 and m.drift_offset[0] == 0.5
         assert a.flags.writeable
 
+    def test_operator_norm_is_memoized_per_time(self, nonnormal_model, monkeypatch):
+        m = nonnormal_model
+        adj = build_adjoint(m)
+        first, first_adj = gamma_operator_norm(m, 0.7), adj.gamma_operator_norm(0.7)
+        assert ("gamma_operator_norm", 0.7) in adj.as_model()._memo
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the operator norm was computed again")
+
+        monkeypatch.setattr(np.linalg, "norm", no_svd)
+        assert gamma_operator_norm(m, np.float64(0.7)) == first
+        assert build_adjoint(m).gamma_operator_norm(0.7) == first_adj
+        monkeypatch.undo()
+        assert gamma_operator_norm(m, 1.4) != first
+
     def test_memo_is_freed_without_the_cycle_collector(self):
         m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2))
         adj = build_adjoint(m)
         adj.gamma_operator_norm(0.5)
+        gamma_operator_norm(m, 0.5)
         analytic.pushforward_adjoint(adj, analytic.invariant_measure(m), 0.5)
         verify_h_condition(m, HFunction.exponential(1.0), [0.5], default_h_probes(2))
         refs = [weakref.ref(m), weakref.ref(adj.as_model()), weakref.ref(analytic.invariant_measure(m))]

@@ -255,6 +255,29 @@ class TestEntropyCost:
         assert adjoint.verdict in PASS
 
 
+    def test_measure_is_echoed_by_digest(self, scalar_model):
+        nu = GaussianMeasure(mean=[1.5], cov=[[1.0]])
+        forward, adjoint = verify.check_entropy_cost(scalar_model, nu, 0.8)
+        same = verify.check_hwi(scalar_model, GaussianMeasure(mean=np.array([1.5]), cov=np.eye(1)),
+                                HFunction.exponential(2.0), 0.8)
+        other = verify.check_hwi(scalar_model, GaussianMeasure(mean=[1.5], cov=[[1.1]]),
+                                 HFunction.exponential(2.0), 0.8)
+        echo = forward.params["nu"]
+        assert echo["dim"] == 1 and len(echo["sha256"]) == 16
+        assert adjoint.params["nu"] == echo == same.params["nu"] != other.params["nu"]
+        assert not {"nu_mean", "nu_cov"} & set(forward.params)
+
+    def test_high_dimensional_row_stays_small(self):
+        from harnacklab import cli
+
+        d = 200
+        m = OuLevyModel(drift_matrix=-np.eye(d), noise_cov=np.eye(d))
+        nu = GaussianMeasure(mean=np.full(d, 0.1), cov=0.4 * np.eye(d))
+        reports = [*verify.check_entropy_cost(m, nu, 0.8), verify.check_hwi(m, nu, HFunction.exponential(1.0), 0.8)]
+        assert all(r.params["nu"]["dim"] == d for r in reports)
+        assert len(cli.render_reports(reports)) < 2000
+
+
 class TestHwi:
     def test_invariant_measure_equality(self, scalar_model):
         mu = analytic.invariant_measure(scalar_model)
@@ -324,12 +347,25 @@ class TestSemilinearHarnack:
             verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [0.5], [0.0],
                                             2.0, 1.5, 1.5, ConstantObservable(1.0), n=200, K=8, seed=0)
 
-    def test_divergence_horizon_inconclusive(self, scalar_model):
+    def test_divergence_horizon_inconclusive(self, scalar_model, monkeypatch):
+        # both constants diverge at t = 2 (rates 41.9 and 25.6), so no path is drawn
+        monkeypatch.setattr(hl.sampler, "semilinear_estimate", None)
         spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.5)
         rep = verify.check_semilinear_harnack(scalar_model, spec, 2.0, [0.3], [0.0], 4.0, 1.3, 1.3,
                                               ClippedExpObservable([0.3], 5.0), n=500, K=16, seed=15)
-        assert rep.verdict == verify.INCONCLUSIVE
-        assert "horizon" in rep.params["note"]
+        assert rep.verdict == verify.TRIVIAL_INFINITE_RHS
+        assert "diverges" in rep.params["note"]
+
+    def test_finite_constant_beyond_the_old_horizon_gets_a_verdict(self, scalar_model):
+        # A = -1, R = 2: the unit-time Gramian trace is 1 - e^-2 = 0.865 and the
+        # larger rate is 2 p' (2 p' + 1) k2 = 0.838 for p = 1.3, so the former
+        # sufficient horizon min(1, 1 / (4 * 0.865 * 0.838)) = 0.345 is below
+        # t = 0.8, yet both constants are finite there
+        spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.01)
+        rep = verify.check_semilinear_harnack(scalar_model, spec, 0.8, [0.3], [0.0], 4.0, 1.3, 1.3,
+                                              ClippedExpObservable([0.3], 5.0), n=4000, K=32, seed=20)
+        assert rep.verdict in (verify.HOLDS, verify.HOLDS_EQUALITY)
+        assert math.isfinite(rep.rhs) and rep.rhs_se > 0.0 and "note" not in rep.params
 
 
 class TestRhoMoments:
@@ -348,10 +384,14 @@ class TestRhoMoments:
         assert neg.verdict in PASS
         assert pos.rhs == pytest.approx(np.exp(2.0 * 3.0 * drift_scaled_sine(scalar_model, 0.5).k1 / 2.0))
 
-    def test_divergence_horizon_inconclusive(self, scalar_model):
+    def test_divergence_horizon_inconclusive(self, scalar_model, monkeypatch):
+        # both constants diverge at t = 3 (rates 10 and 1), so no path is drawn
+        monkeypatch.setattr(hl.sampler, "semilinear_rho_moments", None)
         spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.5)
         pos, neg = verify.check_rho_moments(scalar_model, spec, 3.0, [0.3], 2.0, 0.5, n=500, K=16, seed=18)
-        assert pos.verdict == verify.INCONCLUSIVE
+        for rep in (pos, neg):
+            assert rep.verdict == verify.TRIVIAL_INFINITE_RHS
+            assert "diverges" in rep.params["note"]
 
 
 class TestNoViolations:
