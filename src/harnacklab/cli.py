@@ -13,6 +13,7 @@ Exit codes: 0 all pass, 1 some check VIOLATED, 2 some check INCONCLUSIVE,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -74,14 +75,27 @@ def _matrix(d, key, path, dim=None):
 
 
 def _vector(d, key, path, dim, default=None):
-    if key not in d:
-        if default is not None:
-            return default
-        raise SchemaError(f"{path}.{key}: missing required field")
-    v = np.asarray(d[key], dtype=float).reshape(-1)
+    if default is not None and key not in d:
+        return default
+    v = np.asarray(_need(d, key, path), dtype=float).reshape(-1)
     if v.shape[0] != dim:
         raise SchemaError(f"{path}.{key}: dimension {v.shape[0]} != dim {dim}")
     return v
+
+
+def _reject_non_finite(node, path: str) -> None:
+    """Raise `SchemaError` at the first NaN or infinity under ``node``: JSON ``NaN``, ``Infinity``, ``1e999``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _reject_non_finite(value, f"{path}.{key}")
+    elif isinstance(node, list):
+        with contextlib.suppress(TypeError, OverflowError):  # one C-level sum clears a row of finite numbers
+            if math.isfinite(sum(node)):
+                return
+        for i, value in enumerate(node):
+            _reject_non_finite(value, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise SchemaError(f"{path}: non-finite number {node!r}")
 
 
 def parse_model(cfg: dict, path: str = "") -> OuLevyModel:
@@ -143,6 +157,7 @@ class Scenario:
     def parse(cfg: dict) -> "Scenario":
         if not isinstance(cfg, dict):
             raise SchemaError("config: top level must be an object")
+        _reject_non_finite(cfg, "config")
         model = parse_model(cfg, "config")
         top_seed = cfg.get("seed")
         raw_checks = _need(cfg, "checks", "config")

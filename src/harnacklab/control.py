@@ -66,7 +66,7 @@ class NullControl:
         )
 
 
-def gamma_norm(model: OuLevyModel, t: float, x, rank_tol: float = linops.DEFAULT_RANK_TOL) -> GammaNorm:
+def gamma_norm(model: OuLevyModel, t: float, x) -> GammaNorm:
     """Minimum-energy norm of ``x`` at horizon ``t``.
 
     Computed as ``|R_t^{-1/2} e^{tA} x|`` when the propagated state lies in
@@ -77,12 +77,12 @@ def gamma_norm(model: OuLevyModel, t: float, x, rank_tol: float = linops.DEFAULT
     fac = snap.gramian_sqrt
     v = snap.propagator @ np.asarray(x, dtype=float).reshape(-1)
     residual = fac.range_residual(v)
-    if residual > rank_tol:
+    if residual > linops.DEFAULT_RANK_TOL:
         return GammaNorm(value=float("inf"), in_domain=False, residual=residual)
     return GammaNorm(value=float(np.linalg.norm(fac.apply_pinv_sqrt(v))), in_domain=True, residual=residual)
 
 
-def gamma_operator_norm(model: OuLevyModel, t: float, rank_tol: float = linops.DEFAULT_RANK_TOL) -> float:
+def gamma_operator_norm(model: OuLevyModel, t: float) -> float:
     """Operator norm of the minimum-energy map at horizon ``t``.
 
     The propagator is invertible at finite dimension, so the range inclusion
@@ -195,7 +195,7 @@ def weighted_control(model: OuLevyModel, t: float, x0, xi, K: int) -> NullContro
     z[0] = x0
     for j in range(1, 2 * K + 1):
         z[j] = half_prop @ z[j - 1]
-    if any(not rfac.in_range(zj) for zj in z):
+    if not rfac.in_range(z).all():
         return _infeasible(grid, model.dim, x0)
 
     denom, _ = scipy.integrate.quad(lambda s: float(xi(s)), 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)

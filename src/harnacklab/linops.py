@@ -48,6 +48,20 @@ def check_symmetric(s, name="matrix") -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
+def psd_floor(s) -> float:
+    """Most negative eigenvalue that roundoff may give a PSD matrix of the size of ``s``."""
+    return -DEFAULT_RANK_TOL * max(1.0, float(np.abs(s).max(initial=0.0)))
+
+
+def check_psd(s, name="matrix") -> np.ndarray:
+    """Symmetrize ``s``; raise `NotPsdError` for an eigenvalue below `psd_floor`."""
+    s = check_symmetric(s, name)
+    wmin = float(np.linalg.eigvalsh(s).min(initial=0.0))
+    if wmin < psd_floor(s):
+        raise NotPsdError(f"{name} has negative eigenvalue {wmin:.3e} beyond tolerance")
+    return s
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only, so that an in-place edit of a shared array raises."""
     a.setflags(write=False)
@@ -82,7 +96,7 @@ class PsdFactorization:
     """Rank-revealing spectral factorization of a symmetric PSD matrix.
 
     Eigenvalues are sorted nonincreasing, with everything at or below
-    ``rank_tol * max eigenvalue`` treated as exactly zero.  The factorization
+    ``DEFAULT_RANK_TOL * max eigenvalue`` treated as exactly zero.  The factorization
     exposes the symmetric square root, its pseudo-inverse (defined on the
     range), and the orthogonal projector onto the range, all read-only.
     """
@@ -90,7 +104,6 @@ class PsdFactorization:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     rank: int
-    rank_tol: float
 
     @property
     def dim(self) -> int:
@@ -136,33 +149,34 @@ class PsdFactorization:
         m = self.pinv_matrix
         return np.asarray(x) @ m.T if np.ndim(x) > 1 else m @ np.asarray(x)
 
-    def range_residual(self, x) -> float:
-        """Relative distance of a vector from the range of the matrix."""
+    def range_residual(self, x):
+        """Relative distance ``|x - Px| / max(1, |x|)`` from the range: of a vector, or per row of ``(m, d)``."""
         x = np.asarray(x, dtype=float)
-        out = x - self.range_projector @ x
-        return float(np.linalg.norm(out) / max(1.0, np.linalg.norm(x)))
+        res = np.linalg.norm(x - x @ self.range_projector, axis=-1) / np.maximum(1.0, np.linalg.norm(x, axis=-1))
+        if np.isnan(res).any():  # a NaN is neither in the range nor out of it
+            raise ValueError("range test of a non-finite vector")
+        return res if x.ndim > 1 else float(res)
 
-    def in_range(self, x, tol: float | None = None) -> bool:
-        return self.range_residual(x) <= (self.rank_tol if tol is None else tol)
+    def in_range(self, x, tol: float = DEFAULT_RANK_TOL):
+        """`range_residual` at most ``tol``: a bool, or one per row of an ``(m, d)`` array."""
+        return self.range_residual(x) <= tol
 
 
-def psd_sqrt_pinv(s, rank_tol: float = DEFAULT_RANK_TOL) -> PsdFactorization:
+def psd_sqrt_pinv(s) -> PsdFactorization:
     """Factor a symmetric PSD matrix; rank 0 is allowed.
 
-    Eigenvalues more negative than ``rank_tol``-relative are rejected as a
-    genuine PSD violation; small negatives from roundoff are clipped to zero.
+    Eigenvalues below `psd_floor` are rejected as a genuine PSD violation;
+    small negatives from roundoff are clipped to zero.
     """
     s = check_symmetric(s, "PSD matrix")
     w, v = np.linalg.eigh(s)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
-    wmax = max(w[0], 0.0) if w.size else 0.0
-    floor = -rank_tol * max(1.0, wmax)
-    if w.size and w[-1] < floor:
+    if w.size and w[-1] < psd_floor(s):
         raise NotPsdError(f"matrix has negative eigenvalue {w[-1]:.3e} beyond tolerance")
-    thresh = rank_tol * wmax
+    thresh = DEFAULT_RANK_TOL * (max(w[0], 0.0) if w.size else 0.0)
     rank = int(np.count_nonzero(w > thresh))
     w = np.where(w > thresh, w, 0.0)
-    return PsdFactorization(eigenvalues=read_only(w), eigenvectors=read_only(v), rank=rank, rank_tol=rank_tol)
+    return PsdFactorization(eigenvalues=read_only(w), eigenvectors=read_only(v), rank=rank)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +212,13 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     one error budget, no quadrature grid.
     """
     a = as_square_matrix(a, "drift matrix")
-    r = check_symmetric(r, "noise covariance")
+    r = check_psd(r, "noise covariance")
     offset = np.asarray(offset, dtype=float).reshape(-1)
     d = a.shape[0]
     if r.shape[0] != d or offset.shape[0] != d:
         raise ValueError("dimension mismatch between drift, covariance and offset")
     if t <= 0:
         raise ValueError(f"snapshot time must be positive, got {t}")
-    wmin = float(np.linalg.eigvalsh(r).min())
-    if wmin < -DEFAULT_RANK_TOL * max(1.0, float(np.abs(r).max())):
-        raise NotPsdError(f"noise covariance has negative eigenvalue {wmin:.3e}")
 
     block = np.zeros((2 * d, 2 * d))
     block[:d, :d] = a

@@ -86,16 +86,13 @@ class OuLevyModel:
 
     def __post_init__(self):
         a = linops.as_square_matrix(self.drift_matrix, "drift matrix").copy()
-        r = linops.check_symmetric(self.noise_cov, "noise covariance")
+        r = linops.check_psd(self.noise_cov, "noise covariance")
         d = a.shape[0]
         if r.shape[0] != d:
             raise ValueError("drift and covariance dimensions differ")
-        wmin = float(np.linalg.eigvalsh(r).min())
-        if wmin < -linops.DEFAULT_RANK_TOL * max(1.0, float(np.abs(r).max())):
-            raise linops.NotPsdError(f"noise covariance has eigenvalue {wmin:.3e} < 0")
         offset = np.zeros(d) if self.drift_offset is None else np.array(self.drift_offset, dtype=float).reshape(-1)
-        if offset.shape[0] != d:
-            raise ValueError("drift offset dimension mismatch")
+        if offset.shape[0] != d or not np.isfinite(offset).all():
+            raise ValueError(f"drift offset must be a finite vector of dimension {d}")
         if self.jump is not None and self.jump.atoms is not None and self.jump.atoms.shape[1] != d:
             raise ValueError("jump atom dimension mismatch")
         object.__setattr__(self, "drift_matrix", linops.read_only(a))
@@ -126,8 +123,8 @@ class OuLevyModel:
         return self._memoized(("propagator", float(t)),
                               lambda: linops.read_only(linops.matrix_exponential(self.drift_matrix, t)))
 
-    def noise_sqrt(self, rank_tol: float = linops.DEFAULT_RANK_TOL) -> linops.PsdFactorization:
-        return self._memoized(("noise_sqrt", float(rank_tol)), lambda: linops.psd_sqrt_pinv(self.noise_cov, rank_tol))
+    def noise_sqrt(self) -> linops.PsdFactorization:
+        return self._memoized("noise_sqrt", lambda: linops.psd_sqrt_pinv(self.noise_cov))
 
     def steady_covariance(self) -> np.ndarray:
         """Solution ``S`` of ``A S + S A' = -R``; raises for a non-Hurwitz drift."""
@@ -205,6 +202,8 @@ class HConditionReport:
 
 
 H_CONDITION_SLACK = 1e-9
+#: Relative residual up to which a drift value counts as inside the range of ``R^{1/2}``.
+DRIFT_RANGE_TOL = 1e-8
 
 
 def verify_h_condition(model: OuLevyModel, h: HFunction, times, probes) -> HConditionReport:
@@ -227,9 +226,7 @@ def verify_h_condition(model: OuLevyModel, h: HFunction, times, probes) -> HCond
             raise ValueError(f"decay profile must be positive, got h({t}) = {hv}")
         rhs = float(np.sqrt(hv)) * sqrt_norms
         v = rx @ model.propagator(t).T
-        in_range = (np.linalg.norm(v - v @ rfac.range_projector, axis=1)
-                    <= rfac.rank_tol * np.maximum(1.0, np.linalg.norm(v, axis=1)))
-        lhs = np.where(in_range, np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1), np.inf)
+        lhs = np.where(rfac.in_range(v), np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1), np.inf)
         ratio = np.divide(lhs, rhs, out=np.full_like(lhs, np.inf), where=rhs > 0)
         ratio[(lhs <= H_CONDITION_SLACK) & (rhs <= H_CONDITION_SLACK)] = 0.0
         worst = max(worst, float(ratio.max()))
@@ -266,16 +263,16 @@ class SemilinearSpec:
         if self.k1 < 0 or self.k2 < 0:
             raise ValueError("growth constants must be nonnegative")
 
-    def validate(self, model: OuLevyModel, probes, slack: float = 1e-9) -> None:
+    def validate(self, model: OuLevyModel, probes) -> None:
         rfac = model.noise_sqrt()
         for x in probes:
             x = np.asarray(x, dtype=float).reshape(-1)
             fv = np.asarray(self.drift_fn(x[None, :]), dtype=float).reshape(-1)
-            if not rfac.in_range(fv, tol=1e-8):
+            if not rfac.in_range(fv, DRIFT_RANGE_TOL):
                 raise ValueError(f"{self.label}(x) leaves the range of R^(1/2) at probe {x}")
             val = float(np.sum(rfac.apply_pinv_sqrt(fv) ** 2))
             bound = self.k1 + self.k2 * float(np.sum(x**2))
-            if val > bound + slack:
+            if val > bound + 1e-9:
                 raise ValueError(
                     f"growth condition fails at probe {x}: {val:.6g} > {bound:.6g}"
                 )
@@ -304,7 +301,7 @@ class AssumptionAReport:
         return self.stable_drift and self.jump_moment_finite and self.trace_class
 
 
-def check_assumption_A_sufficient(model: OuLevyModel, sampler_probe_size: int = 1000) -> AssumptionAReport:
+def check_assumption_A_sufficient(model: OuLevyModel) -> AssumptionAReport:
     ab = linops.spectral_abscissa(model.drift_matrix)
     moment = 0.0
     finite = True
@@ -314,7 +311,7 @@ def check_assumption_A_sufficient(model: OuLevyModel, sampler_probe_size: int = 
             moment = float(j.probs @ np.sum(j.atoms**2, axis=1))
         else:
             gen = np.random.Generator(np.random.Philox(key=np.array([0xA55, 0], dtype=np.uint64)))
-            draws = np.atleast_2d(np.asarray(j.sampler(gen, sampler_probe_size), dtype=float))
+            draws = np.atleast_2d(np.asarray(j.sampler(gen, 1000), dtype=float))
             finite = bool(np.isfinite(draws).all())
             moment = float(np.mean(np.sum(draws**2, axis=1))) if finite else float("inf")
     return AssumptionAReport(
@@ -375,7 +372,7 @@ def invariant_mean(model: OuLevyModel) -> np.ndarray:
     return np.linalg.solve(model.drift_matrix, -model.drift_offset)
 
 
-def build_adjoint(model: OuLevyModel, rank_tol: float = linops.DEFAULT_RANK_TOL) -> AdjointModel:
+def build_adjoint(model: OuLevyModel) -> AdjointModel:
     """Build the adjoint model from the steady-state covariance.
 
     Requires a jump-free stable model with invertible steady-state
@@ -386,7 +383,7 @@ def build_adjoint(model: OuLevyModel, rank_tol: float = linops.DEFAULT_RANK_TOL)
         raise ValueError("adjoint construction requires a jump-free model")
     r_inf = model.steady_covariance()
     w = np.linalg.eigvalsh(r_inf)
-    if w.min() <= rank_tol * max(1.0, w.max()):
+    if w.min() <= linops.DEFAULT_RANK_TOL * max(1.0, w.max()):
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
     # memoize the adjoint dynamics, not the AdjointModel: it refers to the model
     adjoint = model._memoized("adjoint", lambda: OuLevyModel(

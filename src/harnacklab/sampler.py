@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linops
 from .control import min_energy_control
-from .model import OuLevyModel, SemilinearSpec
+from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 #: Replicates per RNG stream in vectorized Monte Carlo estimators.
 MC_BLOCK = 4096
@@ -508,8 +508,6 @@ def _semilinear_blocks(model, spec, t, x, K, seed, n):
     step = _step_sampler(model, delta)
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
-    # the range test only raises, and only can when R^{1/2} has a null space
-    proj = rfac.range_projector if rfac.rank < model.dim else None
 
     # deterministic mean path e^{t_k A} x at the left grid points
     mean_path = np.empty((K, model.dim))
@@ -525,9 +523,8 @@ def _semilinear_blocks(model, spec, t, x, K, seed, n):
             drift = np.asarray(spec.drift_fn(state), dtype=float)
             if drift.shape != state.shape:
                 raise ValueError("drift function must map (m, d) states to (m, d) values")
-            if proj is not None:
-                norms = np.linalg.norm(drift - drift @ proj.T, axis=1)
-                bad = np.flatnonzero(norms > 1e-8 * np.maximum(1.0, np.linalg.norm(drift, axis=1)))
+            if rfac.rank < model.dim:  # only a null space of R^{1/2} can fail the range test
+                bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
                 if bad.size:
                     raise RuntimeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
             psi = drift @ pinv_root.T
@@ -545,26 +542,17 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     the drift perturbation enters only through the previsible weight
     ``rho = exp(sum psi_k . dW_k - sum |psi_k|^2 dt / 2)`` with
     ``psi = R^{-1/2} F(state)``, and the estimate is the mean of
-    ``rho * f(endpoint)``.  If the weight's sample mean drifts from 1 by more
-    than three standard errors, the grid is refined once (K doubled).
+    ``rho * f(endpoint)``, from one pass on the given grid: the weight is an
+    exact martingale at every ``K``, so no finer grid would move its mean.
     """
     if n < 100:
         raise ValueError("at least 100 replicates are required")
     _require_semilinear_setting(model)
     x = np.asarray(x, dtype=float).reshape(-1)
-
-    def run(k_steps: int) -> tuple[RunningMoments, RunningMoments]:
-        end_term = model.propagator(t) @ x
-        value, weight = RunningMoments(), RunningMoments()
-        for conv, log_rho in _semilinear_blocks(model, spec, t, x, k_steps, seed, n):
-            rho = np.exp(log_rho)
-            weight.add(rho)
-            value.add(rho * eval_rows(f, conv + end_term))
-        return value, weight
-
-    value, weight = run(K)
-    if abs(weight.mean - 1.0) > 3.0 * max(weight.std_error, 1e-300):
-        value, _ = run(2 * K)
+    end_term = model.propagator(t) @ x
+    value = RunningMoments()
+    for conv, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
+        value.add(np.exp(log_rho) * eval_rows(f, conv + end_term))
     return value.estimate(seed)
 
 

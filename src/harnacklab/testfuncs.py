@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OuLevyModel, SemilinearSpec
+from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def drift_constant(model: OuLevyModel, b) -> SemilinearSpec:
     """Constant perturbation ``F(x) = b`` (``b`` must lie in range R^{1/2})."""
     b = np.asarray(b, dtype=float).reshape(-1)
     rfac = model.noise_sqrt()
-    if not rfac.in_range(b, tol=1e-8):
+    if not rfac.in_range(b, DRIFT_RANGE_TOL):
         raise ValueError("constant drift must lie in the range of R^(1/2)")
     k1 = float(np.sum(rfac.apply_pinv_sqrt(b) ** 2))
     return SemilinearSpec(
@@ -146,29 +146,24 @@ def drift_constant(model: OuLevyModel, b) -> SemilinearSpec:
     )
 
 
-def drift_scaled_sine(model: OuLevyModel, k: float) -> SemilinearSpec:
-    """``F(x) = k sin(x)`` elementwise; bounded, needs full-rank noise."""
+def _unit_bounded_drift(model: OuLevyModel, k: float, fn, label: str) -> SemilinearSpec:
+    """``F(x) = k fn(x)`` for an elementwise ``|fn| <= 1``, so that
+    ``|R^{-1/2} F|^2 <= (|k| |R^{-1/2}|_2)^2 d``; needs full-rank noise."""
     rfac = model.noise_sqrt()
     if rfac.rank < model.dim:
-        raise ValueError("sine drift needs full-rank noise covariance")
-    gain = float(np.linalg.norm(rfac.pinv_sqrt_matrix, 2))
-    k1 = (abs(k) * gain) ** 2 * model.dim
-    return SemilinearSpec(drift_fn=lambda pts: k * np.sin(np.atleast_2d(pts)), k1=k1, k2=0.0, label="scaled_sine")
+        raise ValueError(f"{label} drift needs full-rank noise covariance")
+    k1 = (abs(k) * float(np.linalg.norm(rfac.pinv_sqrt_matrix, 2))) ** 2 * model.dim
+    return SemilinearSpec(drift_fn=lambda pts: k * fn(np.atleast_2d(pts)), k1=k1, k2=0.0, label=label)
+
+
+def drift_scaled_sine(model: OuLevyModel, k: float) -> SemilinearSpec:
+    """``F(x) = k sin(x)`` elementwise; bounded, needs full-rank noise."""
+    return _unit_bounded_drift(model, k, np.sin, "scaled_sine")
 
 
 def drift_clipped_linear(model: OuLevyModel, k: float) -> SemilinearSpec:
-    """``F(x) = k clip(x, -1, 1)`` elementwise; bounded, full-rank noise."""
-    rfac = model.noise_sqrt()
-    if rfac.rank < model.dim:
-        raise ValueError("clipped-linear drift needs full-rank noise covariance")
-    gain = float(np.linalg.norm(rfac.pinv_sqrt_matrix, 2))
-    k1 = (abs(k) * gain) ** 2 * model.dim
-    return SemilinearSpec(
-        drift_fn=lambda pts: k * np.clip(np.atleast_2d(pts), -1.0, 1.0),
-        k1=k1,
-        k2=0.0,
-        label="clipped_linear",
-    )
+    """``F(x) = k clip(x, -1, 1)`` elementwise; bounded, needs full-rank noise."""
+    return _unit_bounded_drift(model, k, lambda x: np.clip(x, -1.0, 1.0), "clipped_linear")
 
 
 def drift_from_spec(spec: dict, model: OuLevyModel) -> SemilinearSpec:

@@ -10,7 +10,8 @@ and classifies the margin:
 * ``HOLDS_EQUALITY`` flags margins within one standard error or 1e-9;
 * ``HOLDS`` is a positive margin beyond the equality window;
 * anything in between is ``INCONCLUSIVE`` with a suggestion to raise ``n``;
-* an infinite right-hand side short-circuits to ``TRIVIAL_INFINITE_RHS``.
+* an infinite right-hand side short-circuits to ``TRIVIAL_INFINITE_RHS``;
+* a NaN side or standard error raises ``ValueError``: it is no verdict.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class CheckReport:
 
 
 def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0) -> str:
+    if any(math.isnan(v) for v in (lhs, rhs, lhs_se, rhs_se)):
+        raise ValueError(f"NaN verdict input: lhs={lhs}, rhs={rhs}, lhs_se={lhs_se}, rhs_se={rhs_se}")
     if math.isinf(rhs) and rhs > 0:
         return TRIVIAL_INFINITE_RHS
     sigma = math.hypot(lhs_se, rhs_se)
@@ -204,7 +207,7 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
                    energy_sq=e_sq)
     if math.isinf(e_sq):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed, note)
-    coef = _exp(alpha * e_sq / (2.0 * (alpha - 1.0))) if np.isfinite(e_sq) else float("inf")
+    coef = _exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
 
     if _closed_form_available(model, f):
         px = analytic.mehler_exponential(model, t, f.c, x)

@@ -150,6 +150,28 @@ class TestMain:
         path.write_text(json.dumps(cfg))
         assert cli.main(["--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("check, field, literal, shown", [
+        ({"kind": "harnack", "t": 1.0, "x": ["@"], "y": [0.0], "alpha": 2.0,
+          "f": {"kind": "exp", "c": [0.5]}}, "x[0]", "NaN", "nan"),
+        ({"kind": "density_norm", "t": 1.0, "x": [0.5], "alpha": "@"}, "alpha", "NaN", "nan"),
+        ({"kind": "kernel_kl", "t": "@", "x": [1.0], "y": [0.0]}, "t", "Infinity", "inf"),
+        ({"kind": "kernel_kl", "t": 1.0, "x": [1.0], "y": ["@"]}, "y[0]", "-1e999", "-inf"),
+    ])
+    def test_non_finite_check_number_exits_three(self, tmp_path, capsys, check, field, literal, shown):
+        # json loads the literals NaN, Infinity and an overflowing 1e999 as non-finite floats
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(minimal_config(checks=[dict(check, id="c")])).replace('"@"', literal))
+        out = tmp_path / "non_finite.csv"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"config.checks[0].{field}: non-finite number {shown}" in capsys.readouterr().err
+
+    def test_non_finite_model_number_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "nan_offset.json"
+        path.write_text(json.dumps(minimal_config(a=[math.nan])))
+        assert cli.main(["--config", str(path)]) == 3
+        assert "config.a[0]: non-finite number nan" in capsys.readouterr().err
+
     def test_samples_override(self, tmp_path):
         import csv
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harnacklab import linops
+from harnacklab import GaussianMeasure, OuLevyModel, linops
 from oracles import lyapunov_truncated_integral, make_psd, make_stable, simpson_gramian, simpson_mean_shift
 
 
@@ -128,6 +128,42 @@ class TestPsdSqrtPinv:
     def test_genuinely_negative_rejected(self):
         with pytest.raises(linops.NotPsdError):
             linops.psd_sqrt_pinv(np.diag([1.0, -1e-3]))
+
+    @pytest.mark.parametrize("rank", [4, 2])
+    def test_row_stacked_range_test_matches_vectors(self, rank):
+        rng = np.random.default_rng(13)
+        b = rng.normal(size=(4, rank))
+        fac = linops.psd_sqrt_pinv(b @ b.T)
+        # rows in the range and off it, with norms above and below 1 (both sides of max(1, |x|))
+        rows = np.vstack([rng.normal(size=(3, rank)) @ b.T, rng.normal(size=(3, 4)),
+                          1e-3 * rng.normal(size=(2, 4)), [np.zeros(4)]])
+        residuals = fac.range_residual(rows)
+        assert residuals.shape == (rows.shape[0],)
+        assert np.allclose(residuals, [fac.range_residual(r) for r in rows], rtol=1e-12, atol=1e-15)
+        for tol in (linops.DEFAULT_RANK_TOL, 1e-8):
+            assert fac.in_range(rows, tol).tolist() == [fac.in_range(r, tol) for r in rows]
+        assert fac.in_range(rows).all() == (rank == 4)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_range_test_refuses_nan(self):
+        fac = linops.psd_sqrt_pinv(np.diag([1.0, 0.0]))
+        for x in ([np.nan, 0.0], [[0.0, 0.0], [0.0, np.inf]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                fac.in_range(x)
+
+
+PSD_CHECKED = {
+    "model": lambda s: OuLevyModel(drift_matrix=-np.eye(2), noise_cov=s),
+    "snapshot": lambda s: linops.semigroup_snapshot(-np.eye(2), s, np.zeros(2), 1.0),
+    "measure": lambda s: GaussianMeasure(mean=np.zeros(2), cov=s),
+}
+
+
+@pytest.mark.parametrize("build", PSD_CHECKED.values(), ids=PSD_CHECKED.keys())
+def test_one_psd_floor_for_every_covariance(build):
+    with pytest.raises(linops.NotPsdError):
+        build(np.diag([1.0, -1e-3]))
+    build(np.diag([1.0, -1e-12]))  # roundoff-sized, within the floor
 
 
 class TestLyapunov:

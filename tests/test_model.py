@@ -52,6 +52,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.eye(2), drift_offset=[1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_offset_rejected(self, bad):
+        with pytest.raises(ValueError, match="offset"):
+            OuLevyModel(drift_matrix=-np.eye(2), noise_cov=np.eye(2), drift_offset=[0.0, bad])
+
 
 class TestHCondition:
     def test_isotropic_decay_is_tight(self):

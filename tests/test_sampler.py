@@ -523,3 +523,17 @@ class TestSemilinear:
         a = hl.semilinear_estimate(scalar_model, spec, 0.8, [0.2], ExpObservable([0.3]), 10_000, 32, 212)
         b = hl.semilinear_estimate(scalar_model, spec, 0.8, [0.2], ExpObservable([0.3]), 10_000, 32, 212)
         assert a == b
+
+    def test_off_mean_weights_take_one_pass(self, scalar_model, monkeypatch):
+        # every weight is 2, far from mean one: the estimate still makes one
+        # pass on the requested grid and reports what that pass saw
+        grids = []
+
+        def blocks(model, spec, t, x, K, seed, n):
+            grids.append(K)
+            yield np.zeros((n, 1)), np.full(n, np.log(2.0))
+
+        monkeypatch.setattr(sampler, "_semilinear_blocks", blocks)
+        est = hl.semilinear_estimate(scalar_model, drift_zero(1), 1.0, [0.0], ConstantObservable(1.0), 200, 16, 0)
+        assert grids == [16]
+        assert est.mean == pytest.approx(2.0, rel=1e-15) and est.n == 200

@@ -47,6 +47,13 @@ class TestClassify:
         # comfortably positive margin
         assert verify.classify(0.5, 1.0, lhs_se=0.1, rhs_se=0.0) == verify.HOLDS
 
+    @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (1.0, 2.0, math.nan, 0.0),
+                                      (1.0, math.inf, 0.0, math.nan)])
+    def test_nan_input_raises(self, args):
+        # checked before the infinite-rhs shortcut: a NaN is never a verdict
+        with pytest.raises(ValueError, match="NaN"):
+            verify.classify(*args)
+
 
 class TestHarnack:
     def test_jensen_at_equal_points(self, scalar_model):
@@ -122,6 +129,13 @@ class TestHarnack:
         m = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
         rep = verify.check_harnack(m, 1.0, [0.0, 1.0], [0.0, 0.0], 2.0, ExpObservable([0.2, 0.0]), n=200, seed=1)
         assert rep.verdict == verify.TRIVIAL_INFINITE_RHS
+
+    @pytest.mark.parametrize("bound_mode", ["exact_gamma", "operator_norm", "h_function"])
+    def test_nan_start_is_no_verdict(self, scalar_model, bound_mode):
+        # a NaN exponent must not pass as an infinite right-hand side
+        with pytest.raises(ValueError, match="NaN|non-finite"):
+            verify.check_harnack(scalar_model, 1.0, [math.nan], [0.0], 2.0, ExpObservable([0.5]),
+                                 bound_mode=bound_mode, h=HFunction.exponential(2.0))
 
     def test_negative_observable_rejected(self, flat_model):
         with pytest.raises(ValueError, match="negative"):
