@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass
 
@@ -84,18 +85,19 @@ def _vector(d, key, path, dim, default=None):
 
 
 def _reject_non_finite(node, path: str) -> None:
-    """Raise `SchemaError` at the first NaN or infinity under ``node``: JSON ``NaN``, ``Infinity``, ``1e999``."""
+    """Raise `SchemaError` at the first number under ``node`` that is no finite float: JSON
+    ``NaN``, ``Infinity``, ``1e999`` or an integer beyond the float range."""
     if isinstance(node, dict):
         for key, value in node.items():
             _reject_non_finite(value, f"{path}.{key}")
     elif isinstance(node, list):
-        with contextlib.suppress(TypeError, OverflowError):  # one C-level sum clears a row of finite numbers
-            if math.isfinite(sum(node)):
+        with contextlib.suppress(TypeError, OverflowError):  # one C-level float sum clears a list of numbers
+            if math.isfinite(sum(node, 0.0)):
                 return
         for i, value in enumerate(node):
             _reject_non_finite(value, f"{path}[{i}]")
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise SchemaError(f"{path}: non-finite number {node!r}")
+    elif isinstance(node, (int, float)) and not abs(node) <= sys.float_info.max:  # NaN compares False
+        raise SchemaError(f"{path}: non-finite number {reprlib.repr(node)}")
 
 
 def parse_model(cfg: dict, path: str = "") -> OuLevyModel:

@@ -76,10 +76,9 @@ def gamma_norm(model: OuLevyModel, t: float, x) -> GammaNorm:
     snap = model.snapshot(t)
     fac = snap.gramian_sqrt
     v = snap.propagator @ np.asarray(x, dtype=float).reshape(-1)
-    residual = fac.range_residual(v)
-    if residual > linops.DEFAULT_RANK_TOL:
-        return GammaNorm(value=float("inf"), in_domain=False, residual=residual)
-    return GammaNorm(value=float(np.linalg.norm(fac.apply_pinv_sqrt(v))), in_domain=True, residual=residual)
+    in_domain = bool(fac.in_range(v))
+    value = float(np.linalg.norm(fac.apply_pinv_sqrt(v))) if in_domain else float("inf")
+    return GammaNorm(value=value, in_domain=in_domain, residual=fac.range_residual(v))
 
 
 def gamma_operator_norm(model: OuLevyModel, t: float) -> float:

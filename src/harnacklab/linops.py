@@ -53,6 +53,11 @@ def psd_floor(s) -> float:
     return -DEFAULT_RANK_TOL * max(1.0, float(np.abs(s).max(initial=0.0)))
 
 
+def psd_rank(w) -> int:
+    """Rank of a PSD matrix with eigenvalues ``w``: those above ``DEFAULT_RANK_TOL`` times the largest."""
+    return int(np.count_nonzero(w > DEFAULT_RANK_TOL * np.max(w, initial=0.0)))
+
+
 def check_psd(s, name="matrix") -> np.ndarray:
     """Symmetrize ``s``; raise `NotPsdError` for an eigenvalue below `psd_floor`."""
     s = check_symmetric(s, name)
@@ -173,9 +178,8 @@ def psd_sqrt_pinv(s) -> PsdFactorization:
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     if w.size and w[-1] < psd_floor(s):
         raise NotPsdError(f"matrix has negative eigenvalue {w[-1]:.3e} beyond tolerance")
-    thresh = DEFAULT_RANK_TOL * (max(w[0], 0.0) if w.size else 0.0)
-    rank = int(np.count_nonzero(w > thresh))
-    w = np.where(w > thresh, w, 0.0)
+    rank = psd_rank(w)
+    w[rank:] = 0.0
     return PsdFactorization(eigenvalues=read_only(w), eigenvectors=read_only(v), rank=rank)
 
 

@@ -382,8 +382,7 @@ def build_adjoint(model: OuLevyModel) -> AdjointModel:
     if model.has_jumps:
         raise ValueError("adjoint construction requires a jump-free model")
     r_inf = model.steady_covariance()
-    w = np.linalg.eigvalsh(r_inf)
-    if w.min() <= linops.DEFAULT_RANK_TOL * max(1.0, w.max()):
+    if linops.psd_rank(np.linalg.eigvalsh(r_inf)) < model.dim:
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
     # memoize the adjoint dynamics, not the AdjointModel: it refers to the model
     adjoint = model._memoized("adjoint", lambda: OuLevyModel(

@@ -79,6 +79,12 @@ def _exp(x: float) -> float:
     return math.exp(x)
 
 
+def _times(coef: float, v: float) -> float:
+    """``coef * v``, where a saturated ``coef = inf`` stands for a finite number
+    too large to hold: it scales an exact zero to zero, not to NaN."""
+    return 0.0 if v == 0.0 else coef * v
+
+
 def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None) -> CheckReport:
     params = dict(params)
     verdict = classify(lhs, rhs, lhs_se, rhs_se)
@@ -223,7 +229,8 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     mean_x = max(est_x.mean, 0.0)
     lhs = mean_x**alpha
     lhs_se = alpha * mean_x ** (alpha - 1.0) * est_x.std_error
-    return _report(check_id, lhs, coef * est_y.mean, lhs_se, coef * est_y.std_error, params, seed, note)
+    return _report(check_id, lhs, _times(coef, est_y.mean), lhs_se, _times(coef, est_y.std_error),
+                   params, seed, note)
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
@@ -289,7 +296,8 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     gam_sq = float(gam) ** 2
     factor = math.expm1(gam_sq) if gam_sq <= 700.0 else float("inf")
     low = at_x if at_x.variance <= at_y.variance else at_y
-    return _report(check_id, lhs, factor * low.variance, lhs_se, factor * low.variance_se, params, seed)
+    return _report(check_id, lhs, _times(factor, low.variance), lhs_se, _times(factor, low.variance_se),
+                   params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +498,9 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     mean_x = max(est_x.mean, 0.0)
     lhs = mean_x**alpha
     lhs_se = alpha * mean_x ** (alpha - 1.0) * est_x.std_error
-    rhs = cp ** beta_p * cq ** beta_q * _exp(log_exp_term) * est_y.mean
-    return _report(check_id, lhs, rhs, lhs_se, abs(rhs) * (est_y.std_error / est_y.mean), params, seed)
+    rhs = _times(cp ** beta_p * cq ** beta_q * _exp(log_exp_term), est_y.mean)
+    rhs_se = abs(rhs) * (est_y.std_error / est_y.mean) if est_y.std_error else 0.0
+    return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

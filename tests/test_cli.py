@@ -156,15 +156,28 @@ class TestMain:
         ({"kind": "density_norm", "t": 1.0, "x": [0.5], "alpha": "@"}, "alpha", "NaN", "nan"),
         ({"kind": "kernel_kl", "t": "@", "x": [1.0], "y": [0.0]}, "t", "Infinity", "inf"),
         ({"kind": "kernel_kl", "t": 1.0, "x": [1.0], "y": ["@"]}, "y[0]", "-1e999", "-inf"),
+        pytest.param({"kind": "kernel_kl", "t": 1.0, "x": ["@"], "y": [0.0]}, "x[0]", "1" + "0" * 400,
+                     "100000000000000000...0000000000000000000", id="integer-beyond-float-range"),
     ])
     def test_non_finite_check_number_exits_three(self, tmp_path, capsys, check, field, literal, shown):
-        # json loads the literals NaN, Infinity and an overflowing 1e999 as non-finite floats
+        # json loads NaN, Infinity and an overflowing 1e999 as non-finite floats, a 401-digit literal as an int
         path = tmp_path / "non_finite.json"
         path.write_text(json.dumps(minimal_config(checks=[dict(check, id="c")])).replace('"@"', literal))
         out = tmp_path / "non_finite.csv"
         assert cli.main(["--config", str(path), "--out", str(out)]) == 3
         assert not out.exists()
         assert f"config.checks[0].{field}: non-finite number {shown}" in capsys.readouterr().err
+
+    def test_saturated_exponent_with_constant_observable_exits_zero(self, tmp_path):
+        # energy 1001: the Harnack coefficient saturates to inf, and the constant
+        # observable's zero standard error must not make its scaled error NaN
+        cfg = minimal_config(checks=[{"kind": "harnack", "id": "h", "t": 1.0, "x": [80.0], "y": [0.0],
+                                      "alpha": 2.0, "f": {"kind": "one"}, "n": 200}])
+        path = tmp_path / "saturated.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "saturated.csv"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        assert "TRIVIAL_INFINITE_RHS" in out.read_text()
 
     def test_non_finite_model_number_exits_three(self, tmp_path, capsys):
         path = tmp_path / "nan_offset.json"

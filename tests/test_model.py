@@ -184,6 +184,12 @@ class TestAdjoint:
         with pytest.raises(ValueError, match="truncation"):
             build_adjoint(m)
 
+    def test_small_steady_state_is_not_singular(self):
+        # singularity is the rank rule, relative to the largest eigenvalue, not a size test
+        m = OuLevyModel(drift_matrix=np.diag([-1.0, -2.0]), noise_cov=1e-12 * np.eye(2))
+        adj = build_adjoint(m)
+        assert np.allclose(adj.drift_matrix, m.drift_matrix, atol=1e-12)
+
 
 class TestInvariantLawFixedPoint:
     def test_random_stable_models(self):

@@ -50,9 +50,30 @@ class TestClassify:
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (1.0, 2.0, math.nan, 0.0),
                                       (1.0, math.inf, 0.0, math.nan)])
     def test_nan_input_raises(self, args):
-        # checked before the infinite-rhs shortcut: a NaN is never a verdict
+        # checked before the infinite-rhs shortcut, so a NaN error beside an infinite rhs
+        # raises too: the checks keep inf * 0 out of their errors (TestSaturatedCoefficient)
         with pytest.raises(ValueError, match="NaN"):
             verify.classify(*args)
+
+
+class TestSaturatedCoefficient:
+    """Exponents past 700 saturate the coefficient to inf; a constant observable has
+    zero variance, and inf times that exact zero is zero, not NaN."""
+
+    def test_harnack(self, flat_model):
+        rep = verify.check_harnack(flat_model, 1.0, [40.0], [0.0], 2.0, ConstantObservable(1.0), n=200, seed=1)
+        assert rep.params["energy_sq"] == pytest.approx(1600.0)
+        assert (rep.verdict, rep.rhs_se) == (verify.TRIVIAL_INFINITE_RHS, 0.0)
+
+    def test_gradient(self, flat_model):
+        rep = verify.check_gradient_estimate(flat_model, 1.0, [40.0], [0.0], ConstantObservable(2.0), n=200, seed=2)
+        assert (rep.lhs, rep.rhs, rep.rhs_se) == (0.0, 0.0, 0.0)
+        assert rep.verdict == verify.HOLDS_EQUALITY
+
+    def test_semilinear_harnack(self, scalar_model):
+        rep = verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [100.0], [0.0], 4.0, 1.3, 1.3,
+                                              ConstantObservable(1.0), n=200, K=8, seed=3)
+        assert (rep.verdict, rep.rhs_se) == (verify.TRIVIAL_INFINITE_RHS, 0.0)
 
 
 class TestHarnack:
