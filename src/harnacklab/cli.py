@@ -434,6 +434,16 @@ def random_jump_suite(seed: int, count: int = 50, n: int = 20_000) -> list[dict]
     return models
 
 
+def _override_seed(cfg, seed: int):
+    """``cfg`` with top-level seed ``seed`` and no per-check seeds; a config
+    that is not an object with a list of checks is left for `Scenario.parse`
+    to reject."""
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("checks"), list):
+        return cfg
+    checks = [{k: v for k, v in c.items() if k != "seed"} if isinstance(c, dict) else c for c in cfg["checks"]]
+    return {**cfg, "seed": seed, "checks": checks}
+
+
 def _parse_sweep_flag(text: str):
     parts = text.split(":")
     if len(parts) != 4:
@@ -443,9 +453,16 @@ def _parse_sweep_flag(text: str):
         start, stop, steps = float(start), float(stop), int(steps)
     except ValueError as exc:
         raise SchemaError(f"sweep: bad grid ({exc})") from exc
+    for raw, value in ((parts[1], start), (parts[2], stop)):
+        if not math.isfinite(value):
+            raise SchemaError(f"sweep: non-finite grid value {raw!r}")
     if steps < 1:
         raise SchemaError("sweep: STEPS must be at least 1")
-    return name, np.linspace(start, stop, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(start, stop, steps)
+    if not np.isfinite(grid).all():
+        raise SchemaError(f"sweep: grid {parts[1]}:{parts[2]} overflows")
+    return name, grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,12 +487,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 3
-    if args.seed is not None:
-        cfg = dict(cfg)
-        cfg["seed"] = args.seed
-        cfg["checks"] = [{k: v for k, v in c.items() if k != "seed"} for c in cfg.get("checks", [])]
     try:
-        scenario = Scenario.parse(cfg)
+        scenario = Scenario.parse(cfg if args.seed is None else _override_seed(cfg, args.seed))
         if args.sweep is not None:
             if args.check is None:
                 raise SchemaError("sweep: --check ID is required with --sweep")

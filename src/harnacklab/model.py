@@ -76,7 +76,8 @@ class OuLevyModel:
     Keeps read-only copies of its arrays and memoizes, with read-only arrays,
     what it derives from them: snapshots and propagators per ``t``, the noise
     root, the steady covariance, the stability flag, the adjoint dynamics, and
-    the sampler's jump transport and path-step samplers.
+    the sampler's state: the drift's eigenbasis transport, its interpolant of
+    ``e^{vA}`` per ``t``, and the path-step samplers.
     """
 
     drift_matrix: np.ndarray
@@ -127,9 +128,10 @@ class OuLevyModel:
         return self._memoized("noise_sqrt", lambda: linops.psd_sqrt_pinv(self.noise_cov))
 
     def steady_covariance(self) -> np.ndarray:
-        """Solution ``S`` of ``A S + S A' = -R``; raises for a non-Hurwitz drift."""
-        return self._memoized("steady_covariance",
-                              lambda: linops.read_only(linops.lyapunov_solve(self.drift_matrix, self.noise_cov)))
+        """Solution ``S`` of ``A S + S A' = -R``; raises `linops.UnstableMatrixError`
+        for a non-Hurwitz drift, decided by the memoized `is_stable`."""
+        return self._memoized("steady_covariance", lambda: linops.read_only(
+            linops.lyapunov_solve(self.drift_matrix, self.noise_cov, stable=self.is_stable())))
 
     def is_stable(self) -> bool:
         return self._memoized("is_stable", lambda: linops.spectral_abscissa(self.drift_matrix) < 0)

@@ -2,8 +2,12 @@
 
 Endpoint samples are exact in distribution: the Gaussian part is drawn from
 the factorized time-``t`` Gramian and each compound-Poisson jump is moved
-by the propagator over a uniform age, a block of jumps at a time, so no
-inequality check pays a time-discretization penalty unless it needs paths.
+by the propagator ``e^{vA}`` over a uniform age ``v``, a block of jumps at a
+time, so no inequality check pays a time-discretization penalty unless it
+needs paths.  The jump transport works in the drift's eigenbasis when its
+eigenvectors are well conditioned, and otherwise through the certified
+Chebyshev interpolant `linops.exp_interpolant` of ``e^{vA}`` on ``[0, t]``,
+built once per (model, ``t``): no matrix exponential is taken per jump.
 Path-based functionality (stochastic convolution, change-of-measure weights,
 the coupled pair, the perturbed-drift estimator) uses a fixed grid whose
 only approximation is the left-point rule in the stochastic integral of the
@@ -31,9 +35,6 @@ from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 #: Replicates per RNG stream in vectorized Monte Carlo estimators.
 MC_BLOCK = 4096
-
-#: Bytes of stacked propagators per expm call in the eigenbasis-free jump transport.
-_EXPM_STACK_BYTES = 8 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -169,32 +170,31 @@ def eval_rows(f: Callable, pts: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _JumpTransport:
-    diagonalizable: bool
-    modes: np.ndarray | None
-    rates: np.ndarray | None
-    modes_inv: np.ndarray | None
-    drift: np.ndarray
+class _EigenTransport:
+    """Jump transport in a well-conditioned eigenbasis of the drift."""
+
+    modes: np.ndarray
+    rates: np.ndarray
+    modes_inv: np.ndarray
 
     def apply(self, ages: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        """``e^{v A} xi`` for each (age v, jump xi) pair: in the eigenbasis, or by stacked exact expm."""
-        if self.diagonalizable:
-            w = self.modes_inv @ sizes.T
-            w = w * np.exp(np.multiply.outer(self.rates, ages))
-            return (self.modes @ w).T.real
-        out = np.empty_like(sizes)
-        step = max(1, _EXPM_STACK_BYTES // self.drift.nbytes)
-        for lo in range(0, ages.shape[0], step):
-            props = linops.matrix_exponentials(self.drift, ages[lo:lo + step])
-            out[lo:lo + step] = np.matmul(props, sizes[lo:lo + step, :, None])[:, :, 0]
-        return out
+        """``e^{v A} xi`` for each (age v, jump xi) pair."""
+        w = self.modes_inv @ sizes.T
+        w = w * np.exp(np.multiply.outer(self.rates, ages))
+        return (self.modes @ w).T.real
 
 
-def _jump_transport(model: OuLevyModel) -> _JumpTransport:
-    return model._memoized("jump_transport", lambda: _build_jump_transport(model.drift_matrix))
+def _jump_transport(model: OuLevyModel, t: float) -> _EigenTransport | linops.ExpInterpolant:
+    """The eigenbasis transport of the model's drift if it has a well-conditioned one,
+    else the certified interpolant of ``e^{vA}`` on ``[0, t]``; both memoized on the model."""
+    eigen = model._memoized("jump_eigenbasis", lambda: _eigen_transport(model.drift_matrix))
+    if eigen is not None:
+        return eigen
+    return model._memoized(("exp_interpolant", float(t)), lambda: linops.exp_interpolant(model.drift_matrix, t))
 
 
-def _build_jump_transport(a: np.ndarray) -> _JumpTransport:
+def _eigen_transport(a: np.ndarray) -> _EigenTransport | None:
+    """The eigenbasis transport, or None when the eigenvectors are ill-conditioned."""
     try:
         rates, modes = np.linalg.eig(a)
         modes_inv = np.linalg.inv(modes)
@@ -204,13 +204,11 @@ def _build_jump_transport(a: np.ndarray) -> _JumpTransport:
         )
     except np.linalg.LinAlgError:
         ok = False
-    if not ok:
-        return _JumpTransport(False, None, None, None, a)
-    return _JumpTransport(True, *map(linops.read_only, (modes, rates, modes_inv)), a)
+    return _EigenTransport(*map(linops.read_only, (modes, rates, modes_inv))) if ok else None
 
 
 def _jump_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: int,
-                transport: _JumpTransport) -> np.ndarray:
+                transport: _EigenTransport | linops.ExpInterpolant) -> np.ndarray:
     """Compound-Poisson contribution for a block of replicates."""
     j = model.jump
     counts = gen.poisson(j.rate * t, size=size)
@@ -234,7 +232,8 @@ def _jump_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: in
 
 
 def _endpoint_noise_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: int,
-                          snap: linops.SemigroupSnapshot, transport: _JumpTransport | None) -> np.ndarray:
+                          snap: linops.SemigroupSnapshot,
+                          transport: _EigenTransport | linops.ExpInterpolant | None) -> np.ndarray:
     """Endpoint minus the propagated start: drift shift + Gaussian + jumps."""
     z = gen.standard_normal((size, model.dim))
     noise = snap.mean_shift + z @ snap.gramian_sqrt.sqrt_matrix.T
@@ -252,7 +251,7 @@ def sample_ou_endpoint(model: OuLevyModel, t: float, x, rng: RngStream) -> np.nd
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     snap = model.snapshot(t)
-    transport = _jump_transport(model) if model.has_jumps else None
+    transport = _jump_transport(model, t) if model.has_jumps else None
     noise = _endpoint_noise_block(model, t, rng.generator(), 1, snap, transport)
     return snap.propagator @ x + noise[0]
 
@@ -265,7 +264,7 @@ def iter_endpoint_noise(model: OuLevyModel, t: float, n: int, seed: int) -> Iter
     for several starts gives common-random-number coupling.
     """
     snap = model.snapshot(t)
-    transport = _jump_transport(model) if model.has_jumps else None
+    transport = _jump_transport(model, t) if model.has_jumps else None
     for gen, size in _stream_blocks(seed, n):
         yield _endpoint_noise_block(model, t, gen, size, snap, transport)
 
@@ -445,7 +444,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     delta = t / K
     step = _step_sampler(model, delta)
     snap = model.snapshot(t)
-    transport = _jump_transport(model) if model.has_jumps else None
+    transport = _jump_transport(model, t) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
     sq = delta * float(np.sum(u * u))
     for gen, size in blocks:

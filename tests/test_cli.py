@@ -224,6 +224,25 @@ class TestMain:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
+    def test_seed_override_of_a_non_object_config_exits_three(self, capsys):
+        # jump_suite.json is a list of scenarios, not one scenario object
+        code = cli.main(["--config", str(SCENARIO_DIR / "jump_suite.json"), "--seed", "3"])
+        assert code == 3
+        assert "config: top level must be an object" in capsys.readouterr().err
+
+    def test_uncertifiable_jump_transport_exits_three(self, tmp_path, capsys):
+        # a fast-rotating Jordan drift: no eigenbasis, and 1e5 interpolation pieces on [0, 1]
+        rot = np.array([[0.0, 2e5], [-2e5, 0.0]])
+        a = np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]])
+        cfg = minimal_config(dim=4, A=a.tolist(), R=np.eye(4).tolist(), a=[0.0] * 4,
+                             jump={"rate": 1.0, "atoms": [[1.0, 0.0, 0.0, 0.0]]})
+        cfg["checks"] = [{"kind": "harnack", "id": "h", "t": 1.0, "x": [0.0] * 4, "y": [0.1, 0.0, 0.0, 0.0],
+                          "alpha": 2.0, "f": {"kind": "indicator", "c": [0.0] * 4}, "n": 200}]
+        path = tmp_path / "rotating_jordan.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 3
+        assert "the table of piece starts exceeds 8 MiB" in capsys.readouterr().err
+
     def test_unknown_check_id_exits_three(self):
         assert cli.main(["--config", str(SCENARIO_DIR / "scalar_ou.json"), "--check", "nope"]) == 3
 
@@ -280,6 +299,19 @@ class TestSweep:
         scenario = cli.Scenario.parse(minimal_config())
         with pytest.raises(cli.SchemaError, match="numeric"):
             cli.run_sweep(scenario, "kl", "f", [1.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_sweep_value_rejected(self, value, capsys):
+        with pytest.raises(cli.SchemaError, match=f"sweep: non-finite grid value '{value}'"):
+            cli._parse_sweep_flag(f"t:0.5:{value}:3")
+        code = cli.main(["--config", str(SCENARIO_DIR / "scalar_ou.json"), "--check", "kernel_kl",
+                         "--sweep", f"t:{value}:1:3"])
+        assert code == 3
+        assert f"sweep: non-finite grid value '{value}'" in capsys.readouterr().err
+
+    def test_overflowing_sweep_grid_rejected(self):
+        with pytest.raises(cli.SchemaError, match="sweep: grid -1.7e308:1.7e308 overflows"):
+            cli._parse_sweep_flag("t:-1.7e308:1.7e308:3")
 
     def test_sweep_flag_parsing(self):
         name, grid = cli._parse_sweep_flag("t:0.5:2.0:4")

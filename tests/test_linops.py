@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harnacklab import GaussianMeasure, OuLevyModel, linops
-from oracles import lyapunov_truncated_integral, make_psd, make_stable, simpson_gramian, simpson_mean_shift
+from oracles import expm_marching, lyapunov_truncated_integral, make_psd, make_stable, simpson_gramian, simpson_mean_shift
 
 
 class TestMatrixExponential:
@@ -35,6 +40,122 @@ class TestMatrixExponential:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             linops.matrix_exponential(np.zeros((2, 2)), -0.1)
+
+
+def _drift(kind, dim, rng):
+    """A random drift of one numerically hard kind."""
+    if kind == "zero":
+        return np.zeros((dim, dim))
+    if kind in ("jordan", "unstable"):  # one Jordan block, spectral abscissa up to +0.5 when unstable
+        lam = rng.uniform(0.0, 0.5) if kind == "unstable" else rng.uniform(-2.0, 0.0)
+        return lam * np.eye(dim) + np.diag(rng.uniform(0.5, 1.5, dim - 1), 1) + np.triu(rng.normal(0, 0.3, (dim, dim)), 2)
+    if kind == "stiff":  # eigenvalues down to -300
+        return np.diag(-np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim))) + np.triu(rng.normal(0, 1, (dim, dim)), 1)
+    if kind == "nonnormal":  # off-diagonal entries up to 100
+        return np.diag(-rng.uniform(0.1, 3.0, dim)) + np.triu(rng.uniform(-100.0, 100.0, (dim, dim)), 1)
+    if kind == "rotating":  # 2x2 rotation blocks of frequency up to 50, damped or not
+        a = np.diag(-rng.uniform(0.0, 2.0, dim))
+        for i in range(0, dim - 1, 2):
+            w = rng.uniform(-50.0, 50.0)
+            a[i, i + 1], a[i + 1, i] = w, -w
+        return a
+    raise KeyError(kind)
+
+
+def _interpolated(it, ages, dim):
+    """``e^{vA}`` from the interpolant at each age, as ``(len(ages), dim, dim)``."""
+    out = it.apply(np.repeat(ages, dim), np.tile(np.eye(dim), (len(ages), 1)))
+    return out.reshape(len(ages), dim, dim).transpose(0, 2, 1)
+
+
+def _probe_ages(it, count=65):
+    """``count`` ages evenly over ``[0, t]`` with 0 and t, and every piece boundary."""
+    return np.unique(np.concatenate([np.linspace(0.0, it.t, count), np.minimum(it.piece * np.arange(it.pieces + 1), it.t)]))
+
+
+def _assert_certified(a, t):
+    it = linops.exp_interpolant(a, t)
+    ages = _probe_ages(it)
+    want = expm_marching(a, ages)
+    scale = max(1.0, np.linalg.norm(want, 2, axis=(1, 2)).max())
+    err = np.linalg.norm(_interpolated(it, ages, a.shape[0]) - want, 2, axis=(1, 2))
+    assert err.max() <= linops.INTERPOLANT_TOL * scale
+    assert it.bound <= linops.INTERPOLANT_TOL * scale
+    return it
+
+
+class TestExpInterpolant:
+    """The certified Chebyshev interpolant of ``e^{vA}`` on ``[0, t]``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["jordan", "stiff", "nonnormal", "rotating", "unstable", "zero"]),
+           dim=st.integers(1, 6), t=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_within_the_certified_bound_of_expm(self, kind, dim, t, seed):
+        _assert_certified(_drift(kind, dim, np.random.default_rng(seed)), t)
+
+    def test_large_jordan_block(self):
+        it = _assert_certified(_drift("jordan", 40, np.random.default_rng(40)), 3.0)
+        assert it.columns.shape[0] == 40
+
+    @pytest.mark.parametrize("a", [
+        np.array([[-1.0, 50.0], [-50.0, -1.0]]),
+        np.diag([-1.0, -300.0]),
+        np.array([[-300.0, 1.0], [0.0, -300.0]]),
+        np.diag([-0.5, -1.0, -1.5, -2.0]) + np.triu(np.full((4, 4), 90.0), 1),
+    ], ids=["rotation", "stiff", "stiff_jordan", "nonnormal"])
+    def test_against_high_precision_oracle(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        it = linops.exp_interpolant(a, 2.0)
+        ages = np.concatenate([np.linspace(0.0, 2.0, 9), it.piece * np.array([1, 2, it.pieces // 2, it.pieces - 1])])
+        got = _interpolated(it, ages, a.shape[0])
+        with mpmath.workdps(40):
+            want = np.array([np.array(mpmath.expm(mpmath.matrix(v * a)).tolist(), dtype=float) for v in ages])
+        scale = max(1.0, np.linalg.norm(want, 2, axis=(1, 2)).max())
+        assert np.linalg.norm(got - want, 2, axis=(1, 2)).max() <= linops.INTERPOLANT_TOL * scale
+
+    @pytest.mark.parametrize("a, t, pieces", [
+        (np.array([[-1.0, 1.0], [0.0, -1.0]]), 1.3, 1),  # |B| t / 2 = 0.65
+        (np.diag([-1.0, -300.0]), 5.0, 374),  # |B| = 149.5
+        (np.array([[-1.0, 50.0], [-50.0, -1.0]]), 2.0, 50),
+        (np.array([[-3.0]]), 5.0, 1),  # B = 0
+    ])
+    def test_piece_count_keeps_rho_at_most_one(self, a, t, pieces):
+        it = linops.exp_interpolant(a, t)
+        b_norm = np.linalg.norm(a - np.trace(a) / a.shape[0] * np.eye(a.shape[0]), 2)
+        assert it.pieces == pieces == max(1, math.ceil(b_norm * t / 2))
+        assert b_norm * it.piece / 2 <= 1.0 + 1e-15
+        assert it.pieces * it.piece == pytest.approx(t, rel=1e-15)
+
+    def test_two_expm_calls_per_build(self, monkeypatch):
+        stacks = []
+        expm = sla.expm
+        monkeypatch.setattr(linops.sla, "expm", lambda x: stacks.append(np.shape(x)) or expm(x))
+        it = linops.exp_interpolant(np.diag([-1.0, -300.0]) + np.diag([1.0], 1), 5.0)
+        assert stacks == [(2, 2), (it.degree + 1, 2, 2)]
+
+    def test_arrays_are_read_only(self):
+        it = linops.exp_interpolant(np.array([[-1.0, 1.0], [0.0, -1.0]]), 1.0)
+        for arr in (it.starts, it.columns):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="positive and finite"):
+            linops.exp_interpolant(np.eye(2), t)
+
+    def test_table_budget_raises(self):
+        with pytest.raises(linops.InterpolantError, match="table of piece starts exceeds 8 MiB"):
+            linops.exp_interpolant(np.diag([0.0, -1e8]), 1.0)
+
+    def test_overflow_raises(self):
+        with pytest.raises(linops.InterpolantError, match="overflows"):
+            linops.exp_interpolant(np.array([[800.0]]), 1.0)
+
+    def test_no_certified_degree_raises(self, monkeypatch):
+        monkeypatch.setattr(linops, "INTERPOLANT_TOL", 1e-20)  # below the rounding floor
+        with pytest.raises(linops.InterpolantError, match="no Chebyshev degree up to 30"):
+            linops.exp_interpolant(np.array([[-1.0, 1.0], [0.0, -1.0]]), 1.0)
 
 
 class TestSemigroupSnapshot:

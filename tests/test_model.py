@@ -376,6 +376,21 @@ class TestMemoizedState:
         assert unstable.is_stable() is False and unstable.is_stable() is False
         assert len(calls) == 2
 
+    def test_steady_covariance_reuses_the_stability_flag(self, monkeypatch):
+        calls = []
+        abscissa = linops.spectral_abscissa
+        monkeypatch.setattr(linops, "spectral_abscissa", lambda a: calls.append(a) or abscissa(a))
+        m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2))
+        assert m.is_stable() is True
+        analytic.invariant_measure(m)
+        build_adjoint(m)
+        assert len(calls) == 1
+        unstable = OuLevyModel(drift_matrix=[[0.5]], noise_cov=[[1.0]])
+        with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
+            unstable.steady_covariance()
+        assert unstable.is_stable() is False
+        assert len(calls) == 2
+
     def test_hand_built_adjoint_data_gets_its_own_model(self, nonnormal_model):
         built = build_adjoint(nonnormal_model)
         other = np.diag([-3.0, -4.0])

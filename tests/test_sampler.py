@@ -179,14 +179,38 @@ def _reference_jump_block(model, t, gen, size, transport):
         sizes = j.atoms[idx]
     else:
         sizes = np.atleast_2d(np.asarray(j.sampler(gen, total), dtype=float))
-    if transport.diagonalizable:
+    if isinstance(transport, sampler._EigenTransport):
         moved = transport.apply(ages, sizes)
     else:
         moved = np.empty_like(sizes)
         for i, (v, xi) in enumerate(zip(ages, sizes)):
-            moved[i] = hl.linops.matrix_exponential(transport.drift, float(v)) @ xi
+            moved[i] = hl.linops.matrix_exponential(model.drift_matrix, float(v)) @ xi
     np.add.at(out, np.repeat(np.arange(size), counts), moved)
     return out
+
+
+class _NormSums:
+    """Stands in for a transport: it moves each jump to its norm, so that a
+    jump block holds the sum of the jump norms of each replicate."""
+
+    def apply(self, ages, sizes):
+        return np.repeat(np.linalg.norm(sizes, axis=1)[:, None], sizes.shape[1], axis=1)
+
+
+def _assert_matches_reference(m, t, seed, size):
+    """The jump block against the jump-by-jump reference, from the same draws:
+    bitwise in the eigenbasis, and for the interpolant within its certified
+    bound times the sum of the jump norms of each replicate."""
+    transport = sampler._jump_transport(m, t)
+    got = sampler._jump_block(m, t, RngStream(seed, 0).generator(), size, transport)
+    want = _reference_jump_block(m, t, RngStream(seed, 0).generator(), size, transport)
+    assert got.shape == want.shape == (size, m.dim)
+    if isinstance(transport, sampler._EigenTransport):
+        assert np.array_equal(got, want)
+    else:
+        norm_sums = sampler._jump_block(m, t, RngStream(seed, 0).generator(), size, _NormSums())[:, 0]
+        assert (np.linalg.norm(got - want, axis=1) <= transport.bound * norm_sums).all()
+    return got
 
 
 def _jordan_drift(rng, dim):
@@ -221,76 +245,54 @@ def _jump_case(name):
 
 class TestJumpBlockBitwise:
     """The block-at-a-time jump transport reproduces the jump-by-jump
-    reference bit for bit, from the same draws."""
+    reference from the same draws: bit for bit in the eigenbasis, and within
+    the certified bound of the interpolant for a drift without one."""
 
     @pytest.mark.parametrize("name", ["atoms_d1", "atoms_d2", "atoms_d3", "eigen_real", "eigen_complex",
                                       "jordan_d2", "jordan_d3", "sampler_law"])
     def test_matches_reference(self, name):
         m = _jump_case(name)
-        transport = sampler._jump_transport(m)
-        assert transport.diagonalizable == (not name.startswith(("jordan", "sampler")))
+        transport = sampler._jump_transport(m, 1.3)
+        assert isinstance(transport, sampler._EigenTransport) == (not name.startswith(("jordan", "sampler")))
         for seed in range(3):
-            got = sampler._jump_block(m, 1.3, RngStream(seed, 0).generator(), 1000, transport)
-            want = _reference_jump_block(m, 1.3, RngStream(seed, 0).generator(), 1000, transport)
-            assert got.shape == want.shape == (1000, m.dim)
-            assert np.array_equal(got, want)
+            _assert_matches_reference(m, 1.3, seed, 1000)
 
     @pytest.mark.parametrize("name", ["atoms_d2", "jordan_d3"])
     def test_block_without_jumps(self, name):
         m = _jump_case(name)
         tiny = _jump_law_model(m.drift_matrix, 1e-12, atoms=m.jump.atoms)
-        transport = sampler._jump_transport(tiny)
-        got = sampler._jump_block(tiny, 1.0, RngStream(5, 0).generator(), 64, transport)
-        want = _reference_jump_block(tiny, 1.0, RngStream(5, 0).generator(), 64, transport)
-        assert np.array_equal(got, want) and not got.any()
+        assert not _assert_matches_reference(tiny, 1.0, 5, 64).any()
 
     @pytest.mark.parametrize("name", ["atoms_d3", "jordan_d2"])
     def test_block_with_some_empty_replicates(self, name):
         m = _jump_case(name)
         sparse = _jump_law_model(m.drift_matrix, 0.5, atoms=m.jump.atoms)
-        transport = sampler._jump_transport(sparse)
-        got = sampler._jump_block(sparse, 1.0, RngStream(6, 0).generator(), 500, transport)
-        want = _reference_jump_block(sparse, 1.0, RngStream(6, 0).generator(), 500, transport)
-        empty = ~got.any(axis=1)
+        empty = ~_assert_matches_reference(sparse, 1.0, 6, 500).any(axis=1)
         assert 0 < empty.sum() < 500
-        assert np.array_equal(got, want)
-
-    def test_large_jordan_drift_is_chunked(self, monkeypatch):
-        d = 40
-        m = _jump_law_model(_jordan_drift(np.random.default_rng(40), d), 30.0,
-                            atoms=np.random.default_rng(41).uniform(-1.0, 1.0, size=(2, d)))
-        budget = sampler._EXPM_STACK_BYTES // (8 * d * d)
-        stacks = []
-        stacked = hl.linops.matrix_exponentials
-
-        def counted(a, times):
-            stacks.append(len(times))
-            return stacked(a, times)
-
-        monkeypatch.setattr(hl.linops, "matrix_exponentials", counted)
-        transport = sampler._jump_transport(m)
-        assert not transport.diagonalizable
-        got = sampler._jump_block(m, 1.0, RngStream(7, 0).generator(), 64, transport)
-        want = _reference_jump_block(m, 1.0, RngStream(7, 0).generator(), 64, transport)
-        assert np.array_equal(got, want)
-        assert len(stacks) >= 2 and max(stacks) <= budget
-        assert sum(stacks) > budget
 
 
 class TestSamplerStateMemo:
     """Sampler state is built once per model and shared by later calls."""
 
     def test_jump_transport_built_once(self, monkeypatch):
-        m = _jump_case("eigen_real")
-        built = []
-        build = sampler._build_jump_transport
-        monkeypatch.setattr(sampler, "_build_jump_transport", lambda a: built.append(a) or build(a))
-        first = sampler._jump_transport(m)
-        hl.estimate_semigroup(m, 1.0, [0.0, 0.0], lambda pts: pts[:, 0], 200, 1)
-        hl.estimate_semigroup(m, 0.5, [0.1, 0.0], lambda pts: pts[:, 1], 200, 2)
-        hl.sample_ou_endpoint(m, 0.5, [0.0, 0.0], RngStream(3, 0))
-        assert sampler._jump_transport(m) is first
-        assert len(built) == 1
+        """One eigen-decomposition per model, and one interpolant per (model, t)
+        for a drift without a well-conditioned eigenbasis."""
+        eigen, interpolants = [], []
+        build_eigen, build_interpolant = sampler._eigen_transport, hl.linops.exp_interpolant
+        monkeypatch.setattr(sampler, "_eigen_transport", lambda a: eigen.append(a) or build_eigen(a))
+        monkeypatch.setattr(hl.linops, "exp_interpolant",
+                            lambda a, t: interpolants.append(t) or build_interpolant(a, t))
+        for name in ("eigen_real", "jordan_d3"):
+            m = _jump_case(name)
+            eigen.clear()
+            interpolants.clear()
+            first = sampler._jump_transport(m, 1.0)
+            hl.estimate_semigroup(m, 1.0, np.zeros(m.dim), lambda pts: pts[:, 0], 200, 1)
+            hl.estimate_semigroup(m, 0.5, np.full(m.dim, 0.1), lambda pts: pts[:, 1], 200, 2)
+            hl.sample_ou_endpoint(m, 0.5, np.zeros(m.dim), RngStream(3, 0))
+            assert sampler._jump_transport(m, np.float64(1.0)) is first
+            assert len(eigen) == 1
+            assert interpolants == ([] if name == "eigen_real" else [1.0, 0.5])
 
     def test_step_sampler_built_once(self, monkeypatch, scalar_model):
         from harnacklab.testfuncs import drift_scaled_sine
