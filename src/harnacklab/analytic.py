@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import control, linops
 from .model import AdjointModel, OuLevyModel, invariant_mean
@@ -109,10 +108,12 @@ def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
     """Expected exponential ``E exp(<c, X_t>)`` started at ``x``, in closed form.
 
     The Gaussian part contributes ``exp(<c, T_t x + m_t> + <R_t c, c>/2)``;
-    an atom jump part contributes
-    ``exp(rate * int_0^t (E exp(<c, e^{sA} xi>) - 1) ds)`` with the time
-    integral done by adaptive quadrature (exactly ``t*(E exp(<c, xi>)-1)``
-    for zero drift).  Raises on a divergent exponential moment.
+    a jump part contributes ``exp(rate * int_0^t (E exp(<lam(s), xi>) - 1) ds)``
+    with ``lam(s) = e^{sA'} c``, i.e. ``lam(s)_i = <c, e^{sA} e_i>``, from the
+    model's certified interpolant of ``e^{sA}`` at all nodes of a round of
+    `linops.integrate`, and ``exp_moment`` called once per node.  Raises on a divergent exponential
+    moment, and `linops.InterpolantError` for a drift beyond the interpolant's
+    table budget.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -122,19 +123,15 @@ def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
         j = model.jump
         if j.exp_moment is None:
             raise ValueError("jump law without exponential moment: closed form unavailable")
+        interp = model.exp_interpolant(t)
 
-        def centered(s: float) -> float:
-            prop = linops.matrix_exponential(model.drift_matrix, s)
-            val = j.exp_moment(prop.T @ c)
-            if not np.isfinite(val):
+        def jump_term(s: np.ndarray) -> np.ndarray:
+            vals = np.array([j.exp_moment(lam) for lam in interp.apply_transpose(s, c)])
+            if not np.isfinite(vals).all():
                 raise ValueError("divergent jump exponential moment")
-            return val - 1.0
+            return vals - 1.0
 
-        if np.abs(model.drift_matrix).max() == 0.0:
-            integral = t * centered(0.0)
-        else:
-            integral, _ = scipy.integrate.quad(centered, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        log_val += j.rate * integral
+        log_val += j.rate * linops.integrate(jump_term, 0.0, t)
     return float(np.exp(log_val))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import linops
 from .model import HFunction, OuLevyModel
@@ -171,10 +170,12 @@ def weighted_control(model: OuLevyModel, t: float, x0, xi, K: int) -> NullContro
 
     The control is ``u(s) = -(xi(s) / int_0^t xi) R^{-1/2} e^{sA} x0``; its
     energy, ``int xi^2 |R^{-1/2} e^{sA} x0|^2 / (int xi)^2``, upper-bounds the
-    squared minimum-energy norm and is evaluated by adaptive quadrature so
-    that closed-form equality cases are reproduced to near machine precision.
+    squared minimum-energy norm and is evaluated by `linops.integrate`, with
+    ``e^{sA} x0`` from the model's certified interpolant, so that closed-form
+    equality cases are reproduced to near machine precision.
     ``xi`` must be positive wherever sampled; states whose trajectory leaves
-    the range of ``R^{1/2}`` get an infinite-energy report.
+    the range of ``R^{1/2}`` get an infinite-energy report.  Raises
+    `linops.InterpolantError` for a drift beyond the interpolant's table budget.
     """
     if K < 1:
         raise ValueError("grid size must be at least 1")
@@ -184,27 +185,26 @@ def weighted_control(model: OuLevyModel, t: float, x0, xi, K: int) -> NullContro
     grid = np.linspace(0.0, t, K + 1)
     rfac = model.noise_sqrt()
 
-    xi_half = np.array([float(xi(s)) for s in np.linspace(0.0, t, 2 * K + 1)])
+    def xi_at(s: np.ndarray) -> np.ndarray:
+        return np.array([float(xi(v)) for v in s])
+
+    half_grid = np.linspace(0.0, t, 2 * K + 1)
+    xi_half = xi_at(half_grid)
     if (xi_half <= 0).any():
         raise ValueError("weight profile must be strictly positive on the grid")
+    interp = model.exp_interpolant(t)
 
-    # forward states e^{s_j A} x0 on the half-step grid
-    half_prop = linops.matrix_exponential(model.drift_matrix, 0.5 * t / K)
-    z = np.empty((2 * K + 1, model.dim))
-    z[0] = x0
-    for j in range(1, 2 * K + 1):
-        z[j] = half_prop @ z[j - 1]
+    def states(s: np.ndarray) -> np.ndarray:
+        """``e^{sA} x0`` at each time of ``s``."""
+        return interp.apply(s, np.broadcast_to(x0, (s.size, x0.size)))
+
+    z = states(half_grid)
     if not rfac.in_range(z).all():
         return _infeasible(grid, model.dim, x0)
 
-    denom, _ = scipy.integrate.quad(lambda s: float(xi(s)), 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-
-    def weighted_sq(s: float) -> float:
-        zs = linops.matrix_exponential(model.drift_matrix, s) @ x0
-        return float(xi(s)) ** 2 * float(np.sum(rfac.apply_pinv_sqrt(zs) ** 2))
-
-    num, _ = scipy.integrate.quad(weighted_sq, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-    energy = num / denom**2
+    denom = linops.integrate(xi_at, 0.0, t)
+    energy = linops.integrate(lambda s: xi_at(s) ** 2 * np.sum(rfac.apply_pinv_sqrt(states(s)) ** 2, axis=1),
+                              0.0, t) / denom**2
 
     u_half = -(xi_half[:, None] / denom) * rfac.apply_pinv_sqrt(z)
     return _finish(model, t, grid, x0, u_half, energy)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from . import linops
 
@@ -74,10 +73,10 @@ class OuLevyModel:
     offset, optional compound-Poisson jump part.
 
     Keeps read-only copies of its arrays and memoizes, with read-only arrays,
-    what it derives from them: snapshots and propagators per ``t``, the noise
-    root, the steady covariance, the stability flag, the adjoint dynamics, and
-    the sampler's state: the drift's eigenbasis transport, its interpolant of
-    ``e^{vA}`` per ``t``, and the path-step samplers.
+    what it derives from them: snapshots, propagators and the interpolant of
+    ``e^{vA}`` per ``t``, the noise root, the steady covariance, the stability
+    flag, the adjoint dynamics, and the sampler's state: the drift's eigenbasis
+    transport and the path-step samplers.
     """
 
     drift_matrix: np.ndarray
@@ -136,14 +135,18 @@ class OuLevyModel:
     def is_stable(self) -> bool:
         return self._memoized("is_stable", lambda: linops.spectral_abscissa(self.drift_matrix) < 0)
 
+    def exp_interpolant(self, t: float) -> linops.ExpInterpolant:
+        """The certified interpolant `linops.exp_interpolant` of ``e^{vA}`` on ``[0, t]``."""
+        return self._memoized(("exp_interpolant", float(t)), lambda: linops.exp_interpolant(self.drift_matrix, t))
+
 
 @dataclass(frozen=True)
 class HFunction:
     """Positive time profile ``h`` with optional closed-form integrals.
 
     ``inv_integral(t)`` is ``int_0^t ds / h(s)`` and ``integral(t)`` is
-    ``int_0^t h(s) ds``; adaptive quadrature fills in whichever closed form
-    is missing.
+    ``int_0^t h(s) ds``; `linops.integrate` fills in whichever closed form
+    is missing, calling ``fn`` once per node.
     """
 
     fn: Callable[[float], float]
@@ -180,14 +183,12 @@ class HFunction:
     def integral_of_inverse(self, t: float) -> float:
         if self.inv_integral is not None:
             return float(self.inv_integral(t))
-        val, _ = scipy.integrate.quad(lambda s: 1.0 / self.fn(s), 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(val)
+        return linops.integrate(lambda s: np.array([1.0 / self(v) for v in s]), 0.0, t)
 
     def integral_of_h(self, t: float) -> float:
         if self.integral is not None:
             return float(self.integral(t))
-        val, _ = scipy.integrate.quad(self.fn, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return float(val)
+        return linops.integrate(lambda s: np.array([self(v) for v in s]), 0.0, t)
 
 
 @dataclass(frozen=True)

@@ -100,6 +100,18 @@ class NonFiniteValueError(ValueError):
     """An observable or a weight turned non-finite during estimation."""
 
 
+class ControlRejectedError(ValueError, RuntimeError):
+    """The null control of the coupled pair missed zero by more than its terminal
+    tolerance.  A `ValueError`, so the command line exits 3, and a
+    `RuntimeError` for callers that catch this failure as one."""
+
+
+class DriftRangeError(ValueError, RuntimeError):
+    """A perturbed-drift value left the range of ``R^{1/2}`` along a path.  A
+    `ValueError`, so the command line exits 3, and a `RuntimeError` for callers
+    that catch this failure as one."""
+
+
 class RunningMoments:
     """Streaming count, mean and central sums ``M2``-``M4`` of blocks of values.
 
@@ -190,7 +202,7 @@ def _jump_transport(model: OuLevyModel, t: float) -> _EigenTransport | linops.Ex
     eigen = model._memoized("jump_eigenbasis", lambda: _eigen_transport(model.drift_matrix))
     if eigen is not None:
         return eigen
-    return model._memoized(("exp_interpolant", float(t)), lambda: linops.exp_interpolant(model.drift_matrix, t))
+    return model.exp_interpolant(t)
 
 
 def _eigen_transport(a: np.ndarray) -> _EigenTransport | None:
@@ -437,9 +449,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     if not ctrl.feasible:
         raise ValueError("x - y is outside the steerable domain at this horizon")
     if not ctrl.accepted:
-        raise RuntimeError(
-            f"null control rejected: terminal residual {ctrl.terminal_residual:.3e}"
-        )
+        raise ControlRejectedError(f"null control rejected: terminal residual {ctrl.terminal_residual:.3e}")
     u = ctrl.values[:-1]
     delta = t / K
     step = _step_sampler(model, delta)
@@ -525,7 +535,7 @@ def _semilinear_blocks(model, spec, t, x, K, seed, n):
             if rfac.rank < model.dim:  # only a null space of R^{1/2} can fail the range test
                 bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
                 if bad.size:
-                    raise RuntimeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
+                    raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
             psi = drift @ pinv_root.T
             dw, eta = step.draw(gen, size)
             log_rho += np.einsum("ij,ij->i", psi, dw) - 0.5 * delta * np.einsum("ij,ij->i", psi, psi)

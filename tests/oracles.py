@@ -9,6 +9,7 @@ the invariant law from direct Gaussian sampling.
 import numpy as np
 import scipy.integrate
 import scipy.linalg as sla
+import scipy.special
 
 
 def simpson_gramian(a, r, t, panels=2000):
@@ -139,3 +140,73 @@ def expm_marching(a, ages):
             current = current @ step
         out[i], previous = current, v
     return out
+
+
+def hard_drift(kind, dim, rng):
+    """A random drift of one numerically hard kind."""
+    if kind == "zero":
+        return np.zeros((dim, dim))
+    if kind in ("jordan", "unstable"):  # one Jordan block, spectral abscissa up to +0.5 when unstable
+        lam = rng.uniform(0.0, 0.5) if kind == "unstable" else rng.uniform(-2.0, 0.0)
+        return lam * np.eye(dim) + np.diag(rng.uniform(0.5, 1.5, dim - 1), 1) + np.triu(rng.normal(0, 0.3, (dim, dim)), 2)
+    if kind == "stiff":  # eigenvalues down to -300
+        return np.diag(-np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim))) + np.triu(rng.normal(0, 1, (dim, dim)), 1)
+    if kind == "nonnormal":  # off-diagonal entries up to 100
+        return np.diag(-rng.uniform(0.1, 3.0, dim)) + np.triu(rng.uniform(-100.0, 100.0, (dim, dim)), 1)
+    if kind == "rotating":  # 2x2 rotation blocks of frequency up to 50, damped or not
+        a = np.diag(-rng.uniform(0.0, 2.0, dim))
+        for i in range(0, dim - 1, 2):
+            w = rng.uniform(-50.0, 50.0)
+            a[i, i + 1], a[i + 1, i] = w, -w
+        return a
+    raise KeyError(kind)
+
+
+def marched_expm(a, t):
+    """``s -> e^{sA}`` on ``[0, t]``: one ``scipy.linalg.expm`` of a step of 2-norm
+    at most 1 times the nearest lower entry of an `expm_marching` table."""
+    a = np.asarray(a, dtype=float)
+    h = t / max(1, int(np.ceil(t * np.linalg.norm(a, 2))))
+    grid = h * np.arange(int(round(t / h)) + 1)
+    table = expm_marching(a, grid)
+
+    def at(s):
+        k = min(int(s / h), len(grid) - 1)
+        return sla.expm((s - grid[k]) * a) @ table[k]
+
+    return at
+
+
+def quadpack_mehler_exponential(model, t, c, x):
+    """``E exp(<c, X_t>)`` with the jump integral by QUADPACK over `marched_expm`;
+    the Gaussian part from the model's snapshot."""
+    c = np.asarray(c, dtype=float)
+    snap = model.snapshot(t)
+    log_val = float(c @ (snap.propagator @ np.asarray(x, dtype=float) + snap.mean_shift) + 0.5 * c @ snap.gramian @ c)
+    if model.has_jumps:
+        at = marched_expm(model.drift_matrix, t)
+        integral, _ = scipy.integrate.quad(lambda s: model.jump.exp_moment(at(s).T @ c) - 1.0, 0.0, t,
+                                           epsabs=1e-13, epsrel=1e-13, limit=500)
+        log_val += model.jump.rate * integral
+    return float(np.exp(log_val))
+
+
+def quadpack_weighted_energy(model, t, x0, xi):
+    """``int xi^2 |R^{-1/2} e^{sA} x0|^2 / (int xi)^2`` by QUADPACK over `marched_expm`,
+    for a nonsingular noise covariance ``R``."""
+    at = marched_expm(model.drift_matrix, t)
+    r = model.noise_cov
+
+    def weighted_sq(s):
+        z = at(s) @ x0
+        return xi(s) ** 2 * float(z @ np.linalg.solve(r, z))
+
+    num, _ = scipy.integrate.quad(weighted_sq, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
+    denom, _ = scipy.integrate.quad(xi, 0.0, t, epsabs=0.0, epsrel=1e-13, limit=500)
+    return num / denom**2
+
+
+def scipy_bessel_tails(rho):
+    """``sum_{k > m} I_k(rho)`` for ``m = 0 .. 30`` from ``scipy.special.iv``, 40 terms on."""
+    terms = scipy.special.iv(np.arange(1, 71), rho)
+    return np.cumsum(terms[::-1])[::-1][:31]

@@ -4,17 +4,22 @@ before the verification layer is allowed to rely on them."""
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import harnacklab as hl
 from harnacklab import OuLevyModel, analytic, build_adjoint, estimate_semigroup
 from harnacklab.analytic import GaussianMeasure
 from oracles import (
     convolution_covariance_eigenvalues,
+    expm_marching,
     gaussian_logpdf,
+    hard_drift,
     make_psd,
     make_stable,
     mc_convolution_square_exp_moment,
     mc_mean,
+    quadpack_mehler_exponential,
     sample_gaussian,
     within_sigma,
 )
@@ -60,6 +65,46 @@ class TestMehlerExponential:
         )
         with pytest.raises(ValueError, match="exponential moment"):
             analytic.mehler_exponential(m, 1.0, [0.3], [0.0])
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["jordan", "rotating", "nonnormal"]), dim=st.integers(1, 4),
+           t=st.floats(0.05, 2.0), opaque=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_jump_factor_matches_quadpack(self, kind, dim, t, opaque, seed):
+        rng = np.random.default_rng(seed)
+        a = hard_drift(kind, dim, rng)
+        growth = max(1.0, np.linalg.norm(expm_marching(a, np.linspace(0.0, t, 33)), 2, axis=(1, 2)).max())
+        c = rng.normal(size=dim)
+        c *= 2.0 / (growth * np.linalg.norm(c))  # |<c, e^{sA} xi>| up to about 2 |xi|
+        if opaque:  # Gaussian jumps: E exp(<lam, xi>) = exp(<lam, m> + <S lam, lam> / 2)
+            mean, cov = rng.normal(size=dim) * 0.5, make_psd(rng, dim) * 0.25
+            jump = hl.CompoundPoissonSpec(
+                rate=1.3, sampler=lambda gen, size: gen.multivariate_normal(mean, cov, size),
+                exp_moment=lambda lam: float(np.exp(lam @ mean + 0.5 * lam @ cov @ lam)))
+        else:
+            jump = hl.CompoundPoissonSpec(rate=1.3, atoms=rng.normal(size=(3, dim)), probs=[0.2, 0.3, 0.5])
+        m = OuLevyModel(drift_matrix=a, noise_cov=0.01 * np.eye(dim), jump=jump)
+        x = rng.normal(size=dim)
+        got = analytic.mehler_exponential(m, t, c, x)
+        assert got == pytest.approx(quadpack_mehler_exponential(m, t, c, x), rel=1e-11)
+
+    def test_no_expm_per_quadrature_node(self, monkeypatch):
+        calls = []
+        expm = hl.linops.sla.expm
+        monkeypatch.setattr(hl.linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        m = OuLevyModel(drift_matrix=[[-1.0, 30.0], [-30.0, -1.0]], noise_cov=np.eye(2), jump=hl.CompoundPoissonSpec(
+            rate=2.0, atoms=[[1.0, 0.0], [0.0, -1.0]]))
+        analytic.mehler_exponential(m, 2.0, [0.3, 0.1], [0.5, 0.0])
+        # the snapshot's two blocks, then the interpolant's step and its stacked nodes
+        assert [len(shape) for shape in calls] == [2, 2, 2, 3]
+
+    def test_drift_beyond_interpolant_budget_raises(self):
+        # a fast-rotating Jordan drift: 1e5 interpolation pieces on [0, 1]
+        rot = np.array([[0.0, 2e5], [-2e5, 0.0]])
+        m = OuLevyModel(drift_matrix=np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]), noise_cov=np.eye(4),
+                        jump=hl.CompoundPoissonSpec(rate=1.0, atoms=[[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(hl.linops.InterpolantError, match="table of piece starts"):
+            analytic.mehler_exponential(m, 1.0, [0.3, 0.0, 0.0, 0.0], [0.0] * 4)
 
 
 class TestConvolutionSquareExpMoment:

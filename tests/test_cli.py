@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from harnacklab import cli, verify
+from harnacklab.model import SemilinearSpec
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -243,6 +248,20 @@ class TestMain:
         assert cli.main(["--config", str(path)]) == 3
         assert "the table of piece starts exceeds 8 MiB" in capsys.readouterr().err
 
+    def test_drift_leaving_the_range_mid_path_exits_three(self, tmp_path, capsys, monkeypatch):
+        # F(x) = (0, sin(pi x_1)) passes the probe spot-check (x_1 in {0, 1, 2}) and leaves
+        # the range of R^(1/2) = diag(1, 0) once the path moves: a runtime failure, not a verdict
+        spec = SemilinearSpec(drift_fn=lambda pts: np.stack([np.zeros(len(pts)), np.sin(np.pi * pts[:, 0])], axis=1),
+                              k1=1.0, k2=0.0)
+        monkeypatch.setattr(cli, "drift_from_spec", lambda raw, model: spec)
+        cfg = minimal_config(dim=2, A=[[-1.0, 0.0], [0.0, -1.0]], R=[[1.0, 0.0], [0.0, 0.0]], a=[0.0, 0.0])
+        cfg["checks"] = [{"kind": "rho_moments", "id": "rho", "t": 1.0, "x": [0.0, 0.0], "p": 2.0, "delta": 0.5,
+                          "F": {"kind": "zero"}, "n": 200, "K": 8}]
+        path = tmp_path / "range.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 3
+        assert "error: drift value leaves the range of R^(1/2)" in capsys.readouterr().err
+
     def test_unknown_check_id_exits_three(self):
         assert cli.main(["--config", str(SCENARIO_DIR / "scalar_ou.json"), "--check", "nope"]) == 3
 
@@ -386,3 +405,29 @@ class TestSemigroupStateOncePerModel:
         assert all(r.passed for r in reports)
         # one snapshot of the model and one of its adjoint, both at t
         assert calls == {"semigroup_snapshot": 2, "lyapunov_solve": 1}
+
+
+#: scipy subpackages that ``import harnacklab`` and its checks must not load.
+HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+
+
+def test_import_and_scenario_runs_leave_heavy_scipy_unloaded(tmp_path):
+    configs = [str(SCENARIO_DIR / "scalar_ou.json")]
+    for i, cfg in enumerate(json.loads((SCENARIO_DIR / "jump_suite.json").read_text())):
+        configs.append(str(tmp_path / f"jump_{i:02d}.json"))
+        Path(configs[-1]).write_text(json.dumps(cfg))
+    script = textwrap.dedent(f"""
+        import json, sys
+        import harnacklab
+        from harnacklab import cli
+        loaded = [sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules)]
+        codes = [cli.main(["--config", path, "--out", {str(tmp_path / "out.csv")!r}]) for path in {configs!r}]
+        loaded.append(sorted(m for m in {HEAVY_SCIPY!r} if m in sys.modules))
+        print(json.dumps([loaded, codes]))
+    """)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded, codes = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == [[], []]
+    assert set(codes) <= {0, 2}  # every row a verdict; no run failed

@@ -8,9 +8,12 @@ from harnacklab import (
     gamma_operator_norm,
     h_bound,
     min_energy_control,
+    linops,
     weighted_control,
 )
-from oracles import make_psd, make_stable
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import hard_drift, make_psd, make_stable, quadpack_weighted_energy
 
 
 def scalar_gamma_sq(lam, r, t, x):
@@ -154,6 +157,36 @@ class TestWeightedControl:
         m = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
         ctrl = weighted_control(m, 1.0, [0.0, 1.0], lambda s: 1.0, 16)
         assert ctrl.energy == np.inf
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["jordan", "rotating", "nonnormal"]), dim=st.integers(1, 4),
+           t=st.floats(0.05, 2.0), profile=st.sampled_from(["one", "affine", "wave", "growth"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_energy_matches_quadpack(self, kind, dim, t, profile, seed):
+        rng = np.random.default_rng(seed)
+        m = OuLevyModel(drift_matrix=hard_drift(kind, dim, rng), noise_cov=make_psd(rng, dim, ridge=0.3))
+        x0 = rng.normal(size=dim)
+        xi = {"one": lambda s: 1.0, "affine": lambda s: s + 0.1,
+              "wave": lambda s: 1.0 + 0.5 * np.sin(3.0 * s), "growth": lambda s: np.exp(2.0 * s)}[profile]
+        got = weighted_control(m, t, x0, xi, 8).energy
+        assert got == pytest.approx(quadpack_weighted_energy(m, t, x0, xi), rel=1e-11)
+
+    def test_no_expm_per_quadrature_node(self, monkeypatch):
+        calls = []
+        expm = linops.sla.expm
+        monkeypatch.setattr(linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        m = OuLevyModel(drift_matrix=[[-1.0, 30.0], [-30.0, -1.0]], noise_cov=np.eye(2))
+        weighted_control(m, 2.0, [1.0, 0.5], lambda s: 1.0 + 0.5 * np.sin(3.0 * s), 8)
+        # the interpolant's step and its stacked nodes, for the grid states and the quadrature
+        assert [len(shape) for shape in calls] == [2, 3]
+
+    def test_drift_beyond_interpolant_budget_raises(self):
+        # a fast-rotating Jordan drift: 1e5 interpolation pieces on [0, 1]
+        rot = np.array([[0.0, 2e5], [-2e5, 0.0]])
+        m = OuLevyModel(drift_matrix=np.block([[rot, np.eye(2)], [np.zeros((2, 2)), rot]]), noise_cov=np.eye(4))
+        with pytest.raises(linops.InterpolantError, match="table of piece starts"):
+            weighted_control(m, 1.0, [1.0, 0.0, 0.0, 0.0], lambda s: 1.0, 8)
 
 
 class TestHBound:

@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harnacklab import GaussianMeasure, OuLevyModel, linops
-from oracles import expm_marching, lyapunov_truncated_integral, make_psd, make_stable, simpson_gramian, simpson_mean_shift
+from oracles import (
+    expm_marching,
+    hard_drift as _drift,
+    lyapunov_truncated_integral,
+    make_psd,
+    make_stable,
+    scipy_bessel_tails,
+    simpson_gramian,
+    simpson_mean_shift,
+)
 
 
 class TestMatrixExponential:
@@ -42,26 +51,6 @@ class TestMatrixExponential:
             linops.matrix_exponential(np.zeros((2, 2)), -0.1)
 
 
-def _drift(kind, dim, rng):
-    """A random drift of one numerically hard kind."""
-    if kind == "zero":
-        return np.zeros((dim, dim))
-    if kind in ("jordan", "unstable"):  # one Jordan block, spectral abscissa up to +0.5 when unstable
-        lam = rng.uniform(0.0, 0.5) if kind == "unstable" else rng.uniform(-2.0, 0.0)
-        return lam * np.eye(dim) + np.diag(rng.uniform(0.5, 1.5, dim - 1), 1) + np.triu(rng.normal(0, 0.3, (dim, dim)), 2)
-    if kind == "stiff":  # eigenvalues down to -300
-        return np.diag(-np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim))) + np.triu(rng.normal(0, 1, (dim, dim)), 1)
-    if kind == "nonnormal":  # off-diagonal entries up to 100
-        return np.diag(-rng.uniform(0.1, 3.0, dim)) + np.triu(rng.uniform(-100.0, 100.0, (dim, dim)), 1)
-    if kind == "rotating":  # 2x2 rotation blocks of frequency up to 50, damped or not
-        a = np.diag(-rng.uniform(0.0, 2.0, dim))
-        for i in range(0, dim - 1, 2):
-            w = rng.uniform(-50.0, 50.0)
-            a[i, i + 1], a[i + 1, i] = w, -w
-        return a
-    raise KeyError(kind)
-
-
 def _interpolated(it, ages, dim):
     """``e^{vA}`` from the interpolant at each age, as ``(len(ages), dim, dim)``."""
     out = it.apply(np.repeat(ages, dim), np.tile(np.eye(dim), (len(ages), 1)))
@@ -92,6 +81,17 @@ class TestExpInterpolant:
            dim=st.integers(1, 6), t=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
     def test_within_the_certified_bound_of_expm(self, kind, dim, t, seed):
         _assert_certified(_drift(kind, dim, np.random.default_rng(seed)), t)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["jordan", "stiff", "nonnormal", "rotating", "zero"]),
+           dim=st.integers(1, 6), t=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+    def test_transpose_rows_match_apply(self, kind, dim, t, seed):
+        rng = np.random.default_rng(seed)
+        it = linops.exp_interpolant(_drift(kind, dim, rng), t)
+        ages, c = _probe_ages(it), rng.normal(size=dim)
+        want = _interpolated(it, ages, dim).transpose(0, 2, 1) @ c
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(it.apply_transpose(ages, c) - want).max() <= 1e-13 * scale
 
     def test_large_jordan_block(self):
         it = _assert_certified(_drift("jordan", 40, np.random.default_rng(40)), 3.0)
@@ -156,6 +156,90 @@ class TestExpInterpolant:
         monkeypatch.setattr(linops, "INTERPOLANT_TOL", 1e-20)  # below the rounding floor
         with pytest.raises(linops.InterpolantError, match="no Chebyshev degree up to 30"):
             linops.exp_interpolant(np.array([[-1.0, 1.0], [0.0, -1.0]]), 1.0)
+
+
+class TestBesselTails:
+    """The power series of ``I_k`` that certifies the interpolant's degree."""
+
+    @staticmethod
+    def _series(rho):
+        k = np.arange(1, 71)[:, None]
+        j = np.arange(15, -1, -1)
+        return ((rho / 2.0) ** (2 * j + k) / (linops._FACTORIALS[j] * linops._FACTORIALS[j + k])).sum(axis=1)
+
+    def test_matches_scipy_iv(self):
+        # scipy's own iv drifts to about 1e-13 above order 50, so the orders compared at
+        # 1e-15 stop at 9, where it is exact to rounding; all 70 are compared to mpmath below
+        special = pytest.importorskip("scipy.special")
+        for rho in np.linspace(0.0, 1.0, 201):
+            want = special.iv(np.arange(1, 10), rho)
+            assert np.abs(self._series(rho)[:9] - want).max() <= 1e-15 * want.max(initial=0.0)
+
+    def test_matches_high_precision_on_all_orders(self):
+        mpmath = pytest.importorskip("mpmath")
+        for rho in (1e-3, 0.1, 0.37, 0.5, 0.99, 1.0):
+            with mpmath.workdps(40):
+                want = np.array([float(mpmath.besseli(k, mpmath.mpf(rho))) for k in range(1, 71)])
+            normal = want > 1e-290  # below, the float result is subnormal
+            assert (np.abs(self._series(rho) - want)[normal] <= 1e-15 * want[normal]).all()
+
+    def test_tails_match_scipy(self):
+        for rho in np.linspace(0.0, 1.0, 101):
+            want = scipy_bessel_tails(rho)
+            assert np.abs(linops._bessel_tails(rho) - want).max() <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("kind", ["jordan", "stiff", "nonnormal", "rotating", "unstable", "zero"])
+    def test_interpolant_degrees_unchanged(self, kind, monkeypatch):
+        rng = np.random.default_rng(101)
+        cases = [(_drift(kind, dim, rng), t) for dim in (1, 2, 4, 6) for t in (0.05, 0.4, 1.0, 2.5, 5.0)]
+        new = [linops.exp_interpolant(a, t) for a, t in cases]
+        monkeypatch.setattr(linops, "_bessel_tails", scipy_bessel_tails)
+        old = [linops.exp_interpolant(a, t) for a, t in cases]
+        assert [it.degree for it in new] == [it.degree for it in old]
+        assert [it.bound for it in new] == pytest.approx([it.bound for it in old], rel=1e-13)
+
+
+class TestIntegrate:
+    """The paired Gauss-Legendre rule with bisection."""
+
+    @pytest.mark.parametrize("f, a, b, want", [
+        (np.exp, 0.0, 1.0, math.e - 1.0),
+        (lambda s: s**19 - 3.0 * s**4, -1.0, 2.0, 2.0**20 / 20 - 1.0 / 20 - 3.0 * 33.0 / 5.0),
+        (lambda s: np.exp(-300.0 * s), 0.0, 5.0, -math.expm1(-1500.0) / 300.0),
+        (lambda s: np.sin(100.0 * s), 0.0, 2.0, (1.0 - math.cos(200.0)) / 100.0),
+        (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
+        (lambda s: 1.0 / (1.0 + 0.5 * np.sin(20.0 * s)), 0.0, 3.0, None),
+    ], ids=["exp", "polynomial", "stiff_decay", "oscillating", "endpoint_singularity", "peaked"])
+    def test_within_tolerance_of_the_integral_of_abs(self, f, a, b, want):
+        import scipy.integrate
+
+        if want is None:
+            want = scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+        got = linops.integrate(f, a, b)
+        grid = np.linspace(a, b, 200_001)
+        scale = np.trapezoid(np.abs(f(grid)), grid)  # the integral of |f|, to a few digits
+        assert abs(got - want) <= 1e-12 * scale
+
+    def test_one_call_per_round_on_flat_nodes(self):
+        shapes = []
+        linops.integrate(lambda s: shapes.append(s.shape) or np.cos(s), 0.0, 1.0)
+        assert shapes == [(30,)]
+
+    def test_zero_integrand_and_empty_interval(self):
+        assert linops.integrate(np.zeros_like, 0.0, 2.0) == 0.0
+        assert linops.integrate(np.exp, 1.0, 1.0) == 0.0
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(linops.QuadratureError, match="not finite"):
+            linops.integrate(lambda s: np.where(s < 0.5, 1.0, np.inf), 0.0, 1.0)
+
+    def test_subinterval_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linops, "QUAD_MAX_PIECES", 3)
+        with pytest.raises(linops.QuadratureError, match="in 3 subintervals"):
+            linops.integrate(lambda s: np.sin(100.0 * s), 0.0, 2.0)
+
+    def test_is_a_value_error(self):
+        assert issubclass(linops.QuadratureError, ValueError)
 
 
 class TestSemigroupSnapshot:

@@ -119,6 +119,21 @@ class TestHFunction:
         assert abs(h_closed.integral_of_h(0.9) - h_quad.integral_of_h(0.9)) <= 1e-10
 
 
+    def test_under_resolved_profile_raises(self):
+        # 95 sharp dips on [0, 3]: QUADPACK returned 6.85697 with a warning, 1.5e-5 off a
+        # 3M-point trapezoid (6.85707); the paired rule refuses instead of guessing
+        h = HFunction(fn=lambda s: 1 + 0.9 * np.sin(200 * s))
+        with pytest.raises(linops.QuadratureError, match="200 subintervals"):
+            h.integral_of_inverse(3.0)
+
+    def test_quadrature_calls_a_scalar_profile_once_per_node(self):
+        calls = []
+        h = HFunction(fn=lambda s: calls.append(type(s)) or 2.0)  # ignores an array argument
+        assert h.integral_of_h(1.5) == pytest.approx(3.0, rel=1e-15)
+        assert h.integral_of_inverse(1.5) == pytest.approx(0.75, rel=1e-15)
+        assert calls and set(calls) == {np.float64}
+
+
 class TestAssumptionA:
     def test_stable_gaussian_passes(self, scalar_model):
         rep = check_assumption_A_sufficient(scalar_model)
@@ -296,6 +311,11 @@ class TestMemoizedState:
         assert m.steady_covariance() is m.steady_covariance()
         assert build_adjoint(m).as_model() is build_adjoint(m).as_model()
         assert build_adjoint(m).as_model().snapshot(0.7) is build_adjoint(m).as_model().snapshot(0.7)
+
+    def test_interpolant_memoized_per_time(self, nonnormal_model):
+        m = nonnormal_model
+        assert m.exp_interpolant(0.7) is m.exp_interpolant(np.float64(0.7))
+        assert m.exp_interpolant(0.7) is not m.exp_interpolant(0.8)
 
     def test_memoized_arrays_are_read_only(self, nonnormal_model):
         m = nonnormal_model

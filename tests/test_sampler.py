@@ -446,6 +446,12 @@ class TestCoupledPair:
         target = analytic.mehler_exponential(nonnormal_model, t, c, x)
         assert within_sigma(est.mean, est.std_error, target)
 
+    def test_rejected_null_control_is_a_named_value_error(self, scalar_model, monkeypatch):
+        monkeypatch.setattr(hl.control, "TERMINAL_RESIDUAL_TOL", -1.0)  # no residual passes
+        with pytest.raises(sampler.ControlRejectedError, match="null control rejected") as info:
+            hl.sample_coupled_pair(scalar_model, 1.0, [0.4], [0.0], 16, RngStream(0, 0))
+        assert isinstance(info.value, ValueError)
+
     def test_unreachable_difference_rejected(self):
         m = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
         with pytest.raises(ValueError, match="domain"):
@@ -508,6 +514,14 @@ class TestSemilinear:
                                  k1=1.0, k2=1.0)
         with pytest.raises(RuntimeError, match="range"):
             hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 200, 8, 0)
+
+    def test_drift_range_failure_is_a_named_value_error(self):
+        m = OuLevyModel(drift_matrix=np.diag([-1.0, -1.0]), noise_cov=np.diag([1.0, 0.0]))
+        spec = hl.SemilinearSpec(drift_fn=lambda pts: np.stack([np.zeros(len(pts)), pts[:, 0]], axis=1),
+                                 k1=1.0, k2=1.0)
+        with pytest.raises(sampler.DriftRangeError) as info:
+            hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 200, 8, 0)
+        assert isinstance(info.value, ValueError)
 
     def test_nonzero_offset_rejected(self):
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]], drift_offset=[0.5])
