@@ -162,22 +162,26 @@ class ExpInterpolant:
         return (vand[:, :, None] * rows[:, None, :]).reshape(len(ages), -1) @ self.columns.reshape(len(c), -1).T
 
 
-#: Terms of the power series of each ``I_k`` that `_bessel_tails` sums.
+#: Terms of the power series of each ``I_k`` that `_bessel_i` sums.
 _BESSEL_TERMS = 16
 
 #: ``n!`` for every factorial in those terms.
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(INTERPOLANT_MAX_DEGREE + 40 + _BESSEL_TERMS)])
 
 
-def _bessel_tails(rho: float) -> np.ndarray:
-    """``sum_{k > m} I_k(rho)`` for ``m = 0 .. INTERPOLANT_MAX_DEGREE``.  The sum
-    stops 40 terms later: for ``rho <= 1`` the rest is below 1e-100.  Each
-    ``I_k(rho) = sum_j (rho/2)^(2j+k) / (j! (j+k)!)`` is summed over its first
+def _bessel_i(rho: float) -> np.ndarray:
+    """``I_k(rho)`` for ``k = 1 .. INTERPOLANT_MAX_DEGREE + 40`` and ``0 <= rho <= 1``:
+    ``I_k(rho) = sum_j (rho/2)^(2j+k) / (j! (j+k)!)`` summed over its first
     `_BESSEL_TERMS` terms, smallest first; the next is below 1e-30 of the first."""
     k = np.arange(1, INTERPOLANT_MAX_DEGREE + 41)[:, None]
     j = np.arange(_BESSEL_TERMS - 1, -1, -1)
-    terms = (rho / 2.0) ** (2 * j + k) / (_FACTORIALS[j] * _FACTORIALS[j + k])
-    return np.cumsum(terms.sum(axis=1)[::-1])[::-1][: INTERPOLANT_MAX_DEGREE + 1]
+    return ((rho / 2.0) ** (2 * j + k) / (_FACTORIALS[j] * _FACTORIALS[j + k])).sum(axis=1)
+
+
+def _bessel_tails(rho: float) -> np.ndarray:
+    """``sum_{k > m} I_k(rho)`` for ``m = 0 .. INTERPOLANT_MAX_DEGREE``.  The sum
+    stops 40 terms later: for ``rho <= 1`` the rest is below 1e-100."""
+    return np.cumsum(_bessel_i(rho)[::-1])[::-1][: INTERPOLANT_MAX_DEGREE + 1]
 
 
 def exp_interpolant(a, t: float) -> ExpInterpolant:
@@ -447,10 +451,14 @@ def integrate(f, a: float, b: float) -> float:
     error estimate.  The rule stops when the estimates sum to at most
     `QUAD_TOL` times the integral of ``|f|``, and returns the sum of the
     20-point values.  Otherwise it bisects every subinterval whose estimate
-    exceeds its length's share of that tolerance, and the worst one.
+    exceeds its length's share of that tolerance, and the worst one; where
+    that would pass `QUAD_MAX_PIECES`, only the worst ones up to the cap.
+    The rounding error of each value of ``f`` must be small against the value
+    itself: an ``f`` that cancels against a constant (``g - 1`` near ``g = 1``)
+    is integrated as ``g``, and the constant's integral subtracted after.
 
     Raises `QuadratureError` on a non-finite value of ``f``, and when the
-    subintervals would exceed `QUAD_MAX_PIECES`.
+    tolerance is not met with `QUAD_MAX_PIECES` subintervals.
     """
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
     parts = np.empty((0, 5))  # rows of (lo, hi, value, integral of |f|, error estimate)
@@ -468,9 +476,12 @@ def integrate(f, a: float, b: float) -> float:
             return float(parts[:, 2].sum())
         split = parts[:, 4] > tol * (parts[:, 1] - parts[:, 0]) / (b - a)
         split[np.argmax(parts[:, 4])] = True
-        if len(parts) + np.count_nonzero(split) > QUAD_MAX_PIECES:
+        room = QUAD_MAX_PIECES - len(parts)  # each bisection adds one subinterval
+        if room <= 0:
             raise QuadratureError(f"integral over [{a:g}, {b:g}] not within {QUAD_TOL:g} relative "
                                   f"in {QUAD_MAX_PIECES} subintervals (error estimate {parts[:, 4].sum():.3g})")
+        if np.count_nonzero(split) > room:
+            split = np.isin(np.arange(len(parts)), np.argsort(parts[:, 4])[-room:])
         mid = (parts[split, 0] + parts[split, 1]) / 2.0
         lo, hi = np.concatenate([parts[split, 0], mid]), np.concatenate([mid, parts[split, 1]])
         parts = parts[~split]

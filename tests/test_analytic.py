@@ -88,6 +88,19 @@ class TestMehlerExponential:
         got = analytic.mehler_exponential(m, t, c, x)
         assert got == pytest.approx(quadpack_mehler_exponential(m, t, c, x), rel=1e-11)
 
+    @pytest.mark.parametrize("c, jump", [
+        ([1e-6, 0.0], hl.CompoundPoissonSpec(rate=1.5, atoms=[[1.0, 0.5]])),
+        ([0.01, 0.0], hl.CompoundPoissonSpec(rate=1.5, atoms=[[1.0, 0.5], [-1.0, -0.5]])),
+        ([0.01, 0.0], hl.CompoundPoissonSpec(
+            rate=1.5, sampler=lambda gen, size: gen.normal(size=(size, 2)),
+            exp_moment=lambda lam: float(np.exp(0.5 * lam @ lam)))),
+    ], ids=["tiny_exponent", "symmetric_atoms", "centered_gaussian"])
+    def test_small_jump_factor_matches_quadpack(self, c, jump):
+        # E exp(<lam, xi>) - 1 is at most about 1e-4 here, and its rounding about 1e-16 per node
+        m = OuLevyModel(drift_matrix=[[-1.0, 3.0], [0.0, -0.5]], noise_cov=np.eye(2), jump=jump)
+        got = analytic.mehler_exponential(m, 1.0, c, [0.3, -0.2])
+        assert got == pytest.approx(quadpack_mehler_exponential(m, 1.0, c, [0.3, -0.2]), rel=1e-11)
+
     def test_no_expm_per_quadrature_node(self, monkeypatch):
         calls = []
         expm = hl.linops.sla.expm

@@ -161,19 +161,13 @@ class TestExpInterpolant:
 class TestBesselTails:
     """The power series of ``I_k`` that certifies the interpolant's degree."""
 
-    @staticmethod
-    def _series(rho):
-        k = np.arange(1, 71)[:, None]
-        j = np.arange(15, -1, -1)
-        return ((rho / 2.0) ** (2 * j + k) / (linops._FACTORIALS[j] * linops._FACTORIALS[j + k])).sum(axis=1)
-
     def test_matches_scipy_iv(self):
         # scipy's own iv drifts to about 1e-13 above order 50, so the orders compared at
         # 1e-15 stop at 9, where it is exact to rounding; all 70 are compared to mpmath below
         special = pytest.importorskip("scipy.special")
         for rho in np.linspace(0.0, 1.0, 201):
             want = special.iv(np.arange(1, 10), rho)
-            assert np.abs(self._series(rho)[:9] - want).max() <= 1e-15 * want.max(initial=0.0)
+            assert np.abs(linops._bessel_i(rho)[:9] - want).max() <= 1e-15 * want.max(initial=0.0)
 
     def test_matches_high_precision_on_all_orders(self):
         mpmath = pytest.importorskip("mpmath")
@@ -181,7 +175,7 @@ class TestBesselTails:
             with mpmath.workdps(40):
                 want = np.array([float(mpmath.besseli(k, mpmath.mpf(rho))) for k in range(1, 71)])
             normal = want > 1e-290  # below, the float result is subnormal
-            assert (np.abs(self._series(rho) - want)[normal] <= 1e-15 * want[normal]).all()
+            assert (np.abs(linops._bessel_i(rho) - want)[normal] <= 1e-15 * want[normal]).all()
 
     def test_tails_match_scipy(self):
         for rho in np.linspace(0.0, 1.0, 101):
@@ -209,7 +203,9 @@ class TestIntegrate:
         (lambda s: np.sin(100.0 * s), 0.0, 2.0, (1.0 - math.cos(200.0)) / 100.0),
         (np.sqrt, 0.0, 1.0, 2.0 / 3.0),
         (lambda s: 1.0 / (1.0 + 0.5 * np.sin(20.0 * s)), 0.0, 3.0, None),
-    ], ids=["exp", "polynomial", "stiff_decay", "oscillating", "endpoint_singularity", "peaked"])
+        # bisecting every flagged subinterval would go from 128 to 256, past the cap of 200
+        (lambda s: np.sin(1000.0 * s), 0.0, 1.0, (1.0 - math.cos(1000.0)) / 1000.0),
+    ], ids=["exp", "polynomial", "stiff_decay", "oscillating", "endpoint_singularity", "peaked", "fills_the_cap"])
     def test_within_tolerance_of_the_integral_of_abs(self, f, a, b, want):
         import scipy.integrate
 
