@@ -43,11 +43,6 @@ class GaussianMeasure:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        fac = linops.psd_sqrt_pinv(self.cov)
-        z = gen.standard_normal((size, self.dim))
-        return self.mean + z @ fac.sqrt_matrix.T
-
 
 def invariant_measure(model: OuLevyModel) -> GaussianMeasure:
     """Gaussian steady-state law of a stable jump-free model (memoized on the model)."""

@@ -1,10 +1,10 @@
 """Dense linear-algebra primitives for Ornstein-Uhlenbeck semigroup calculus.
 
 Everything here is plain dense numpy at desk scale (d up to a few hundred):
-matrix exponentials, mean-square Gramians computed by the augmented-block
-(Van Loan) device, symmetric PSD square roots with rank-revealing
-pseudo-inverses, Lyapunov solves for the steady-state covariance, and the
-one integration rule over time, `integrate`.
+matrix exponentials and mean-square Gramians from one short-step expm (of the
+Van Loan block) and exact doubling, symmetric PSD square roots with
+rank-revealing pseudo-inverses, Lyapunov solves for the steady-state
+covariance, and the one integration rule over time, `integrate`.
 """
 
 from __future__ import annotations
@@ -81,16 +81,24 @@ def spectral_abscissa(a) -> float:
     return float(np.linalg.eigvals(as_square_matrix(a)).real.max())
 
 
-def matrix_exponential(a, t: float) -> np.ndarray:
-    """Return ``exp(t*a)`` by scaling-and-squaring (Pade approximant).
+def _short_step(a: np.ndarray, block: np.ndarray, t: float) -> tuple[int, np.ndarray]:
+    """``k = max(0, ceil(log2(|A|_1 t)))``, and the expm of ``block`` times ``h = t / 2^k``,
+    the one step from which ``e^{tA}`` is doubled.  The 1-norm costs no SVD."""
+    norm = float(np.linalg.norm(a, 1))
+    k = max(0, math.ceil(math.log2(norm) + math.log2(t))) if norm > 0 and t > 0 else 0
+    return k, sla.expm(math.ldexp(t, -k) * block)
 
-    ``t`` must be nonnegative; the result satisfies the semigroup law
-    ``exp((s+t)a) = exp(s a) exp(t a)`` to roundoff.
-    """
+
+def matrix_exponential(a, t: float) -> np.ndarray:
+    """``exp(t*a)`` for finite ``t >= 0``: the expm of ``h a`` of `_short_step`, squared ``k`` times.
+    One expm of ``t a`` erred by up to 2e-10 relative on strongly non-normal drifts; the squares by 1e-13."""
     a = as_square_matrix(a, "drift matrix")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return sla.expm(t * a)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    k, e = _short_step(a, a, t)
+    for _ in range(k):
+        e = e @ e
+    return e
 
 
 #: Error that `exp_interpolant` certifies, relative to ``max(1, max_v |e^{vA}|_2)``.
@@ -367,11 +375,13 @@ class SemigroupSnapshot:
 def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     """Compute the snapshot (propagator, Gramian, drift shift) at time ``t``.
 
-    The Gramian and drift integral are evaluated with the augmented-block
-    matrix exponential: exponentiating ``[[A, R], [0, -A']] t`` yields
-    ``int_0^t e^{(t-s)A} R e^{-sA'} ds`` in the top-right block, which equals
-    the Gramian after right-multiplication by ``e^{tA'}``.  One code path,
-    one error budget, no quadrature grid.
+    One expm of the Van Loan block ``[[A, R, a], [0, -A', 0], [0, 0, 0]] h``,
+    at the step ``h = t / 2^k`` of `_short_step`, holds ``P = e^{hA}``, the
+    shift ``m = int_0^h e^{sA} a ds`` and ``G P'^{-1}`` for the Gramian ``G``
+    at ``h``.  Then ``k`` doublings: ``G <- G + P G P'``, ``m <- m + P m``,
+    ``P <- P^2``.  The step rule exists because the ``-A'`` half of the block
+    grows like ``e^{|lambda| t}``, so a Gramian read off one expm at ``t``
+    loses digits exponentially in ``t``; a doubling only adds a PSD term.
     """
     a = as_square_matrix(a, "drift matrix")
     r = check_psd(r, "noise covariance")
@@ -379,23 +389,22 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     d = a.shape[0]
     if r.shape[0] != d or offset.shape[0] != d:
         raise ValueError("dimension mismatch between drift, covariance and offset")
-    if t <= 0:
-        raise ValueError(f"snapshot time must be positive, got {t}")
-
-    block = np.zeros((2 * d, 2 * d))
+    if not 0 < t < math.inf:
+        raise ValueError(f"snapshot time must be positive and finite, got {t}")
+    block = np.zeros((2 * d + 1, 2 * d + 1))
     block[:d, :d] = a
-    block[:d, d:] = r
-    block[d:, d:] = -a.T
-    e = sla.expm(t * block)
-    propagator = read_only(e[:d, :d])
-    gramian = e[:d, d:] @ propagator.T
-    gramian = read_only(0.5 * (gramian + gramian.T))
-
-    aug = np.zeros((d + 1, d + 1))
-    aug[:d, :d] = a
-    aug[:d, d] = offset
-    mean_shift = read_only(sla.expm(t * aug)[:d, d])
-    return SemigroupSnapshot(t=float(t), propagator=propagator, gramian=gramian, mean_shift=mean_shift)
+    block[:d, d:2 * d] = r
+    block[:d, 2 * d] = offset
+    block[d:2 * d, d:2 * d] = -a.T
+    k, e = _short_step(a, block, t)
+    p, m = e[:d, :d], e[:d, 2 * d]
+    g = e[:d, d:2 * d] @ p.T
+    for _ in range(k):
+        g = g + p @ g @ p.T
+        m = m + p @ m
+        p = p @ p
+    return SemigroupSnapshot(t=float(t), propagator=read_only(p), gramian=read_only(0.5 * (g + g.T)),
+                             mean_shift=read_only(m))
 
 
 def convolution_factor(a, r_sqrt, t: float) -> np.ndarray:

@@ -73,10 +73,10 @@ class OuLevyModel:
     offset, optional compound-Poisson jump part.
 
     Keeps read-only copies of its arrays and memoizes, with read-only arrays,
-    what it derives from them: snapshots, propagators and the interpolant of
-    ``e^{vA}`` per ``t``, the noise root, the steady covariance, the stability
-    flag, the adjoint dynamics, and the sampler's state: the drift's eigenbasis
-    transport and the path-step samplers.
+    what it derives from them: the snapshot per ``t``, whose propagator is the
+    model's only ``e^{tA}``, the interpolant of ``e^{vA}`` per ``t``, the noise
+    root, the steady covariance, the stability flag, the adjoint dynamics, and
+    the sampler's state: the drift's eigenbasis transport and path-step samplers.
     """
 
     drift_matrix: np.ndarray
@@ -118,10 +118,6 @@ class OuLevyModel:
     def snapshot(self, t: float) -> linops.SemigroupSnapshot:
         return self._memoized(("snapshot", float(t)), lambda: linops.semigroup_snapshot(
             self.drift_matrix, self.noise_cov, self.drift_offset, t))
-
-    def propagator(self, t: float) -> np.ndarray:
-        return self._memoized(("propagator", float(t)),
-                              lambda: linops.read_only(linops.matrix_exponential(self.drift_matrix, t)))
 
     def noise_sqrt(self) -> linops.PsdFactorization:
         return self._memoized("noise_sqrt", lambda: linops.psd_sqrt_pinv(self.noise_cov))
@@ -228,7 +224,7 @@ def verify_h_condition(model: OuLevyModel, h: HFunction, times, probes) -> HCond
         if not hv > 0:
             raise ValueError(f"decay profile must be positive, got h({t}) = {hv}")
         rhs = float(np.sqrt(hv)) * sqrt_norms
-        v = rx @ model.propagator(t).T
+        v = rx @ linops.matrix_exponential(model.drift_matrix, t).T
         lhs = np.where(rfac.in_range(v), np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1), np.inf)
         ratio = np.divide(lhs, rhs, out=np.full_like(lhs, np.inf), where=rhs > 0)
         ratio[(lhs <= H_CONDITION_SLACK) & (rhs <= H_CONDITION_SLACK)] = 0.0
@@ -353,7 +349,7 @@ class AdjointModel:
         return model
 
     def propagator(self, t: float) -> np.ndarray:
-        return self.as_model().propagator(t)
+        return self.as_model().snapshot(t).propagator
 
     def gramian(self, t: float) -> np.ndarray:
         return self.as_model().snapshot(t).gramian

@@ -558,7 +558,7 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
         raise ValueError("at least 100 replicates are required")
     _require_semilinear_setting(model)
     x = np.asarray(x, dtype=float).reshape(-1)
-    end_term = model.propagator(t) @ x
+    end_term = model.snapshot(t).propagator @ x
     value = RunningMoments()
     for conv, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
         value.add(np.exp(log_rho) * eval_rows(f, conv + end_term))

@@ -282,7 +282,7 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     if not gam.in_domain:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "x - y outside the steerable domain")
-    prop = model.propagator(t)
+    prop = model.snapshot(t).propagator
     term_x, term_y = prop @ x, prop @ y
     at_x, at_y, diff = sampler.RunningMoments(), sampler.RunningMoments(), sampler.RunningMoments()
     for noise in sampler.iter_endpoint_noise(model, t, n, sampler.mix_seed(seed, 1)):

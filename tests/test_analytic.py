@@ -108,8 +108,8 @@ class TestMehlerExponential:
         m = OuLevyModel(drift_matrix=[[-1.0, 30.0], [-30.0, -1.0]], noise_cov=np.eye(2), jump=hl.CompoundPoissonSpec(
             rate=2.0, atoms=[[1.0, 0.0], [0.0, -1.0]]))
         analytic.mehler_exponential(m, 2.0, [0.3, 0.1], [0.5, 0.0])
-        # the snapshot's two blocks, then the interpolant's step and its stacked nodes
-        assert [len(shape) for shape in calls] == [2, 2, 2, 3]
+        # the snapshot's one block, then the interpolant's step and its stacked nodes
+        assert [len(shape) for shape in calls] == [2, 2, 3]
 
     def test_drift_beyond_interpolant_budget_raises(self):
         # a fast-rotating Jordan drift: 1e5 interpolation pieces on [0, 1]

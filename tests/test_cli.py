@@ -275,6 +275,42 @@ class TestMain:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _spread_drift_config(t):
+    """A = Q diag(-1, -10) Q' with Q a rotation by 0.6 rad, R = I: four Gaussian checks at ``t``."""
+    q = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+    checks = [
+        {"kind": "density_norm", "id": "density_norm", "t": t, "x": [1.0, 0.5], "alpha": 2.0},
+        {"kind": "entropy_cost", "id": "entropy_cost", "t": t, "nu": {"mean": [1.0, 0.0], "cov": np.eye(2).tolist()}},
+        {"kind": "kernel_kl", "id": "kernel_kl", "t": t, "x": [1.0, 0.5], "y": [0.0, 0.0]},
+        {"kind": "harnack", "id": "harnack", "t": t, "x": [1.0, 0.5], "y": [0.0, 0.0], "alpha": 2.0,
+         "f": {"kind": "exp", "c": [0.3, 0.1]}, "bound_mode": "exact_gamma"},
+    ]
+    return q, {"dim": 2, "A": (q @ np.diag([-1.0, -10.0]) @ q.T).tolist(), "R": np.eye(2).tolist(),
+               "a": [0.0, 0.0], "seed": 5, "checks": checks}
+
+
+class TestLongHorizon:
+    @pytest.mark.parametrize("t", [4.0, 8.0])
+    def test_spread_spectrum_holds(self, tmp_path, t):
+        # one expm of the Van Loan block at t made these rows VIOLATED (t = 4)
+        # and a "negative eigenvalue" input error (t = 8)
+        q, cfg = _spread_drift_config(t)
+        path, out = tmp_path / "spread.json", tmp_path / "spread.csv"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        with out.open() as fh:
+            lhs = {row["check_id"]: float(row["lhs"]) for row in csv.DictReader(fh)}
+        # the adjoint of a symmetric drift with R = I is the drift itself, and the
+        # law at t from nu = N([1, 0], I) is N(m, S + D): m = P [1, 0], D = P (I - S) P'
+        p = q @ np.diag(np.exp([-t, -10.0 * t])) @ q.T
+        s = q @ np.diag([0.5, 0.05]) @ q.T
+        m, root = p @ [1.0, 0.0], np.linalg.cholesky(s)
+        w = np.linalg.eigvalsh(np.linalg.solve(root, np.linalg.solve(root, p @ (np.eye(2) - s) @ p.T).T))
+        want = 0.5 * (float(np.sum(w - np.log1p(w))) + m @ np.linalg.solve(s, m))
+        # gaussian_kl sums terms of order one, so it carries a few eps of absolute rounding
+        assert lhs["entropy_cost"] == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+
 class TestSweep:
     def test_sharpness_sweep_touches_zero(self, tmp_path):
         cfg = {

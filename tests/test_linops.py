@@ -42,6 +42,16 @@ class TestMatrixExponential:
             right = linops.matrix_exponential(a, s) @ linops.matrix_exponential(a, t)
             assert np.abs(left - right).max() <= 1e-10 * (1.0 + np.abs(left).max())
 
+    def test_non_normal_drifts_against_high_precision_oracle(self):
+        # one expm of tA errs by up to 3.4e-11 relative on these drifts, the squared short step by 8.7e-14
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            a, t = _drift("nonnormal", 6, rng), rng.uniform(0.5, 5.0)
+            with mpmath.workdps(40):
+                want = np.array(mpmath.expm(mpmath.matrix(t * a)).tolist(), dtype=float)
+            assert np.linalg.norm(linops.matrix_exponential(a, t) - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             linops.matrix_exponential(np.zeros((2, 3)), 1.0)
@@ -286,6 +296,45 @@ class TestSemigroupSnapshot:
         grams = [linops.semigroup_snapshot(a, r, np.zeros(3), t).gramian for t in times]
         for early, late in zip(grams, grams[1:]):
             assert np.linalg.eigvalsh(late - early).min() >= -1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5), decades=st.floats(2.0, 2.5),
+           t=st.floats(0.1, 50.0), normal=st.booleans())
+    def test_long_horizon_matches_the_lyapunov_route(self, seed, dim, decades, t, normal):
+        # decay rates from 0.1 to 0.1 * 10^decades in a random orthonormal basis;
+        # the non-normal variant adds a strictly upper triangle in that basis
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        rates = 10.0 ** np.concatenate([[-1.0, decades - 1.0], rng.uniform(-1.0, decades - 1.0, dim - 2)])
+        upper = 0.0 if normal else np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
+        a = q @ (upper - np.diag(rates)) @ q.T
+        r, offset = make_psd(rng, dim, ridge=0.1), rng.normal(size=dim)
+        snap = linops.semigroup_snapshot(a, r, offset, t)
+        p = expm_marching(a, [t])[0]
+        s = sla.solve_continuous_lyapunov(a, -r)
+        assert np.linalg.norm(snap.gramian - (s - p @ s @ p.T), 2) <= 1e-12 * np.linalg.norm(s, 2)
+        shift = np.linalg.solve(a, (p - np.eye(dim)) @ offset)
+        assert np.linalg.norm(snap.mean_shift - shift) <= 1e-12 * np.linalg.norm(shift)
+
+    @pytest.mark.parametrize("t", [710.0, 800.0])
+    def test_scalar_gramian_at_long_horizons(self, t):
+        # one expm of the block at t gave inf (t = 710) and NaN (t = 800)
+        snap = linops.semigroup_snapshot([[-1.0]], [[2.0]], [0.0], t)
+        assert snap.gramian[0, 0] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            linops.semigroup_snapshot([[-1.0]], [[2.0]], [0.0], t)
+        with pytest.raises(ValueError, match="finite"):
+            linops.matrix_exponential([[-1.0]], t)
+
+    def test_one_expm_per_snapshot(self, monkeypatch):
+        calls = []
+        expm = linops.sla.expm
+        monkeypatch.setattr(linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        linops.semigroup_snapshot(np.array([[-1.0, 3.0], [0.0, -20.0]]), np.eye(2), np.ones(2), 5.0)
+        assert calls == [(5, 5)]
 
     def test_non_psd_noise_rejected(self):
         with pytest.raises(linops.NotPsdError):

@@ -333,6 +333,17 @@ class TestHwi:
                                HFunction.exponential(2.0), 0.8, use_h_bound=True)
         assert rep.verdict in PASS
 
+    def test_expm_calls_on_a_fresh_model(self, monkeypatch):
+        # eight certificate times, then one snapshot of the adjoint at t
+        calls = []
+        expm = hl.linops.sla.expm
+        monkeypatch.setattr(hl.linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        model = OuLevyModel(drift_matrix=-np.diag([1.0, 2.0, 3.0]), noise_cov=np.eye(3))
+        rep = verify.check_hwi(model, GaussianMeasure(mean=[1.0, 0.0, 0.0], cov=np.eye(3)),
+                               HFunction.exponential(2.0), 0.8)
+        assert rep.verdict in PASS
+        assert calls == [(3, 3)] * 8 + [(7, 7)]
+
     def test_uncertified_profile_rejected(self, scalar_model):
         with pytest.raises(ValueError, match="certified"):
             verify.check_hwi(scalar_model, GaussianMeasure(mean=[1.0], cov=[[1.0]]),
