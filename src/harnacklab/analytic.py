@@ -11,7 +11,7 @@ in the test suite before the verification layer is allowed to rely on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,20 +24,31 @@ class SingularityError(ValueError):
     covariance on the relevant support)."""
 
 
+def _full_rank(fac: linops.PsdFactorization, name: str) -> linops.PsdFactorization:
+    """``fac``, or `SingularityError` when its rank (`linops.psd_rank`) is below its dimension."""
+    if fac.rank < fac.dim:
+        raise SingularityError(f"{name} is singular: density does not exist on the support")
+    return fac
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMeasure:
-    """Mean-covariance pair, held as read-only copies; covariance must be symmetric PSD."""
+    """Mean-covariance pair, held as read-only copies; covariance must be symmetric PSD.
+    ``factor``, its `linops.psd_sqrt_pinv` factorization (one ``eigh``), is the PSD check,
+    and every closed form below reads it."""
 
     mean: np.ndarray
     cov: np.ndarray
+    factor: linops.PsdFactorization = field(init=False, repr=False)
 
     def __post_init__(self):
-        cov = linops.check_psd(self.cov, "covariance")
+        cov = linops.check_symmetric(self.cov, "covariance")
         mean = np.array(self.mean, dtype=float).reshape(-1)
         if mean.shape[0] != cov.shape[0]:
             raise ValueError("mean and covariance dimensions differ")
         object.__setattr__(self, "mean", linops.read_only(mean))
         object.__setattr__(self, "cov", linops.read_only(cov))
+        object.__setattr__(self, "factor", linops.psd_sqrt_pinv(cov))
 
     @property
     def dim(self) -> int:
@@ -81,22 +92,6 @@ def pushforward_adjoint(adjoint: AdjointModel, nu: GaussianMeasure, t: float) ->
     mean = adjoint.m_inf + prop @ (nu.mean - adjoint.m_inf)
     cov = prop @ nu.cov @ prop.T + adjoint.gramian(t)
     return GaussianMeasure(mean=mean, cov=0.5 * (cov + cov.T))
-
-
-def _solve_spd(s: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
-    try:
-        c = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(f"{name} is singular: density does not exist on the support") from exc
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
-
-
-def _logdet_spd(s: np.ndarray, name: str) -> float:
-    sign, val = np.linalg.slogdet(s)
-    if sign <= 0:
-        raise SingularityError(f"{name} is singular: density does not exist on the support")
-    return float(val)
 
 
 def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
@@ -165,24 +160,22 @@ def convolution_square_exp_moment(model: OuLevyModel, t: float, lam: float) -> f
     return float(np.exp(-0.5 * log_det - 0.5 * t * np.trace(a)))
 
 
-def _equal_cov_quadratic(model: OuLevyModel, t: float, x, y) -> float:
-    """``<R_t^{-1} T_t(x-y), T_t(x-y)>`` for nonsingular ``R_t``."""
+def _kernel_energy(model: OuLevyModel, t: float, x, y) -> float:
+    """Squared minimum-energy norm of ``x - y`` (`control.gamma_norm`), ``inf`` off the Gramian's range."""
     if model.has_jumps:
         raise ValueError("kernel quantities require a jump-free model")
-    snap = model.snapshot(t)
-    delta = snap.propagator @ (np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).reshape(-1)
-    return float(delta @ _solve_spd(snap.gramian, delta, "time-t covariance"))
+    if not model.is_stable():
+        raise linops.UnstableMatrixError("kernel comparison needs an invariant law")
+    return control.gamma_norm(model, t, np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).value ** 2
 
 
 def heat_kernel_kl(model: OuLevyModel, t: float, x, y) -> float:
     """Relative entropy between the transition laws from ``x`` and from ``y``.
 
     Equals half the squared minimum-energy norm of ``x - y``; requires a
-    stable jump-free model with nonsingular time-``t`` covariance.
+    stable jump-free model.
     """
-    if not model.is_stable():
-        raise linops.UnstableMatrixError("heat-kernel comparison needs an invariant law")
-    return 0.5 * _equal_cov_quadratic(model, t, x, y)
+    return 0.5 * _kernel_energy(model, t, x, y)
 
 
 def kernel_harnack_lhs(model: OuLevyModel, t: float, x, y, alpha: float) -> float:
@@ -191,59 +184,51 @@ def kernel_harnack_lhs(model: OuLevyModel, t: float, x, y, alpha: float) -> floa
 
     For equal-covariance Gaussian transition kernels the log density ratio is
     linear in ``z``, so the integral is a Gaussian exponential moment with
-    value ``exp(alpha q / (2 (alpha-1)^2))`` where ``q`` is the quadratic
-    form of ``x - y`` under the inverse time-``t`` covariance.  Validated
-    against a Monte Carlo oracle in the tests.
+    value ``exp(alpha q / (2 (alpha-1)^2))`` where ``q`` is the squared
+    minimum-energy norm of ``x - y``.  Validated against a Monte Carlo
+    oracle in the tests.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    if not model.is_stable():
-        raise linops.UnstableMatrixError("kernel comparison needs an invariant law")
-    q = _equal_cov_quadratic(model, t, x, y)
-    return float(np.exp(alpha * q / (2.0 * (alpha - 1.0) ** 2)))
+    return float(np.exp(alpha * _kernel_energy(model, t, x, y) / (2.0 * (alpha - 1.0) ** 2)))
 
 
 def gaussian_exp_integral(mu: GaussianMeasure, beta: float, x) -> float:
     """``int exp(-beta |x - y|^2) mu(dy)`` in closed form.
 
     Equals ``exp(-beta d' (I + 2 beta S)^{-1} d) / sqrt(det(I + 2 beta S))``
-    for ``d = x - mean`` and covariance ``S``.
+    for ``d = x - mean`` and covariance ``S``, read in the eigenbasis of ``S``.
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0.0:
         return 1.0
-    d = np.asarray(x, dtype=float).reshape(-1) - mu.mean
-    s = np.eye(mu.dim) + 2.0 * beta * mu.cov
-    val = -beta * float(d @ np.linalg.solve(s, d)) - 0.5 * _logdet_spd(s, "exp-integral matrix")
-    return float(np.exp(val))
+    z = mu.factor.eigenvectors.T @ (np.asarray(x, dtype=float).reshape(-1) - mu.mean)
+    scaled = 2.0 * beta * mu.factor.eigenvalues
+    return float(np.exp(-beta * float(np.sum(z**2 / (1.0 + scaled))) - 0.5 * float(np.sum(np.log1p(scaled)))))
 
 
-def _gaussian_power_integral(m1, s1, a: float, m2, s2, b: float) -> float:
-    """``int q1(z)^a q2(z)^b dz`` for Gaussian densities q1, q2, a + b = 1.
+def _gaussian_power_integral(m1, f1: linops.PsdFactorization, a: float,
+                             m2, f2: linops.PsdFactorization, b: float) -> float:
+    """``int q1(z)^a q2(z)^b dz`` for Gaussian densities q1, q2 with means
+    ``m1, m2`` and covariance factorizations ``f1, f2``, a + b = 1.
 
-    Returns ``inf`` when the combined precision ``a P1 + b P2`` is not
-    positive definite (the moment diverges).
+    Returns ``inf`` when the combined precision ``P = a P1 + b P2`` is not
+    positive definite (the moment diverges).  One ``eigh`` of ``P`` gives that
+    test, its log-determinant and the solve.
     """
     if abs(a + b - 1.0) > 1e-12:
         raise ValueError("exponents must sum to one")
-    m1 = np.asarray(m1, dtype=float).reshape(-1)
-    m2 = np.asarray(m2, dtype=float).reshape(-1)
-    p1 = _solve_spd(np.asarray(s1, dtype=float), np.eye(m1.shape[0]), "first covariance")
-    p2 = _solve_spd(np.asarray(s2, dtype=float), np.eye(m2.shape[0]), "second covariance")
+    p1 = _full_rank(f1, "first covariance").pinv_matrix
+    p2 = _full_rank(f2, "second covariance").pinv_matrix
     p = a * p1 + b * p2
-    p = 0.5 * (p + p.T)
-    if np.linalg.eigvalsh(p).min() <= 0:
+    w, v = np.linalg.eigh(0.5 * (p + p.T))
+    if w.min() <= 0:
         return float("inf")
-    v = a * (p1 @ m1) + b * (p2 @ m2)
+    u = v.T @ (a * (p1 @ m1) + b * (p2 @ m2))
     c = a * float(m1 @ p1 @ m1) + b * float(m2 @ p2 @ m2)
-    log_val = (
-        -0.5 * a * _logdet_spd(np.asarray(s1, dtype=float), "first covariance")
-        - 0.5 * b * _logdet_spd(np.asarray(s2, dtype=float), "second covariance")
-        - 0.5 * _logdet_spd(p, "combined precision")
-        + 0.5 * (float(v @ np.linalg.solve(p, v)) - c)
-    )
-    return float(np.exp(log_val))
+    log_det = a * np.log(f1.eigenvalues).sum() + b * np.log(f2.eigenvalues).sum() + np.log(w).sum()
+    return float(np.exp(-0.5 * float(log_det) + 0.5 * (float(np.sum(u**2 / w)) - c)))
 
 
 def density_norm_bound(model: OuLevyModel, t: float, x, alpha: float) -> tuple[float, float]:
@@ -257,9 +242,10 @@ def density_norm_bound(model: OuLevyModel, t: float, x, alpha: float) -> tuple[f
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     mu = invariant_measure(model)
-    law = transition_law(model, t, x)
+    snap = model.snapshot(t)
     conj = alpha / (alpha - 1.0)
-    moment = _gaussian_power_integral(law.mean, law.cov, conj, mu.mean, mu.cov, 1.0 - conj)
+    moment = _gaussian_power_integral(snap.propagator @ x + snap.mean_shift, snap.gramian_sqrt, conj,
+                                      mu.mean, mu.factor, 1.0 - conj)
     lhs = moment ** (1.0 / conj)
     op = control.gamma_operator_norm(model, t)
     if not np.isfinite(op):
@@ -288,7 +274,7 @@ def hyper_constant(model: OuLevyModel, t: float, alpha: float, eps: float) -> fl
     beta = alpha * op**2 / (2.0 * (alpha - 1.0))
     if beta == 0.0:
         return 1.0
-    r = np.linalg.eigvalsh(mu.cov)
+    r = mu.factor.eigenvalues
     log_det_term = 0.5 * (1.0 + eps) * float(np.sum(np.log1p(2.0 * beta * r)))
     s = beta * (1.0 + eps) * r / (1.0 + 2.0 * beta * r)
     if (2.0 * s >= 1.0).any():
@@ -297,22 +283,26 @@ def hyper_constant(model: OuLevyModel, t: float, alpha: float, eps: float) -> fl
 
 
 def gaussian_kl(nu: GaussianMeasure, mu: GaussianMeasure) -> float:
-    """Relative entropy ``KL(nu || mu)`` of Gaussian measures."""
+    """Relative entropy ``KL(nu || mu)`` of Gaussian measures, with covariances ``Sigma`` and ``S``.
+
+    It is ``(sum (w - log1p w) + |S^{-1/2} (m_nu - m_mu)|^2) / 2`` for the eigenvalues
+    ``w`` of ``S^{-1/2} (Sigma - S) S^{-1/2}``: nonnegative terms, so a small divergence
+    keeps its relative accuracy, which ``tr(S^{-1} Sigma) - d + log det S - log det Sigma`` loses.
+    """
     if nu.dim != mu.dim:
         raise ValueError("dimension mismatch")
-    d = nu.dim
-    p2 = _solve_spd(mu.cov, np.eye(d), "reference covariance")
-    diff = mu.mean - nu.mean
-    logdet1 = _logdet_spd(nu.cov, "first covariance")
-    logdet2 = _logdet_spd(mu.cov, "reference covariance")
-    return 0.5 * float(np.trace(p2 @ nu.cov) + diff @ p2 @ diff - d + logdet2 - logdet1)
+    _full_rank(nu.factor, "first covariance")
+    root = _full_rank(mu.factor, "reference covariance").pinv_sqrt_matrix
+    w = np.linalg.eigvalsh(root @ (nu.cov - mu.cov) @ root)
+    z = root @ (nu.mean - mu.mean)
+    return 0.5 * float(np.sum(w - np.log1p(w)) + z @ z)
 
 
 def gaussian_w2(nu: GaussianMeasure, mu: GaussianMeasure) -> float:
     """Quadratic transport distance between Gaussian measures."""
     if nu.dim != mu.dim:
         raise ValueError("dimension mismatch")
-    root2 = linops.psd_sqrt_pinv(mu.cov).sqrt_matrix
+    root2 = mu.factor.sqrt_matrix
     inner = root2 @ nu.cov @ root2
     cross = linops.psd_sqrt_pinv(0.5 * (inner + inner.T)).sqrt_matrix
     sq = float(np.sum((nu.mean - mu.mean) ** 2) + np.trace(nu.cov + mu.cov - 2.0 * cross))
@@ -329,9 +319,8 @@ def fisher_information(model: OuLevyModel, nu: GaussianMeasure, mu: GaussianMeas
     """
     if nu.dim != mu.dim or nu.dim != model.dim:
         raise ValueError("dimension mismatch")
-    d = nu.dim
-    p_nu = _solve_spd(nu.cov, np.eye(d), "first covariance")
-    p_mu = _solve_spd(mu.cov, np.eye(d), "reference covariance")
+    p_nu = _full_rank(nu.factor, "first covariance").pinv_matrix
+    p_mu = _full_rank(mu.factor, "reference covariance").pinv_matrix
     g = 0.5 * (p_mu - p_nu)
     b = 0.5 * (p_nu @ nu.mean - p_mu @ mu.mean)
     r = model.noise_cov

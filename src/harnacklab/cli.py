@@ -84,6 +84,17 @@ def _vector(d, key, path, dim, default=None):
     return v
 
 
+def _typed(d: dict, key: str, path: str, kind: type, default):
+    """Field ``key`` of type ``int`` or ``bool``; a float with an integral value (``1e5``) is an ``int``."""
+    v = d.get(key, default)
+    if kind is int and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if type(v) is not kind:  # True is no int, and 0 no bool
+        want = "an integer" if kind is int else "true or false"
+        raise SchemaError(f"{path}.{key}: must be {want}, got {reprlib.repr(v)}")
+    return v
+
+
 def _reject_non_finite(node, path: str) -> None:
     """Raise `SchemaError` at the first number under ``node`` that is no finite float: JSON
     ``NaN``, ``Infinity``, ``1e999`` or an integer beyond the float range."""
@@ -215,8 +226,8 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
     path = f"check {cid}"
     dim = model.dim
     seed = entry["seed"]
-    n = int(samples if samples is not None else entry.get("n", DEFAULT_SAMPLES))
-    grid = int(entry.get("K", DEFAULT_GRID_STEPS))
+    n = samples if samples is not None else _typed(entry, "n", path, int, DEFAULT_SAMPLES)
+    grid = _typed(entry, "K", path, int, DEFAULT_GRID_STEPS)
     t = float(_need(entry, "t", path))
 
     if kind in ("harnack", "log_harnack", "gradient", "semilinear_harnack"):
@@ -265,7 +276,7 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
         nu = _parse_nu(_need(entry, "nu", path), f"{path}.nu", dim)
         h = _parse_h(_need(entry, "h", path), f"{path}.h")
         return [verify.check_hwi(model, nu, h, t,
-                                 use_h_bound=bool(entry.get("use_h_bound", False)), check_id=cid)]
+                                 use_h_bound=_typed(entry, "use_h_bound", path, bool, False), check_id=cid)]
 
     if kind == "rho_moments":
         x = _vector(entry, "x", path, dim)

@@ -368,7 +368,8 @@ class AdjointModel:
 def invariant_mean(model: OuLevyModel) -> np.ndarray:
     if not model.is_stable():
         raise linops.UnstableMatrixError("unstable drift: no invariant mean")
-    return np.linalg.solve(model.drift_matrix, -model.drift_offset)
+    return model._memoized("invariant_mean", lambda: linops.read_only(
+        np.linalg.solve(model.drift_matrix, -model.drift_offset)))
 
 
 def build_adjoint(model: OuLevyModel) -> AdjointModel:
@@ -381,7 +382,7 @@ def build_adjoint(model: OuLevyModel) -> AdjointModel:
     if model.has_jumps:
         raise ValueError("adjoint construction requires a jump-free model")
     r_inf = model.steady_covariance()
-    if linops.psd_rank(np.linalg.eigvalsh(r_inf)) < model.dim:
+    if "adjoint" not in model._memo and linops.psd_rank(np.linalg.eigvalsh(r_inf)) < model.dim:
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
     # memoize the adjoint dynamics, not the AdjointModel: it refers to the model
     adjoint = model._memoized("adjoint", lambda: OuLevyModel(

@@ -69,9 +69,18 @@ class RngStream:
 
 
 def _stream_blocks(seed: int, n: int) -> Iterator[tuple[np.random.Generator, int]]:
-    """Fixed-size replicate blocks, one keyed stream per block."""
-    for block, done in enumerate(range(0, n, MC_BLOCK)):
-        yield RngStream(seed, block).generator(), min(MC_BLOCK, n - done)
+    """Fixed-size replicate blocks, one keyed stream per block, for ``n >= 100`` replicates."""
+    if n < 100:
+        raise ValueError("at least 100 replicates are required")
+    return ((RngStream(seed, block).generator(), min(MC_BLOCK, n - done))
+            for block, done in enumerate(range(0, n, MC_BLOCK)))
+
+
+def _grid_step(t: float, K: int) -> float:
+    """Step ``t / K`` of a path estimator's grid of ``K >= 1`` steps."""
+    if K < 1:
+        raise ValueError("grid size must be at least 1")
+    return t / K
 
 
 @dataclass(frozen=True)
@@ -288,8 +297,6 @@ def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, see
     ``(m,)`` values, and any other shape raises ``ValueError``.  Estimation
     aborts on the first non-finite value of ``f``.
     """
-    if n < 100:
-        raise ValueError("at least 100 replicates are required")
     x = np.asarray(x, dtype=float).reshape(-1)
     start = model.snapshot(t).propagator @ x
     acc = RunningMoments()
@@ -367,8 +374,8 @@ def girsanov_functional_estimates(
     per-replicate values.  One pass over the increments serves all
     functionals, with one accumulator per functional.
     """
+    delta = _grid_step(t, K)
     grid = np.linspace(0.0, t, K + 1)
-    delta = t / K
     if callable(u):
         uvals = np.array([np.asarray(u(s), dtype=float).reshape(-1) for s in grid[:-1]])
     else:
@@ -451,7 +458,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     if not ctrl.accepted:
         raise ControlRejectedError(f"null control rejected: terminal residual {ctrl.terminal_residual:.3e}")
     u = ctrl.values[:-1]
-    delta = t / K
+    delta = _grid_step(t, K)
     step = _step_sampler(model, delta)
     snap = model.snapshot(t)
     transport = _jump_transport(model, t) if model.has_jumps else None
@@ -489,8 +496,6 @@ def coupled_expectation(model: OuLevyModel, t: float, x, y,
                         g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         n: int, K: int, seed: int) -> McEstimate:
     """Monte Carlo mean of ``g(rho, endpoint)`` over coupled-pair replicates."""
-    if n < 100:
-        raise ValueError("at least 100 replicates are required")
     acc = RunningMoments()
     for endpoints, log_rho, _ in _coupled_blocks(model, t, x, y, K, _stream_blocks(seed, n)):
         acc.add(g(np.exp(log_rho), endpoints))
@@ -513,7 +518,7 @@ def _semilinear_blocks(model, spec, t, x, K, seed, n):
     """Path blocks for the perturbed-drift weight: yields per-block final
     convolution values and log-weights."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    delta = t / K
+    delta = _grid_step(t, K)
     step = _step_sampler(model, delta)
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
@@ -554,8 +559,6 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     ``rho * f(endpoint)``, from one pass on the given grid: the weight is an
     exact martingale at every ``K``, so no finer grid would move its mean.
     """
-    if n < 100:
-        raise ValueError("at least 100 replicates are required")
     _require_semilinear_setting(model)
     x = np.asarray(x, dtype=float).reshape(-1)
     end_term = model.snapshot(t).propagator @ x

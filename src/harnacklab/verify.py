@@ -367,28 +367,14 @@ def check_entropy_cost(model: OuLevyModel, nu: analytic.GaussianMeasure, t: floa
     mu = analytic.invariant_measure(model)
     w2_sq = analytic.gaussian_w2(nu, mu) ** 2
 
-    push_adj = analytic.pushforward_adjoint(adj, nu, t)
-    op_adj = adj.gamma_operator_norm(t)
-    rep_forward = _report(
-        check_id,
-        analytic.gaussian_kl(push_adj, mu),
-        0.5 * op_adj**2 * w2_sq,
-        0.0, 0.0,
-        _echo(t=t, nu=_measure_echo(nu), variant="forward_semigroup", operator_norm=op_adj),
-        0,
-    )
+    def variant(rid: str, push: analytic.GaussianMeasure, op: float, name: str) -> CheckReport:
+        return _report(rid, analytic.gaussian_kl(push, mu), 0.5 * op**2 * w2_sq, 0.0, 0.0,
+                       _echo(t=t, nu=_measure_echo(nu), variant=name, operator_norm=op), 0)
 
-    push = analytic.ou_pushforward(model, nu, t)
-    op = control.gamma_operator_norm(model, t)
-    rep_adjoint = _report(
-        check_id + "_adjoint",
-        analytic.gaussian_kl(push, mu),
-        0.5 * op**2 * w2_sq,
-        0.0, 0.0,
-        _echo(t=t, nu=_measure_echo(nu), variant="adjoint_semigroup", operator_norm=op),
-        0,
-    )
-    return rep_forward, rep_adjoint
+    return (variant(check_id, analytic.pushforward_adjoint(adj, nu, t), adj.gamma_operator_norm(t),
+                    "forward_semigroup"),
+            variant(check_id + "_adjoint", analytic.ou_pushforward(model, nu, t),
+                    control.gamma_operator_norm(model, t), "adjoint_semigroup"))
 
 
 def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t: float,

@@ -390,6 +390,18 @@ class TestGaussianFunctionals:
         with pytest.raises(analytic.SingularityError):
             analytic.gaussian_kl(nu, mu)
 
+    def test_rank_rule_decides_singularity(self):
+        # an eigenvalue at or below DEFAULT_RANK_TOL of the largest is zero, as for every
+        # other covariance; a Cholesky factor used to accept diag(1, 1e-11) as a density
+        mu = GaussianMeasure(mean=[0.0, 0.0], cov=np.eye(2))
+        nu = GaussianMeasure(mean=[0.5, 0.0], cov=np.diag([1.0, 1e-9]))
+        want = 0.5 * (1e-9 - 1.0 - np.log(1e-9) + 0.25)
+        # log1p(w) at w = 1e-9 - 1 carries about eps / 1e-9 of absolute error
+        assert analytic.gaussian_kl(nu, mu) == pytest.approx(want, rel=1e-8)
+        nu = GaussianMeasure(mean=[0.5, 0.0], cov=np.diag([1.0, 1e-11]))
+        with pytest.raises(analytic.SingularityError, match="first covariance"):
+            analytic.gaussian_kl(nu, mu)
+
     def test_jump_model_has_no_closed_invariant_law(self, jump_model):
         with pytest.raises(ValueError):
             analytic.invariant_measure(jump_model)

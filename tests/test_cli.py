@@ -274,6 +274,51 @@ class TestMain:
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("check, field, message", [
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5}, {"n": 0}, "at least 100 replicates"),
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5}, {"n": 1}, "at least 100 replicates"),
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5}, {"n": 2}, "at least 100 replicates"),
+        ({"kind": "gradient", "y": [0.0], "f": {"kind": "tanh", "c": [1.0]}}, {"n": 0}, "at least 100 replicates"),
+        ({"kind": "gradient", "y": [0.0], "f": {"kind": "tanh", "c": [1.0]}}, {"n": 1}, "at least 100 replicates"),
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5}, {"n": 200, "K": 0}, "grid size must be at least 1"),
+        ({"kind": "semilinear_harnack", "y": [0.0], "alpha": 4.0, "p": 1.3, "q": 1.3,
+          "f": {"kind": "tanh", "c": [1.0]}}, {"n": 200, "K": 0}, "grid size must be at least 1"),
+    ])
+    def test_too_few_replicates_or_grid_steps_exit_three(self, tmp_path, capsys, check, field, message):
+        # these divided by zero (exit 1, the VIOLATED code), or gave a verdict from two samples
+        cfg = minimal_config(checks=[{"id": "c", "t": 1.0, "x": [0.4], "F": {"kind": "zero"}, **check, **field}])
+        path = tmp_path / "few.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n", 1000.5, "check c.n: must be an integer, got 1000.5"),
+        ("n", "1000", "check c.n: must be an integer, got '1000'"),
+        ("K", True, "check c.K: must be an integer, got True"),
+        ("use_h_bound", "false", "check c.use_h_bound: must be true or false, got 'false'"),
+        ("use_h_bound", 0, "check c.use_h_bound: must be true or false, got 0"),
+    ])
+    def test_wrong_field_type_exits_three(self, tmp_path, capsys, field, value, message):
+        # "false" ran the symmetric variant (bool("false") is True), and 1000.5 ran 1000 samples
+        check = {"kind": "hwi", "id": "c", "t": 1.0, "nu": {"mean": [1.0], "cov": [[1.0]]},
+                 "h": {"kind": "exponential", "rate": 1.0}, field: value}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(minimal_config(checks=[check])))
+        assert cli.main(["--config", str(path)]) == 3
+        assert message in capsys.readouterr().err
+
+    def test_integral_float_count_renders_the_same_bytes(self, tmp_path):
+        texts = []
+        for n in (1000, 1e3):
+            check = {"kind": "gradient", "id": "g", "t": 1.0, "x": [0.4], "y": [0.0],
+                     "f": {"kind": "tanh", "c": [1.0]}, "n": n, "K": 16.0}
+            path, out = tmp_path / "count.json", tmp_path / f"count_{n!r}.csv"
+            path.write_text(json.dumps(minimal_config(checks=[check])))
+            assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
 
 def _spread_drift_config(t):
     """A = Q diag(-1, -10) Q' with Q a rotation by 0.6 rad, R = I: four Gaussian checks at ``t``."""
@@ -309,6 +354,33 @@ class TestLongHorizon:
         want = 0.5 * (float(np.sum(w - np.log1p(w))) + m @ np.linalg.solve(s, m))
         # gaussian_kl sums terms of order one, so it carries a few eps of absolute rounding
         assert lhs["entropy_cost"] == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [8.0, 16.0, 30.0])
+    def test_entropy_cost_adjoint_against_a_50_digit_oracle(self, t):
+        # the sum tr(S^-1 Sigma) - d + log det S - log det Sigma + m' S^-1 m erred 6.9e-10
+        # relative at t = 8 and 3.8e-3 at t = 16, and read -2.2e-16 at t = 30
+        mpmath = pytest.importorskip("mpmath")
+        _, cfg = _spread_drift_config(t)
+        reports = cli.run_scenario(cli.Scenario.parse(cfg), only_check="entropy_cost")
+        lhs = {r.check_id: r.lhs for r in reports}["entropy_cost_adjoint"]
+        with mpmath.workdps(50):
+            a = mpmath.matrix(cfg["A"])
+            p = mpmath.expm(a * t)
+            # A S + S A' = -I for the steady covariance S = [[s0, s1], [s1, s2]]
+            s0, s1, s2 = mpmath.lu_solve(mpmath.matrix([[2 * a[0, 0], 2 * a[0, 1], 0],
+                                                        [a[1, 0], a[0, 0] + a[1, 1], a[0, 1]],
+                                                        [0, 2 * a[1, 0], 2 * a[1, 1]]]), mpmath.matrix([-1, 0, -1]))
+            s = mpmath.matrix([[s0, s1], [s1, s2]])
+            # the law at t from nu = N([1, 0], I): mean P [1, 0], covariance S + P (I - S) P'
+            sigma = s + p * (mpmath.eye(2) - s) * p.T
+            m = p * mpmath.matrix([1, 0])
+            prec = s**-1
+            want = float((prec * sigma)[0, 0] + (prec * sigma)[1, 1] - 2
+                         + mpmath.log(mpmath.det(s) / mpmath.det(sigma)) + (m.T * prec * m)[0]) / 2
+        if t < 30.0:
+            assert lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+        else:  # about 6e-27, below the rounding of the covariances themselves
+            assert 0.0 < lhs and 0.0 < want
 
 
 class TestSweep:
@@ -423,6 +495,19 @@ def _jump_free_suite_config(d: int = 3) -> dict:
             "checks": [{**c, "n": 2000} for c in checks]}
 
 
+#: ``np.linalg`` factorizations per closed-form Gaussian kind on a fresh model of
+#: `_jump_free_suite_config`.  Each snapshot checks R by an ``eigvalsh``; ``solve`` is
+#: the invariant mean and the adjoint drift.
+GAUSSIAN_KIND_FACTORIZATIONS = {
+    "density_norm": {"eigh": 3, "eigvalsh": 1, "solve": 1},
+    "kernel_kl": {"eigh": 1, "eigvalsh": 1},
+    "kernel_harnack": {"eigh": 1, "eigvalsh": 1},
+    "hyper_constant": {"eigh": 2, "eigvalsh": 1, "solve": 1},
+    "entropy_cost": {"eigh": 7, "eigvalsh": 6, "solve": 2},
+    "hwi": {"eigh": 5, "eigvalsh": 4, "solve": 2},
+}
+
+
 class TestSemigroupStateOncePerModel:
     def test_ten_check_kinds_share_snapshots_and_one_lyapunov_solve(self, monkeypatch):
         from harnacklab import linops
@@ -441,6 +526,63 @@ class TestSemigroupStateOncePerModel:
         assert all(r.passed for r in reports)
         # one snapshot of the model and one of its adjoint, both at t
         assert calls == {"semigroup_snapshot": 2, "lyapunov_solve": 1}
+
+    def test_gaussian_closed_forms_factorizations_on_a_fresh_model(self, monkeypatch):
+        # one factorization per covariance: the measure's eigh, read by every closed form
+        names = ("eigh", "eigvalsh", "cholesky", "slogdet", "solve", "inv")
+        counts = {}
+        for name in names:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        cfg = _jump_free_suite_config()
+        calls = {}
+        for check in cfg["checks"]:
+            if check["kind"] not in GAUSSIAN_KIND_FACTORIZATIONS:
+                continue
+            scenario = cli.Scenario.parse({**cfg, "checks": [check]})
+            counts.clear()
+            assert all(r.passed for r in cli.run_scenario(scenario))
+            calls[check["kind"]] = dict(sorted(counts.items()))
+        assert calls == GAUSSIAN_KIND_FACTORIZATIONS
+
+
+class TestRankDeficientGramian:
+    """A = [[-0.1, 1], [0, -0.1]], R = diag(0, 1): the Gramian's eigenvalues are about
+    t and t^3 / 12, so the rank rule calls it singular between t = 1e-4 and t = 1e-5."""
+
+    @staticmethod
+    def _run(tmp_path, kind, t):
+        check = {"kind": kind, "id": kind, "t": t, "x": [0.3, 0.1]}
+        check.update({"alpha": 2.0} if kind == "density_norm" else {"y": [0.0, 0.0]})
+        cfg = {"dim": 2, "A": [[-0.1, 1.0], [0.0, -0.1]], "R": [[0.0, 0.0], [0.0, 1.0]], "seed": 1,
+               "checks": [check]}
+        path, out = tmp_path / "rank.json", tmp_path / "rank.csv"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["--config", str(path), "--out", str(out)])
+        if code != 0:
+            return code, None, None
+        with out.open() as fh:
+            [row] = csv.DictReader(fh)
+        return code, row["verdict"], float(row["lhs"])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_full_rank_at_1e_4(self, tmp_path):
+        assert self._run(tmp_path, "kernel_kl", 1e-4)[:2] == (0, verify.HOLDS)
+        assert self._run(tmp_path, "kernel_harnack", 1e-4)[:2] == (0, verify.TRIVIAL_INFINITE_RHS)
+        assert self._run(tmp_path, "density_norm", 1e-4)[:2] == (0, verify.HOLDS)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_rank_deficient_at_1e_5(self, tmp_path, capsys):
+        # x - y leaves the Gramian's range: the kernel rows stay trivial, with an infinite lhs
+        assert self._run(tmp_path, "kernel_kl", 1e-5) == (0, verify.TRIVIAL_INFINITE_RHS, math.inf)
+        assert self._run(tmp_path, "kernel_harnack", 1e-5) == (0, verify.TRIVIAL_INFINITE_RHS, math.inf)
+        assert self._run(tmp_path, "density_norm", 1e-5)[0] == 3
+        assert "singular" in capsys.readouterr().err
 
 
 #: scipy subpackages that ``import harnacklab`` and its checks must not load.
