@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -255,9 +254,8 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
         x = _vector(entry, "x", path, dim)
         y = _vector(entry, "y", path, dim)
         alpha = float(entry.get("alpha", 2.0))
-        power_rep, kl_rep = verify.check_kernel_inequalities(model, t, x, y, alpha, check_id=cid)
-        rep = power_rep if kind == "kernel_harnack" else kl_rep
-        return [dataclasses.replace(rep, check_id=cid)]
+        report = verify.kernel_power_report if kind == "kernel_harnack" else verify.kernel_kl_report
+        return [report(model, t, x, y, alpha, cid)]
 
     if kind == "density_norm":
         x = _vector(entry, "x", path, dim)

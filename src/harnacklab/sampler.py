@@ -18,7 +18,9 @@ Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
 of ``MC_BLOCK`` replicates and merge each block's centered moments into one
 ``RunningMoments`` accumulator in stream order, so results are bitwise
-reproducible regardless of how blocks are scheduled.
+reproducible regardless of how blocks are scheduled.  An estimator of two
+start points makes one pass whose draws serve both (common random numbers)
+and keeps the pair's co-moment in a ``PairedMoments`` accumulator.
 """
 
 from __future__ import annotations
@@ -176,6 +178,40 @@ class RunningMoments:
         return McEstimate(mean=self.mean, std_error=self.std_error, n=self.n, seed=seed)
 
 
+class PairedMoments:
+    """Two `RunningMoments` marginals of replicate-wise paired values and their
+    co-moment ``C = sum (x - mean_x)(y - mean_y)``.
+
+    Each block's co-moment about its own means is merged in block order by
+    ``C <- C + C_b + dx dy na nb / n`` (Pebay 2008), ``dx, dy`` the gaps
+    between the block means and the running ones, so no power sum is formed
+    and no ``Var(x + y)`` cancels.
+    """
+
+    def __init__(self):
+        self.x = RunningMoments()
+        self.y = RunningMoments()
+        self._c = 0.0
+
+    def add(self, vx, vy) -> None:
+        vx = np.asarray(vx, dtype=float).reshape(-1)
+        vy = np.asarray(vy, dtype=float).reshape(-1)
+        if vx.shape != vy.shape:
+            raise ValueError(f"paired blocks differ in size: {vx.shape[0]} and {vy.shape[0]}")
+        na, nb = self.x.n, vx.shape[0]
+        mx0, my0 = self.x.mean, self.y.mean
+        self.x.add(vx)
+        self.y.add(vy)
+        mx, my = float(vx.mean()), float(vy.mean())
+        self._c += float(np.dot(vx - mx, vy - my)) + (mx - mx0) * (my - my0) * na * nb / (na + nb)
+
+    @property
+    def correlation(self) -> float:
+        """Sample correlation of the pairs; 0 when either marginal is constant."""
+        scale = math.sqrt(self.x._m2 * self.y._m2)
+        return self._c / scale if scale > 0.0 else 0.0
+
+
 def eval_rows(f: Callable, pts: np.ndarray) -> np.ndarray:
     """Evaluate a vectorized ``f`` on row-stacked points ``(m, d)``; it must return ``(m,)``."""
     vals = np.asarray(f(pts), dtype=float)
@@ -303,6 +339,24 @@ def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, see
     for noise in iter_endpoint_noise(model, t, n, seed):
         acc.add(eval_rows(f, start + noise))
     return acc.estimate(seed)
+
+
+def paired_endpoint_moments(model: OuLevyModel, t: float, x, y, f: Callable, g: Callable,
+                            n: int, seed: int) -> PairedMoments:
+    """Moments of ``f(X_t^x)`` and ``g(X_t^y)`` from one noise pass.
+
+    In this linear model ``X_t^y = X_t^x - e^{tA}(x - y)`` path by path,
+    jumps included, so both starts share every draw (common random numbers)
+    and the accumulator keeps their co-moment.  Each marginal is bitwise
+    the `estimate_semigroup` at its start with the same seed.
+    """
+    prop = model.snapshot(t).propagator
+    start_x = prop @ np.asarray(x, dtype=float).reshape(-1)
+    start_y = prop @ np.asarray(y, dtype=float).reshape(-1)
+    acc = PairedMoments()
+    for noise in iter_endpoint_noise(model, t, n, seed):
+        acc.add(eval_rows(f, start_x + noise), eval_rows(g, start_y + noise))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -514,36 +568,39 @@ def _require_semilinear_setting(model: OuLevyModel) -> None:
         raise ValueError("perturbed-drift estimation requires a zero drift offset")
 
 
-def _semilinear_blocks(model, spec, t, x, K, seed, n):
-    """Path blocks for the perturbed-drift weight: yields per-block final
-    convolution values and log-weights."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+def _semilinear_blocks(model, spec, t, starts, K, seed, n):
+    """Path blocks for the perturbed-drift weight from ``S`` stacked start
+    points ``(S, d)``: yields per block the final convolution values
+    ``(size, d)`` and the log-weights ``(S, size)``.  The increments and the
+    convolution do not depend on the start, so every start shares them; the
+    drift is evaluated on the ``(S * size, d)`` stacked states."""
+    n_starts, d = starts.shape
     delta = _grid_step(t, K)
     step = _step_sampler(model, delta)
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
 
-    # deterministic mean path e^{t_k A} x at the left grid points
-    mean_path = np.empty((K, model.dim))
-    mean_path[0] = x
+    # deterministic mean paths e^{t_k A} x at the left grid points, (K, S, 1, d)
+    mean_path = np.empty((K, n_starts, 1, d))
+    mean_path[0, :, 0] = starts
     for k in range(1, K):
-        mean_path[k] = step.propagator @ mean_path[k - 1]
+        mean_path[k] = mean_path[k - 1] @ step.propagator.T
 
     for gen, size in _stream_blocks(seed, n):
-        conv = np.zeros((size, model.dim))
-        log_rho = np.zeros(size)
+        conv = np.zeros((size, d))
+        log_rho = np.zeros((n_starts, size))
         for k in range(K):
-            state = conv + mean_path[k]
+            state = (conv + mean_path[k]).reshape(-1, d)
             drift = np.asarray(spec.drift_fn(state), dtype=float)
             if drift.shape != state.shape:
                 raise ValueError("drift function must map (m, d) states to (m, d) values")
-            if rfac.rank < model.dim:  # only a null space of R^{1/2} can fail the range test
+            if rfac.rank < d:  # only a null space of R^{1/2} can fail the range test
                 bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
                 if bad.size:
                     raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
-            psi = drift @ pinv_root.T
+            psi = (drift @ pinv_root.T).reshape(n_starts, size, d)
             dw, eta = step.draw(gen, size)
-            log_rho += np.einsum("ij,ij->i", psi, dw) - 0.5 * delta * np.einsum("ij,ij->i", psi, psi)
+            log_rho += np.einsum("sij,ij->si", psi, dw) - 0.5 * delta * np.einsum("sij,sij->si", psi, psi)
             conv = conv @ step.propagator.T + eta
         yield conv, log_rho
 
@@ -556,16 +613,36 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     the drift perturbation enters only through the previsible weight
     ``rho = exp(sum psi_k . dW_k - sum |psi_k|^2 dt / 2)`` with
     ``psi = R^{-1/2} F(state)``, and the estimate is the mean of
-    ``rho * f(endpoint)``, from one pass on the given grid: the weight is an
-    exact martingale at every ``K``, so no finer grid would move its mean.
+    ``rho * f(endpoint)``, from one pass on the given grid.  The weight is an
+    exact martingale at every ``K``, so its own mean is 1 on any grid; but
+    the law it reweights to holds ``F`` frozen at the left grid points, so
+    for a state-dependent ``F`` the estimate carries an ``O(1/K)`` weak
+    error (Kloeden & Platen 1992, ch. 14) that a finer grid shrinks.
     """
     _require_semilinear_setting(model)
     x = np.asarray(x, dtype=float).reshape(-1)
     end_term = model.snapshot(t).propagator @ x
     value = RunningMoments()
-    for conv, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
-        value.add(np.exp(log_rho) * eval_rows(f, conv + end_term))
+    for conv, log_rho in _semilinear_blocks(model, spec, t, x[None], K, seed, n):
+        value.add(np.exp(log_rho[0]) * eval_rows(f, conv + end_term))
     return value.estimate(seed)
+
+
+def semilinear_paired_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x, y,
+                              f: Callable, g: Callable, n: int, K: int, seed: int) -> PairedMoments:
+    """Moments of ``rho_x f(X_t^x)`` and ``rho_y g(X_t^y)`` from one pass of
+    increments shared by both starts (common random numbers): the two weights
+    differ only through the drift evaluated along each start's path.  Each
+    marginal is bitwise the `semilinear_estimate` at its start with the same
+    seed."""
+    _require_semilinear_setting(model)
+    starts = np.stack([np.asarray(p, dtype=float).reshape(-1) for p in (x, y)])
+    ends = starts @ model.snapshot(t).propagator.T
+    acc = PairedMoments()
+    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n):
+        acc.add(np.exp(log_rho[0]) * eval_rows(f, conv + ends[0]),
+                np.exp(log_rho[1]) * eval_rows(g, conv + ends[1]))
+    return acc
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
@@ -573,7 +650,8 @@ def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x
     """Monte Carlo moments ``E rho^p`` of the perturbed-drift weight."""
     _require_semilinear_setting(model)
     accs = {float(p): RunningMoments() for p in powers}
-    for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    for _, log_rho in _semilinear_blocks(model, spec, t, x[None], K, seed, n):
         for p, acc in accs.items():
-            acc.add(np.exp(p * log_rho))
+            acc.add(np.exp(p * log_rho[0]))
     return {p: acc.estimate(seed) for p, acc in accs.items()}

@@ -12,6 +12,11 @@ and classifies the margin:
 * anything in between is ``INCONCLUSIVE`` with a suggestion to raise ``n``;
 * an infinite right-hand side short-circuits to ``TRIVIAL_INFINITE_RHS``;
 * a NaN side or standard error raises ``ValueError``: it is no verdict.
+
+A Monte Carlo check of two start points draws one noise pass for both and
+judges the margin by its joint standard error, which includes the
+correlation of the sides; ``VIOLATED`` still needs a breach beyond three
+times the larger of that error and the sides' combined one.
 """
 
 from __future__ import annotations
@@ -55,19 +60,27 @@ class CheckReport:
         return self.verdict in PASS_VERDICTS
 
 
-def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0) -> str:
-    if any(math.isnan(v) for v in (lhs, rhs, lhs_se, rhs_se)):
-        raise ValueError(f"NaN verdict input: lhs={lhs}, rhs={rhs}, lhs_se={lhs_se}, rhs_se={rhs_se}")
+def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
+             margin_se: float | None = None) -> str:
+    """Verdict on ``rhs - lhs``.  ``margin_se``, the joint standard error of
+    the margin, replaces ``hypot(lhs_se, rhs_se)`` for the equality window and
+    the inconclusive band; ``VIOLATED`` needs a breach beyond three times the
+    larger of the two, because the delta-method error of skewed sides is
+    smallest exactly where the margin reads low."""
+    if any(math.isnan(v) for v in (lhs, rhs, lhs_se, rhs_se, 0.0 if margin_se is None else margin_se)):
+        raise ValueError(f"NaN verdict input: lhs={lhs}, rhs={rhs}, lhs_se={lhs_se}, rhs_se={rhs_se}, "
+                         f"margin_se={margin_se}")
     if math.isinf(rhs) and rhs > 0:
         return TRIVIAL_INFINITE_RHS
-    sigma = math.hypot(lhs_se, rhs_se)
+    sides_se = math.hypot(lhs_se, rhs_se)
+    sigma = sides_se if margin_se is None else margin_se
     margin = rhs - lhs
     slack = 1e-9 * max(1.0, abs(lhs), abs(rhs))
     if abs(margin) <= max(slack, sigma):
         return HOLDS_EQUALITY
     if margin > 0:
         return HOLDS
-    if margin < -(3.0 * sigma + slack):
+    if margin < -(3.0 * max(sigma, sides_se) + slack):
         return VIOLATED
     return INCONCLUSIVE
 
@@ -85,9 +98,22 @@ def _times(coef: float, v: float) -> float:
     return 0.0 if v == 0.0 else coef * v
 
 
-def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None) -> CheckReport:
+def _joint_se(lhs_se: float, rhs_se: float, corr: float) -> float:
+    """Delta-method standard error of ``rhs - lhs`` for sides estimated from
+    one sample with correlation ``corr`` (each side increasing in its own
+    sample mean): ``sqrt(lhs_se^2 + rhs_se^2 - 2 corr lhs_se rhs_se)``."""
+    scale = max(lhs_se, rhs_se)
+    if scale == 0.0 or math.isinf(scale):
+        return scale
+    a, b = lhs_se / scale, rhs_se / scale
+    return scale * math.sqrt(max(a * a + b * b - 2.0 * corr * a * b, 0.0))
+
+
+def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None, margin_se=None) -> CheckReport:
     params = dict(params)
-    verdict = classify(lhs, rhs, lhs_se, rhs_se)
+    verdict = classify(lhs, rhs, lhs_se, rhs_se, margin_se)
+    if margin_se is not None:
+        params["margin_se"] = float(margin_se)
     if verdict == INCONCLUSIVE:
         params.setdefault("note", "inconclusive margin; rerun with a larger sample size")
     if note:
@@ -202,7 +228,9 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     energy of a user-supplied null control), the operator-norm variant, or
     the decay-certificate bound.  Exponential observables on models with a
     tractable jump exponential moment are evaluated in closed form; anything
-    else runs two independent Monte Carlo streams.
+    else runs one Monte Carlo pass whose noise serves both start points, and
+    the margin is judged by its joint standard error (``margin_se`` in the
+    params).
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -220,17 +248,22 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
         py = analytic.mehler_exponential(model, t, alpha * f.c, y)
         return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed, note)
 
-    fx = _TrackMin(f)
-    est_x = sampler.estimate_semigroup(model, t, x, fx, n, sampler.mix_seed(seed, 1))
-    fy = _TrackMin(_power_fn(f, alpha))
-    est_y = sampler.estimate_semigroup(model, t, y, fy, n, sampler.mix_seed(seed, 2))
+    fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
+    pair = sampler.paired_endpoint_moments(model, t, x, y, fx, fy, n, sampler.mix_seed(seed, 1))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    mean_x = max(est_x.mean, 0.0)
+    return _power_report(check_id, pair, alpha, coef, params, seed, note)
+
+
+def _power_report(check_id, pair: sampler.PairedMoments, alpha, coef, params, seed, note=None) -> CheckReport:
+    """``(mean_x)^alpha`` against ``coef * mean_y`` with marginal side errors
+    and the joint margin error of the paired sample."""
+    mean_x = max(pair.x.mean, 0.0)
     lhs = mean_x**alpha
-    lhs_se = alpha * mean_x ** (alpha - 1.0) * est_x.std_error
-    return _report(check_id, lhs, _times(coef, est_y.mean), lhs_se, _times(coef, est_y.std_error),
-                   params, seed, note)
+    lhs_se = alpha * mean_x ** (alpha - 1.0) * pair.x.std_error
+    rhs_se = _times(coef, pair.y.std_error)
+    return _report(check_id, lhs, _times(coef, pair.y.mean), lhs_se, rhs_se, params, seed, note,
+                   margin_se=_joint_se(lhs_se, rhs_se, pair.correlation))
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
@@ -255,14 +288,15 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     def g(pts):
         return np.maximum(np.asarray(clamped(pts), dtype=float), 1.0)
 
-    est_x = sampler.estimate_semigroup(model, t, x, lambda pts: np.log(g(pts)), n, sampler.mix_seed(seed, 1))
-    est_y = sampler.estimate_semigroup(model, t, y, g, n, sampler.mix_seed(seed, 2))
+    pair = sampler.paired_endpoint_moments(model, t, x, y, lambda pts: np.log(g(pts)), g, n,
+                                           sampler.mix_seed(seed, 1))
     note = None
     if clamped.min < 1.0:
         note = f"observable clamped up to 1 (minimum sample {clamped.min:.6g})"
-    rhs = math.log(est_y.mean) + 0.5 * op**2 * float(np.sum((x - y) ** 2))
-    return _report(check_id, est_x.mean, rhs, est_x.std_error, est_y.std_error / est_y.mean,
-                   params, seed, note)
+    rhs = math.log(pair.y.mean) + 0.5 * op**2 * float(np.sum((x - y) ** 2))
+    lhs_se, rhs_se = pair.x.std_error, pair.y.std_error / pair.y.mean
+    return _report(check_id, pair.x.mean, rhs, lhs_se, rhs_se, params, seed, note,
+                   margin_se=_joint_se(lhs_se, rhs_se, pair.correlation))
 
 
 def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
@@ -313,22 +347,33 @@ def check_kernel_inequalities(model: OuLevyModel, t: float, x, y, alpha: float,
     exponent) and the kernel relative-entropy report (half the squared
     minimum-energy norm of ``x - y`` vs the operator-norm bound).  Equality
     holds exactly when ``x - y`` is a top singular direction, in particular
-    always in dimension one.
+    always in dimension one, and at ``x = y``, where both sides are exact
+    even when the operator norm is infinite.
     """
+    return (kernel_power_report(model, t, x, y, alpha, check_id + "_power"),
+            kernel_kl_report(model, t, x, y, alpha, check_id + "_kl"))
+
+
+def _kernel_setup(model, t, x, y, alpha):
+    """The points, the operator norm, ``|x - y|^2`` and the echoed params."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     op = control.gamma_operator_norm(model, t)
-    norm_sq = float(np.sum((x - y) ** 2))
-    params = _echo(t=t, x=x, y=y, alpha=alpha, operator_norm=op)
+    return x, y, op, float(np.sum((x - y) ** 2)), _echo(t=t, x=x, y=y, alpha=alpha, operator_norm=op)
 
-    lhs_power = analytic.kernel_harnack_lhs(model, t, x, y, alpha)
-    rhs_power = _exp(alpha * op**2 * norm_sq / (2.0 * (alpha - 1.0) ** 2))
-    rep_power = _report(check_id + "_power", lhs_power, rhs_power, 0.0, 0.0, params, 0)
 
-    lhs_kl = analytic.heat_kernel_kl(model, t, x, y)
-    rhs_kl = 0.5 * op**2 * norm_sq
-    rep_kl = _report(check_id + "_kl", lhs_kl, rhs_kl, 0.0, 0.0, params, 0)
-    return rep_power, rep_kl
+def kernel_power_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
+    """The power-integral row of `check_kernel_inequalities` alone."""
+    x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
+    rhs = _exp(_times(alpha * op**2 / (2.0 * (alpha - 1.0) ** 2), norm_sq))
+    return _report(check_id, analytic.kernel_harnack_lhs(model, t, x, y, alpha), rhs, 0.0, 0.0, params, 0)
+
+
+def kernel_kl_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
+    """The relative-entropy row of `check_kernel_inequalities` alone."""
+    x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
+    return _report(check_id, analytic.heat_kernel_kl(model, t, x, y), _times(0.5 * op**2, norm_sq),
+                   0.0, 0.0, params, 0)
 
 
 def check_density_norm(model: OuLevyModel, t: float, x, alpha: float,
@@ -474,19 +519,11 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
         + alpha * ((p + 1.0) / (p - 1.0) + (q + 1.0) / (q * (q - 1.0))) * growth_integral
     )
 
-    fx = _TrackMin(f)
-    est_x = sampler.semilinear_estimate(model, spec, t, x, fx, n, K, sampler.mix_seed(seed, 1))
-    fy = _TrackMin(_power_fn(f, alpha))
-    est_y = sampler.semilinear_estimate(model, spec, t, y, fy, n, K, sampler.mix_seed(seed, 2))
+    fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
+    pair = sampler.semilinear_paired_moments(model, spec, t, x, y, fx, fy, n, K, sampler.mix_seed(seed, 1))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-
-    mean_x = max(est_x.mean, 0.0)
-    lhs = mean_x**alpha
-    lhs_se = alpha * mean_x ** (alpha - 1.0) * est_x.std_error
-    rhs = _times(cp ** beta_p * cq ** beta_q * _exp(log_exp_term), est_y.mean)
-    rhs_se = abs(rhs) * (est_y.std_error / est_y.mean) if est_y.std_error else 0.0
-    return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed)
+    return _power_report(check_id, pair, alpha, cp ** beta_p * cq ** beta_q * _exp(log_exp_term), params, seed)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

@@ -44,7 +44,7 @@ JUMP_SUITE_VERDICTS = {
     (40, "jump_harnack#040"): verify.HOLDS, (41, "jump_harnack#041"): verify.HOLDS,
     (42, "jump_harnack#042"): verify.HOLDS, (43, "jump_harnack#043"): verify.HOLDS,
     (44, "jump_harnack#044"): verify.HOLDS, (45, "jump_harnack#045"): verify.HOLDS,
-    (46, "jump_harnack#046"): verify.HOLDS, (47, "jump_harnack#047"): verify.HOLDS_EQUALITY,
+    (46, "jump_harnack#046"): verify.HOLDS, (47, "jump_harnack#047"): verify.HOLDS,
     (48, "jump_harnack#048"): verify.HOLDS, (49, "jump_harnack#049"): verify.HOLDS,
 }
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,14 +119,15 @@ class TestMain:
         assert cli.main(["--config", str(tmp_path / "missing.json")]) == 3
 
     def test_tight_check_small_sample_exits_two(self, tmp_path):
-        # sharp-point comparison at n=100: the margin lands between one and
-        # three standard errors below zero for this frozen seed
+        # sharp-point comparison at n=100, an exact equality: for this frozen
+        # seed the margin lands 2.3 joint standard errors below zero, inside
+        # three of the sides' combined error
         cfg = {
             "dim": 1, "A": [[0.0]], "R": [[1.0]], "a": [0.0],
             "checks": [{
                 "kind": "harnack", "id": "tight", "t": 1.0, "x": [0.6], "y": [0.0],
                 "alpha": 2.0, "f": {"kind": "clipped_exp", "c": [0.6], "cap": 1000.0},
-                "n": 100, "seed": 12,
+                "n": 100, "seed": 2,
             }],
         }
         path = tmp_path / "tight.json"
@@ -556,9 +558,9 @@ class TestRankDeficientGramian:
     t and t^3 / 12, so the rank rule calls it singular between t = 1e-4 and t = 1e-5."""
 
     @staticmethod
-    def _run(tmp_path, kind, t):
+    def _run(tmp_path, kind, t, y=(0.0, 0.0)):
         check = {"kind": kind, "id": kind, "t": t, "x": [0.3, 0.1]}
-        check.update({"alpha": 2.0} if kind == "density_norm" else {"y": [0.0, 0.0]})
+        check.update({"alpha": 2.0} if kind == "density_norm" else {"y": list(y)})
         cfg = {"dim": 2, "A": [[-0.1, 1.0], [0.0, -0.1]], "R": [[0.0, 0.0], [0.0, 1.0]], "seed": 1,
                "checks": [check]}
         path, out = tmp_path / "rank.json", tmp_path / "rank.csv"
@@ -583,6 +585,17 @@ class TestRankDeficientGramian:
         assert self._run(tmp_path, "kernel_harnack", 1e-5) == (0, verify.TRIVIAL_INFINITE_RHS, math.inf)
         assert self._run(tmp_path, "density_norm", 1e-5)[0] == 3
         assert "singular" in capsys.readouterr().err
+
+    def test_kernel_kl_row_computes_only_itself(self, tmp_path):
+        # the power row's lhs overflows here; a kl row must not evaluate it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self._run(tmp_path, "kernel_kl", 1e-4)[:2] == (0, verify.HOLDS)
+
+    def test_equal_points_are_exact_equalities(self, tmp_path):
+        # the operator norm is infinite, but |x - y| = 0 makes both bounds exact
+        assert self._run(tmp_path, "kernel_kl", 1e-5, y=(0.3, 0.1)) == (0, verify.HOLDS_EQUALITY, 0.0)
+        assert self._run(tmp_path, "kernel_harnack", 1e-5, y=(0.3, 0.1)) == (0, verify.HOLDS_EQUALITY, 1.0)
 
 
 #: scipy subpackages that ``import harnacklab`` and its checks must not load.

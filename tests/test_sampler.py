@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -9,6 +11,7 @@ from harnacklab import OuLevyModel, analytic, sampler
 from harnacklab.sampler import (
     GirsanovWeight,
     McEstimate,
+    PairedMoments,
     RngStream,
     RunningMoments,
     coupled_expectation,
@@ -16,7 +19,7 @@ from harnacklab.sampler import (
     girsanov_weight,
     wa_path,
 )
-from harnacklab.testfuncs import ConstantObservable, ExpObservable, drift_constant, drift_zero
+from harnacklab.testfuncs import ClippedExpObservable, ConstantObservable, ExpObservable, drift_constant, drift_zero
 from oracles import make_psd, make_stable, within_sigma
 
 
@@ -162,6 +165,64 @@ class TestRunningMoments:
         acc.add([1.0, 2.0])
         with pytest.raises(sampler.NonFiniteValueError, match="1 non-finite value.*at replicate 2"):
             acc.add([0.5, bad])
+
+
+class TestPairedMoments:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(blocks=st.lists(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40),
+                           min_size=2, max_size=8),
+           offset=st.floats(-1e8, 1e8))
+    def test_matches_two_pass_over_concatenation(self, blocks, offset):
+        acc = PairedMoments()
+        for block in blocks:
+            xs, ys = np.array(block).T
+            acc.add(offset + xs, ys - offset)
+        xs, ys = np.concatenate([np.array(block) for block in blocks]).T
+        xs, ys = offset + xs, ys - offset
+        dx, dy = xs - xs.mean(), ys - ys.mean()
+        # each marginal is the one-variable accumulator; the co-moment is the two-pass one
+        for marginal, values in ((acc.x, xs), (acc.y, ys)):
+            alone = RunningMoments()
+            for block in np.split(values, np.cumsum([len(b) for b in blocks])[:-1]):
+                alone.add(block)
+            assert (marginal.n, marginal.mean, marginal.variance) == (alone.n, alone.mean, alone.variance)
+        # rounding of the means moves each product by about its rounding unit
+        # times the other side's spread, so the tolerance scales with the
+        # Cauchy-Schwarz bound sqrt(Sxx Syy), not with the co-moment itself
+        bound = math.sqrt(float(dx @ dx) * float(dy @ dy))
+        scale = max(float(np.abs(xs).max()), float(np.abs(ys).max()))
+        assert acc._c == pytest.approx(float(dx @ dy), rel=1e-9, abs=1e-9 * bound + xs.size * (1e-13 * scale) ** 2)
+        if bound > 0.0:
+            assert acc.correlation == pytest.approx(float(dx @ dy) / bound, abs=1e-7)
+
+    def test_constant_side_has_zero_correlation(self):
+        acc = PairedMoments()
+        acc.add([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+        assert acc.correlation == 0.0
+
+    def test_block_sizes_must_match(self):
+        with pytest.raises(ValueError, match="differ in size"):
+            PairedMoments().add([1.0, 2.0], [1.0])
+
+    def test_endpoint_pair_marginals_are_the_one_point_estimates(self, jump_model):
+        f, g = ClippedExpObservable([0.5], 10.0), ClippedExpObservable([1.0], 100.0)
+        pair = sampler.paired_endpoint_moments(jump_model, 1.0, [0.6], [0.0], f, g, 5000, 21)
+        assert pair.x.estimate(21) == hl.estimate_semigroup(jump_model, 1.0, [0.6], f, 5000, 21)
+        assert pair.y.estimate(21) == hl.estimate_semigroup(jump_model, 1.0, [0.0], g, 5000, 21)
+        assert 0.5 < pair.correlation < 1.0
+
+    @pytest.mark.parametrize("plane", [False, True])
+    def test_semilinear_pair_marginals_are_the_one_point_estimates(self, scalar_model, nonnormal_model, plane):
+        from harnacklab.testfuncs import drift_clipped_linear, drift_scaled_sine
+
+        if plane:
+            m, spec, x, y = nonnormal_model, drift_clipped_linear(nonnormal_model, 0.4), [0.2, 0.1], [-0.4, 0.3]
+        else:
+            m, spec, x, y = scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.2], [-0.4]
+        f, g = ExpObservable(np.full(m.dim, 0.3)), ExpObservable(np.full(m.dim, 0.6))
+        pair = sampler.semilinear_paired_moments(m, spec, 0.8, x, y, f, g, 5000, 16, 7)
+        assert pair.x.estimate(7) == hl.semilinear_estimate(m, spec, 0.8, x, f, 5000, 16, 7)
+        assert pair.y.estimate(7) == hl.semilinear_estimate(m, spec, 0.8, y, g, 5000, 16, 7)
 
 
 def _reference_jump_block(model, t, gen, size, transport):
@@ -547,7 +608,7 @@ class TestSemilinear:
 
         def blocks(model, spec, t, x, K, seed, n):
             grids.append(K)
-            yield np.zeros((n, 1)), np.full(n, np.log(2.0))
+            yield np.zeros((n, 1)), np.full((1, n), np.log(2.0))
 
         monkeypatch.setattr(sampler, "_semilinear_blocks", blocks)
         est = hl.semilinear_estimate(scalar_model, drift_zero(1), 1.0, [0.0], ConstantObservable(1.0), 200, 16, 0)

@@ -47,8 +47,20 @@ class TestClassify:
         # comfortably positive margin
         assert verify.classify(0.5, 1.0, lhs_se=0.1, rhs_se=0.0) == verify.HOLDS
 
+    def test_joint_margin_error(self):
+        # sides' errors 0.1 each, so hypot(lhs_se, rhs_se) = 0.141
+        assert verify.classify(0.9, 1.0, 0.1, 0.1) == verify.HOLDS_EQUALITY
+        assert verify.classify(0.9, 1.0, 0.1, 0.1, margin_se=0.05) == verify.HOLDS
+        assert verify.classify(1.2, 1.0, 0.1, 0.1) == verify.INCONCLUSIVE
+        assert verify.classify(1.2, 1.0, 0.1, 0.1, margin_se=0.25) == verify.HOLDS_EQUALITY
+        # 20 joint errors below zero, but within three of the sides' combined error
+        assert verify.classify(1.2, 1.0, 0.1, 0.1, margin_se=0.01) == verify.INCONCLUSIVE
+        assert verify.classify(1.5, 1.0, 0.1, 0.1, margin_se=0.01) == verify.VIOLATED
+        # a joint error wider than the sides' widens the breach threshold too
+        assert verify.classify(1.5, 1.0, 0.1, 0.1, margin_se=0.2) == verify.INCONCLUSIVE
+
     @pytest.mark.parametrize("args", [(math.nan, 1.0), (1.0, math.nan), (1.0, 2.0, math.nan, 0.0),
-                                      (1.0, math.inf, 0.0, math.nan)])
+                                      (1.0, math.inf, 0.0, math.nan), (1.0, 2.0, 0.1, 0.1, math.nan)])
     def test_nan_input_raises(self, args):
         # checked before the infinite-rhs shortcut, so a NaN error beside an infinite rhs
         # raises too: the checks keep inf * 0 out of their errors (TestSaturatedCoefficient)
@@ -185,6 +197,53 @@ class TestHarnack:
             assert log_rep.verdict != verify.VIOLATED
             if harnack.verdict in PASS:
                 assert log_rep.verdict in PASS
+
+
+class TestSharedNoise:
+    """The two-point Monte Carlo checks draw one noise pass for both starts and
+    judge the margin by its joint standard error ``margin_se``."""
+
+    def test_lhs_is_the_one_point_estimate(self, jump_model):
+        f = ClippedExpObservable([0.5], 10.0)
+        rep = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=5000, seed=3)
+        est = hl.estimate_semigroup(jump_model, 1.0, [0.6], f, 5000, hl.sampler.mix_seed(3, 1))
+        assert (rep.lhs, rep.lhs_se) == (est.mean**2, 2.0 * est.mean * est.std_error)
+        assert 0.0 < rep.params["margin_se"] < math.hypot(rep.lhs_se, rep.rhs_se)
+
+    def test_margin_error_only_on_monte_carlo_rows(self, jump_model, scalar_model):
+        closed = verify.check_harnack(jump_model, 1.0, [0.5], [0.0], 3.0, ExpObservable([0.3]), n=200, seed=1)
+        log = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], OnePlusSigmoid([0.7]), n=2000, seed=4)
+        assert "margin_se" not in closed.params
+        assert 0.0 < log.params["margin_se"] < math.hypot(log.lhs_se, log.rhs_se)
+
+    @pytest.mark.parametrize("kind", ["harnack", "log_harnack", "semilinear_harnack"])
+    def test_margin_error_matches_spread_over_seeds(self, jump_model, scalar_model, kind):
+        # 200 independent seeds: the sample sd of the margin has about 5 % relative error
+        f = ClippedExpObservable([0.5], 10.0)
+        if kind == "harnack":
+            run = lambda s: verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=2000, seed=s)
+        elif kind == "log_harnack":
+            run = lambda s: verify.check_log_harnack(jump_model, 1.0, [0.6], [0.0], OnePlusSigmoid([0.7]),
+                                                     n=2000, seed=s)
+        else:
+            # n = 4000: at n = 1000 the weighted rhs is so heavy-tailed that its
+            # sample variance, and so each error, reads low (0.76 of the spread)
+            spec = drift_scaled_sine(scalar_model, 0.5)
+            run = lambda s: verify.check_semilinear_harnack(scalar_model, spec, 1.0, [0.5], [0.0], 4.0,
+                                                            1.3, 1.3, f, n=4000, K=8, seed=s)
+        reps = [run(s) for s in range(200)]
+        spread = np.std([r.margin for r in reps], ddof=1)
+        reported = np.mean([r.params["margin_se"] for r in reps])
+        assert reported == pytest.approx(spread, rel=0.15)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_exact_equality_is_never_violated(self, flat_model, n):
+        # both sides are e^{1.08}; lognormal skew makes the joint error small
+        # where the margin reads low, which the breach rule must not trust alone
+        f = ClippedExpObservable([0.6], 1000.0)
+        verdicts = {verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s).verdict
+                    for s in range(200)}
+        assert verify.VIOLATED not in verdicts
 
 
 class TestLogHarnack:
@@ -395,7 +454,7 @@ class TestSemilinearHarnack:
 
     def test_divergence_horizon_inconclusive(self, scalar_model, monkeypatch):
         # both constants diverge at t = 2 (rates 41.9 and 25.6), so no path is drawn
-        monkeypatch.setattr(hl.sampler, "semilinear_estimate", None)
+        monkeypatch.setattr(hl.sampler, "semilinear_paired_moments", None)
         spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.5)
         rep = verify.check_semilinear_harnack(scalar_model, spec, 2.0, [0.3], [0.0], 4.0, 1.3, 1.3,
                                               ClippedExpObservable([0.3], 5.0), n=500, K=16, seed=15)

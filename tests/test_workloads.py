@@ -1,12 +1,14 @@
 """The benchmark's workload generators (``perfbench/workloads.py``) must keep
-producing scenarios that the command-line parser accepts."""
+producing scenarios that the command-line parser accepts, and the Monte
+Carlo workloads must keep clearing the benchmark's row gate."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from harnacklab import cli
+from harnacklab import cli, verify
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -47,3 +49,18 @@ def test_jump_reports_match_the_jump_by_jump_reference(name, monkeypatch):
     for g, w in zip(got, want, strict=True):
         assert (g.check_id, g.verdict) == (w.check_id, w.verdict)
         assert g.lhs == pytest.approx(w.lhs, rel=1e-10) and g.rhs == pytest.approx(w.rhs, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["jump_suite", "jump_defective"])
+def test_jump_workloads_pass_the_benchmark_row_gate(name):
+    """The benchmark marks a run incorrect on any INCONCLUSIVE, VIOLATED or NaN
+    row; the Monte Carlo workloads must clear that gate on several seeds."""
+    bad = []
+    for seed in range(1, 6):
+        cfgs, _ = workloads.WORKLOADS[name](seed)
+        for cfg in cfgs:
+            for r in cli.run_scenario(cli.Scenario.parse(cfg)):
+                values = (r.lhs, r.rhs, r.lhs_se, r.rhs_se, r.margin)
+                if r.verdict in (verify.INCONCLUSIVE, verify.VIOLATED) or any(map(math.isnan, values)):
+                    bad.append((seed, r.check_id, r.verdict, r.margin))
+    assert not bad
