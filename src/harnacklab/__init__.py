@@ -5,7 +5,6 @@ from .analytic import GaussianMeasure, invariant_measure
 from .control import GammaNorm, NullControl, gamma_norm, gamma_operator_norm, h_bound, min_energy_control, weighted_control
 from .linops import PsdFactorization, SemigroupSnapshot, lyapunov_solve, matrix_exponential, psd_sqrt_pinv, semigroup_snapshot
 from .model import (
-    AdjointModel,
     CompoundPoissonSpec,
     HFunction,
     OuLevyModel,

@@ -11,12 +11,13 @@ in the test suite before the verification layer is allowed to rely on it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import control, linops
-from .model import AdjointModel, OuLevyModel, invariant_mean
+from .model import OuLevyModel, invariant_mean
 
 
 class SingularityError(ValueError):
@@ -79,18 +80,6 @@ def ou_pushforward(model: OuLevyModel, nu: GaussianMeasure, t: float) -> Gaussia
     snap = model.snapshot(t)
     mean = snap.propagator @ nu.mean + snap.mean_shift
     cov = snap.propagator @ nu.cov @ snap.propagator.T + snap.gramian
-    return GaussianMeasure(mean=mean, cov=0.5 * (cov + cov.T))
-
-
-def pushforward_adjoint(adjoint: AdjointModel, nu: GaussianMeasure, t: float) -> GaussianMeasure:
-    """Law at time ``t`` of the adjoint dynamics started from ``nu``.
-
-    The invariant law (steady-state mean and covariance of the base model)
-    is a fixed point of this map.
-    """
-    prop = adjoint.propagator(t)
-    mean = adjoint.m_inf + prop @ (nu.mean - adjoint.m_inf)
-    cov = prop @ nu.cov @ prop.T + adjoint.gramian(t)
     return GaussianMeasure(mean=mean, cov=0.5 * (cov + cov.T))
 
 
@@ -160,6 +149,11 @@ def convolution_square_exp_moment(model: OuLevyModel, t: float, lam: float) -> f
     return float(np.exp(-0.5 * log_det - 0.5 * t * np.trace(a)))
 
 
+def saturating_exp(x: float) -> float:
+    """Exponential that saturates to ``inf`` instead of overflowing."""
+    return float("inf") if x > 700.0 else math.exp(x)
+
+
 def _kernel_energy(model: OuLevyModel, t: float, x, y) -> float:
     """Squared minimum-energy norm of ``x - y`` (`control.gamma_norm`), ``inf`` off the Gramian's range."""
     if model.has_jumps:
@@ -190,7 +184,7 @@ def kernel_harnack_lhs(model: OuLevyModel, t: float, x, y, alpha: float) -> floa
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    return float(np.exp(alpha * _kernel_energy(model, t, x, y) / (2.0 * (alpha - 1.0) ** 2)))
+    return saturating_exp(alpha * _kernel_energy(model, t, x, y) / (2.0 * (alpha - 1.0) ** 2))
 
 
 def gaussian_exp_integral(mu: GaussianMeasure, beta: float, x) -> float:

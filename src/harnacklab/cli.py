@@ -83,14 +83,17 @@ def _vector(d, key, path, dim, default=None):
     return v
 
 
-def _typed(d: dict, key: str, path: str, kind: type, default):
-    """Field ``key`` of type ``int`` or ``bool``; a float with an integral value (``1e5``) is an ``int``."""
-    v = d.get(key, default)
+def _typed(d: dict, key: str, path: str, kind: type, default=None):
+    """Field ``key`` of type ``int``, ``float``, ``bool``, ``str`` or ``dict``, required without a
+    ``default``; a float with an integral value (``1e5``) is an ``int``, and an ``int`` is a ``float``."""
+    v = _need(d, key, path) if default is None else d.get(key, default)
     if kind is int and isinstance(v, float) and v.is_integer():
         v = int(v)
+    elif kind is float and type(v) is int:
+        v = float(v)
     if type(v) is not kind:  # True is no int, and 0 no bool
-        want = "an integer" if kind is int else "true or false"
-        raise SchemaError(f"{path}.{key}: must be {want}, got {reprlib.repr(v)}")
+        want = {int: "an integer", float: "a number", bool: "true or false", str: "a string", dict: "an object"}
+        raise SchemaError(f"{path}.{key}: must be {want[kind]}, got {reprlib.repr(v)}")
     return v
 
 
@@ -119,14 +122,14 @@ def parse_model(cfg: dict, path: str = "") -> OuLevyModel:
     offset = _vector(cfg, "a", path, dim, default=np.zeros(dim))
     jump = None
     if cfg.get("jump") is not None:
-        j = cfg["jump"]
-        rate = _need(j, "rate", f"{path}.jump")
+        j = _typed(cfg, "jump", path, dict)
+        rate = _typed(j, "rate", f"{path}.jump", float)
         atoms = np.atleast_2d(np.asarray(_need(j, "atoms", f"{path}.jump"), dtype=float))
         if atoms.shape[1] != dim:
             raise SchemaError(f"{path}.jump.atoms: atom dimension {atoms.shape[1]} != dim {dim}")
         probs = j.get("probs")
         try:
-            jump = CompoundPoissonSpec(rate=float(rate), atoms=atoms, probs=probs)
+            jump = CompoundPoissonSpec(rate=rate, atoms=atoms, probs=probs)
         except ValueError as exc:
             raise SchemaError(f"{path}.jump: {exc}") from exc
     try:
@@ -135,20 +138,18 @@ def parse_model(cfg: dict, path: str = "") -> OuLevyModel:
         raise SchemaError(f"{path}.R: {exc}") from exc
 
 
-def _parse_h(spec, path) -> HFunction:
-    if not isinstance(spec, dict):
-        raise SchemaError(f"{path}: decay profile must be an object")
+def _parse_h(entry: dict, path: str) -> HFunction:
+    spec, path = _typed(entry, "h", path, dict), f"{path}.h"
     kind = spec.get("kind")
     if kind == "exponential":
-        return HFunction.exponential(float(_need(spec, "rate", path)))
+        return HFunction.exponential(_typed(spec, "rate", path, float))
     if kind == "constant":
-        return HFunction.constant(float(_need(spec, "value", path)))
+        return HFunction.constant(_typed(spec, "value", path, float))
     raise SchemaError(f"{path}.kind: unknown decay profile {kind!r}")
 
 
-def _parse_nu(spec, path, dim) -> analytic.GaussianMeasure:
-    if not isinstance(spec, dict):
-        raise SchemaError(f"{path}: measure must be an object with mean and cov")
+def _parse_nu(entry: dict, path: str, dim: int) -> analytic.GaussianMeasure:
+    spec, path = _typed(entry, "nu", path, dict), f"{path}.nu"
     mean = _vector(spec, "mean", path, dim)
     cov = _matrix(spec, "cov", path, dim)
     try:
@@ -171,7 +172,7 @@ class Scenario:
             raise SchemaError("config: top level must be an object")
         _reject_non_finite(cfg, "config")
         model = parse_model(cfg, "config")
-        top_seed = cfg.get("seed")
+        top_seed = None if cfg.get("seed") is None else _typed(cfg, "seed", "config", int)
         raw_checks = _need(cfg, "checks", "config")
         if not isinstance(raw_checks, list) or not raw_checks:
             raise SchemaError("config.checks: must be a non-empty list")
@@ -184,19 +185,17 @@ class Scenario:
             kind = _need(entry, "kind", path)
             if kind not in CHECK_KINDS:
                 raise SchemaError(f"{path}.kind: unknown check kind {kind!r}")
-            cid = entry.get("id", f"{kind}#{i:03d}")
+            cid = _typed(entry, "id", path, str, f"{kind}#{i:03d}")
             if cid in seen:
                 raise SchemaError(f"{path}.id: duplicate check id {cid!r}")
             seen.add(cid)
-            seed = entry.get("seed")
-            if seed is None:
-                if top_seed is None:
-                    raise SchemaError(f"{path}.seed: no seed given and no top-level seed to derive from")
-                seed = mix_seed(int(top_seed), i)
-            norm = dict(entry)
-            norm["id"] = cid
-            norm["seed"] = int(seed)
-            checks.append(norm)
+            if entry.get("seed") is not None:
+                seed = _typed(entry, "seed", path, int)
+            elif top_seed is None:
+                raise SchemaError(f"{path}.seed: no seed given and no top-level seed to derive from")
+            else:
+                seed = mix_seed(top_seed, i)
+            checks.append({**entry, "id": cid, "seed": seed})
         return Scenario(model=model, checks=checks, seed=top_seed)
 
     def to_dict(self) -> dict:
@@ -227,61 +226,56 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
     seed = entry["seed"]
     n = samples if samples is not None else _typed(entry, "n", path, int, DEFAULT_SAMPLES)
     grid = _typed(entry, "K", path, int, DEFAULT_GRID_STEPS)
-    t = float(_need(entry, "t", path))
+    t = _typed(entry, "t", path, float)
+
+    def num(key: str, default=None) -> float:
+        return _typed(entry, key, path, float, default)
 
     if kind in ("harnack", "log_harnack", "gradient", "semilinear_harnack"):
         x = _vector(entry, "x", path, dim)
         y = _vector(entry, "y", path, dim)
-        f = observable_from_spec(_need(entry, "f", path), dim)
+        f = observable_from_spec(_typed(entry, "f", path, dict), dim)
         if kind == "harnack":
-            h = _parse_h(entry["h"], f"{path}.h") if entry.get("h") else None
+            h = _parse_h(entry, path) if entry.get("h") else None
             return [verify.check_harnack(
-                model, t, x, y, float(_need(entry, "alpha", path)), f,
+                model, t, x, y, num("alpha"), f,
                 bound_mode=entry.get("bound_mode", "exact_gamma"),
                 n=n, seed=seed, h=h, check_id=cid)]
         if kind == "log_harnack":
             return [verify.check_log_harnack(model, t, x, y, f, n=n, seed=seed, check_id=cid)]
         if kind == "gradient":
             return [verify.check_gradient_estimate(model, t, x, y, f, n=n, seed=seed, check_id=cid)]
-        spec = drift_from_spec(_need(entry, "F", path), model)
+        spec = drift_from_spec(_typed(entry, "F", path, dict), model)
         return [verify.check_semilinear_harnack(
-            model, spec, t, x, y,
-            float(_need(entry, "alpha", path)),
-            float(_need(entry, "p", path)), float(_need(entry, "q", path)),
+            model, spec, t, x, y, num("alpha"), num("p"), num("q"),
             f, n=n, K=grid, seed=seed, check_id=cid)]
 
     if kind in ("kernel_harnack", "kernel_kl"):
         x = _vector(entry, "x", path, dim)
         y = _vector(entry, "y", path, dim)
-        alpha = float(entry.get("alpha", 2.0))
         report = verify.kernel_power_report if kind == "kernel_harnack" else verify.kernel_kl_report
-        return [report(model, t, x, y, alpha, cid)]
+        return [report(model, t, x, y, num("alpha", 2.0), cid)]
 
     if kind == "density_norm":
         x = _vector(entry, "x", path, dim)
-        return [verify.check_density_norm(model, t, x, float(_need(entry, "alpha", path)), check_id=cid)]
+        return [verify.check_density_norm(model, t, x, num("alpha"), check_id=cid)]
 
     if kind == "hyper_constant":
-        return [verify.check_hyper_constant(
-            model, t, float(_need(entry, "alpha", path)),
-            float(_need(entry, "epsilon", path)), check_id=cid)]
+        return [verify.check_hyper_constant(model, t, num("alpha"), num("epsilon"), check_id=cid)]
 
     if kind == "entropy_cost":
-        nu = _parse_nu(_need(entry, "nu", path), f"{path}.nu", dim)
-        return list(verify.check_entropy_cost(model, nu, t, check_id=cid))
+        return list(verify.check_entropy_cost(model, _parse_nu(entry, path, dim), t, check_id=cid))
 
     if kind == "hwi":
-        nu = _parse_nu(_need(entry, "nu", path), f"{path}.nu", dim)
-        h = _parse_h(_need(entry, "h", path), f"{path}.h")
-        return [verify.check_hwi(model, nu, h, t,
+        nu = _parse_nu(entry, path, dim)
+        return [verify.check_hwi(model, nu, _parse_h(entry, path), t,
                                  use_h_bound=_typed(entry, "use_h_bound", path, bool, False), check_id=cid)]
 
     if kind == "rho_moments":
         x = _vector(entry, "x", path, dim)
-        spec = drift_from_spec(_need(entry, "F", path), model)
+        spec = drift_from_spec(_typed(entry, "F", path, dict), model)
         return list(verify.check_rho_moments(
-            model, spec, t, x, float(_need(entry, "p", path)),
-            float(_need(entry, "delta", path)), n=n, K=grid, seed=seed, check_id=cid))
+            model, spec, t, x, num("p"), num("delta"), n=n, K=grid, seed=seed, check_id=cid))
 
     raise SchemaError(f"{path}: unknown check kind {kind!r}")
 

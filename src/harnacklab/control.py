@@ -75,9 +75,10 @@ def gamma_norm(model: OuLevyModel, t: float, x) -> GammaNorm:
     snap = model.snapshot(t)
     fac = snap.gramian_sqrt
     v = snap.propagator @ np.asarray(x, dtype=float).reshape(-1)
-    in_domain = bool(fac.in_range(v))
+    residual = fac.range_residual(v)
+    in_domain = residual <= linops.DEFAULT_RANK_TOL
     value = float(np.linalg.norm(fac.apply_pinv_sqrt(v))) if in_domain else float("inf")
-    return GammaNorm(value=value, in_domain=in_domain, residual=fac.range_residual(v))
+    return GammaNorm(value=value, in_domain=in_domain, residual=residual)
 
 
 def gamma_operator_norm(model: OuLevyModel, t: float) -> float:

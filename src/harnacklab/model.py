@@ -5,7 +5,7 @@ An `OuLevyModel` is the data of the linear SDE
 rate ``R`` and, optionally, an independent compound-Poisson jump part.
 This module also hosts the decay-certificate check used by the sharpest
 inequalities, sufficient conditions for existence of an invariant law, and
-the adjoint (time-reversed) model built from the steady-state covariance.
+the adjoint (time-reversed) dynamics, itself an `OuLevyModel`.
 """
 
 from __future__ import annotations
@@ -59,12 +59,6 @@ class CompoundPoissonSpec:
     def _atom_exp_moment(self, c) -> float:
         c = np.asarray(c, dtype=float)
         return float(self.probs @ np.exp(self.atoms @ c))
-
-    @property
-    def dim(self) -> int:
-        if self.atoms is not None:
-            return self.atoms.shape[1]
-        return -1  # sampler laws carry no static dimension
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,49 +316,6 @@ def check_assumption_A_sufficient(model: OuLevyModel) -> AssumptionAReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointModel:
-    """Time-reversal data: steady-state covariance and the adjoint drift.
-
-    The adjoint drift is ``S A' S^{-1}`` for ``S`` the steady-state
-    covariance; its semigroup drives the adjoint of the transition semigroup
-    in ``L^2`` of the invariant Gaussian law.
-    """
-
-    base: OuLevyModel
-    r_inf: np.ndarray
-    m_inf: np.ndarray
-    drift_matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    def as_model(self) -> OuLevyModel:
-        """The adjoint dynamics as a centered jump-free model; the one that
-        `build_adjoint` memoized on the base model unless built by hand."""
-        model = self.base._memo.get("adjoint")
-        if model is None or model.drift_matrix is not self.drift_matrix:
-            model = OuLevyModel(drift_matrix=self.drift_matrix, noise_cov=self.base.noise_cov)
-        return model
-
-    def propagator(self, t: float) -> np.ndarray:
-        return self.as_model().snapshot(t).propagator
-
-    def gramian(self, t: float) -> np.ndarray:
-        return self.as_model().snapshot(t).gramian
-
-    def gamma_norm(self, t: float, x):
-        from .control import gamma_norm
-
-        return gamma_norm(self.as_model(), t, x)
-
-    def gamma_operator_norm(self, t: float) -> float:
-        from .control import gamma_operator_norm
-
-        return gamma_operator_norm(self.as_model(), t)
-
-
 def invariant_mean(model: OuLevyModel) -> np.ndarray:
     if not model.is_stable():
         raise linops.UnstableMatrixError("unstable drift: no invariant mean")
@@ -372,19 +323,26 @@ def invariant_mean(model: OuLevyModel) -> np.ndarray:
         np.linalg.solve(model.drift_matrix, -model.drift_offset)))
 
 
-def build_adjoint(model: OuLevyModel) -> AdjointModel:
-    """Build the adjoint model from the steady-state covariance.
+def build_adjoint(model: OuLevyModel) -> OuLevyModel:
+    """The adjoint of the transition semigroup in ``L^2`` of the invariant law
+    ``mu = N(m, S)``, again an OU model: drift ``A* = S A' S^{-1}``, noise ``R``
+    and offset ``-A* m``, so that ``mu`` is its invariant law too.  Memoized on
+    the model.
 
     Requires a jump-free stable model with invertible steady-state
     covariance; otherwise the time-reversal is not an OU model of the same
     class and the construction fails in this truncation.
     """
+    from .analytic import invariant_measure
+
     if model.has_jumps:
         raise ValueError("adjoint construction requires a jump-free model")
-    r_inf = model.steady_covariance()
-    if "adjoint" not in model._memo and linops.psd_rank(np.linalg.eigvalsh(r_inf)) < model.dim:
+    mu = invariant_measure(model)
+    if mu.factor.rank < model.dim:
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
-    # memoize the adjoint dynamics, not the AdjointModel: it refers to the model
-    adjoint = model._memoized("adjoint", lambda: OuLevyModel(
-        drift_matrix=r_inf @ np.linalg.solve(r_inf, model.drift_matrix).T, noise_cov=model.noise_cov))
-    return AdjointModel(base=model, r_inf=r_inf, m_inf=invariant_mean(model), drift_matrix=adjoint.drift_matrix)
+
+    def build() -> OuLevyModel:
+        drift = mu.cov @ np.linalg.solve(mu.cov, model.drift_matrix).T
+        return OuLevyModel(drift_matrix=drift, noise_cov=model.noise_cov, drift_offset=-drift @ mu.mean)
+
+    return model._memoized("adjoint", build)

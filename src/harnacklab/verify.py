@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, control, linops, sampler
+from .analytic import saturating_exp
 from .model import HFunction, OuLevyModel, SemilinearSpec, build_adjoint, default_h_probes, verify_h_condition
 from .testfuncs import ExpObservable
 
@@ -83,13 +84,6 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
     if margin < -(3.0 * max(sigma, sides_se) + slack):
         return VIOLATED
     return INCONCLUSIVE
-
-
-def _exp(x: float) -> float:
-    """Exponential that saturates to ``inf`` instead of overflowing."""
-    if x > 700.0:
-        return float("inf")
-    return math.exp(x)
 
 
 def _times(coef: float, v: float) -> float:
@@ -241,7 +235,7 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
                    energy_sq=e_sq)
     if math.isinf(e_sq):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed, note)
-    coef = _exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
+    coef = saturating_exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
 
     if _closed_form_available(model, f):
         px = analytic.mehler_exponential(model, t, f.c, x)
@@ -365,7 +359,7 @@ def _kernel_setup(model, t, x, y, alpha):
 def kernel_power_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
     """The power-integral row of `check_kernel_inequalities` alone."""
     x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
-    rhs = _exp(_times(alpha * op**2 / (2.0 * (alpha - 1.0) ** 2), norm_sq))
+    rhs = saturating_exp(_times(alpha * op**2 / (2.0 * (alpha - 1.0) ** 2), norm_sq))
     return _report(check_id, analytic.kernel_harnack_lhs(model, t, x, y, alpha), rhs, 0.0, 0.0, params, 0)
 
 
@@ -412,14 +406,13 @@ def check_entropy_cost(model: OuLevyModel, nu: analytic.GaussianMeasure, t: floa
     mu = analytic.invariant_measure(model)
     w2_sq = analytic.gaussian_w2(nu, mu) ** 2
 
-    def variant(rid: str, push: analytic.GaussianMeasure, op: float, name: str) -> CheckReport:
-        return _report(rid, analytic.gaussian_kl(push, mu), 0.5 * op**2 * w2_sq, 0.0, 0.0,
-                       _echo(t=t, nu=_measure_echo(nu), variant=name, operator_norm=op), 0)
+    def variant(rid: str, dynamics: OuLevyModel, name: str) -> CheckReport:
+        op = control.gamma_operator_norm(dynamics, t)
+        return _report(rid, analytic.gaussian_kl(analytic.ou_pushforward(dynamics, nu, t), mu), 0.5 * op**2 * w2_sq,
+                       0.0, 0.0, _echo(t=t, nu=_measure_echo(nu), variant=name, operator_norm=op), 0)
 
-    return (variant(check_id, analytic.pushforward_adjoint(adj, nu, t), adj.gamma_operator_norm(t),
-                    "forward_semigroup"),
-            variant(check_id + "_adjoint", analytic.ou_pushforward(model, nu, t),
-                    control.gamma_operator_norm(model, t), "adjoint_semigroup"))
+    return (variant(check_id, adj, "forward_semigroup"),
+            variant(check_id + "_adjoint", model, "adjoint_semigroup"))
 
 
 def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t: float,
@@ -447,7 +440,7 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
         coef = 1.0 / (2.0 * h.integral_of_inverse(t))
         variant = "symmetric_h_bound"
     else:
-        coef = 0.5 * adj.gamma_operator_norm(t) ** 2
+        coef = 0.5 * control.gamma_operator_norm(adj, t) ** 2
         variant = "adjoint_operator_norm"
     rhs = 2.0 * fisher * h.integral_of_h(t) + coef * analytic.gaussian_w2(nu, mu) ** 2
     params = _echo(t=t, nu=_measure_echo(nu), h=h, variant=variant,
@@ -523,7 +516,8 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     pair = sampler.semilinear_paired_moments(model, spec, t, x, y, fx, fy, n, K, sampler.mix_seed(seed, 1))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    return _power_report(check_id, pair, alpha, cp ** beta_p * cq ** beta_q * _exp(log_exp_term), params, seed)
+    coef = cp ** beta_p * cq ** beta_q * saturating_exp(log_exp_term)
+    return _power_report(check_id, pair, alpha, coef, params, seed)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
@@ -563,6 +557,6 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
         else:
             integral = t * (spec.k1 + 2.0 * spec.k2 * float(np.sum(x**2)))
         est = moments[float(power)]
-        reports.append(_report(rid, est.mean, math.sqrt(consts[power]) * _exp(growth * integral),
+        reports.append(_report(rid, est.mean, math.sqrt(consts[power]) * saturating_exp(growth * integral),
                                est.std_error, 0.0, params, seed))
     return reports[0], reports[1]

@@ -326,13 +326,13 @@ class TestPushforward:
     def test_invariant_law_is_fixed_point(self, nonnormal_model):
         adj = build_adjoint(nonnormal_model)
         mu = analytic.invariant_measure(nonnormal_model)
-        out = analytic.pushforward_adjoint(adj, mu, 0.7)
+        out = analytic.ou_pushforward(adj, mu, 0.7)
         assert np.abs(out.mean - mu.mean).max() <= 1e-10
         assert np.abs(out.cov - mu.cov).max() <= 1e-9
 
     def test_scalar_symmetric_model(self, scalar_model):
         adj = build_adjoint(scalar_model)
-        out = analytic.pushforward_adjoint(adj, GaussianMeasure(mean=[1.5], cov=[[1.0]]), 0.8)
+        out = analytic.ou_pushforward(adj, GaussianMeasure(mean=[1.5], cov=[[1.0]]), 0.8)
         assert out.mean[0] == pytest.approx(np.exp(-0.8) * 1.5, rel=1e-12)
         assert out.cov[0, 0] == pytest.approx(1.0, rel=1e-10)
 
@@ -340,7 +340,7 @@ class TestPushforward:
         adj = build_adjoint(nonnormal_model)
         nu = GaussianMeasure(mean=[0.5, -1.0], cov=np.diag([0.2, 3.0]))
         for t in (0.1, 0.5, 2.0):
-            out = analytic.pushforward_adjoint(adj, nu, t)
+            out = analytic.ou_pushforward(adj, nu, t)
             assert np.linalg.eigvalsh(out.cov).min() >= -1e-12
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from harnacklab import (
-    AdjointModel,
     CompoundPoissonSpec,
     HFunction,
     OuLevyModel,
@@ -13,6 +12,7 @@ from harnacklab import (
     build_adjoint,
     analytic,
     check_assumption_A_sufficient,
+    gamma_norm,
     gamma_operator_norm,
     linops,
     verify_h_condition,
@@ -162,14 +162,14 @@ class TestAssumptionA:
 class TestAdjoint:
     def test_scalar(self, scalar_model):
         adj = build_adjoint(scalar_model)
-        assert adj.r_inf[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert scalar_model.steady_covariance()[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert adj.drift_matrix[0, 0] == pytest.approx(-1.0, abs=1e-12)
         t = 0.9
-        assert adj.propagator(t)[0, 0] == pytest.approx(np.exp(-t), abs=1e-12)
-        assert adj.gramian(t)[0, 0] == pytest.approx(1 - np.exp(-2 * t), abs=1e-10)
+        assert adj.snapshot(t).propagator[0, 0] == pytest.approx(np.exp(-t), abs=1e-12)
+        assert adj.snapshot(t).gramian[0, 0] == pytest.approx(1 - np.exp(-2 * t), abs=1e-10)
         q = np.exp(-2 * t)
-        assert adj.gamma_operator_norm(t) ** 2 == pytest.approx(q / (1 - q), rel=1e-10)
-        assert adj.gamma_norm(t, [2.0]).value == pytest.approx(2.0 * adj.gamma_operator_norm(t), rel=1e-10)
+        assert gamma_operator_norm(adj, t) ** 2 == pytest.approx(q / (1 - q), rel=1e-10)
+        assert gamma_norm(adj, t, [2.0]).value == pytest.approx(2.0 * gamma_operator_norm(adj, t), rel=1e-10)
 
     def test_diagonal_commuting_case(self):
         m = OuLevyModel(drift_matrix=np.diag([-1.0, -2.0]), noise_cov=np.eye(2))
@@ -178,12 +178,13 @@ class TestAdjoint:
 
     def test_nonnormal_lyapunov_identity(self, nonnormal_model):
         adj = build_adjoint(nonnormal_model)
-        res = adj.drift_matrix @ adj.r_inf + adj.r_inf @ adj.drift_matrix.T + nonnormal_model.noise_cov
+        s = nonnormal_model.steady_covariance()
+        res = adj.drift_matrix @ s + s @ adj.drift_matrix.T + nonnormal_model.noise_cov
         assert np.abs(res).max() <= 1e-10
 
     def test_adjoint_of_adjoint(self, nonnormal_model):
         adj = build_adjoint(nonnormal_model)
-        back = build_adjoint(adj.as_model())
+        back = build_adjoint(adj)
         assert np.abs(back.drift_matrix - nonnormal_model.drift_matrix).max() <= 1e-9
 
     def test_jump_model_rejected(self, jump_model):
@@ -222,6 +223,14 @@ class TestInvariantLawFixedPoint:
             assert np.abs(snap.propagator @ m_inf + snap.mean_shift - m_inf).max() <= 1e-9
             drifted = snap.propagator @ r_inf @ snap.propagator.T + snap.gramian
             assert np.abs(drifted - r_inf).max() <= 1e-9
+            # the adjoint dynamics is an OU model with the same invariant law
+            mu, adj = analytic.invariant_measure(m), build_adjoint(m)
+            adj_mu = analytic.invariant_measure(adj)
+            assert np.abs(adj_mu.mean - mu.mean).max() <= 1e-9 * (1.0 + np.abs(mu.mean).max())
+            assert np.abs(adj_mu.cov - mu.cov).max() <= 1e-9 * (1.0 + np.abs(mu.cov).max())
+            out = analytic.ou_pushforward(adj, mu, 0.8)
+            assert np.abs(out.mean - mu.mean).max() <= 1e-9
+            assert np.abs(out.cov - mu.cov).max() <= 1e-9
 
 
 class TestSemilinearSpec:
@@ -308,8 +317,8 @@ class TestMemoizedState:
         assert m.snapshot(0.7) is m.snapshot(np.float64(0.7))
         assert m.noise_sqrt() is m.noise_sqrt()
         assert m.steady_covariance() is m.steady_covariance()
-        assert build_adjoint(m).as_model() is build_adjoint(m).as_model()
-        assert build_adjoint(m).as_model().snapshot(0.7) is build_adjoint(m).as_model().snapshot(0.7)
+        assert build_adjoint(m) is build_adjoint(m)
+        assert build_adjoint(m).snapshot(0.7) is build_adjoint(m).snapshot(0.7)
 
     def test_interpolant_memoized_per_time(self, nonnormal_model):
         m = nonnormal_model
@@ -325,7 +334,7 @@ class TestMemoizedState:
         arrays = [snap.propagator, snap.mean_shift, fac.eigenvalues, fac.eigenvectors, fac.matrix,
                   fac.sqrt_matrix, fac.pinv_sqrt_matrix, fac.pinv_matrix, fac.range_projector,
                   m.steady_covariance(), m.noise_sqrt().sqrt_matrix,
-                  m.drift_matrix, m.noise_cov, m.drift_offset, build_adjoint(m).propagator(0.7)]
+                  m.drift_matrix, m.noise_cov, m.drift_offset, build_adjoint(m).snapshot(0.7).propagator]
         assert not any(a.flags.writeable for a in arrays)
 
     def test_invariant_law_is_memoized_and_read_only(self, nonnormal_model):
@@ -352,26 +361,26 @@ class TestMemoizedState:
     def test_operator_norm_is_memoized_per_time(self, nonnormal_model, monkeypatch):
         m = nonnormal_model
         adj = build_adjoint(m)
-        first, first_adj = gamma_operator_norm(m, 0.7), adj.gamma_operator_norm(0.7)
-        assert ("gamma_operator_norm", 0.7) in adj.as_model()._memo
+        first, first_adj = gamma_operator_norm(m, 0.7), gamma_operator_norm(adj, 0.7)
+        assert ("gamma_operator_norm", 0.7) in adj._memo
 
         def no_svd(*args, **kwargs):
             raise AssertionError("the operator norm was computed again")
 
         monkeypatch.setattr(np.linalg, "norm", no_svd)
         assert gamma_operator_norm(m, np.float64(0.7)) == first
-        assert build_adjoint(m).gamma_operator_norm(0.7) == first_adj
+        assert gamma_operator_norm(build_adjoint(m), 0.7) == first_adj
         monkeypatch.undo()
         assert gamma_operator_norm(m, 1.4) != first
 
     def test_memo_is_freed_without_the_cycle_collector(self):
         m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2))
         adj = build_adjoint(m)
-        adj.gamma_operator_norm(0.5)
+        gamma_operator_norm(adj, 0.5)
         gamma_operator_norm(m, 0.5)
-        analytic.pushforward_adjoint(adj, analytic.invariant_measure(m), 0.5)
+        analytic.ou_pushforward(adj, analytic.invariant_measure(m), 0.5)
         verify_h_condition(m, HFunction.exponential(1.0), [0.5], default_h_probes(2))
-        refs = [weakref.ref(m), weakref.ref(adj.as_model()), weakref.ref(analytic.invariant_measure(m))]
+        refs = [weakref.ref(m), weakref.ref(adj), weakref.ref(analytic.invariant_measure(m))]
         gc.disable()
         try:
             del m, adj
@@ -409,10 +418,3 @@ class TestMemoizedState:
             unstable.steady_covariance()
         assert unstable.is_stable() is False
         assert len(calls) == 2
-
-    def test_hand_built_adjoint_data_gets_its_own_model(self, nonnormal_model):
-        built = build_adjoint(nonnormal_model)
-        other = np.diag([-3.0, -4.0])
-        manual = AdjointModel(base=nonnormal_model, r_inf=built.r_inf, m_inf=built.m_inf, drift_matrix=other)
-        assert np.array_equal(manual.as_model().drift_matrix, other)
-        assert built.as_model() is not manual.as_model()
