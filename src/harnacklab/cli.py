@@ -27,7 +27,7 @@ import numpy as np
 from . import analytic, verify
 from .model import CompoundPoissonSpec, HFunction, OuLevyModel
 from .sampler import mix_seed
-from .testfuncs import drift_from_spec, observable_from_spec
+from .testfuncs import drift_from_spec, observable_from_spec, spec_vector
 
 #: Documented defaults; everything else in a scenario is explicit.
 DEFAULT_SAMPLES = 100_000
@@ -77,10 +77,8 @@ def _matrix(d, key, path, dim=None):
 def _vector(d, key, path, dim, default=None):
     if default is not None and key not in d:
         return default
-    v = np.asarray(_need(d, key, path), dtype=float).reshape(-1)
-    if v.shape[0] != dim:
-        raise SchemaError(f"{path}.{key}: dimension {v.shape[0]} != dim {dim}")
-    return v
+    _need(d, key, path)
+    return spec_vector(d, key, dim, path)
 
 
 def _typed(d: dict, key: str, path: str, kind: type, default=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .model import HFunction, OuLevyModel
+from .model import HFunction, OuLevyModel, verify_h_condition
 
 #: Terminal-state acceptance threshold, relative to ``1 + |x0|``.
 TERMINAL_RESIDUAL_TOL = 1e-8
@@ -215,10 +215,11 @@ def h_bound(model: OuLevyModel, h: HFunction, t: float, x) -> float:
     """Decay-certificate upper bound on the squared minimum-energy norm.
 
     Returns ``|R^{-1/2} x|^2 / int_0^t h(s)^{-1} ds``, infinite when ``x``
-    is not in the range of ``R^{1/2}``.
+    is not in the range of ``R^{1/2}``; `verify_h_condition` must certify ``h``.
     """
     if t <= 0:
         raise ValueError("horizon must be positive")
+    verify_h_condition(model, h, t).require()
     x = np.asarray(x, dtype=float).reshape(-1)
     rfac = model.noise_sqrt()
     if not rfac.in_range(x):

@@ -9,6 +9,7 @@ closed forms.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,28 +99,36 @@ class ConstantObservable:
 
 
 def observable_from_spec(spec: dict, dim: int):
-    """Build an observable from its scenario description."""
+    """Build an observable from its scenario description ``f``."""
     kind = spec.get("kind")
     if kind == "exp":
-        return ExpObservable(_vec(spec, "c", dim))
+        return ExpObservable(spec_vector(spec, "c", dim, "f"))
     if kind == "clipped_exp":
-        return ClippedExpObservable(_vec(spec, "c", dim), float(spec.get("cap", 10.0)))
+        return ClippedExpObservable(spec_vector(spec, "c", dim, "f"), _number(spec, "cap", "f", 10.0))
     if kind == "tanh":
-        return TanhObservable(_vec(spec, "c", dim))
+        return TanhObservable(spec_vector(spec, "c", dim, "f"))
     if kind == "one_plus_sigmoid":
-        return OnePlusSigmoid(_vec(spec, "c", dim))
+        return OnePlusSigmoid(spec_vector(spec, "c", dim, "f"))
     if kind == "indicator":
-        return IndicatorObservable(_vec(spec, "c", dim), float(spec.get("threshold", 0.0)))
+        return IndicatorObservable(spec_vector(spec, "c", dim, "f"), _number(spec, "threshold", "f", 0.0))
     if kind == "one":
         return ConstantObservable(1.0)
-    raise KeyError(f"unknown observable kind {kind!r}")
+    raise ValueError(f"f.kind: unknown observable kind {kind!r}")
 
 
-def _vec(spec: dict, key: str, dim: int) -> np.ndarray:
-    v = np.asarray(spec[key], dtype=float).reshape(-1)
-    if v.shape[0] != dim:
-        raise ValueError(f"observable parameter {key!r} has dimension {v.shape[0]}, model has {dim}")
-    return v
+def spec_vector(spec: dict, key: str, dim: int, path: str) -> np.ndarray:
+    """Field ``key`` of ``spec``, a list of ``dim`` numbers; `ValueError` naming ``path.key`` otherwise."""
+    v = spec.get(key)
+    if type(v) is not list or len(v) != dim or not all(type(e) in (int, float) for e in v):
+        raise ValueError(f"{path}.{key}: must be a list of numbers of length {dim}, got {reprlib.repr(v)}")
+    return np.array(v, dtype=float)
+
+
+def _number(spec: dict, key: str, path: str, default: float | None = None) -> float:
+    v = spec.get(key, default)
+    if type(v) not in (int, float):
+        raise ValueError(f"{path}.{key}: must be a number, got {reprlib.repr(v)}")
+    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +180,9 @@ def drift_from_spec(spec: dict, model: OuLevyModel) -> SemilinearSpec:
     if kind == "zero":
         return drift_zero(model.dim)
     if kind == "constant":
-        return drift_constant(model, spec["b"])
+        return drift_constant(model, spec_vector(spec, "b", model.dim, "F"))
     if kind == "scaled_sine":
-        return drift_scaled_sine(model, float(spec["k"]))
+        return drift_scaled_sine(model, _number(spec, "k", "F"))
     if kind == "clipped_linear":
-        return drift_clipped_linear(model, float(spec["k"]))
-    raise KeyError(f"unknown drift kind {kind!r}")
+        return drift_clipped_linear(model, _number(spec, "k", "F"))
+    raise ValueError(f"F.kind: unknown drift kind {kind!r}")

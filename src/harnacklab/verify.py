@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analytic, control, linops, sampler
 from .analytic import saturating_exp
-from .model import HFunction, OuLevyModel, SemilinearSpec, build_adjoint, default_h_probes, verify_h_condition
+from .model import HFunction, OuLevyModel, SemilinearSpec, build_adjoint, verify_h_condition
 from .testfuncs import ExpObservable
 
 HOLDS = "HOLDS"
@@ -188,75 +188,65 @@ def _measure_echo(nu: analytic.GaussianMeasure) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _energy_squared(model, t, x, y, bound_mode, h, user_control):
+def _energy_squared(model, t, x, y, bound_mode, h):
     delta = np.asarray(x, dtype=float).reshape(-1) - np.asarray(y, dtype=float).reshape(-1)
-    note = None
     if bound_mode == "exact_gamma":
-        if user_control is not None:
-            if not user_control.feasible:
-                return float("inf"), "user control infeasible"
-            note = "exponent uses the supplied control energy"
-            return float(user_control.energy), note
-        return float(control.gamma_norm(model, t, delta)) ** 2, note
+        return float(control.gamma_norm(model, t, delta)) ** 2
     if bound_mode == "operator_norm":
         norm = float(np.linalg.norm(delta))
-        if norm == 0.0:
-            return 0.0, note
-        return (control.gamma_operator_norm(model, t) * norm) ** 2, note
+        return 0.0 if norm == 0.0 else (control.gamma_operator_norm(model, t) * norm) ** 2
     if bound_mode == "h_function":
         if h is None:
             raise ValueError("bound_mode 'h_function' needs a decay profile")
-        return control.h_bound(model, h, t, delta), note
+        return control.h_bound(model, h, t, delta)
     raise ValueError(f"unknown bound_mode {bound_mode!r}")
 
 
 def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
                   bound_mode: str = "exact_gamma", n: int = 100_000, seed: int = 0,
-                  h: HFunction | None = None, user_control=None,
-                  check_id: str = "harnack") -> CheckReport:
+                  h: HFunction | None = None, check_id: str = "harnack") -> CheckReport:
     """Power-type comparison of the semigroup at two starting points.
 
     Verifies ``(P_t f(x))^alpha <= exp(alpha E^2 / (2 (alpha-1))) P_t
     f^alpha(y)`` with the exponent ``E^2`` chosen by ``bound_mode``: the
-    squared minimum-energy norm of ``x - y`` (optionally replaced by the
-    energy of a user-supplied null control), the operator-norm variant, or
-    the decay-certificate bound.  Exponential observables on models with a
-    tractable jump exponential moment are evaluated in closed form; anything
-    else runs one Monte Carlo pass whose noise serves both start points, and
-    the margin is judged by its joint standard error (``margin_se`` in the
-    params).
+    squared minimum-energy norm of ``x - y``, the operator-norm variant, or
+    the bound of `control.h_bound`, which certifies ``h`` first.
+    Exponential observables on models with a tractable jump exponential
+    moment are evaluated in closed form; anything else runs one Monte Carlo
+    pass whose noise serves both start points, and the margin is judged by
+    its joint standard error (``margin_se`` in the params).
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    e_sq, note = _energy_squared(model, t, x, y, bound_mode, h, user_control)
+    e_sq = _energy_squared(model, t, x, y, bound_mode, h)
     params = _echo(t=t, x=x, y=y, alpha=alpha, bound_mode=bound_mode, n=n, f=f, h=h,
                    energy_sq=e_sq)
     if math.isinf(e_sq):
-        return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed, note)
+        return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed)
     coef = saturating_exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
 
     if _closed_form_available(model, f):
         px = analytic.mehler_exponential(model, t, f.c, x)
         py = analytic.mehler_exponential(model, t, alpha * f.c, y)
-        return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed, note)
+        return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed)
 
     fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
     pair = sampler.paired_endpoint_moments(model, t, x, y, fx, fy, n, sampler.mix_seed(seed, 1))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    return _power_report(check_id, pair, alpha, coef, params, seed, note)
+    return _power_report(check_id, pair, alpha, coef, params, seed)
 
 
-def _power_report(check_id, pair: sampler.PairedMoments, alpha, coef, params, seed, note=None) -> CheckReport:
+def _power_report(check_id, pair: sampler.PairedMoments, alpha, coef, params, seed) -> CheckReport:
     """``(mean_x)^alpha`` against ``coef * mean_y`` with marginal side errors
     and the joint margin error of the paired sample."""
     mean_x = max(pair.x.mean, 0.0)
     lhs = mean_x**alpha
     lhs_se = alpha * mean_x ** (alpha - 1.0) * pair.x.std_error
     rhs_se = _times(coef, pair.y.std_error)
-    return _report(check_id, lhs, _times(coef, pair.y.mean), lhs_se, rhs_se, params, seed, note,
+    return _report(check_id, lhs, _times(coef, pair.y.mean), lhs_se, rhs_se, params, seed,
                    margin_se=_joint_se(lhs_se, rhs_se, pair.correlation))
 
 
@@ -422,16 +412,10 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
     ``KL(nu || mu) <= 2 I int_0^t h + coef * W2(nu, mu)^2`` with ``I`` the
     noise-weighted Fisher information and ``coef`` either half the squared
     adjoint operator norm or, in the symmetric variant, the reciprocal of
-    twice the integral of ``1/h``.  The decay certificate is re-verified on a
-    default grid before use.
+    twice the integral of ``1/h``.  `verify_h_condition` certifies ``h``
+    first.
     """
-    cert = verify_h_condition(
-        model, h,
-        times=np.linspace(t / 8.0, t, 8),
-        probes=default_h_probes(model.dim),
-    )
-    if not cert.certified:
-        raise ValueError(f"decay profile not certified (worst ratio {cert.worst_ratio:.6g})")
+    cert = verify_h_condition(model, h, t).require()
     adj = build_adjoint(model)
     mu = analytic.invariant_measure(model)
     lhs = analytic.gaussian_kl(nu, mu)
@@ -470,6 +454,7 @@ def _exp_moment_constant(model: OuLevyModel, spec: SemilinearSpec, t: float, r: 
 
 
 _DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
+_GROWTH_OVERFLOW = "growth factor exceeds the float range at this horizon"
 
 
 def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float, x, y,
@@ -529,9 +514,10 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     For ``k2 = 0`` the bounds are ``exp(p (2p-1) k1 t / 2)`` and
     ``exp(delta (2 delta + 1) k1 t / 2)`` exactly; otherwise the square root
     of an exponential-moment constant, exact by
-    `analytic.convolution_square_exp_moment`, multiplies them.  A divergent
-    constant gives that row ``TRIVIAL_INFINITE_RHS``, and its moment is not
-    sampled.
+    `analytic.convolution_square_exp_moment`, multiplies them.  Both bounds
+    come first: an infinite one, from a divergent constant or a growth
+    factor past the float range, gives that row ``TRIVIAL_INFINITE_RHS``,
+    and its moment is not sampled.
     """
     if p <= 1 or delta <= 0:
         raise ValueError("need p > 1 and delta > 0")
@@ -539,24 +525,25 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     spec.validate(model, _default_probes(model, x))
     params = _echo(t=t, x=x, p=p, delta=delta, n=n, K=K, drift=spec.label,
                    k1=spec.k1, k2=spec.k2)
-    consts = {p: _exp_moment_constant(model, spec, t, p), -delta: _exp_moment_constant(model, spec, t, delta)}
-    powers = [power for power, c in consts.items() if math.isfinite(c)]
-    moments = sampler.semilinear_rho_moments(model, spec, t, x, powers, n, K,
-                                             sampler.mix_seed(seed, 1)) if powers else {}
-
-    reports = []
-    for power, growth, suffix in ((p, 0.5 * p * (2.0 * p - 1.0), "_positive"),
-                                  (-delta, 0.5 * delta * (2.0 * delta + 1.0), "_negative")):
-        rid = check_id + suffix
-        if math.isinf(consts[power]):
-            reports.append(_report(rid, 0.0, float("inf"), 0.0, 0.0, params, seed, _DIVERGENT_CONSTANT))
-            continue
+    bounds = {}
+    for power, growth in ((p, 0.5 * p * (2.0 * p - 1.0)), (-delta, 0.5 * delta * (2.0 * delta + 1.0))):
+        const = _exp_moment_constant(model, spec, t, abs(power))
         if power > 0:
             integral = (spec.k1 * t if spec.k2 == 0.0
                         else spec.k1 * t + 2.0 * spec.k2 * _propagated_sq_integral(model, t, x))
         else:
             integral = t * (spec.k1 + 2.0 * spec.k2 * float(np.sum(x**2)))
+        bounds[power] = (math.sqrt(const) * saturating_exp(growth * integral),
+                         _DIVERGENT_CONSTANT if math.isinf(const) else _GROWTH_OVERFLOW)
+    powers = [power for power, (bound, _) in bounds.items() if math.isfinite(bound)]
+    moments = sampler.semilinear_rho_moments(model, spec, t, x, powers, n, K,
+                                             sampler.mix_seed(seed, 1)) if powers else {}
+
+    def row(power, suffix):
+        bound, note = bounds[power]
+        if power not in powers:
+            return _report(check_id + suffix, 0.0, bound, 0.0, 0.0, params, seed, note)
         est = moments[float(power)]
-        reports.append(_report(rid, est.mean, math.sqrt(consts[power]) * saturating_exp(growth * integral),
-                               est.std_error, 0.0, params, seed))
-    return reports[0], reports[1]
+        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0, params, seed)
+
+    return row(p, "_positive"), row(-delta, "_negative")

@@ -326,9 +326,23 @@ class TestMain:
         ({"kind": "kernel_kl"}, {"seed": [1]}, "config.seed: must be an integer, got [1]"),
         ({"kind": "kernel_kl"}, {"seed": 1.5}, "config.seed: must be an integer, got 1.5"),
         ({"kind": "kernel_kl"}, {"jump": {"rate": "1", "atoms": [[0.5]]}}, "config.jump.rate: must be a number, got '1'"),
+        ({"kind": "kernel_kl", "x": None}, {}, "check c.x: must be a list of numbers of length 1, got None"),
+        ({"kind": "kernel_kl", "x": ["a"]}, {}, "check c.x: must be a list of numbers of length 1, got ['a']"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "clipped_exp", "c": [0.5], "cap": "3"}}, {},
+         "f.cap: must be a number, got '3'"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "indicator", "c": [0.5], "threshold": "0.1"}}, {},
+         "f.threshold: must be a number, got '0.1'"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "exp", "c": None}}, {},
+         "f.c: must be a list of numbers of length 1, got None"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"c": [0.5]}}, {}, "f.kind: unknown observable kind None"),
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5, "F": {"kind": "scaled_sine", "k": "0.5"}}, {},
+         "F.k: must be a number, got '0.5'"),
+        ({"kind": "rho_moments", "p": 2.0, "delta": 0.5, "F": {"kind": "constant"}}, {},
+         "F.b: must be a list of numbers of length 1, got None"),
     ])
     def test_wrong_field_type_of_other_kinds_exits_three(self, tmp_path, capsys, check, cfg, message):
-        # each ended in a traceback with exit 1 (the VIOLATED code), or ran with a string read as a number
+        # each ended in a traceback with exit 1 (the VIOLATED code), ran with a string read as a
+        # number, or exited 3 with a message that named no field
         entry = {"id": "c", "t": 1.0, "x": [0.4], "y": [0.0], "n": 200, **check}
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(minimal_config(checks=[entry], **cfg)))
@@ -382,6 +396,22 @@ class TestLongHorizon:
         # gaussian_kl sums terms of order one, so it carries a few eps of absolute rounding
         assert lhs["entropy_cost"] == pytest.approx(want, rel=1e-10, abs=1e-15)
 
+    def test_scalar_suite_at_t_1e6_exits_zero(self, tmp_path):
+        # exp(-2 s) underflowed to 0 in the hwi certificate, and the rho_moments weight
+        # pass overflowed before its growth bound saturated: both exited 3
+        cfg = json.loads((SCENARIO_DIR / "scalar_ou.json").read_text())
+        cfg["checks"] = [{**c, "t": 1e6} for c in cfg["checks"]]
+        path, out = tmp_path / "far.json", tmp_path / "far.csv"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        with out.open() as fh:
+            rows = {row["check_id"]: row for row in csv.DictReader(fh)}
+        assert len(rows) == len(SCALAR_OU_VERDICTS)
+        for suffix in ("_positive", "_negative"):
+            row = rows["rho_moments" + suffix]
+            assert row["verdict"] == verify.TRIVIAL_INFINITE_RHS
+            assert "growth factor exceeds the float range" in json.loads(row["param_json"])["note"]
+
     @pytest.mark.parametrize("t", [8.0, 16.0, 30.0])
     def test_entropy_cost_adjoint_against_a_50_digit_oracle(self, t):
         # the sum tr(S^-1 Sigma) - d + log det S - log det Sigma + m' S^-1 m erred 6.9e-10
@@ -408,6 +438,35 @@ class TestLongHorizon:
             assert lhs == pytest.approx(want, rel=1e-12, abs=0.0)
         else:  # about 6e-27, below the rounding of the covariances themselves
             assert 0.0 < lhs and 0.0 < want
+
+
+def _h_function_row(rate, t):
+    """A = -1, R = 1 and one closed-form ``h_function`` Harnack row with ``h = exp(-rate t)``."""
+    return minimal_config(R=[[1.0]], checks=[{
+        "kind": "harnack", "id": "h", "t": t, "x": [2.0], "y": [0.0], "alpha": 2.0,
+        "f": {"kind": "exp", "c": [1.0]}, "bound_mode": "h_function",
+        "h": {"kind": "exponential", "rate": rate}, "n": 200}])
+
+
+class TestCertifiedDecayProfile:
+    def test_uncertified_profile_exits_three(self, tmp_path, capsys):
+        # the ratio of exp(-s) to sqrt(exp(-6 s)) reaches e^2 at s = 1; the uncertified
+        # bound was too small and the row read VIOLATED (exit 1)
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(_h_function_row(6.0, 1.0)))
+        assert cli.main(["--config", str(path)]) == 3
+        assert "decay profile not certified (worst ratio 7.38906)" in capsys.readouterr().err
+
+    def test_long_horizon_certified_profile_exits_zero(self, tmp_path):
+        # int_0^400 exp(2 s) ds overflowed in expm1 with a RuntimeWarning
+        path, out = tmp_path / "long.json", tmp_path / "long.csv"
+        path.write_text(json.dumps(_h_function_row(2.0, 400.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        with out.open() as fh:
+            [row] = csv.DictReader(fh)
+        assert json.loads(row["param_json"])["energy_sq"] == 0.0
 
 
 class TestSweep:
@@ -522,16 +581,17 @@ def _jump_free_suite_config(d: int = 3) -> dict:
             "checks": [{**c, "n": 2000} for c in checks]}
 
 
-#: ``np.linalg`` factorizations per closed-form Gaussian kind on a fresh model of
-#: `_jump_free_suite_config`.  Each snapshot checks R by an ``eigvalsh``; ``solve`` is
-#: the invariant mean and the adjoint drift.
+#: ``np.linalg`` factorizations and ``scipy.linalg.expm`` calls per closed-form Gaussian
+#: kind on a fresh model of `_jump_free_suite_config`.  Each snapshot checks R by an
+#: ``eigvalsh`` and takes one ``expm``; the decay certificate of ``hwi`` takes one more;
+#: ``solve`` is the invariant mean and the adjoint drift.
 GAUSSIAN_KIND_FACTORIZATIONS = {
-    "density_norm": {"eigh": 3, "eigvalsh": 1, "solve": 1},
-    "kernel_kl": {"eigh": 1, "eigvalsh": 1},
-    "kernel_harnack": {"eigh": 1, "eigvalsh": 1},
-    "hyper_constant": {"eigh": 2, "eigvalsh": 1, "solve": 1},
-    "entropy_cost": {"eigh": 7, "eigvalsh": 5, "solve": 2},
-    "hwi": {"eigh": 5, "eigvalsh": 3, "solve": 2},
+    "density_norm": {"eigh": 3, "eigvalsh": 1, "expm": 1, "solve": 1},
+    "kernel_kl": {"eigh": 1, "eigvalsh": 1, "expm": 1},
+    "kernel_harnack": {"eigh": 1, "eigvalsh": 1, "expm": 1},
+    "hyper_constant": {"eigh": 2, "eigvalsh": 1, "expm": 1, "solve": 1},
+    "entropy_cost": {"eigh": 7, "eigvalsh": 5, "expm": 2, "solve": 2},
+    "hwi": {"eigh": 5, "eigvalsh": 3, "expm": 2, "solve": 2},
 }
 
 
@@ -556,16 +616,18 @@ class TestSemigroupStateOncePerModel:
 
     def test_gaussian_closed_forms_factorizations_on_a_fresh_model(self, monkeypatch):
         # one factorization per covariance: the measure's eigh, read by every closed form
+        from harnacklab import linops
+
         names = ("eigh", "eigvalsh", "cholesky", "slogdet", "solve", "inv")
         counts = {}
-        for name in names:
-            original = getattr(np.linalg, name)
+        for module, name in [(np.linalg, name) for name in names] + [(linops.sla, "expm")]:
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = _jump_free_suite_config()
         calls = {}
         for check in cfg["checks"]:

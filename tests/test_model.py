@@ -1,4 +1,5 @@
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -62,45 +63,45 @@ class TestHCondition:
     def test_isotropic_decay_is_tight(self):
         lam = 0.7
         m = OuLevyModel(drift_matrix=-lam * np.eye(2), noise_cov=np.eye(2))
-        rep = verify_h_condition(m, HFunction.exponential(2 * lam),
-                                 times=[0.2, 0.5, 1.0, 2.0], probes=default_h_probes(2))
+        rep = verify_h_condition(m, HFunction.exponential(2 * lam), 2.0)
         assert rep.certified
         assert abs(rep.worst_ratio - 1.0) <= 1e-9
 
     def test_driftless_constant_profile(self):
         m = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.eye(2))
-        rep = verify_h_condition(m, HFunction.constant(1.0), times=[0.5, 1.0], probes=default_h_probes(2))
+        rep = verify_h_condition(m, HFunction.constant(1.0), 1.0)
         assert rep.certified
 
     def test_slowest_mode_dominates(self):
         m = OuLevyModel(drift_matrix=np.diag([-1.0, -3.0]), noise_cov=np.diag([1.0, 2.0]))
-        rep = verify_h_condition(m, HFunction.exponential(2.0),
-                                 times=[0.3, 1.0, 2.5], probes=default_h_probes(2))
+        rep = verify_h_condition(m, HFunction.exponential(2.0), 2.5)
         assert rep.certified
         assert rep.worst_ratio <= 1.0 + 1e-12
 
     def test_too_small_profile_fails(self):
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]])
-        rep = verify_h_condition(m, HFunction.exponential(4.0), times=[1.0], probes=[[1.0]])
+        rep = verify_h_condition(m, HFunction.exponential(4.0), 1.0)
         assert not rep.certified
         assert rep.worst_ratio > 1.0
 
-    def test_ratio_scale_invariance(self):
-        m = OuLevyModel(drift_matrix=np.diag([-1.0, -2.0]), noise_cov=np.diag([1.0, 0.5]))
-        h = HFunction.exponential(2.0)
-        base = verify_h_condition(m, h, times=[0.7], probes=[[0.3, -0.8]])
-        scaled = verify_h_condition(m, h, times=[0.7], probes=[[30.0, -80.0]])
-        assert abs(base.worst_ratio - scaled.worst_ratio) <= 1e-12
-
-    def test_zero_probe_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_negative_or_nan_profile_value_rejected(self, bad):
+        # s = 0.75 is the grid time 6 t / 8 at t = 1
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]])
-        with pytest.raises(ValueError):
-            verify_h_condition(m, HFunction.constant(1.0), times=[1.0], probes=[[0.0]])
+        h = HFunction(fn=lambda s: bad if s == 0.75 else 1.0)
+        with pytest.raises(ValueError, match="decay profile must be nonnegative"):
+            verify_h_condition(m, h, 1.0)
+
+    def test_underflowed_profile_value_counts(self):
+        # exp(-2 s) is 0.0 in floating point at every grid time; so is the propagated probe
+        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
+        rep = verify_h_condition(m, HFunction.exponential(2.0), 1e6)
+        assert rep.certified and rep.worst_ratio == 0.0
 
     def test_propagated_state_leaving_range_gives_infinite_ratio(self):
         # rotation carries R x out of the rank-one range of R^(1/2)
         m = OuLevyModel(drift_matrix=[[0.0, 1.0], [-1.0, 0.0]], noise_cov=np.diag([1.0, 0.0]))
-        rep = verify_h_condition(m, HFunction.constant(1.0), times=[0.5], probes=[[1.0, 0.0]])
+        rep = verify_h_condition(m, HFunction.constant(1.0), 0.5)
         assert not rep.certified
         assert rep.worst_ratio == np.inf
 
@@ -111,6 +112,11 @@ class TestHFunction:
         t = 1.3
         assert abs(h.integral_of_inverse(t) - (np.exp(2 * t) - 1) / 2) <= 1e-12
         assert abs(h.integral_of_h(t) - (1 - np.exp(-2 * t)) / 2) <= 1e-12
+
+    def test_exponential_inverse_integral_saturates(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert HFunction.exponential(2.0).integral_of_inverse(400.0) == np.inf
 
     def test_quadrature_fallback_matches(self):
         h_closed = HFunction.exponential(1.5)
@@ -288,10 +294,10 @@ class TestHConditionBatched:
             m_skew = rng.normal(size=(dim, dim))
             a = root.sqrt_matrix @ (0.5 * (m_skew - m_skew.T) - np.eye(dim)) @ root.pinv_sqrt_matrix
         m = OuLevyModel(drift_matrix=a, noise_cov=r)
-        times = [0.1, 0.4, 1.3]
-        probes = default_h_probes(dim) + list(rng.normal(size=(5, dim)))
+        t = 1.3
+        times, probes = [j * t / 8 for j in range(1, 9)], default_h_probes(dim)
         for h in (HFunction.exponential(1.0), HFunction.constant(1.0), HFunction.exponential(3.0)):
-            rep = verify_h_condition(m, h, times, probes)
+            rep = verify_h_condition(m, h, t)
             worst, failures = _h_condition_reference(m, h, times, probes)
             if contractive and h.label != "exp(-3 t)":
                 assert rep.certified
@@ -379,7 +385,7 @@ class TestMemoizedState:
         gamma_operator_norm(adj, 0.5)
         gamma_operator_norm(m, 0.5)
         analytic.ou_pushforward(adj, analytic.invariant_measure(m), 0.5)
-        verify_h_condition(m, HFunction.exponential(1.0), [0.5], default_h_probes(2))
+        verify_h_condition(m, HFunction.exponential(1.0), 0.5)
         refs = [weakref.ref(m), weakref.ref(adj), weakref.ref(analytic.invariant_measure(m))]
         gc.disable()
         try:

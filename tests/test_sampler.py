@@ -543,6 +543,16 @@ class TestSemilinear:
         target = analytic.mehler_exponential(shifted, 1.0, [0.5], [0.3])
         assert within_sigma(est.mean, est.std_error, target)
 
+    def test_linear_drift_against_the_perturbed_ou_closed_form(self):
+        # F(x) = B x turns dX = A X dt + R^(1/2) dW into the OU model with drift A + B,
+        # whose exponential moment is exact; B = 0.2 keeps the weights light-tailed
+        m = OuLevyModel(drift_matrix=[[-0.5]], noise_cov=[[1.0]])
+        spec = hl.SemilinearSpec(drift_fn=lambda p: 0.2 * p, k1=0.0, k2=0.04)
+        est = hl.semilinear_estimate(m, spec, 1.0, [1.0], ExpObservable([0.3]), 100_000, 32, 212)
+        target = analytic.mehler_exponential(OuLevyModel(drift_matrix=[[-0.3]], noise_cov=[[1.0]]), 1.0, [0.3], [1.0])
+        assert est.std_error <= 0.002 * target
+        assert within_sigma(est.mean, est.std_error, target)
+
     def test_weight_is_probability_density(self, scalar_model):
         from harnacklab.testfuncs import drift_scaled_sine
 
