@@ -61,17 +61,13 @@ def _need(d: dict, key: str, path: str):
     return d[key]
 
 
-def _matrix(d, key, path, dim=None):
+def _rows(d, key, path, dim, count=None):
+    """Field ``key``, a list of ``count`` rows (at least one without a count), each
+    read by `spec_vector` as ``dim`` JSON numbers; ``count = dim`` reads a square matrix."""
     raw = _need(d, key, path)
-    try:
-        m = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}.{key}: not a numeric matrix ({exc})") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SchemaError(f"{path}.{key}: must be a square row-major matrix")
-    if dim is not None and m.shape[0] != dim:
-        raise SchemaError(f"{path}.{key}: dimension {m.shape[0]} != dim {dim}")
-    return m
+    if type(raw) is not list or not raw or (count is not None and len(raw) != count):
+        raise SchemaError(f"{path}.{key}: must be a list of {count or 'one or more'} row(s), got {reprlib.repr(raw)}")
+    return np.array([spec_vector({f"{key}[{i}]": row}, f"{key}[{i}]", dim, path) for i, row in enumerate(raw)])
 
 
 def _vector(d, key, path, dim, default=None):
@@ -115,17 +111,15 @@ def parse_model(cfg: dict, path: str = "") -> OuLevyModel:
     dim = _need(cfg, "dim", path or "config")
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"{path}.dim: must be a positive integer")
-    a = _matrix(cfg, "A", path, dim)
-    r = _matrix(cfg, "R", path, dim)
+    a = _rows(cfg, "A", path, dim, dim)
+    r = _rows(cfg, "R", path, dim, dim)
     offset = _vector(cfg, "a", path, dim, default=np.zeros(dim))
     jump = None
     if cfg.get("jump") is not None:
         j = _typed(cfg, "jump", path, dict)
         rate = _typed(j, "rate", f"{path}.jump", float)
-        atoms = np.atleast_2d(np.asarray(_need(j, "atoms", f"{path}.jump"), dtype=float))
-        if atoms.shape[1] != dim:
-            raise SchemaError(f"{path}.jump.atoms: atom dimension {atoms.shape[1]} != dim {dim}")
-        probs = j.get("probs")
+        atoms = _rows(j, "atoms", f"{path}.jump", dim)
+        probs = None if j.get("probs") is None else spec_vector(j, "probs", len(atoms), f"{path}.jump")
         try:
             jump = CompoundPoissonSpec(rate=rate, atoms=atoms, probs=probs)
         except ValueError as exc:
@@ -149,7 +143,7 @@ def _parse_h(entry: dict, path: str) -> HFunction:
 def _parse_nu(entry: dict, path: str, dim: int) -> analytic.GaussianMeasure:
     spec, path = _typed(entry, "nu", path, dict), f"{path}.nu"
     mean = _vector(spec, "mean", path, dim)
-    cov = _matrix(spec, "cov", path, dim)
+    cov = _rows(spec, "cov", path, dim, dim)
     try:
         return analytic.GaussianMeasure(mean=mean, cov=cov)
     except ValueError as exc:

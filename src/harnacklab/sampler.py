@@ -16,18 +16,19 @@ previsible integrands.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
-of ``MC_BLOCK`` replicates and merge each block's centered moments into one
-``RunningMoments`` accumulator in stream order, so results are bitwise
-reproducible regardless of how blocks are scheduled.  An estimator of two
-start points makes one pass whose draws serve both (common random numbers)
-and keeps the pair's co-moment in a ``PairedMoments`` accumulator.
+of ``MC_BLOCK`` replicates and yield each block's per-replicate values as
+the columns of a ``(k, size)`` array; `fold` merges the blocks' column
+means and co-moments into one `Moments` accumulator in stream order, so
+results are bitwise reproducible regardless of how blocks are scheduled.
+An estimator of several start points makes one pass whose draws serve all
+of them (common random numbers), one column per start.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -123,93 +124,74 @@ class DriftRangeError(ValueError, RuntimeError):
     that catch this failure as one."""
 
 
-class RunningMoments:
-    """Streaming count, mean and central sums ``M2``-``M4`` of blocks of values.
+class Moments:
+    """Streaming count, column means and co-moment matrix ``C`` of ``(k, size)``
+    column blocks, one row per column and one entry per replicate.
 
-    Each block is centered on its own mean, and its moments are merged into
-    the running ones in block order by the pairwise update of Chan, Golub &
-    LeVeque (1983), extended to ``M3`` and ``M4`` by Pebay (2008).  No power
-    sum of raw values is formed, so a common offset does not cancel the
-    spread.  This is the one place that rejects non-finite values.
+    Each block is centered on its own column means, and its co-moment is
+    merged into the running one in stream order by ``C <- C + C_b + d d'
+    na nb / n`` (Pebay 2008; Schubert & Gertz 2018), ``d`` the gap between
+    the block's means and the running ones.  No power sum of raw values is
+    formed, so a common offset does not cancel the spread.  The diagonal is
+    summed row by row, so each column's mean and variance are bitwise those
+    of the column folded alone.  This is the one place that rejects
+    non-finite values.
     """
 
-    def __init__(self):
+    def __init__(self, k: int):
         self.n = 0
-        self.mean = 0.0
-        self._m2 = self._m3 = self._m4 = 0.0
+        self.mean = np.zeros(k)
+        self.comoment = np.zeros((k, k))
 
-    def add(self, values) -> None:
-        v = np.asarray(values, dtype=float).reshape(-1)
-        na, nb = self.n, v.shape[0]
-        mb = float(v.mean())
-        if not math.isfinite(mb):  # a non-finite value, or a block sum that overflows
-            bad = int(np.count_nonzero(~np.isfinite(v)))
+    def add(self, block) -> None:
+        v = np.asarray(block, dtype=float)
+        na, nb = self.n, v.shape[1]
+        mb = v.mean(axis=1)
+        if not np.isfinite(mb).all():  # a non-finite value, or a block sum that overflows
+            bad = int(np.count_nonzero(~np.isfinite(v).all(axis=0)))  # replicates, not entries
             raise NonFiniteValueError(f"{bad} non-finite value(s) in the block at replicate {na}")
         n = na + nb
-        dev = v - mb
-        dev2 = dev * dev
-        m2b, m3b, m4b = float(dev2.sum()), float((dev2 * dev).sum()), float((dev2 * dev2).sum())
+        dev = v - mb[:, None]
+        cb = dev @ dev.T
+        np.fill_diagonal(cb, (dev * dev).sum(axis=1))
         delta = mb - self.mean
-        cross = delta * delta * na * nb / n
-        self._m4 += (m4b + cross * delta * delta * (na * na - na * nb + nb * nb) / (n * n)
-                     + 6.0 * delta * delta * (na * na * m2b + nb * nb * self._m2) / (n * n)
-                     + 4.0 * delta * (na * m3b - nb * self._m3) / n)
-        self._m3 += m3b + cross * delta * (na - nb) / n + 3.0 * delta * (na * m2b - nb * self._m2) / n
-        self._m2 += m2b + cross
+        self.comoment += cb + np.outer(delta, delta) * na * nb / n
         self.mean += delta * (nb / n)
         self.n = n
 
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance."""
-        return self._m2 / (self.n - 1)
+    def std_error(self, i: int) -> float:
+        """Standard error of the mean of column ``i``, ``sqrt(C_ii / (n - 1) / n)``."""
+        return math.sqrt(self.comoment[i, i] / (self.n - 1) / self.n)
 
-    @property
-    def variance_se(self) -> float:
-        """Standard error of ``variance``: ``sqrt((mu4 - variance^2) / n)``."""
-        return math.sqrt(max(self._m4 / self.n - self.variance**2, 0.0) / self.n)
+    def delta_se(self, grad) -> float:
+        """Delta-method standard error of a smooth function of the column
+        means whose gradient there is ``grad``: ``sqrt(grad' S grad / n)``,
+        ``S`` the unbiased sample covariance.  A column without spread adds
+        nothing, so a saturated ``inf`` coefficient scales it to zero, not to
+        NaN; the sum is scaled by its largest term, so it does not overflow."""
+        spread = np.sqrt(np.diag(self.comoment))
+        live = spread > 0.0
+        terms = np.asarray(grad, dtype=float)[live] * (spread[live] / math.sqrt((self.n - 1) * self.n))
+        scale = float(np.abs(terms).max(initial=0.0))
+        if scale == 0.0 or math.isinf(scale):
+            return scale
+        a = terms / scale
+        corr = self.comoment[np.ix_(live, live)] / np.outer(spread[live], spread[live])
+        return scale * math.sqrt(max(float(a @ corr @ a), 0.0))
 
-    @property
-    def std_error(self) -> float:
-        """Standard error of ``mean``."""
-        return math.sqrt(self.variance / self.n)
-
-    def estimate(self, seed: int) -> McEstimate:
-        return McEstimate(mean=self.mean, std_error=self.std_error, n=self.n, seed=seed)
+    def estimate(self, i: int, seed: int) -> McEstimate:
+        return McEstimate(mean=float(self.mean[i]), std_error=self.std_error(i), n=self.n, seed=seed)
 
 
-class PairedMoments:
-    """Two `RunningMoments` marginals of replicate-wise paired values and their
-    co-moment ``C = sum (x - mean_x)(y - mean_y)``.
-
-    Each block's co-moment about its own means is merged in block order by
-    ``C <- C + C_b + dx dy na nb / n`` (Pebay 2008), ``dx, dy`` the gaps
-    between the block means and the running ones, so no power sum is formed
-    and no ``Var(x + y)`` cancels.
-    """
-
-    def __init__(self):
-        self.x = RunningMoments()
-        self.y = RunningMoments()
-        self._c = 0.0
-
-    def add(self, vx, vy) -> None:
-        vx = np.asarray(vx, dtype=float).reshape(-1)
-        vy = np.asarray(vy, dtype=float).reshape(-1)
-        if vx.shape != vy.shape:
-            raise ValueError(f"paired blocks differ in size: {vx.shape[0]} and {vy.shape[0]}")
-        na, nb = self.x.n, vx.shape[0]
-        mx0, my0 = self.x.mean, self.y.mean
-        self.x.add(vx)
-        self.y.add(vy)
-        mx, my = float(vx.mean()), float(vy.mean())
-        self._c += float(np.dot(vx - mx, vy - my)) + (mx - mx0) * (my - my0) * na * nb / (na + nb)
-
-    @property
-    def correlation(self) -> float:
-        """Sample correlation of the pairs; 0 when either marginal is constant."""
-        scale = math.sqrt(self.x._m2 * self.y._m2)
-        return self._c / scale if scale > 0.0 else 0.0
+def fold(blocks: Iterable) -> Moments:
+    """Add ``(k, size)`` column blocks to one `Moments` in stream order: the
+    one loop through which every Monte Carlo estimate passes."""
+    acc = None
+    for block in blocks:
+        if acc is None:
+            acc = Moments(len(block))
+        acc.add(block)
+    return acc
 
 
 def eval_rows(f: Callable, pts: np.ndarray) -> np.ndarray:
@@ -326,6 +308,20 @@ def iter_endpoint_noise(model: OuLevyModel, t: float, n: int, seed: int) -> Iter
         yield _endpoint_noise_block(model, t, gen, size, snap, transport)
 
 
+def endpoint_values(model: OuLevyModel, t: float, starts, fs, n: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks ``(S, size)`` of ``f_s(X_t^{x_s})`` for ``S`` start points from one noise pass.
+
+    In this linear model ``X_t^y = X_t^x - e^{tA}(x - y)`` path by path,
+    jumps included, so every start shares every draw (common random
+    numbers).  ``fs`` holds one vectorized observable per start; each
+    start's endpoints are formed and evaluated before the next start's.
+    """
+    prop = model.snapshot(t).propagator
+    terms = [prop @ np.asarray(x, dtype=float).reshape(-1) for x in starts]
+    for noise in iter_endpoint_noise(model, t, n, seed):
+        yield np.stack([eval_rows(f, term + noise) for f, term in zip(fs, terms, strict=True)])
+
+
 def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of ``E f(X_t)`` started at ``x``.
 
@@ -333,30 +329,7 @@ def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, see
     ``(m,)`` values, and any other shape raises ``ValueError``.  Estimation
     aborts on the first non-finite value of ``f``.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    start = model.snapshot(t).propagator @ x
-    acc = RunningMoments()
-    for noise in iter_endpoint_noise(model, t, n, seed):
-        acc.add(eval_rows(f, start + noise))
-    return acc.estimate(seed)
-
-
-def paired_endpoint_moments(model: OuLevyModel, t: float, x, y, f: Callable, g: Callable,
-                            n: int, seed: int) -> PairedMoments:
-    """Moments of ``f(X_t^x)`` and ``g(X_t^y)`` from one noise pass.
-
-    In this linear model ``X_t^y = X_t^x - e^{tA}(x - y)`` path by path,
-    jumps included, so both starts share every draw (common random numbers)
-    and the accumulator keeps their co-moment.  Each marginal is bitwise
-    the `estimate_semigroup` at its start with the same seed.
-    """
-    prop = model.snapshot(t).propagator
-    start_x = prop @ np.asarray(x, dtype=float).reshape(-1)
-    start_y = prop @ np.asarray(y, dtype=float).reshape(-1)
-    acc = PairedMoments()
-    for noise in iter_endpoint_noise(model, t, n, seed):
-        acc.add(eval_rows(f, start_x + noise), eval_rows(g, start_y + noise))
-    return acc
+    return fold(endpoint_values(model, t, [x], [f], n, seed)).estimate(0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +399,7 @@ def girsanov_functional_estimates(
     ``u`` is a callable of time or an array on the left points / full grid;
     each entry of ``funcs`` maps the vector of log-weights of a block to
     per-replicate values.  One pass over the increments serves all
-    functionals, with one accumulator per functional.
+    functionals, one column per functional.
     """
     delta = _grid_step(t, K)
     grid = np.linspace(0.0, t, K + 1)
@@ -443,16 +416,17 @@ def girsanov_functional_estimates(
     half_sq = 0.5 * delta * float(np.sum(uvals * uvals))
     root = np.sqrt(delta)
 
-    accs = {name: RunningMoments() for name in funcs}
-    for gen, size in _stream_blocks(seed, n):
-        acc = np.zeros(size)
-        for k in range(K):
-            dw = gen.standard_normal((size, model.dim)) * root
-            acc += dw @ uvals[k]
-        log_rho = acc - half_sq
-        for name, fn in funcs.items():
-            accs[name].add(fn(log_rho))
-    return {name: acc.estimate(seed) for name, acc in accs.items()}
+    def blocks():
+        for gen, size in _stream_blocks(seed, n):
+            acc = np.zeros(size)
+            for k in range(K):
+                dw = gen.standard_normal((size, model.dim)) * root
+                acc += dw @ uvals[k]
+            log_rho = acc - half_sq
+            yield np.stack([fn(log_rho) for fn in funcs.values()])
+
+    moments = fold(blocks())
+    return {name: moments.estimate(i, seed) for i, name in enumerate(funcs)}
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +524,8 @@ def coupled_expectation(model: OuLevyModel, t: float, x, y,
                         g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                         n: int, K: int, seed: int) -> McEstimate:
     """Monte Carlo mean of ``g(rho, endpoint)`` over coupled-pair replicates."""
-    acc = RunningMoments()
-    for endpoints, log_rho, _ in _coupled_blocks(model, t, x, y, K, _stream_blocks(seed, n)):
-        acc.add(g(np.exp(log_rho), endpoints))
-    return acc.estimate(seed)
+    blocks = _coupled_blocks(model, t, x, y, K, _stream_blocks(seed, n))
+    return fold(np.reshape(g(np.exp(log_rho), ends), (1, -1)) for ends, log_rho, _ in blocks).estimate(0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +577,21 @@ def _semilinear_blocks(model, spec, t, starts, K, seed, n):
         yield conv, log_rho
 
 
+def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts, fs,
+                      n: int, K: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks ``(S, size)`` of ``rho_s f_s(X_t^{x_s})`` for ``S`` start points
+    from one pass of increments shared by all starts (common random numbers):
+    the weights differ only through the drift evaluated along each start's
+    path.  ``fs`` holds one vectorized observable per start."""
+    _require_semilinear_setting(model)
+    starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
+    prop = model.snapshot(t).propagator
+    terms = [prop @ x for x in starts]
+    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n):
+        yield np.stack([np.exp(lr) * eval_rows(f, conv + term)
+                        for f, term, lr in zip(fs, terms, log_rho, strict=True)])
+
+
 def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                         f: Callable, n: int, K: int, seed: int) -> McEstimate:
     """Weighted Monte Carlo estimate of the perturbed-drift expectation.
@@ -619,39 +606,15 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     for a state-dependent ``F`` the estimate carries an ``O(1/K)`` weak
     error (Kloeden & Platen 1992, ch. 14) that a finer grid shrinks.
     """
-    _require_semilinear_setting(model)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    end_term = model.snapshot(t).propagator @ x
-    value = RunningMoments()
-    for conv, log_rho in _semilinear_blocks(model, spec, t, x[None], K, seed, n):
-        value.add(np.exp(log_rho[0]) * eval_rows(f, conv + end_term))
-    return value.estimate(seed)
-
-
-def semilinear_paired_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x, y,
-                              f: Callable, g: Callable, n: int, K: int, seed: int) -> PairedMoments:
-    """Moments of ``rho_x f(X_t^x)`` and ``rho_y g(X_t^y)`` from one pass of
-    increments shared by both starts (common random numbers): the two weights
-    differ only through the drift evaluated along each start's path.  Each
-    marginal is bitwise the `semilinear_estimate` at its start with the same
-    seed."""
-    _require_semilinear_setting(model)
-    starts = np.stack([np.asarray(p, dtype=float).reshape(-1) for p in (x, y)])
-    ends = starts @ model.snapshot(t).propagator.T
-    acc = PairedMoments()
-    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n):
-        acc.add(np.exp(log_rho[0]) * eval_rows(f, conv + ends[0]),
-                np.exp(log_rho[1]) * eval_rows(g, conv + ends[1]))
-    return acc
+    return fold(semilinear_values(model, spec, t, [x], [f], n, K, seed)).estimate(0, seed)
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                            powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
     """Monte Carlo moments ``E rho^p`` of the perturbed-drift weight."""
     _require_semilinear_setting(model)
-    accs = {float(p): RunningMoments() for p in powers}
-    x = np.asarray(x, dtype=float).reshape(-1)
-    for _, log_rho in _semilinear_blocks(model, spec, t, x[None], K, seed, n):
-        for p, acc in accs.items():
-            acc.add(np.exp(p * log_rho[0]))
-    return {p: acc.estimate(seed) for p, acc in accs.items()}
+    powers = [float(p) for p in powers]
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    moments = fold(np.stack([np.exp(p * log_rho[0]) for p in powers])
+                   for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n))
+    return {p: moments.estimate(i, seed) for i, p in enumerate(powers)}

@@ -119,7 +119,7 @@ def observable_from_spec(spec: dict, dim: int):
 def spec_vector(spec: dict, key: str, dim: int, path: str) -> np.ndarray:
     """Field ``key`` of ``spec``, a list of ``dim`` numbers; `ValueError` naming ``path.key`` otherwise."""
     v = spec.get(key)
-    if type(v) is not list or len(v) != dim or not all(type(e) in (int, float) for e in v):
+    if type(v) is not list or len(v) != dim or not {*map(type, v)} <= {int, float}:
         raise ValueError(f"{path}.{key}: must be a list of numbers of length {dim}, got {reprlib.repr(v)}")
     return np.array(v, dtype=float)
 

@@ -14,9 +14,11 @@ and classifies the margin:
 * a NaN side or standard error raises ``ValueError``: it is no verdict.
 
 A Monte Carlo check of two start points draws one noise pass for both and
-judges the margin by its joint standard error, which includes the
-correlation of the sides; ``VIOLATED`` still needs a breach beyond three
-times the larger of that error and the sides' combined one.
+folds per-replicate columns into one `sampler.Moments`; both sides are
+smooth functions of its column means, so the delta method reads the
+margin's joint standard error, which includes the correlation of the
+sides, from its co-moment matrix.  ``VIOLATED`` still needs a breach beyond
+three times the larger of that error and the sides' combined one.
 """
 
 from __future__ import annotations
@@ -90,17 +92,6 @@ def _times(coef: float, v: float) -> float:
     """``coef * v``, where a saturated ``coef = inf`` stands for a finite number
     too large to hold: it scales an exact zero to zero, not to NaN."""
     return 0.0 if v == 0.0 else coef * v
-
-
-def _joint_se(lhs_se: float, rhs_se: float, corr: float) -> float:
-    """Delta-method standard error of ``rhs - lhs`` for sides estimated from
-    one sample with correlation ``corr`` (each side increasing in its own
-    sample mean): ``sqrt(lhs_se^2 + rhs_se^2 - 2 corr lhs_se rhs_se)``."""
-    scale = max(lhs_se, rhs_se)
-    if scale == 0.0 or math.isinf(scale):
-        return scale
-    a, b = lhs_se / scale, rhs_se / scale
-    return scale * math.sqrt(max(a * a + b * b - 2.0 * corr * a * b, 0.0))
 
 
 def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None, margin_se=None) -> CheckReport:
@@ -233,21 +224,20 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
         return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed)
 
     fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
-    pair = sampler.paired_endpoint_moments(model, t, x, y, fx, fy, n, sampler.mix_seed(seed, 1))
+    acc = sampler.fold(sampler.endpoint_values(model, t, [x, y], [fx, fy], n, sampler.mix_seed(seed, 1)))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    return _power_report(check_id, pair, alpha, coef, params, seed)
+    return _power_report(check_id, acc, alpha, coef, params, seed)
 
 
-def _power_report(check_id, pair: sampler.PairedMoments, alpha, coef, params, seed) -> CheckReport:
-    """``(mean_x)^alpha`` against ``coef * mean_y`` with marginal side errors
-    and the joint margin error of the paired sample."""
-    mean_x = max(pair.x.mean, 0.0)
-    lhs = mean_x**alpha
-    lhs_se = alpha * mean_x ** (alpha - 1.0) * pair.x.std_error
-    rhs_se = _times(coef, pair.y.std_error)
-    return _report(check_id, lhs, _times(coef, pair.y.mean), lhs_se, rhs_se, params, seed,
-                   margin_se=_joint_se(lhs_se, rhs_se, pair.correlation))
+def _power_report(check_id, acc: sampler.Moments, alpha, coef, params, seed) -> CheckReport:
+    """``(mean_x)^alpha`` against ``coef * mean_y`` from the columns ``(x, y)``,
+    with marginal side errors and the delta-method error of the margin."""
+    mean_x = max(float(acc.mean[0]), 0.0)
+    slope = alpha * mean_x ** (alpha - 1.0)
+    lhs_se = slope * acc.std_error(0)
+    return _report(check_id, mean_x**alpha, _times(coef, float(acc.mean[1])), lhs_se, _times(coef, acc.std_error(1)),
+                   params, seed, margin_se=acc.delta_se([-slope, coef]))
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
@@ -272,15 +262,15 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     def g(pts):
         return np.maximum(np.asarray(clamped(pts), dtype=float), 1.0)
 
-    pair = sampler.paired_endpoint_moments(model, t, x, y, lambda pts: np.log(g(pts)), g, n,
-                                           sampler.mix_seed(seed, 1))
+    acc = sampler.fold(sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n,
+                                               sampler.mix_seed(seed, 1)))
     note = None
     if clamped.min < 1.0:
         note = f"observable clamped up to 1 (minimum sample {clamped.min:.6g})"
-    rhs = math.log(pair.y.mean) + 0.5 * op**2 * float(np.sum((x - y) ** 2))
-    lhs_se, rhs_se = pair.x.std_error, pair.y.std_error / pair.y.mean
-    return _report(check_id, pair.x.mean, rhs, lhs_se, rhs_se, params, seed, note,
-                   margin_se=_joint_se(lhs_se, rhs_se, pair.correlation))
+    mean_log, mean_y = float(acc.mean[0]), float(acc.mean[1])
+    rhs = math.log(mean_y) + 0.5 * op**2 * float(np.sum((x - y) ** 2))
+    return _report(check_id, mean_log, rhs, acc.std_error(0), acc.std_error(1) / mean_y, params, seed, note,
+                   margin_se=acc.delta_se([-1.0, 1.0 / mean_y]))
 
 
 def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
@@ -291,7 +281,11 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     Verifies ``|P_t f(x) - P_t f(y)|^2 <= (e^{G^2} - 1) min(Var_x, Var_y)``
     with ``G`` the minimum-energy norm of ``x - y``.  Both start points share
     the same noise realizations (common random numbers), which collapses the
-    variance of the left side.
+    variance of the left side.  One pass folds the columns ``(v_x - v_y,
+    v_x, u_x^2, v_y, u_y^2)``, ``v = f(X_t)`` and ``u = v - s`` for the
+    first replicate's value ``s``: each variance is a smooth function of the
+    means of ``v`` and ``u^2``, so the error of the right side and the joint
+    error of the margin both come from their co-moment matrix.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -300,22 +294,26 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     if not gam.in_domain:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "x - y outside the steerable domain")
-    prop = model.snapshot(t).propagator
-    term_x, term_y = prop @ x, prop @ y
-    at_x, at_y, diff = sampler.RunningMoments(), sampler.RunningMoments(), sampler.RunningMoments()
-    for noise in sampler.iter_endpoint_noise(model, t, n, sampler.mix_seed(seed, 1)):
-        vx = sampler.eval_rows(f, term_x + noise)
-        vy = sampler.eval_rows(f, term_y + noise)
-        at_x.add(vx)
-        at_y.add(vy)
-        diff.add(vx - vy)
-    lhs = diff.mean**2
-    lhs_se = 2.0 * abs(diff.mean) * diff.std_error
+    shift = None
+
+    def columns(v):
+        nonlocal shift
+        shift = v[:, :1] if shift is None else shift
+        with np.errstate(invalid="ignore", over="ignore"):  # the fold rejects any non-finite value
+            u = v - shift
+            return np.stack([v[0] - v[1], v[0], u[0] * u[0], v[1], u[1] * u[1]])
+
+    acc = sampler.fold(map(columns, sampler.endpoint_values(model, t, [x, y], [f, f], n, sampler.mix_seed(seed, 1))))
+    diff = float(acc.mean[0])
+    var = np.diag(acc.comoment) / (acc.n - 1)
+    low = 1 if var[1] <= var[3] else 3  # the column of v at the start with the smaller variance
+    var_grad = np.zeros(5)
+    var_grad[low], var_grad[low + 1] = -2.0 * (acc.mean[low] - shift[low // 2, 0]), 1.0
     gam_sq = float(gam) ** 2
     factor = math.expm1(gam_sq) if gam_sq <= 700.0 else float("inf")
-    low = at_x if at_x.variance <= at_y.variance else at_y
-    return _report(check_id, lhs, _times(factor, low.variance), lhs_se, _times(factor, low.variance_se),
-                   params, seed)
+    margin_grad = [-2.0 * diff] + [_times(factor, g) for g in var_grad[1:]]
+    return _report(check_id, diff**2, _times(factor, var[low]), 2.0 * abs(diff) * acc.std_error(0),
+                   _times(factor, acc.delta_se(var_grad)), params, seed, margin_se=acc.delta_se(margin_grad))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +496,11 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     )
 
     fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
-    pair = sampler.semilinear_paired_moments(model, spec, t, x, y, fx, fy, n, K, sampler.mix_seed(seed, 1))
+    acc = sampler.fold(sampler.semilinear_values(model, spec, t, [x, y], [fx, fy], n, K, sampler.mix_seed(seed, 1)))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
     coef = cp ** beta_p * cq ** beta_q * saturating_exp(log_exp_term)
-    return _power_report(check_id, pair, alpha, coef, params, seed)
+    return _power_report(check_id, acc, alpha, coef, params, seed)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

@@ -137,7 +137,7 @@ class TestMain:
         assert "INCONCLUSIVE" in out.read_text()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_non_finite_observable_exits_three(self, tmp_path, capsys):
+    def test_non_finite_observable_exits_three(self, tmp_path, capsys, recwarn):
         # exp(400 x) overflows on the sampled endpoints: an input error, not a verdict
         cfg = minimal_config()
         cfg["checks"] = [{"kind": "gradient", "id": "g", "t": 1.0, "x": [0.5], "y": [0.0],
@@ -148,6 +148,9 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", str(out)]) == 3
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
+        # the observable's own overflow is the only warning: no step after it computes with inf
+        assert {str(w.message) for w in recwarn.list if issubclass(w.category, RuntimeWarning)} == {
+            "overflow encountered in exp"}
 
     def test_unknown_observable_exits_three(self, tmp_path):
         cfg = minimal_config()
@@ -307,6 +310,8 @@ class TestMain:
         ("id", [1], "config.checks[0].id: must be a string, got [1]"),
         ("nu", "normal", "check c.nu: must be an object, got 'normal'"),
         ("h", [1.0], "check c.h: must be an object, got [1.0]"),
+        ("nu", {"mean": [1.0], "cov": [["1"]]},
+         "check c.nu.cov[0]: must be a list of numbers of length 1, got ['1']"),
     ])
     def test_wrong_field_type_exits_three(self, tmp_path, capsys, field, value, message):
         # "false" ran the symmetric variant (bool("false") is True), and 1000.5 ran 1000 samples
@@ -339,6 +344,15 @@ class TestMain:
          "F.k: must be a number, got '0.5'"),
         ({"kind": "rho_moments", "p": 2.0, "delta": 0.5, "F": {"kind": "constant"}}, {},
          "F.b: must be a list of numbers of length 1, got None"),
+        ({"kind": "kernel_kl"}, {"A": [["-1"]], "R": [[True]]},
+         "config.A[0]: must be a list of numbers of length 1, got ['-1']"),
+        ({"kind": "kernel_kl"}, {"R": [[True]]}, "config.R[0]: must be a list of numbers of length 1, got [True]"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "exp", "c": [0.5]}},
+         {"jump": {"rate": 1.0, "atoms": [["0.5"]], "probs": [True]}},
+         "config.jump.atoms[0]: must be a list of numbers of length 1, got ['0.5']"),
+        ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "exp", "c": [0.5]}},
+         {"jump": {"rate": 1.0, "atoms": [[0.5]], "probs": [True]}},
+         "config.jump.probs: must be a list of numbers of length 1, got [True]"),
     ])
     def test_wrong_field_type_of_other_kinds_exits_three(self, tmp_path, capsys, check, cfg, message):
         # each ended in a traceback with exit 1 (the VIOLATED code), ran with a string read as a
@@ -638,6 +652,24 @@ class TestSemigroupStateOncePerModel:
             assert all(r.passed for r in cli.run_scenario(scenario))
             calls[check["kind"]] = dict(sorted(counts.items()))
         assert calls == GAUSSIAN_KIND_FACTORIZATIONS
+
+
+def test_each_monte_carlo_check_folds_once(monkeypatch):
+    """Every Monte Carlo check of scalar_ou.json passes its blocks through one
+    `sampler.fold` call (rho_moments one for both rows), and a closed-form
+    row makes none, harnack_exact_closed included, which echoes n."""
+    from harnacklab import sampler
+
+    fold, calls = sampler.fold, []
+    monkeypatch.setattr(sampler, "fold", lambda blocks: calls.append(1) or fold(blocks))
+    scenario = cli.Scenario.parse(json.loads((SCENARIO_DIR / "scalar_ou.json").read_text()))
+    monte_carlo = {"harnack_operator_mc", "log_harnack", "gradient", "semilinear", "rho_moments"}
+    counts = {}
+    for entry in scenario.checks:
+        calls.clear()
+        assert all(r.passed for r in cli.run_scenario(scenario, samples=2000, only_check=entry["id"]))
+        counts[entry["id"]] = len(calls)
+    assert counts == {entry["id"]: int(entry["id"] in monte_carlo) for entry in scenario.checks}
 
 
 class TestRankDeficientGramian:

@@ -11,9 +11,7 @@ from harnacklab import OuLevyModel, analytic, sampler
 from harnacklab.sampler import (
     GirsanovWeight,
     McEstimate,
-    PairedMoments,
     RngStream,
-    RunningMoments,
     coupled_expectation,
     girsanov_functional_estimates,
     girsanov_weight,
@@ -128,88 +126,86 @@ class TestEndpointSampling:
 
 
 class TestRunningMoments:
+    """One column of `sampler.Moments`: the running count, mean and variance."""
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(blocks=st.lists(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40), min_size=2, max_size=8),
            offset=st.floats(-1e8, 1e8))
     @example(blocks=[[0.2], [0.2, 0.2]], offset=0.0)  # the reference's own mean leaves a residue
     @example(blocks=[[0.0], [9.344730811450746e-160]], offset=0.0)  # a variance in the subnormal range
     def test_matches_two_pass_over_concatenation(self, blocks, offset):
-        acc = RunningMoments()
-        for block in blocks:
-            acc.add(offset + np.array(block))
+        acc = sampler.fold([offset + np.array(block)] for block in blocks)
         values = np.concatenate([offset + np.array(block) for block in blocks])
         n = values.size
         mean = values.mean()
         dev = values - mean
         var = float(dev @ dev) / (n - 1)
-        excess = max(float(np.mean(dev**4)) - var * var, 0.0)
         scale = float(np.abs(values).max())  # the rounding unit of every mean, the reference's included
         tiny = np.finfo(float).tiny  # below it, squares round to a fixed absolute spacing
         assert acc.n == n
-        assert acc.mean == pytest.approx(mean, rel=1e-13, abs=1e-13 * scale)
-        assert acc.variance == pytest.approx(var, rel=1e-9, abs=(1e-13 * scale) ** 2 + tiny)
-        assert acc.variance_se**2 * n == pytest.approx(excess, rel=1e-8,
-                                                       abs=1e-8 * var * var + (1e-13 * scale) ** 4 + tiny)
+        assert acc.mean[0] == pytest.approx(mean, rel=1e-13, abs=1e-13 * scale)
+        assert acc.comoment[0, 0] / (n - 1) == pytest.approx(var, rel=1e-9, abs=(1e-13 * scale) ** 2 + tiny)
 
     def test_constant_blocks_are_exact(self):
-        acc = RunningMoments()
-        for size in (1, 7, 4096):
-            acc.add(np.full(size, 3.5))
-        est = acc.estimate(9)
+        acc = sampler.fold(np.full((1, size), 3.5) for size in (1, 7, 4096))
+        est = acc.estimate(0, 9)
         assert (est.mean, est.std_error, est.n, est.seed) == (3.5, 0.0, 4104, 9)
-        assert acc.variance == 0.0 and acc.variance_se == 0.0
+        assert acc.comoment[0, 0] == 0.0 and acc.delta_se([1.0]) == 0.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_value_rejected(self, bad):
-        acc = RunningMoments()
-        acc.add([1.0, 2.0])
+        acc = sampler.Moments(1)
+        acc.add([[1.0, 2.0]])
         with pytest.raises(sampler.NonFiniteValueError, match="1 non-finite value.*at replicate 2"):
-            acc.add([0.5, bad])
+            acc.add([[0.5, bad]])
 
 
 class TestPairedMoments:
+    """Two columns of `sampler.Moments`: paired values and their co-moment."""
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(blocks=st.lists(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), min_size=1, max_size=40),
                            min_size=2, max_size=8),
            offset=st.floats(-1e8, 1e8))
     def test_matches_two_pass_over_concatenation(self, blocks, offset):
-        acc = PairedMoments()
-        for block in blocks:
+        def shifted(block):
             xs, ys = np.array(block).T
-            acc.add(offset + xs, ys - offset)
-        xs, ys = np.concatenate([np.array(block) for block in blocks]).T
-        xs, ys = offset + xs, ys - offset
+            return np.stack([offset + xs, ys - offset])
+
+        acc = sampler.fold(map(shifted, blocks))
+        xs, ys = np.concatenate([shifted(block) for block in blocks], axis=1)
         dx, dy = xs - xs.mean(), ys - ys.mean()
-        # each marginal is the one-variable accumulator; the co-moment is the two-pass one
-        for marginal, values in ((acc.x, xs), (acc.y, ys)):
-            alone = RunningMoments()
-            for block in np.split(values, np.cumsum([len(b) for b in blocks])[:-1]):
-                alone.add(block)
-            assert (marginal.n, marginal.mean, marginal.variance) == (alone.n, alone.mean, alone.variance)
+        # each column is bitwise the column folded alone; the co-moment is the two-pass one
+        for i, values in enumerate((xs, ys)):
+            alone = sampler.fold(np.split(values[None], np.cumsum([len(b) for b in blocks])[:-1], axis=1))
+            assert (acc.n, acc.mean[i], acc.comoment[i, i]) == (alone.n, alone.mean[0], alone.comoment[0, 0])
         # rounding of the means moves each product by about its rounding unit
         # times the other side's spread, so the tolerance scales with the
         # Cauchy-Schwarz bound sqrt(Sxx Syy), not with the co-moment itself
         bound = math.sqrt(float(dx @ dx) * float(dy @ dy))
         scale = max(float(np.abs(xs).max()), float(np.abs(ys).max()))
-        assert acc._c == pytest.approx(float(dx @ dy), rel=1e-9, abs=1e-9 * bound + xs.size * (1e-13 * scale) ** 2)
+        assert acc.comoment[0, 1] == pytest.approx(float(dx @ dy), rel=1e-9,
+                                                   abs=1e-9 * bound + xs.size * (1e-13 * scale) ** 2)
         if bound > 0.0:
-            assert acc.correlation == pytest.approx(float(dx @ dy) / bound, abs=1e-7)
+            corr = acc.comoment[0, 1] / math.sqrt(acc.comoment[0, 0] * acc.comoment[1, 1])
+            assert corr == pytest.approx(float(dx @ dy) / bound, abs=1e-7)
 
     def test_constant_side_has_zero_correlation(self):
-        acc = PairedMoments()
-        acc.add([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-        assert acc.correlation == 0.0
+        acc = sampler.fold([[[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]]])
+        assert acc.comoment[0, 1] == 0.0
+        # a constant column adds nothing to a delta-method error, whatever its coefficient
+        assert acc.delta_se([1.0, math.inf]) == pytest.approx(acc.std_error(0), rel=1e-15)
 
     def test_block_sizes_must_match(self):
-        with pytest.raises(ValueError, match="differ in size"):
-            PairedMoments().add([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError):
+            sampler.fold([np.ones((2, 3)), np.ones((3, 3))])
 
     def test_endpoint_pair_marginals_are_the_one_point_estimates(self, jump_model):
         f, g = ClippedExpObservable([0.5], 10.0), ClippedExpObservable([1.0], 100.0)
-        pair = sampler.paired_endpoint_moments(jump_model, 1.0, [0.6], [0.0], f, g, 5000, 21)
-        assert pair.x.estimate(21) == hl.estimate_semigroup(jump_model, 1.0, [0.6], f, 5000, 21)
-        assert pair.y.estimate(21) == hl.estimate_semigroup(jump_model, 1.0, [0.0], g, 5000, 21)
-        assert 0.5 < pair.correlation < 1.0
+        acc = sampler.fold(sampler.endpoint_values(jump_model, 1.0, [[0.6], [0.0]], [f, g], 5000, 21))
+        assert acc.estimate(0, 21) == hl.estimate_semigroup(jump_model, 1.0, [0.6], f, 5000, 21)
+        assert acc.estimate(1, 21) == hl.estimate_semigroup(jump_model, 1.0, [0.0], g, 5000, 21)
+        assert 0.5 < acc.comoment[0, 1] / math.sqrt(acc.comoment[0, 0] * acc.comoment[1, 1]) < 1.0
 
     @pytest.mark.parametrize("plane", [False, True])
     def test_semilinear_pair_marginals_are_the_one_point_estimates(self, scalar_model, nonnormal_model, plane):
@@ -220,9 +216,9 @@ class TestPairedMoments:
         else:
             m, spec, x, y = scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.2], [-0.4]
         f, g = ExpObservable(np.full(m.dim, 0.3)), ExpObservable(np.full(m.dim, 0.6))
-        pair = sampler.semilinear_paired_moments(m, spec, 0.8, x, y, f, g, 5000, 16, 7)
-        assert pair.x.estimate(7) == hl.semilinear_estimate(m, spec, 0.8, x, f, 5000, 16, 7)
-        assert pair.y.estimate(7) == hl.semilinear_estimate(m, spec, 0.8, y, g, 5000, 16, 7)
+        acc = sampler.fold(sampler.semilinear_values(m, spec, 0.8, [x, y], [f, g], 5000, 16, 7))
+        assert acc.estimate(0, 7) == hl.semilinear_estimate(m, spec, 0.8, x, f, 5000, 16, 7)
+        assert acc.estimate(1, 7) == hl.semilinear_estimate(m, spec, 0.8, y, g, 5000, 16, 7)
 
 
 def _reference_jump_block(model, t, gen, size, transport):

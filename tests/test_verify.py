@@ -206,12 +206,16 @@ class TestSharedNoise:
         assert "margin_se" not in closed.params
         assert 0.0 < log.params["margin_se"] < math.hypot(log.lhs_se, log.rhs_se)
 
-    @pytest.mark.parametrize("kind", ["harnack", "log_harnack", "semilinear_harnack"])
+    @pytest.mark.parametrize("kind", ["harnack", "log_harnack", "semilinear_harnack", "gradient"])
     def test_margin_error_matches_spread_over_seeds(self, jump_model, scalar_model, kind):
         # 200 independent seeds: the sample sd of the margin has about 5 % relative error
         f = ClippedExpObservable([0.5], 10.0)
         if kind == "harnack":
             run = lambda s: verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=2000, seed=s)
+        elif kind == "gradient":
+            # tanh: there hypot(lhs_se, rhs_se), which ignores the shared noise, reads 0.69 of the spread
+            run = lambda s: verify.check_gradient_estimate(jump_model, 1.0, [0.6], [0.0], TanhObservable([1.0]),
+                                                           n=2000, seed=s)
         elif kind == "log_harnack":
             run = lambda s: verify.check_log_harnack(jump_model, 1.0, [0.6], [0.0], OnePlusSigmoid([0.7]),
                                                      n=2000, seed=s)
@@ -283,6 +287,17 @@ class TestGradientEstimate:
         rep = verify.check_gradient_estimate(jump_model, 0.8, [0.4], [0.0], TanhObservable([1.0]),
                                              n=50_000, seed=11)
         assert rep.verdict in PASS
+
+    def test_offset_keeps_the_sides_and_their_errors(self, jump_model):
+        # a common offset of 1e8 must cancel neither the variance nor its standard error
+        tanh = TanhObservable([1.0])
+        for seed in range(5):
+            plain = verify.check_gradient_estimate(jump_model, 0.8, [0.4], [0.0], tanh, n=20_000, seed=seed)
+            shifted = verify.check_gradient_estimate(jump_model, 0.8, [0.4], [0.0], lambda pts: 1e8 + tanh(pts),
+                                                     n=20_000, seed=seed)
+            for side in ("lhs", "rhs", "lhs_se", "rhs_se"):
+                assert getattr(shifted, side) == pytest.approx(getattr(plain, side), rel=1e-6)
+            assert shifted.verdict == plain.verdict
 
 
 class TestKernelInequalities:
@@ -444,7 +459,7 @@ class TestSemilinearHarnack:
 
     def test_divergence_horizon_inconclusive(self, scalar_model, monkeypatch):
         # both constants diverge at t = 2 (rates 41.9 and 25.6), so no path is drawn
-        monkeypatch.setattr(hl.sampler, "semilinear_paired_moments", None)
+        monkeypatch.setattr(hl.sampler, "semilinear_values", None)
         spec = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.5)
         rep = verify.check_semilinear_harnack(scalar_model, spec, 2.0, [0.3], [0.0], 4.0, 1.3, 1.3,
                                               ClippedExpObservable([0.3], 5.0), n=500, K=16, seed=15)
