@@ -30,7 +30,6 @@ from .verify import (
     check_gradient_estimate,
     check_harnack,
     check_hwi,
-    check_kernel_inequalities,
     check_log_harnack,
     check_rho_moments,
     check_semilinear_harnack,

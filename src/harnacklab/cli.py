@@ -381,54 +381,6 @@ def render_sweep(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def random_jump_suite(seed: int, count: int = 50, n: int = 20_000) -> list[dict]:
-    """Randomized compound-Poisson Harnack scenarios, one config per model.
-
-    Models are stable with full-rank noise so the minimum-energy exponent is
-    finite; observables are drawn from the bounded registry.  The same seed
-    always yields the same suite.
-    """
-    gen = np.random.Generator(np.random.Philox(key=np.array([seed & (2**64 - 1), 0xF1FE], dtype=np.uint64)))
-    models = []
-    for i in range(count):
-        dim = int(gen.integers(1, 4))
-        a = gen.normal(0.0, 0.4, size=(dim, dim))
-        a -= (max(float(np.linalg.eigvals(a).real.max()), 0.0) + 0.5 + float(gen.uniform(0.0, 0.5))) * np.eye(dim)
-        b = gen.normal(0.0, 1.0, size=(dim, dim))
-        r = b @ b.T / dim + 0.3 * np.eye(dim)
-        n_atoms = int(gen.integers(1, 4))
-        atoms = gen.uniform(-1.2, 1.2, size=(n_atoms, dim))
-        probs = gen.uniform(0.2, 1.0, size=n_atoms)
-        probs = probs / probs.sum()
-        x = gen.uniform(-1.0, 1.0, size=dim)
-        y = x + gen.uniform(-0.8, 0.8, size=dim)
-        alpha = float(gen.uniform(1.5, 5.0))
-        f_kind = ["clipped_exp", "one_plus_sigmoid", "indicator"][int(gen.integers(0, 3))]
-        f_spec = {"kind": f_kind, "c": gen.uniform(-0.6, 0.6, size=dim).tolist()}
-        if f_kind == "clipped_exp":
-            f_spec["cap"] = 10.0
-        models.append({
-            "dim": dim,
-            "A": a.tolist(),
-            "R": r.tolist(),
-            "a": np.zeros(dim).tolist(),
-            "jump": {"rate": float(gen.uniform(0.5, 3.0)), "atoms": atoms.tolist(), "probs": probs.tolist()},
-            "seed": mix_seed(seed, i),
-            "checks": [{
-                "kind": "harnack",
-                "id": f"jump_harnack#{i:03d}",
-                "t": float(gen.uniform(0.4, 1.6)),
-                "x": x.tolist(),
-                "y": y.tolist(),
-                "alpha": alpha,
-                "f": f_spec,
-                "bound_mode": "exact_gamma",
-                "n": n,
-            }],
-        })
-    return models
-
-
 def _override_seed(cfg, seed: int):
     """``cfg`` with top-level seed ``seed`` and no per-check seeds; a config
     that is not an object with a list of checks is left for `Scenario.parse`

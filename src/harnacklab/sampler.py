@@ -12,7 +12,10 @@ Path-based functionality (stochastic convolution, change-of-measure weights,
 the coupled pair, the perturbed-drift estimator) uses a fixed grid whose
 only approximation is the left-point rule in the stochastic integral of the
 weight exponent; the discrete weight is still an exact martingale for
-previsible integrands.
+previsible integrands.  The coupled pair, the Girsanov functionals and the
+perturbed-drift estimators step through one path loop, `_weighted_paths`,
+and differ only in the drift shift whose weight it accumulates: the null
+control, a fixed control, or ``R^{-1/2} F`` along the path.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
@@ -274,10 +277,10 @@ def _endpoint_noise_block(model: OuLevyModel, t: float, gen: np.random.Generator
                           snap: linops.SemigroupSnapshot,
                           transport: _EigenTransport | linops.ExpInterpolant | None) -> np.ndarray:
     """Endpoint minus the propagated start: drift shift + Gaussian + jumps."""
-    z = gen.standard_normal((size, model.dim))
-    noise = snap.mean_shift + z @ snap.gramian_sqrt.sqrt_matrix.T
+    noise = gen.standard_normal((size, model.dim)) @ snap.gramian_sqrt.sqrt_matrix.T
+    noise += snap.mean_shift  # in place: one (size, d) array at a time
     if model.has_jumps:
-        noise = noise + _jump_block(model, t, gen, size, transport)
+        noise += _jump_block(model, t, gen, size, transport)
     return noise
 
 
@@ -320,6 +323,7 @@ def endpoint_values(model: OuLevyModel, t: float, starts, fs, n: int, seed: int)
     terms = [prop @ np.asarray(x, dtype=float).reshape(-1) for x in starts]
     for noise in iter_endpoint_noise(model, t, n, seed):
         yield np.stack([eval_rows(f, term + noise) for f, term in zip(fs, terms, strict=True)])
+        del noise  # not held while the next block is drawn
 
 
 def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, seed: int) -> McEstimate:
@@ -347,11 +351,15 @@ def wa_path(model: OuLevyModel, grid, rng: RngStream) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.shape[0] < 2 or grid[0] != 0.0 or (np.diff(grid) <= 0).any():
         raise ValueError("grid must increase strictly from 0")
+    steps = np.diff(grid)
+    uniform = grid[-1] / steps.shape[0]
+    if np.abs(steps - uniform).max() <= 4.0 * np.spacing(grid[-1]):  # uniform to rounding: one snapshot
+        steps = np.full_like(steps, uniform)
     gen = rng.generator()
     d = model.dim
     out = np.zeros((grid.shape[0], d))
-    for k in range(grid.shape[0] - 1):
-        snap = model.snapshot(float(grid[k + 1] - grid[k]))
+    for k, step in enumerate(steps):
+        snap = model.snapshot(float(step))
         out[k + 1] = snap.propagator @ out[k] + snap.gramian_sqrt.sqrt_matrix @ gen.standard_normal(d)
     return out
 
@@ -398,10 +406,10 @@ def girsanov_functional_estimates(
 
     ``u`` is a callable of time or an array on the left points / full grid;
     each entry of ``funcs`` maps the vector of log-weights of a block to
-    per-replicate values.  One pass over the increments serves all
+    per-replicate values.  One pass of `_weighted_paths` serves all
     functionals, one column per functional.
     """
-    delta = _grid_step(t, K)
+    _grid_step(t, K)  # rejects K < 1 before the control is read
     grid = np.linspace(0.0, t, K + 1)
     if callable(u):
         uvals = np.array([np.asarray(u(s), dtype=float).reshape(-1) for s in grid[:-1]])
@@ -413,24 +421,14 @@ def girsanov_functional_estimates(
             uvals = uvals[:K]
     if uvals.shape != (K, model.dim):
         raise ValueError("control values have the wrong shape")
-    half_sq = 0.5 * delta * float(np.sum(uvals * uvals))
-    root = np.sqrt(delta)
-
-    def blocks():
-        for gen, size in _stream_blocks(seed, n):
-            acc = np.zeros(size)
-            for k in range(K):
-                dw = gen.standard_normal((size, model.dim)) * root
-                acc += dw @ uvals[k]
-            log_rho = acc - half_sq
-            yield np.stack([fn(log_rho) for fn in funcs.values()])
-
-    moments = fold(blocks())
+    paths = _weighted_paths(model, t, np.zeros((1, model.dim)), K,
+                            lambda k, states: np.broadcast_to(uvals[k], states.shape), _stream_blocks(seed, n))
+    moments = fold(np.stack([fn(log_rho[0]) for fn in funcs.values()]) for *_, log_rho in paths)
     return {name: moments.estimate(i, seed) for i, name in enumerate(funcs)}
 
 
 # ---------------------------------------------------------------------------
-# joint increments for path estimators
+# joint increments and the one weighted path loop
 # ---------------------------------------------------------------------------
 
 
@@ -469,6 +467,36 @@ def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
     )
 
 
+def _weighted_paths(model, t, starts, K, psi, blocks):
+    """The one path loop: ``K`` exact grid steps of the stochastic convolution
+    from ``S`` stacked starts ``(S, d)``, weighted by a drift shift.  At each
+    left point ``psi(k, states)`` gives the ``(S, size, d)`` shift at the
+    states ``e^{t_k A} x_s + convolution`` of that shape, and the log-weight
+    gains ``psi . dW_k - |psi|^2 dt / 2``.  Every
+    start shares the draws (common random numbers).  Yields ``(generator,
+    convolution (size, d), log_weights (S, size))`` per ``(generator, size)``
+    block, the generator past the path's draws."""
+    n_starts, d = starts.shape
+    delta = _grid_step(t, K)
+    step = _step_sampler(model, delta)
+
+    # deterministic mean paths e^{t_k A} x at the left grid points, (K, S, 1, d)
+    mean_path = np.empty((K, n_starts, 1, d))
+    mean_path[0, :, 0] = starts
+    for k in range(1, K):
+        mean_path[k] = mean_path[k - 1] @ step.propagator.T
+
+    for gen, size in blocks:
+        conv = np.zeros((size, d))
+        log_rho = np.zeros((n_starts, size))
+        for k in range(K):
+            shift = psi(k, conv + mean_path[k])
+            dw, eta = step.draw(gen, size)
+            log_rho += np.einsum("sij,ij->si", shift, dw) - 0.5 * delta * np.einsum("sij,sij->si", shift, shift)
+            conv = conv @ step.propagator.T + eta
+        yield gen, conv, log_rho
+
+
 # ---------------------------------------------------------------------------
 # coupled pair
 # ---------------------------------------------------------------------------
@@ -477,7 +505,8 @@ def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
 def _coupled_blocks(model, t, x, y, K, blocks):
     """Coupled endpoints started at ``y``, one ``(size, d)`` array per
     ``(generator, size)`` block, with their log-weights and the control's
-    squared size: yields ``(endpoints, log_rho, integral_psi_sq)``."""
+    squared size: yields ``(endpoints, log_rho, integral_psi_sq)``.  The
+    drift shift is the null control; the jumps are drawn after the path."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     ctrl = min_energy_control(model, t, y - x, K)
@@ -486,23 +515,16 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     if not ctrl.accepted:
         raise ControlRejectedError(f"null control rejected: terminal residual {ctrl.terminal_residual:.3e}")
     u = ctrl.values[:-1]
-    delta = _grid_step(t, K)
-    step = _step_sampler(model, delta)
     snap = model.snapshot(t)
     transport = _jump_transport(model, t) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
-    sq = delta * float(np.sum(u * u))
-    for gen, size in blocks:
-        conv = np.zeros((size, model.dim))
-        acc = np.zeros(size)
-        for k in range(K):
-            dw, eta = step.draw(gen, size)
-            acc += dw @ u[k]
-            conv = conv @ step.propagator.T + eta
+    sq = _grid_step(t, K) * float(np.sum(u * u))
+    for gen, conv, log_rho in _weighted_paths(model, t, y[None], K,
+                                              lambda k, states: np.broadcast_to(u[k], states.shape), blocks):
         endpoints = base + conv
         if model.has_jumps:
-            endpoints = endpoints + _jump_block(model, t, gen, size, transport)
-        yield endpoints, acc - 0.5 * sq, sq
+            endpoints = endpoints + _jump_block(model, t, gen, conv.shape[0], transport)
+        yield endpoints, log_rho[0], sq
 
 
 def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStream):
@@ -520,14 +542,6 @@ def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStre
     return endpoints[0], GirsanovWeight(log_rho=float(log_rho[0]), integral_psi_sq=sq)
 
 
-def coupled_expectation(model: OuLevyModel, t: float, x, y,
-                        g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                        n: int, K: int, seed: int) -> McEstimate:
-    """Monte Carlo mean of ``g(rho, endpoint)`` over coupled-pair replicates."""
-    blocks = _coupled_blocks(model, t, x, y, K, _stream_blocks(seed, n))
-    return fold(np.reshape(g(np.exp(log_rho), ends), (1, -1)) for ends, log_rho, _ in blocks).estimate(0, seed)
-
-
 # ---------------------------------------------------------------------------
 # perturbed-drift (weak-solution) estimation
 # ---------------------------------------------------------------------------
@@ -543,38 +557,25 @@ def _require_semilinear_setting(model: OuLevyModel) -> None:
 def _semilinear_blocks(model, spec, t, starts, K, seed, n):
     """Path blocks for the perturbed-drift weight from ``S`` stacked start
     points ``(S, d)``: yields per block the final convolution values
-    ``(size, d)`` and the log-weights ``(S, size)``.  The increments and the
-    convolution do not depend on the start, so every start shares them; the
-    drift is evaluated on the ``(S * size, d)`` stacked states."""
-    n_starts, d = starts.shape
-    delta = _grid_step(t, K)
-    step = _step_sampler(model, delta)
+    ``(size, d)`` and the log-weights ``(S, size)`` of `_weighted_paths` with
+    the shift ``psi = R^{-1/2} F(state)``, the drift evaluated on the
+    ``(S * size, d)`` stacked states."""
+    d = starts.shape[1]
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
 
-    # deterministic mean paths e^{t_k A} x at the left grid points, (K, S, 1, d)
-    mean_path = np.empty((K, n_starts, 1, d))
-    mean_path[0, :, 0] = starts
-    for k in range(1, K):
-        mean_path[k] = mean_path[k - 1] @ step.propagator.T
+    def psi(k, states):
+        state = states.reshape(-1, d)
+        drift = np.asarray(spec.drift_fn(state), dtype=float)
+        if drift.shape != state.shape:
+            raise ValueError("drift function must map (m, d) states to (m, d) values")
+        if rfac.rank < d:  # only a null space of R^{1/2} can fail the range test
+            bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
+            if bad.size:
+                raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
+        return (drift @ pinv_root.T).reshape(states.shape)
 
-    for gen, size in _stream_blocks(seed, n):
-        conv = np.zeros((size, d))
-        log_rho = np.zeros((n_starts, size))
-        for k in range(K):
-            state = (conv + mean_path[k]).reshape(-1, d)
-            drift = np.asarray(spec.drift_fn(state), dtype=float)
-            if drift.shape != state.shape:
-                raise ValueError("drift function must map (m, d) states to (m, d) values")
-            if rfac.rank < d:  # only a null space of R^{1/2} can fail the range test
-                bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
-                if bad.size:
-                    raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
-            psi = (drift @ pinv_root.T).reshape(n_starts, size, d)
-            dw, eta = step.draw(gen, size)
-            log_rho += np.einsum("sij,ij->si", psi, dw) - 0.5 * delta * np.einsum("sij,sij->si", psi, psi)
-            conv = conv @ step.propagator.T + eta
-        yield conv, log_rho
+    return ((conv, log_rho) for _, conv, log_rho in _weighted_paths(model, t, starts, K, psi, _stream_blocks(seed, n)))
 
 
 def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts, fs,

@@ -27,7 +27,8 @@ class ExpObservable:
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
     def __call__(self, pts):
-        return np.exp(np.atleast_2d(pts) @ self.c)
+        with np.errstate(over="ignore"):  # an overflow is an inf that `sampler.Moments` names
+            return np.exp(np.atleast_2d(pts) @ self.c)
 
     def power(self, alpha: float) -> "ExpObservable":
         return ExpObservable(alpha * self.c)
@@ -46,7 +47,8 @@ class ClippedExpObservable:
             raise ValueError("cap must be positive")
 
     def __call__(self, pts):
-        return np.minimum(np.exp(np.atleast_2d(pts) @ self.c), self.cap)
+        with np.errstate(over="ignore"):  # an overflow is capped
+            return np.minimum(np.exp(np.atleast_2d(pts) @ self.c), self.cap)
 
 
 @dataclass(frozen=True)

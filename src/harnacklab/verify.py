@@ -321,21 +321,6 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
 # ---------------------------------------------------------------------------
 
 
-def check_kernel_inequalities(model: OuLevyModel, t: float, x, y, alpha: float,
-                              check_id: str = "kernel") -> tuple[CheckReport, CheckReport]:
-    """Exact kernel-level comparisons against the invariant law.
-
-    Returns the power-integral report (sharp exponent vs operator-norm
-    exponent) and the kernel relative-entropy report (half the squared
-    minimum-energy norm of ``x - y`` vs the operator-norm bound).  Equality
-    holds exactly when ``x - y`` is a top singular direction, in particular
-    always in dimension one, and at ``x = y``, where both sides are exact
-    even when the operator norm is infinite.
-    """
-    return (kernel_power_report(model, t, x, y, alpha, check_id + "_power"),
-            kernel_kl_report(model, t, x, y, alpha, check_id + "_kl"))
-
-
 def _kernel_setup(model, t, x, y, alpha):
     """The points, the operator norm, ``|x - y|^2`` and the echoed params."""
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -345,14 +330,19 @@ def _kernel_setup(model, t, x, y, alpha):
 
 
 def kernel_power_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
-    """The power-integral row of `check_kernel_inequalities` alone."""
+    """The power-integral row: the sharp exponent against the operator-norm
+    exponent.  Equality holds exactly when ``x - y`` is a top singular
+    direction, in particular always in dimension one, and at ``x = y``, where
+    both sides are exact even when the operator norm is infinite."""
     x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
     rhs = saturating_exp(_times(alpha * op**2 / (2.0 * (alpha - 1.0) ** 2), norm_sq))
     return _report(check_id, analytic.kernel_harnack_lhs(model, t, x, y, alpha), rhs, 0.0, 0.0, params, 0)
 
 
 def kernel_kl_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
-    """The relative-entropy row of `check_kernel_inequalities` alone."""
+    """The kernel relative-entropy row: half the squared minimum-energy norm
+    of ``x - y`` against the operator-norm bound, with the same equality
+    cases as `kernel_power_report`."""
     x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
     return _report(check_id, analytic.heat_kernel_kl(model, t, x, y), _times(0.5 * op**2, norm_sq),
                    0.0, 0.0, params, 0)

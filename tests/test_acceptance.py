@@ -186,7 +186,7 @@ def test_criterion_07_kernel_kl_identity():
         half_gamma = 0.5 * control.gamma_norm(m, t, x - y).value ** 2
         worst = max(worst, abs(kl - half_gamma) / (1.0 + abs(kl)))
     scalar = hl.OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
-    _, kl_rep = verify.check_kernel_inequalities(scalar, 1.0, [1.3], [0.2], 2.0)
+    kl_rep = verify.kernel_kl_report(scalar, 1.0, [1.3], [0.2], 2.0, "kernel_kl")
     _line(7, "kernel relative entropy equals half the squared image norm (1e-10); scalar case is an equality",
           worst <= 1e-10 and kl_rep.verdict == verify.HOLDS_EQUALITY, f"worst {worst:.2e}")
 

@@ -12,13 +12,18 @@ from harnacklab.sampler import (
     GirsanovWeight,
     McEstimate,
     RngStream,
-    coupled_expectation,
     girsanov_functional_estimates,
     girsanov_weight,
     wa_path,
 )
 from harnacklab.testfuncs import ClippedExpObservable, ConstantObservable, ExpObservable, drift_constant, drift_zero
 from oracles import make_psd, make_stable, within_sigma
+
+
+def coupled_expectation(model, t, x, y, g, n, K, seed):
+    """Monte Carlo mean of ``g(rho, endpoint)`` over coupled-pair replicates."""
+    blocks = sampler._coupled_blocks(model, t, x, y, K, sampler._stream_blocks(seed, n))
+    return sampler.fold(np.reshape(g(np.exp(log_rho), ends), (1, -1)) for ends, log_rho, _ in blocks).estimate(0, seed)
 
 
 class TestRngStream:
@@ -365,6 +370,30 @@ class TestSamplerStateMemo:
         assert sampler._step_sampler(scalar_model, delta) is sampler._step_sampler(scalar_model, np.float64(delta))
         assert delta in built and len(built) == len(set(built))
 
+    def test_one_path_loop_per_call(self, monkeypatch, scalar_model):
+        """Every path estimator steps through `_weighted_paths`, once per call
+        and not once per block (5000 replicates are two blocks)."""
+        from harnacklab.testfuncs import drift_scaled_sine
+
+        entries = []
+        loop = sampler._weighted_paths
+        monkeypatch.setattr(sampler, "_weighted_paths", lambda *args: entries.append(args[3]) or loop(*args))
+        spec = drift_scaled_sine(scalar_model, 0.3)
+        f = ExpObservable([0.3])
+        calls = {
+            "girsanov_functional_estimates": lambda: girsanov_functional_estimates(
+                scalar_model, 0.8, np.array([[1.0]]), 16, 5000, 1, {"rho": np.exp}),
+            "sample_coupled_pair": lambda: hl.sample_coupled_pair(scalar_model, 0.8, [0.4], [0.0], 16, RngStream(2, 0)),
+            "semilinear_values": lambda: list(sampler.semilinear_values(
+                scalar_model, spec, 0.8, [[0.2], [0.1]], [f, f], 5000, 16, 3)),
+            "semilinear_rho_moments": lambda: sampler.semilinear_rho_moments(
+                scalar_model, spec, 0.8, [0.2], [2.0], 5000, 16, 4),
+        }
+        for name, call in calls.items():
+            entries.clear()
+            call()
+            assert entries == [16], name
+
     def test_sampler_state_refers_only_to_arrays(self):
         import gc
         import weakref
@@ -406,6 +435,15 @@ class TestWaPath:
     def test_bad_grid_rejected(self, scalar_model):
         with pytest.raises(ValueError):
             wa_path(scalar_model, [0.5, 1.0], RngStream(0, 0))
+
+    def test_uniform_grid_takes_one_snapshot(self):
+        # linspace steps differ by ulps; a grid uniform to rounding takes the one step t/K,
+        # while a non-uniform grid keeps its exact steps
+        for grid, snapshots in ((np.linspace(0.0, 1.0, 11), 1), (np.linspace(0.0, 1.0, 1001), 1),
+                                ([0.0, 0.25, 1.0], 2)):
+            m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
+            wa_path(m, grid, RngStream(0, 0))
+            assert sum(isinstance(key, tuple) and key[0] == "snapshot" for key in m._memo) == snapshots
 
 
 class TestGirsanovWeight:

@@ -301,32 +301,39 @@ class TestGradientEstimate:
 
 
 class TestKernelInequalities:
+    @staticmethod
+    def _rows(model, x, y):
+        """The power-integral and relative-entropy rows at t = 1, alpha = 2."""
+        return (verify.kernel_power_report(model, 1.0, x, y, 2.0, "kernel_power"),
+                verify.kernel_kl_report(model, 1.0, x, y, 2.0, "kernel_kl"))
+
     def test_scalar_always_equality(self, scalar_model):
-        power, kl = verify.check_kernel_inequalities(scalar_model, 1.0, [1.1], [0.3], 2.0)
+        power, kl = self._rows(scalar_model, [1.1], [0.3])
         assert power.verdict == verify.HOLDS_EQUALITY
         assert kl.verdict == verify.HOLDS_EQUALITY
 
     def test_distinct_singular_values_strict(self):
         m = OuLevyModel(drift_matrix=np.diag([-1.0, -3.0]), noise_cov=np.eye(2))
         # difference along the faster-decaying mode is strictly inside the bound
-        power, kl = verify.check_kernel_inequalities(m, 1.0, [0.0, 1.0], [0.0, 0.0], 2.0)
+        power, kl = self._rows(m, [0.0, 1.0], [0.0, 0.0])
         assert power.verdict == verify.HOLDS
         assert kl.verdict == verify.HOLDS
         # difference along the slow mode saturates it
-        power2, kl2 = verify.check_kernel_inequalities(m, 1.0, [1.0, 0.0], [0.0, 0.0], 2.0)
+        power2, kl2 = self._rows(m, [1.0, 0.0], [0.0, 0.0])
         assert power2.verdict == verify.HOLDS_EQUALITY
         assert kl2.verdict == verify.HOLDS_EQUALITY
 
     def test_equal_points(self, scalar_model):
-        power, kl = verify.check_kernel_inequalities(scalar_model, 1.0, [0.4], [0.4], 2.0)
+        power, kl = self._rows(scalar_model, [0.4], [0.4])
         assert power.lhs == pytest.approx(1.0)
         assert kl.lhs == pytest.approx(0.0, abs=1e-14)
         assert power.verdict == verify.HOLDS_EQUALITY
         assert kl.verdict == verify.HOLDS_EQUALITY
 
     def test_jump_model_rejected(self, jump_model):
-        with pytest.raises(ValueError):
-            verify.check_kernel_inequalities(jump_model, 1.0, [0.5], [0.0], 2.0)
+        for report in (verify.kernel_power_report, verify.kernel_kl_report):
+            with pytest.raises(ValueError):
+                report(jump_model, 1.0, [0.5], [0.0], 2.0, "kernel")
 
 
 class TestEntropyCost:
