@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Run inequality checks from a JSON scenario.")
     parser.add_argument("--config", required=True, help="path to the scenario JSON file")
     parser.add_argument("--check", default=None, help="run only the check with this id")
-    parser.add_argument("--samples", type=int, default=None, help="override Monte Carlo sample count")
+    parser.add_argument("--samples", type=int, default=None, help="override the Monte Carlo sample cap")
     parser.add_argument("--seed", type=int, default=None, help="override the top-level seed")
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")

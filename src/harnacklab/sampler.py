@@ -23,6 +23,8 @@ of ``MC_BLOCK`` replicates and yield each block's per-replicate values as
 the columns of a ``(k, size)`` array; `fold` merges the blocks' column
 means and co-moments into one `Moments` accumulator in stream order, so
 results are bitwise reproducible regardless of how blocks are scheduled.
+Given a check's margin, `fold` stops at the first block boundary where
+the margin is decided; the moments there are those of a smaller cap.
 An estimator of several start points makes one pass whose draws serve all
 of them (common random numbers), one column per start.
 """
@@ -41,6 +43,12 @@ from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 #: Replicates per RNG stream in vectorized Monte Carlo estimators.
 MC_BLOCK = 4096
+
+#: z boundary of `fold`'s stop rule: a margin that is not positive reads
+#: above it at one look with a chance of about 1e-9 (normal tail), so over
+#: the ``ceil(n / MC_BLOCK) - 1`` looks of a check an early stop is far less
+#: likely to be wrong than the final one-sigma rule.
+EARLY_Z = 6.0
 
 _MASK64 = (1 << 64) - 1
 
@@ -186,14 +194,34 @@ class Moments:
         return McEstimate(mean=float(self.mean[i]), std_error=self.std_error(i), n=self.n, seed=seed)
 
 
-def fold(blocks: Iterable) -> Moments:
+@dataclass(frozen=True)
+class EarlyHolds:
+    """What `fold`'s stop rule reads of a check that holds when its margin is
+    positive: the cap ``n`` of replicates its blocks sum to, and ``margin``,
+    which maps the running moments to the margin and its standard error."""
+
+    n: int
+    margin: Callable[[Moments], tuple[float, float]]
+
+
+def fold(blocks: Iterable, decided: EarlyHolds | None = None) -> Moments:
     """Add ``(k, size)`` column blocks to one `Moments` in stream order: the
-    one loop through which every Monte Carlo estimate passes."""
+    one loop through which every Monte Carlo estimate passes.
+
+    With ``decided``, a group-sequential rule (Jennison & Turnbull 2000)
+    reads the running moments after each block but the last, and the fold
+    draws no further block once the margin exceeds ``EARLY_Z`` times a
+    positive standard error.  Block ``b`` comes from stream ``b``, so the
+    moments at a stop are bitwise those of a cap at that count."""
     acc = None
     for block in blocks:
         if acc is None:
             acc = Moments(len(block))
         acc.add(block)
+        if decided is not None and acc.n < decided.n:
+            margin, margin_se = decided.margin(acc)
+            if margin_se > 0.0 and margin > EARLY_Z * margin_se:
+                break
     return acc
 
 

@@ -19,6 +19,12 @@ smooth functions of its column means, so the delta method reads the
 margin's joint standard error, which includes the correlation of the
 sides, from its co-moment matrix.  ``VIOLATED`` still needs a breach beyond
 three times the larger of that error and the sides' combined one.
+
+The unweighted checks of two start points (``harnack``, ``log_harnack``,
+``gradient``) take ``n`` as a cap: their fold stops at the first block
+boundary where the margin exceeds ``sampler.EARLY_Z`` times its positive
+joint error, and ``params["n_used"]`` says how many replicates were drawn
+(0 for a row that draws nothing).  Every other verdict is read at the cap.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
     sides_se = math.hypot(lhs_se, rhs_se)
     sigma = sides_se if margin_se is None else margin_se
     margin = rhs - lhs
-    slack = 1e-9 * max(1.0, abs(lhs), abs(rhs))
+    slack = _slack(lhs, rhs)
     if abs(margin) <= max(slack, sigma):
         return HOLDS_EQUALITY
     if margin > 0:
@@ -86,6 +92,11 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
     if margin < -(3.0 * max(sigma, sides_se) + slack):
         return VIOLATED
     return INCONCLUSIVE
+
+
+def _slack(lhs: float, rhs: float) -> float:
+    """Relative slack of the equality window, for exact evaluations."""
+    return 1e-9 * max(1.0, abs(lhs), abs(rhs))
 
 
 def _times(coef: float, v: float) -> float:
@@ -212,7 +223,7 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     e_sq = _energy_squared(model, t, x, y, bound_mode, h)
-    params = _echo(t=t, x=x, y=y, alpha=alpha, bound_mode=bound_mode, n=n, f=f, h=h,
+    params = _echo(t=t, x=x, y=y, alpha=alpha, bound_mode=bound_mode, n=n, n_used=0, f=f, h=h,
                    energy_sq=e_sq)
     if math.isinf(e_sq):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed)
@@ -224,20 +235,40 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
         return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed)
 
     fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
-    acc = sampler.fold(sampler.endpoint_values(model, t, [x, y], [fx, fy], n, sampler.mix_seed(seed, 1)))
+    sides = _power_sides(alpha, coef)
+    acc = _two_point_fold(sampler.endpoint_values(model, t, [x, y], [fx, fy], n, sampler.mix_seed(seed, 1)), n, sides)
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    return _power_report(check_id, acc, alpha, coef, params, seed)
+    return _two_point_report(check_id, acc, sides, params, seed)
 
 
-def _power_report(check_id, acc: sampler.Moments, alpha, coef, params, seed) -> CheckReport:
-    """``(mean_x)^alpha`` against ``coef * mean_y`` from the columns ``(x, y)``,
-    with marginal side errors and the delta-method error of the margin."""
-    mean_x = max(float(acc.mean[0]), 0.0)
-    slope = alpha * mean_x ** (alpha - 1.0)
-    lhs_se = slope * acc.std_error(0)
-    return _report(check_id, mean_x**alpha, _times(coef, float(acc.mean[1])), lhs_se, _times(coef, acc.std_error(1)),
-                   params, seed, margin_se=acc.delta_se([-slope, coef]))
+def _power_sides(alpha, coef):
+    """Sides of ``(mean_x)^alpha`` against ``coef * mean_y`` from the columns
+    ``(x, y)``, with marginal side errors and the delta-method error of the
+    margin: ``(lhs, rhs, lhs_se, rhs_se, margin_se)`` of the moments."""
+    def sides(acc: sampler.Moments):
+        mean_x = max(float(acc.mean[0]), 0.0)
+        slope = alpha * mean_x ** (alpha - 1.0)
+        return (mean_x**alpha, _times(coef, float(acc.mean[1])), slope * acc.std_error(0),
+                _times(coef, acc.std_error(1)), acc.delta_se([-slope, coef]))
+    return sides
+
+
+def _two_point_fold(values, n: int, sides) -> sampler.Moments:
+    """Fold the column blocks of an unweighted two-point check with a cap of
+    ``n``: the fold stops once the margin that ``sides`` reads, net of the
+    equality slack, is decided, so an early stop is a ``HOLDS``."""
+    def margin(acc):
+        lhs, rhs, *_, margin_se = sides(acc)
+        return rhs - lhs - _slack(lhs, rhs), margin_se
+    return sampler.fold(values, sampler.EarlyHolds(n, margin))
+
+
+def _two_point_report(check_id, acc: sampler.Moments, sides, params, seed, note=None) -> CheckReport:
+    """The row of a two-point check from the moments its fold stopped at."""
+    lhs, rhs, lhs_se, rhs_se, margin_se = sides(acc)
+    return _report(check_id, lhs, rhs, lhs_se, rhs_se, {**params, "n_used": acc.n}, seed, note,
+                   margin_se=margin_se)
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
@@ -252,7 +283,7 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     op = control.gamma_operator_norm(model, t)
-    params = _echo(t=t, x=x, y=y, n=n, f=f, operator_norm=op)
+    params = _echo(t=t, x=x, y=y, n=n, n_used=0, f=f, operator_norm=op)
     if math.isinf(op):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "operator norm infinite (range inclusion fails)")
@@ -262,15 +293,19 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     def g(pts):
         return np.maximum(np.asarray(clamped(pts), dtype=float), 1.0)
 
-    acc = sampler.fold(sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n,
-                                               sampler.mix_seed(seed, 1)))
+    bound = 0.5 * op**2 * float(np.sum((x - y) ** 2))
+
+    def sides(acc):
+        mean_y = float(acc.mean[1])
+        return (float(acc.mean[0]), math.log(mean_y) + bound, acc.std_error(0), acc.std_error(1) / mean_y,
+                acc.delta_se([-1.0, 1.0 / mean_y]))
+
+    acc = _two_point_fold(sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n,
+                                                  sampler.mix_seed(seed, 1)), n, sides)
     note = None
     if clamped.min < 1.0:
         note = f"observable clamped up to 1 (minimum sample {clamped.min:.6g})"
-    mean_log, mean_y = float(acc.mean[0]), float(acc.mean[1])
-    rhs = math.log(mean_y) + 0.5 * op**2 * float(np.sum((x - y) ** 2))
-    return _report(check_id, mean_log, rhs, acc.std_error(0), acc.std_error(1) / mean_y, params, seed, note,
-                   margin_se=acc.delta_se([-1.0, 1.0 / mean_y]))
+    return _two_point_report(check_id, acc, sides, params, seed, note)
 
 
 def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
@@ -290,7 +325,7 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     gam = control.gamma_norm(model, t, x - y)
-    params = _echo(t=t, x=x, y=y, n=n, f=f, gamma=gam.value)
+    params = _echo(t=t, x=x, y=y, n=n, n_used=0, f=f, gamma=gam.value)
     if not gam.in_domain:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "x - y outside the steerable domain")
@@ -303,17 +338,21 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
             u = v - shift
             return np.stack([v[0] - v[1], v[0], u[0] * u[0], v[1], u[1] * u[1]])
 
-    acc = sampler.fold(map(columns, sampler.endpoint_values(model, t, [x, y], [f, f], n, sampler.mix_seed(seed, 1))))
-    diff = float(acc.mean[0])
-    var = np.diag(acc.comoment) / (acc.n - 1)
-    low = 1 if var[1] <= var[3] else 3  # the column of v at the start with the smaller variance
-    var_grad = np.zeros(5)
-    var_grad[low], var_grad[low + 1] = -2.0 * (acc.mean[low] - shift[low // 2, 0]), 1.0
     gam_sq = float(gam) ** 2
     factor = math.expm1(gam_sq) if gam_sq <= 700.0 else float("inf")
-    margin_grad = [-2.0 * diff] + [_times(factor, g) for g in var_grad[1:]]
-    return _report(check_id, diff**2, _times(factor, var[low]), 2.0 * abs(diff) * acc.std_error(0),
-                   _times(factor, acc.delta_se(var_grad)), params, seed, margin_se=acc.delta_se(margin_grad))
+
+    def sides(acc):
+        diff = float(acc.mean[0])
+        var = np.diag(acc.comoment) / (acc.n - 1)
+        low = 1 if var[1] <= var[3] else 3  # the column of v at the start with the smaller variance
+        var_grad = np.zeros(5)
+        var_grad[low], var_grad[low + 1] = -2.0 * (acc.mean[low] - shift[low // 2, 0]), 1.0
+        margin_grad = [-2.0 * diff] + [_times(factor, g) for g in var_grad[1:]]
+        return (diff**2, _times(factor, var[low]), 2.0 * abs(diff) * acc.std_error(0),
+                _times(factor, acc.delta_se(var_grad)), acc.delta_se(margin_grad))
+
+    values = sampler.endpoint_values(model, t, [x, y], [f, f], n, sampler.mix_seed(seed, 1))
+    return _two_point_report(check_id, _two_point_fold(map(columns, values), n, sides), sides, params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +529,8 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
     coef = cp ** beta_p * cq ** beta_q * saturating_exp(log_exp_term)
-    return _power_report(check_id, acc, alpha, coef, params, seed)
+    lhs, rhs, lhs_se, rhs_se, margin_se = _power_sides(alpha, coef)(acc)
+    return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, margin_se=margin_se)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

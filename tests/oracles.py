@@ -17,7 +17,7 @@ def simpson_gramian(a, r, t, panels=2000):
     a = np.asarray(a, dtype=float)
     r = np.asarray(r, dtype=float)
     s = np.linspace(0.0, t, panels + 1)
-    vals = np.stack([sla.expm(si * a) @ r @ sla.expm(si * a).T for si in s])
+    vals = np.stack([e @ r @ e.T for e in (sla.expm(si * a) for si in s)])
     return scipy.integrate.simpson(vals, x=s, axis=0)
 
 

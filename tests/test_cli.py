@@ -713,7 +713,7 @@ def test_each_monte_carlo_check_folds_once(monkeypatch):
     from harnacklab import sampler
 
     fold, calls = sampler.fold, []
-    monkeypatch.setattr(sampler, "fold", lambda blocks: calls.append(1) or fold(blocks))
+    monkeypatch.setattr(sampler, "fold", lambda blocks, decided=None: calls.append(1) or fold(blocks, decided))
     scenario = cli.Scenario.parse(json.loads((SCENARIO_DIR / "scalar_ou.json").read_text()))
     monte_carlo = {"harnack_operator_mc", "log_harnack", "gradient", "semilinear", "rho_moments"}
     counts = {}

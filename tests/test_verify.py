@@ -196,7 +196,7 @@ class TestSharedNoise:
     def test_lhs_is_the_one_point_estimate(self, jump_model):
         f = ClippedExpObservable([0.5], 10.0)
         rep = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=5000, seed=3)
-        est = hl.estimate_semigroup(jump_model, 1.0, [0.6], f, 5000, hl.sampler.mix_seed(3, 1))
+        est = hl.estimate_semigroup(jump_model, 1.0, [0.6], f, rep.params["n_used"], hl.sampler.mix_seed(3, 1))
         assert (rep.lhs, rep.lhs_se) == (est.mean**2, 2.0 * est.mean * est.std_error)
         assert 0.0 < rep.params["margin_se"] < math.hypot(rep.lhs_se, rep.rhs_se)
 
@@ -238,6 +238,79 @@ class TestSharedNoise:
         verdicts = {verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s).verdict
                     for s in range(200)}
         assert verify.VIOLATED not in verdicts
+
+
+class TestEarlyStop:
+    """The unweighted two-point checks take ``n`` as a cap: their fold stops
+    at a block boundary once the margin exceeds ``sampler.EARLY_Z`` times its
+    positive joint error, and the row says how many replicates it drew."""
+
+    @staticmethod
+    def _count_looks(monkeypatch):
+        """Patch `sampler.fold` to count the stop rule's reads of the margin."""
+        fold, looks = hl.sampler.fold, []
+
+        def counting(blocks, decided=None):
+            if decided is None:
+                return fold(blocks)
+            margin = decided.margin
+            return fold(blocks, hl.sampler.EarlyHolds(decided.n, lambda acc: looks.append(acc.n) or margin(acc)))
+
+        monkeypatch.setattr(hl.sampler, "fold", counting)
+        return looks
+
+    def test_a_stop_is_bitwise_the_row_at_that_cap(self, jump_model):
+        f = ClippedExpObservable([0.5], 10.0)
+        early = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=20_000, seed=3)
+        capped = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=hl.sampler.MC_BLOCK, seed=3)
+        assert early.params["n_used"] == capped.params["n_used"] == hl.sampler.MC_BLOCK
+        assert early.verdict == verify.HOLDS
+        for side in ("lhs", "rhs", "lhs_se", "rhs_se"):
+            assert getattr(early, side) == getattr(capped, side)
+        assert early.params["margin_se"] == capped.params["margin_se"]
+
+    def test_exact_equality_runs_to_the_cap(self, flat_model, monkeypatch):
+        # both sides are e^{1.08}: no margin is ever decided, so every row draws its
+        # whole cap and gives the verdict of the fold without the stop rule
+        f = ClippedExpObservable([0.6], 1000.0)
+        n = 3 * hl.sampler.MC_BLOCK
+
+        def run(s):
+            return verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s)
+
+        capped = [run(s) for s in range(100)]
+        fold = hl.sampler.fold
+        monkeypatch.setattr(hl.sampler, "fold", lambda blocks, decided=None: fold(blocks))
+        full = [run(s) for s in range(100)]
+        assert all(r.params["n_used"] == n for r in capped)
+        assert [r.verdict for r in capped] == [r.verdict for r in full]
+
+    def test_zero_sigma_never_stops_early(self, flat_model, monkeypatch):
+        looks = self._count_looks(monkeypatch)
+        n = 3 * hl.sampler.MC_BLOCK
+        rep = verify.check_harnack(flat_model, 1.0, [0.5], [0.0], 2.0, ConstantObservable(2.0), n=n, seed=3)
+        assert rep.params["margin_se"] == 0.0 and rep.margin > 0.0
+        assert rep.params["n_used"] == n and rep.verdict == verify.HOLDS
+        assert looks == [hl.sampler.MC_BLOCK, 2 * hl.sampler.MC_BLOCK]  # none once no block remains
+
+    def test_one_block_check_never_reads_the_margin(self, jump_model, monkeypatch):
+        looks = self._count_looks(monkeypatch)
+        f = ClippedExpObservable([0.5], 10.0)
+        reps = [verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=3000, seed=3),
+                verify.check_log_harnack(jump_model, 1.0, [0.6], [0.0], OnePlusSigmoid([0.7]), n=3000, seed=3),
+                verify.check_gradient_estimate(jump_model, 1.0, [0.6], [0.0], TanhObservable([1.0]), n=3000, seed=3)]
+        assert looks == []
+        assert [r.params["n_used"] for r in reps] == [3000] * 3
+
+    def test_rows_that_draw_nothing_say_so(self, jump_model, flat_model):
+        closed = verify.check_harnack(jump_model, 1.0, [0.5], [0.0], 3.0, ExpObservable([0.3]), n=20_000, seed=1)
+        singular = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
+        x, y = [0.1, 0.2], [0.0, 0.0]
+        trivial = [verify.check_harnack(singular, 1.0, x, y, 2.0, ConstantObservable(1.0), n=5000, seed=2),
+                   verify.check_log_harnack(singular, 1.0, x, y, ConstantObservable(1.0), n=5000, seed=2),
+                   verify.check_gradient_estimate(singular, 1.0, x, y, ConstantObservable(1.0), n=5000, seed=2)]
+        assert closed.params["n_used"] == 0
+        assert [(r.verdict, r.params["n_used"]) for r in trivial] == [(verify.TRIVIAL_INFINITE_RHS, 0)] * 3
 
 
 class TestLogHarnack:
