@@ -3,7 +3,7 @@ driven by Gaussian and compound-Poisson noise."""
 
 from .analytic import GaussianMeasure, invariant_measure
 from .control import GammaNorm, NullControl, gamma_norm, gamma_operator_norm, h_bound, min_energy_control, weighted_control
-from .linops import PsdFactorization, SemigroupSnapshot, lyapunov_solve, matrix_exponential, psd_sqrt_pinv, semigroup_snapshot
+from .linops import PsdFactorization, SemigroupSnapshot, matrix_exponential, psd_sqrt_pinv
 from .model import (
     CompoundPoissonSpec,
     HFunction,

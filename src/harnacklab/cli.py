@@ -332,14 +332,14 @@ def exit_code(reports) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_sweep_value(entry: dict, name: str, value: float) -> dict:
+def _apply_sweep_value(entry: dict, name: str, value: float, dim: int) -> dict:
     out = dict(entry)
     if name == "delta":
-        x = np.asarray(out["x"], dtype=float).reshape(-1)
-        y = np.asarray(out["y"], dtype=float).reshape(-1)
+        path = f"check {entry['id']}"
+        x, y = _vector(entry, "x", path, dim), _vector(entry, "y", path, dim)
         direction = y - x
         norm = float(np.linalg.norm(direction))
-        unit = direction / norm if norm > 0 else np.eye(x.shape[0])[0]
+        unit = direction / norm if norm > 0 else np.eye(dim)[0]
         out["y"] = (x + value * unit).tolist()
         return out
     if name not in out or not isinstance(out[name], (int, float)):
@@ -360,7 +360,7 @@ def run_sweep(scenario: Scenario, check_id: str, name: str, grid,
         raise SchemaError(f"sweep: no check with id {check_id!r}")
     rows = []
     for value in grid:
-        modified = _apply_sweep_value(entry, name, float(value))
+        modified = _apply_sweep_value(entry, name, float(value), scenario.model.dim)
         reports = _run_check(scenario.model, modified, samples)
         rows.append((float(value), reports[0]))
     return rows

@@ -61,15 +61,6 @@ def psd_rank(w) -> int:
     return int(np.count_nonzero(w > DEFAULT_RANK_TOL * np.max(w, initial=0.0)))
 
 
-def check_psd(s, name="matrix") -> np.ndarray:
-    """Symmetrize ``s``; raise `NotPsdError` for an eigenvalue below `psd_floor`."""
-    s = check_symmetric(s, name)
-    wmin = float(np.linalg.eigvalsh(s).min(initial=0.0))
-    if wmin < psd_floor(s):
-        raise NotPsdError(f"{name} has negative eigenvalue {wmin:.3e} beyond tolerance")
-    return s
-
-
 def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only, so that an in-place edit of a shared array raises."""
     a.setflags(write=False)
@@ -78,7 +69,7 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 def spectral_abscissa(a) -> float:
     """Largest real part of the eigenvalues of ``a``."""
-    return float(np.linalg.eigvals(as_square_matrix(a)).real.max())
+    return float(np.linalg.eigvals(a).real.max())
 
 
 def _short_step(a: np.ndarray, block: np.ndarray, t: float) -> tuple[int, np.ndarray]:
@@ -220,7 +211,6 @@ def exp_interpolant(a, t: float) -> ExpInterpolant:
     `INTERPOLANT_TABLE_BYTES`, when ``e^{vA}`` overflows, or when no degree up
     to `INTERPOLANT_MAX_DEGREE` meets the bound.
     """
-    a = as_square_matrix(a, "drift matrix")
     if not 0 < t < math.inf:
         raise ValueError(f"interpolation horizon must be positive and finite, got {t}")
     d = a.shape[0]
@@ -382,13 +372,12 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     ``P <- P^2``.  The step rule exists because the ``-A'`` half of the block
     grows like ``e^{|lambda| t}``, so a Gramian read off one expm at ``t``
     loses digits exponentially in ``t``; a doubling only adds a PSD term.
+
+    The inputs are a model's: `OuLevyModel` checks ``A``, ``R`` and ``a`` once,
+    when it is built, so only ``t`` is checked here.
     """
-    a = as_square_matrix(a, "drift matrix")
-    r = check_psd(r, "noise covariance")
-    offset = np.asarray(offset, dtype=float).reshape(-1)
+    a, r, offset = (np.asarray(v, dtype=float) for v in (a, r, offset))
     d = a.shape[0]
-    if r.shape[0] != d or offset.shape[0] != d:
-        raise ValueError("dimension mismatch between drift, covariance and offset")
     if not 0 < t < math.inf:
         raise ValueError(f"snapshot time must be positive and finite, got {t}")
     block = np.zeros((2 * d + 1, 2 * d + 1))
@@ -409,29 +398,20 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
 
 def convolution_factor(a, r_sqrt, t: float) -> np.ndarray:
     """``int_0^t e^{sA} R^{1/2} ds`` by the same augmented-block device."""
-    a = as_square_matrix(a)
     d = a.shape[0]
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = a
-    aug[:d, d:] = np.asarray(r_sqrt, dtype=float)
+    aug[:d, d:] = r_sqrt
     return sla.expm(t * aug)[:d, d:]
 
 
-def lyapunov_solve(a, r, stable: bool | None = None) -> np.ndarray:
+def lyapunov_solve(a, r) -> np.ndarray:
     """Steady-state covariance: solve ``A X + X A' = -R`` for Hurwitz ``A``.
 
-    Raises `UnstableMatrixError` when the spectral abscissa of ``A`` is
-    nonnegative, i.e. when the model has no invariant measure in this
-    truncation.  A caller that already knows whether it is negative passes
-    that as ``stable``, and the eigenvalues are not computed again.
+    Stability is not checked here: `OuLevyModel.steady_covariance` decides it
+    by the model's memoized `OuLevyModel.is_stable`.
     """
-    a = as_square_matrix(a, "drift matrix")
-    r = check_symmetric(r, "noise covariance")
-    if not (spectral_abscissa(a) < 0 if stable is None else stable):
-        raise UnstableMatrixError(
-            "drift matrix is not Hurwitz: no invariant measure in this truncation"
-        )
-    x = sla.solve_continuous_lyapunov(a, -r)
+    x = sla.solve_continuous_lyapunov(a, -np.asarray(r, dtype=float))
     return 0.5 * (x + x.T)
 
 

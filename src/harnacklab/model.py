@@ -66,11 +66,14 @@ class OuLevyModel:
     """Finite-dimensional OU model: drift matrix, noise covariance, drift
     offset, optional compound-Poisson jump part.
 
-    Keeps read-only copies of its arrays and memoizes, with read-only arrays,
-    what it derives from them: the snapshot per ``t``, whose propagator is the
-    model's only ``e^{tA}``, the interpolant of ``e^{vA}`` per ``t``, the noise
-    root, the steady covariance, the stability flag, the adjoint dynamics, and
-    the sampler's state: the drift's eigenbasis transport and path-step samplers.
+    Checks ``A``, ``R`` and the offset once, when it is built: the noise root
+    `linops.psd_sqrt_pinv` of ``R`` (one ``eigh``) is the PSD check, and it is
+    the first memo entry.  Keeps read-only copies of its arrays and memoizes,
+    with read-only arrays, what it derives from them: the snapshot per ``t``,
+    whose propagator is the model's only ``e^{tA}``, the interpolant of
+    ``e^{vA}`` per ``t``, the steady covariance, the stability flag, the adjoint
+    dynamics, and the sampler's state: the drift's eigenbasis transport and
+    path-step samplers.
     """
 
     drift_matrix: np.ndarray
@@ -80,7 +83,7 @@ class OuLevyModel:
 
     def __post_init__(self):
         a = linops.as_square_matrix(self.drift_matrix, "drift matrix").copy()
-        r = linops.check_psd(self.noise_cov, "noise covariance")
+        r = linops.check_symmetric(self.noise_cov, "noise covariance")
         d = a.shape[0]
         if r.shape[0] != d:
             raise ValueError("drift and covariance dimensions differ")
@@ -92,7 +95,7 @@ class OuLevyModel:
         object.__setattr__(self, "drift_matrix", linops.read_only(a))
         object.__setattr__(self, "noise_cov", linops.read_only(r))
         object.__setattr__(self, "drift_offset", linops.read_only(offset))
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_memo", {"noise_sqrt": linops.psd_sqrt_pinv(r)})
 
     def _memoized(self, key, build):
         """``build()``, computed on the first request for ``key`` only.  A value
@@ -114,13 +117,15 @@ class OuLevyModel:
             self.drift_matrix, self.noise_cov, self.drift_offset, t))
 
     def noise_sqrt(self) -> linops.PsdFactorization:
-        return self._memoized("noise_sqrt", lambda: linops.psd_sqrt_pinv(self.noise_cov))
+        return self._memo["noise_sqrt"]
 
     def steady_covariance(self) -> np.ndarray:
         """Solution ``S`` of ``A S + S A' = -R``; raises `linops.UnstableMatrixError`
         for a non-Hurwitz drift, decided by the memoized `is_stable`."""
+        if not self.is_stable():
+            raise linops.UnstableMatrixError("drift matrix is not Hurwitz: no invariant measure in this truncation")
         return self._memoized("steady_covariance", lambda: linops.read_only(
-            linops.lyapunov_solve(self.drift_matrix, self.noise_cov, stable=self.is_stable())))
+            linops.lyapunov_solve(self.drift_matrix, self.noise_cov)))
 
     def is_stable(self) -> bool:
         return self._memoized("is_stable", lambda: linops.spectral_abscissa(self.drift_matrix) < 0)

@@ -494,8 +494,8 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     weight (exactly 1 for bounded perturbations with ``k2 = 0``, otherwise
     exact by `analytic.convolution_square_exp_moment`), the minimum-energy
     exponent rescaled by the comparison exponents ``p, q``, and the additive
-    growth integral.  A divergent constant gives ``TRIVIAL_INFINITE_RHS``
-    before any path is drawn.
+    growth integral.  A divergent constant, or a coefficient past the float
+    range, gives ``TRIVIAL_INFINITE_RHS`` before any path is drawn.
     """
     if alpha <= 1 or p <= 1 or q <= 1:
         raise ValueError("alpha, p, q must exceed 1")
@@ -523,12 +523,14 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
         alpha * q * float(gam) ** 2 / (2.0 * (alpha - q))
         + alpha * ((p + 1.0) / (p - 1.0) + (q + 1.0) / (q * (q - 1.0))) * growth_integral
     )
+    coef = cp ** beta_p * cq ** beta_q * saturating_exp(log_exp_term)
+    if math.isinf(coef):
+        return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
     fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
     acc = sampler.fold(sampler.semilinear_values(model, spec, t, [x, y], [fx, fy], n, K, sampler.mix_seed(seed, 1)))
     if fx.min < 0 or fy.min < 0:
         raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    coef = cp ** beta_p * cq ** beta_q * saturating_exp(log_exp_term)
     lhs, rhs, lhs_se, rhs_se, margin_se = _power_sides(alpha, coef)(acc)
     return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, margin_se=margin_se)
 

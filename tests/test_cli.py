@@ -430,6 +430,22 @@ class TestLongHorizon:
             assert row["verdict"] == verify.TRIVIAL_INFINITE_RHS
             assert "growth factor exceeds the float range" in json.loads(row["param_json"])["note"]
 
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_saturated_semilinear_coefficient_draws_no_path(self, monkeypatch, t):
+        # every path weight underflowed at t = 1e6, and the row read lhs = rhs = 0,
+        # margin_se 0 and HOLDS_EQUALITY; the coefficient is inf at both horizons
+        from harnacklab import sampler
+
+        def no_paths(*args, **kwargs):
+            raise AssertionError("paths drawn for a saturated coefficient")
+
+        monkeypatch.setattr(sampler, "semilinear_values", no_paths)
+        cfg = json.loads((SCENARIO_DIR / "scalar_ou.json").read_text())
+        cfg["checks"] = [{**c, "t": t} for c in cfg["checks"]]
+        [row] = cli.run_scenario(cli.Scenario.parse(cfg), only_check="semilinear")
+        assert row.verdict == verify.TRIVIAL_INFINITE_RHS
+        assert row.params["note"] == "growth factor exceeds the float range at this horizon"
+
     @pytest.mark.parametrize("t", [8.0, 16.0, 30.0])
     def test_entropy_cost_adjoint_against_a_50_digit_oracle(self, t):
         # the sum tr(S^-1 Sigma) - d + log det S - log det Sigma + m' S^-1 m erred 6.9e-10
@@ -540,6 +556,21 @@ class TestSweep:
         assert code == 3
         assert f"sweep: non-finite grid value '{value}'" in capsys.readouterr().err
 
+    def test_delta_sweep_types_the_points(self, tmp_path, capsys):
+        cfg = {"dim": 1, "A": [[-1.0]], "R": [[1.0]], "seed": 5, "checks": [{
+            "kind": "harnack", "id": "h", "t": 1.0, "x": ["a"], "y": [1.0],
+            "alpha": 2.0, "f": {"kind": "exp", "c": [-0.6]}}]}
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["--config", str(path), "--check", "h", "--sweep", "delta:0:1:2"]) == 3
+        assert "check h.x: must be a list of numbers of length 1, got ['a']" in capsys.readouterr().err
+
+    def test_delta_sweep_names_a_missing_point(self, capsys):
+        code = cli.main(["--config", str(SCENARIO_DIR / "scalar_ou.json"), "--check", "hyper_constant",
+                         "--sweep", "delta:0:1:2"])
+        assert code == 3
+        assert "check hyper_constant.x: missing required field" in capsys.readouterr().err
+
     def test_overflowing_sweep_grid_rejected(self):
         with pytest.raises(cli.SchemaError, match="sweep: grid -1.7e308:1.7e308 overflows"):
             cli._parse_sweep_flag("t:-1.7e308:1.7e308:3")
@@ -648,16 +679,18 @@ def _jump_free_suite_config(d: int = 3) -> dict:
 
 
 #: ``np.linalg`` factorizations and ``scipy.linalg.expm`` calls per closed-form Gaussian
-#: kind on a fresh model of `_jump_free_suite_config`.  Each snapshot checks R by an
-#: ``eigvalsh`` and takes one ``expm``; the decay certificate of ``hwi`` takes one more;
-#: ``solve`` is the invariant mean and the adjoint drift.
+#: kind on a fresh model of `_jump_free_suite_config`, counted after it is parsed.  Each
+#: snapshot takes one ``expm`` and no check of R: a model checks R once, by the ``eigh``
+#: of its noise root when it is built (the adjoint's is counted here); the decay
+#: certificate of ``hwi`` takes one more ``expm``; ``solve`` is the invariant mean and
+#: the adjoint drift; each ``eigvalsh`` is one `analytic.gaussian_kl`.
 GAUSSIAN_KIND_FACTORIZATIONS = {
-    "density_norm": {"eigh": 3, "eigvalsh": 1, "expm": 1, "solve": 1},
-    "kernel_kl": {"eigh": 1, "eigvalsh": 1, "expm": 1},
-    "kernel_harnack": {"eigh": 1, "eigvalsh": 1, "expm": 1},
-    "hyper_constant": {"eigh": 2, "eigvalsh": 1, "expm": 1, "solve": 1},
-    "entropy_cost": {"eigh": 7, "eigvalsh": 5, "expm": 2, "solve": 2},
-    "hwi": {"eigh": 5, "eigvalsh": 3, "expm": 2, "solve": 2},
+    "density_norm": {"eigh": 3, "expm": 1, "solve": 1},
+    "kernel_kl": {"eigh": 1, "expm": 1},
+    "kernel_harnack": {"eigh": 1, "expm": 1},
+    "hyper_constant": {"eigh": 2, "expm": 1, "solve": 1},
+    "entropy_cost": {"eigh": 8, "eigvalsh": 2, "expm": 2, "solve": 2},
+    "hwi": {"eigh": 5, "eigvalsh": 1, "expm": 2, "solve": 2},
 }
 
 
@@ -800,9 +833,9 @@ PUBLIC_NAMES = [
     "SemilinearSpec", "analytic", "build_adjoint", "check_assumption_A_sufficient", "check_entropy_cost",
     "check_gradient_estimate", "check_harnack", "check_hwi", "check_log_harnack",
     "check_rho_moments", "check_semilinear_harnack", "control", "estimate_semigroup", "gamma_norm",
-    "gamma_operator_norm", "girsanov_weight", "h_bound", "invariant_measure", "linops", "lyapunov_solve",
+    "gamma_operator_norm", "girsanov_weight", "h_bound", "invariant_measure", "linops",
     "matrix_exponential", "min_energy_control", "model", "psd_sqrt_pinv", "sample_coupled_pair",
-    "sample_ou_endpoint", "sampler", "semigroup_snapshot", "semilinear_estimate", "testfuncs", "verify",
+    "sample_ou_endpoint", "sampler", "semilinear_estimate", "testfuncs", "verify",
     "verify_h_condition", "wa_path", "weighted_control",
 ]
 

@@ -336,10 +336,6 @@ class TestSemigroupSnapshot:
         linops.semigroup_snapshot(np.array([[-1.0, 3.0], [0.0, -20.0]]), np.eye(2), np.ones(2), 5.0)
         assert calls == [(5, 5)]
 
-    def test_non_psd_noise_rejected(self):
-        with pytest.raises(linops.NotPsdError):
-            linops.semigroup_snapshot(np.zeros((2, 2)), np.diag([1.0, -0.5]), np.zeros(2), 1.0)
-
 
 class TestPsdSqrtPinv:
     def test_diagonal(self):
@@ -404,7 +400,6 @@ class TestPsdSqrtPinv:
 
 PSD_CHECKED = {
     "model": lambda s: OuLevyModel(drift_matrix=-np.eye(2), noise_cov=s),
-    "snapshot": lambda s: linops.semigroup_snapshot(-np.eye(2), s, np.zeros(2), 1.0),
     "measure": lambda s: GaussianMeasure(mean=np.zeros(2), cov=s),
 }
 
@@ -440,7 +435,3 @@ class TestLyapunov:
             x = linops.lyapunov_solve(a, r)
             res = np.linalg.norm(a @ x + x @ a.T + r)
             assert res <= 1e-10 * np.linalg.norm(r)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(linops.UnstableMatrixError):
-            linops.lyapunov_solve(np.zeros((2, 2)), np.eye(2))

@@ -424,3 +424,20 @@ class TestMemoizedState:
             unstable.steady_covariance()
         assert unstable.is_stable() is False
         assert len(calls) == 2
+
+    def test_each_invariant_is_checked_once(self, monkeypatch):
+        # R by the eigh of the noise root when the model is built, stability by one eigvals;
+        # snapshots and the Lyapunov solve read the model and check nothing again
+        rng = np.random.default_rng(21)
+        a, r, offset = make_stable(rng, 3), make_psd(rng, 3), rng.normal(size=3)
+        calls = []
+        for name in ("eigh", "eigvalsh", "eigvals"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, _o=original, _n=name, **kw: calls.append(_n) or _o(*args, **kw))
+        m = OuLevyModel(drift_matrix=a, noise_cov=r, drift_offset=offset)
+        m.snapshot(0.5)
+        m.snapshot(1.0)
+        m.steady_covariance()
+        m.noise_sqrt()
+        assert sorted(calls) == ["eigh", "eigvals"]

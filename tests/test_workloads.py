@@ -1,9 +1,13 @@
 """The benchmark's workload generators (``perfbench/workloads.py``) must keep
-producing scenarios that the command-line parser accepts, and the Monte
-Carlo workloads must keep clearing the benchmark's row gate."""
+producing scenarios that the command-line parser accepts, the Monte Carlo
+workloads must keep clearing the benchmark's row gate, and the runner
+(``perfbench/run.py``) must run one, traced and untraced."""
 
 import importlib.util
+import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,23 @@ def test_jump_workloads_pass_the_benchmark_row_gate(name):
                 if r.verdict in (verify.INCONCLUSIVE, verify.VIOLATED) or any(map(math.isnan, values)):
                     bad.append((seed, r.check_id, r.verdict, r.margin))
     assert not bad
+
+
+@pytest.mark.parametrize("trace", [1, 0])
+def test_benchmark_runner_end_to_end(trace):
+    """The runner itself, traced and untraced.  The trace hooks functions of the
+    package by name (`linops.semigroup_snapshot`, `linops.psd_sqrt_pinv`,
+    `OuLevyModel.snapshot` and `noise_sqrt`, `build_adjoint`,
+    `testfuncs.drift_from_spec`); the traced run must still count snapshots
+    and factorizations through them."""
+    runner = _PATH.parent / "run.py"
+    proc = subprocess.run([sys.executable, str(runner), "--workload", "jump_defective", "--seed", "401",
+                           "--seconds", "1", "--trace", str(trace)],
+                          capture_output=True, text=True, timeout=300, cwd=_PATH.parent.parent)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    if trace:
+        counts = {k: result["metrics"][k]["value"] for k in (
+            "linops.snapshot_calls", "linops.factor_calls", "model.snapshot_requests")}
+        assert all(v > 0 for v in counts.values()), counts
