@@ -113,7 +113,8 @@ def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
             return vals
 
         log_val += j.rate * (linops.integrate(moment, 0.0, t) - t)
-    return float(np.exp(log_val))
+    with np.errstate(over="ignore"):  # a value past the float range is inf
+        return float(np.exp(log_val))
 
 
 def convolution_square_exp_moment(model: OuLevyModel, t: float, lam: float) -> float:
@@ -245,7 +246,8 @@ def density_norm_bound(model: OuLevyModel, t: float, x, alpha: float) -> tuple[f
     if not np.isfinite(op):
         raise SingularityError("minimum-energy operator norm is infinite: no density bound")
     beta = alpha * op**2 / (2.0 * (alpha - 1.0))
-    rhs = gaussian_exp_integral(mu, beta, x) ** (-1.0 / alpha)
+    with np.errstate(divide="ignore", over="ignore"):  # an integral that underflows bounds nothing
+        rhs = float(np.float64(gaussian_exp_integral(mu, beta, x)) ** (-1.0 / alpha))
     return lhs, rhs
 
 

@@ -588,6 +588,7 @@ def _semilinear_blocks(model, spec, t, starts, K, seed, n):
     ``(size, d)`` and the log-weights ``(S, size)`` of `_weighted_paths` with
     the shift ``psi = R^{-1/2} F(state)``, the drift evaluated on the
     ``(S * size, d)`` stacked states."""
+    _require_semilinear_setting(model)
     d = starts.shape[1]
     rfac = model.noise_sqrt()
     pinv_root = rfac.pinv_sqrt_matrix
@@ -612,7 +613,6 @@ def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts
     from one pass of increments shared by all starts (common random numbers):
     the weights differ only through the drift evaluated along each start's
     path.  ``fs`` holds one vectorized observable per start."""
-    _require_semilinear_setting(model)
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     prop = model.snapshot(t).propagator
     terms = [prop @ x for x in starts]
@@ -641,7 +641,6 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                            powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
     """Monte Carlo moments ``E rho^p`` of the perturbed-drift weight."""
-    _require_semilinear_setting(model)
     powers = [float(p) for p in powers]
     x = np.asarray(x, dtype=float).reshape(1, -1)
     moments = fold(np.stack([np.exp(p * log_rho[0]) for p in powers])

@@ -20,11 +20,14 @@ margin's joint standard error, which includes the correlation of the
 sides, from its co-moment matrix.  ``VIOLATED`` still needs a breach beyond
 three times the larger of that error and the sides' combined one.
 
-The unweighted checks of two start points (``harnack``, ``log_harnack``,
-``gradient``) take ``n`` as a cap: their fold stops at the first block
-boundary where the margin exceeds ``sampler.EARLY_Z`` times its positive
-joint error, and ``params["n_used"]`` says how many replicates were drawn
-(0 for a row that draws nothing).  Every other verdict is read at the cap.
+Every sampled row is made by `_mc_report`, and ``params["n_used"]`` says
+how many replicates it drew (0 for a row that draws nothing).  The
+unweighted checks (``harnack``, ``log_harnack``, ``gradient``) take ``n`` as
+a cap: their fold stops at the first block boundary where the margin
+exceeds ``sampler.EARLY_Z`` times its positive joint error.  Every other
+verdict is read at the cap.  A negative margin whose right side has no
+spread raises ``ValueError``: the sample missed the event that carries
+that side, so the margin is no verdict.
 """
 
 from __future__ import annotations
@@ -94,6 +97,10 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
     return INCONCLUSIVE
 
 
+_DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
+_GROWTH_OVERFLOW = "growth factor exceeds the float range at this horizon"
+
+
 def _slack(lhs: float, rhs: float) -> float:
     """Relative slack of the equality window, for exact evaluations."""
     return 1e-9 * max(1.0, abs(lhs), abs(rhs))
@@ -128,24 +135,18 @@ def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None, margin_
     )
 
 
-class _TrackMin:
-    """Callable wrapper recording the smallest value seen (sign checks)."""
-
-    def __init__(self, f):
-        self.f = f
-        self.min = math.inf
-
-    def __call__(self, pts):
-        vals = np.asarray(self.f(pts), dtype=float)
-        if vals.size:
-            self.min = min(self.min, float(vals.min()))
-        return vals
-
-
-def _power_fn(f, alpha: float):
+def _power_fns(f, alpha: float):
+    """``f`` and ``f^alpha`` for a power check, which needs ``f >= 0``: each raises on
+    its first negative sample, so no block is drawn after a bad one."""
     if isinstance(f, ExpObservable):
-        return f.power(alpha)
-    return lambda pts: np.asarray(f(pts), dtype=float) ** alpha
+        return f, f.power(alpha)
+
+    def checked(pts):
+        vals = np.asarray(f(pts), dtype=float)
+        if (vals < 0.0).any():
+            raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
+        return vals
+    return checked, lambda pts: checked(pts) ** alpha
 
 
 def _closed_form_available(model: OuLevyModel, f) -> bool:
@@ -213,10 +214,11 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     f^alpha(y)`` with the exponent ``E^2`` chosen by ``bound_mode``: the
     squared minimum-energy norm of ``x - y``, the operator-norm variant, or
     the bound of `control.h_bound`, which certifies ``h`` first.
-    Exponential observables on models with a tractable jump exponential
-    moment are evaluated in closed form; anything else runs one Monte Carlo
-    pass whose noise serves both start points, and the margin is judged by
-    its joint standard error (``margin_se`` in the params).
+    A coefficient past the float range gives ``TRIVIAL_INFINITE_RHS`` before
+    any draw.  Exponential observables on models with a tractable jump
+    exponential moment are evaluated in closed form; anything else runs one
+    Monte Carlo pass whose noise serves both starts, and the margin is judged
+    by its joint standard error (``margin_se`` in the params).
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -228,18 +230,17 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     if math.isinf(e_sq):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed)
     coef = saturating_exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
+    if math.isinf(coef):
+        return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
     if _closed_form_available(model, f):
-        px = analytic.mehler_exponential(model, t, f.c, x)
-        py = analytic.mehler_exponential(model, t, alpha * f.c, y)
-        return _report(check_id, px**alpha, coef * py, 0.0, 0.0, params, seed)
+        with np.errstate(over="ignore"):
+            lhs = np.float64(analytic.mehler_exponential(model, t, f.c, x)) ** alpha
+        rhs = coef * analytic.mehler_exponential(model, t, alpha * f.c, y)
+        return _report(check_id, lhs, rhs, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW if math.isinf(rhs) else None)
 
-    fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
-    sides = _power_sides(alpha, coef)
-    acc = _two_point_fold(sampler.endpoint_values(model, t, [x, y], [fx, fy], n, sampler.mix_seed(seed, 1)), n, sides)
-    if fx.min < 0 or fy.min < 0:
-        raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    return _two_point_report(check_id, acc, sides, params, seed)
+    values = sampler.endpoint_values(model, t, [x, y], _power_fns(f, alpha), n, sampler.mix_seed(seed, 1))
+    return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef), cap=n)
 
 
 def _power_sides(alpha, coef):
@@ -249,25 +250,28 @@ def _power_sides(alpha, coef):
     def sides(acc: sampler.Moments):
         mean_x = max(float(acc.mean[0]), 0.0)
         slope = alpha * mean_x ** (alpha - 1.0)
-        return (mean_x**alpha, _times(coef, float(acc.mean[1])), slope * acc.std_error(0),
-                _times(coef, acc.std_error(1)), acc.delta_se([-slope, coef]))
+        return (mean_x**alpha, coef * float(acc.mean[1]), slope * acc.std_error(0), coef * acc.std_error(1),
+                acc.delta_se([-slope, coef]))
     return sides
 
 
-def _two_point_fold(values, n: int, sides) -> sampler.Moments:
-    """Fold the column blocks of an unweighted two-point check with a cap of
-    ``n``: the fold stops once the margin that ``sides`` reads, net of the
-    equality slack, is decided, so an early stop is a ``HOLDS``."""
+def _mc_report(check_id, params, seed, blocks, sides, cap=None, note=None) -> CheckReport:
+    """The row of a Monte Carlo check, the one place where one is made: the
+    blocks fold through `sampler.fold`, which with a ``cap`` stops once the
+    margin net of the equality slack is decided (an early stop is a ``HOLDS``),
+    and ``sides(acc)``, ``(lhs, rhs, lhs_se, rhs_se, margin_se)``, and ``note()``
+    are read where the fold stopped.  A margin below the slack with a right
+    side of no spread raises: the sample missed the event that carries it."""
     def margin(acc):
         lhs, rhs, *_, margin_se = sides(acc)
         return rhs - lhs - _slack(lhs, rhs), margin_se
-    return sampler.fold(values, sampler.EarlyHolds(n, margin))
 
-
-def _two_point_report(check_id, acc: sampler.Moments, sides, params, seed, note=None) -> CheckReport:
-    """The row of a two-point check from the moments its fold stopped at."""
+    acc = sampler.fold(blocks, None if cap is None else sampler.EarlyHolds(cap, margin))
     lhs, rhs, lhs_se, rhs_se, margin_se = sides(acc)
-    return _report(check_id, lhs, rhs, lhs_se, rhs_se, {**params, "n_used": acc.n}, seed, note,
+    if rhs - lhs < -_slack(lhs, rhs) and rhs_se == 0.0:
+        raise ValueError(f"collapsed estimate: the right side has no spread, so margin {rhs - lhs:.6g} "
+                         f"at n_used={acc.n} is no verdict")
+    return _report(check_id, lhs, rhs, lhs_se, rhs_se, {**params, "n_used": acc.n}, seed, note and note(),
                    margin_se=margin_se)
 
 
@@ -287,11 +291,13 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     if math.isinf(op):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        "operator norm infinite (range inclusion fails)")
-
-    clamped = _TrackMin(f)
+    lowest = math.inf
 
     def g(pts):
-        return np.maximum(np.asarray(clamped(pts), dtype=float), 1.0)
+        nonlocal lowest
+        vals = np.asarray(f(pts), dtype=float)
+        lowest = min(lowest, float(vals.min()))
+        return np.maximum(vals, 1.0)
 
     bound = 0.5 * op**2 * float(np.sum((x - y) ** 2))
 
@@ -300,12 +306,11 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
         return (float(acc.mean[0]), math.log(mean_y) + bound, acc.std_error(0), acc.std_error(1) / mean_y,
                 acc.delta_se([-1.0, 1.0 / mean_y]))
 
-    acc = _two_point_fold(sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n,
-                                                  sampler.mix_seed(seed, 1)), n, sides)
-    note = None
-    if clamped.min < 1.0:
-        note = f"observable clamped up to 1 (minimum sample {clamped.min:.6g})"
-    return _two_point_report(check_id, acc, sides, params, seed, note)
+    def note():
+        return f"observable clamped up to 1 (minimum sample {lowest:.6g})" if lowest < 1.0 else None
+
+    values = sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n, sampler.mix_seed(seed, 1))
+    return _mc_report(check_id, params, seed, values, sides, cap=n, note=note)
 
 
 def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
@@ -320,15 +325,19 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
     v_x, u_x^2, v_y, u_y^2)``, ``v = f(X_t)`` and ``u = v - s`` for the
     first replicate's value ``s``: each variance is a smooth function of the
     means of ``v`` and ``u^2``, so the error of the right side and the joint
-    error of the margin both come from their co-moment matrix.
+    error of the margin both come from their co-moment matrix.  A factor
+    ``e^{G^2} - 1`` past the float range gives ``TRIVIAL_INFINITE_RHS``
+    before any draw.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     gam = control.gamma_norm(model, t, x - y)
     params = _echo(t=t, x=x, y=y, n=n, n_used=0, f=f, gamma=gam.value)
-    if not gam.in_domain:
+    gam_sq = float(gam) ** 2  # inf outside the steerable domain
+    if gam_sq > 700.0:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
-                       "x - y outside the steerable domain")
+                       _GROWTH_OVERFLOW if gam.in_domain else "x - y outside the steerable domain")
+    factor = math.expm1(gam_sq)
     shift = None
 
     def columns(v):
@@ -338,21 +347,17 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
             u = v - shift
             return np.stack([v[0] - v[1], v[0], u[0] * u[0], v[1], u[1] * u[1]])
 
-    gam_sq = float(gam) ** 2
-    factor = math.expm1(gam_sq) if gam_sq <= 700.0 else float("inf")
-
     def sides(acc):
         diff = float(acc.mean[0])
         var = np.diag(acc.comoment) / (acc.n - 1)
         low = 1 if var[1] <= var[3] else 3  # the column of v at the start with the smaller variance
         var_grad = np.zeros(5)
         var_grad[low], var_grad[low + 1] = -2.0 * (acc.mean[low] - shift[low // 2, 0]), 1.0
-        margin_grad = [-2.0 * diff] + [_times(factor, g) for g in var_grad[1:]]
-        return (diff**2, _times(factor, var[low]), 2.0 * abs(diff) * acc.std_error(0),
-                _times(factor, acc.delta_se(var_grad)), acc.delta_se(margin_grad))
+        return (diff**2, factor * var[low], 2.0 * abs(diff) * acc.std_error(0),
+                factor * acc.delta_se(var_grad), acc.delta_se([-2.0 * diff, *(factor * var_grad[1:])]))
 
     values = sampler.endpoint_values(model, t, [x, y], [f, f], n, sampler.mix_seed(seed, 1))
-    return _two_point_report(check_id, _two_point_fold(map(columns, values), n, sides), sides, params, seed)
+    return _mc_report(check_id, params, seed, map(columns, values), sides, cap=n)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +379,9 @@ def kernel_power_report(model: OuLevyModel, t: float, x, y, alpha: float, check_
     direction, in particular always in dimension one, and at ``x = y``, where
     both sides are exact even when the operator norm is infinite."""
     x, y, op, norm_sq, params = _kernel_setup(model, t, x, y, alpha)
+    lhs = analytic.kernel_harnack_lhs(model, t, x, y, alpha)  # rejects alpha <= 1 before the division below
     rhs = saturating_exp(_times(alpha * op**2 / (2.0 * (alpha - 1.0) ** 2), norm_sq))
-    return _report(check_id, analytic.kernel_harnack_lhs(model, t, x, y, alpha), rhs, 0.0, 0.0, params, 0)
+    return _report(check_id, lhs, rhs, 0.0, 0.0, params, 0)
 
 
 def kernel_kl_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id: str) -> CheckReport:
@@ -480,10 +486,6 @@ def _exp_moment_constant(model: OuLevyModel, spec: SemilinearSpec, t: float, r: 
     return analytic.convolution_square_exp_moment(model, t, 2.0 * r * (2.0 * r + 1.0) * spec.k2)
 
 
-_DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
-_GROWTH_OVERFLOW = "growth factor exceeds the float range at this horizon"
-
-
 def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float, x, y,
                              alpha: float, p: float, q: float, f,
                              n: int = 100_000, K: int = 512, seed: int = 0,
@@ -505,7 +507,7 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     y = np.asarray(y, dtype=float).reshape(-1)
     spec.validate(model, _default_probes(model, x, y))
     gam = control.gamma_norm(model, t, x - y)
-    params = _echo(t=t, x=x, y=y, alpha=alpha, p=p, q=q, n=n, K=K, f=f,
+    params = _echo(t=t, x=x, y=y, alpha=alpha, p=p, q=q, n=n, n_used=0, K=K, f=f,
                    drift=spec.label, k1=spec.k1, k2=spec.k2, gamma=gam.value)
     if not gam.in_domain:
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
@@ -527,12 +529,8 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     if math.isinf(coef):
         return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
-    fx, fy = _TrackMin(f), _TrackMin(_power_fn(f, alpha))
-    acc = sampler.fold(sampler.semilinear_values(model, spec, t, [x, y], [fx, fy], n, K, sampler.mix_seed(seed, 1)))
-    if fx.min < 0 or fy.min < 0:
-        raise ValueError("negative sample of the observable: Harnack check needs f >= 0")
-    lhs, rhs, lhs_se, rhs_se, margin_se = _power_sides(alpha, coef)(acc)
-    return _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, margin_se=margin_se)
+    values = sampler.semilinear_values(model, spec, t, [x, y], _power_fns(f, alpha), n, K, sampler.mix_seed(seed, 1))
+    return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef))
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
@@ -572,8 +570,8 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     def row(power, suffix):
         bound, note = bounds[power]
         if power not in powers:
-            return _report(check_id + suffix, 0.0, bound, 0.0, 0.0, params, seed, note)
+            return _report(check_id + suffix, 0.0, bound, 0.0, 0.0, {**params, "n_used": 0}, seed, note)
         est = moments[float(power)]
-        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0, params, seed)
+        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0, {**params, "n_used": est.n}, seed)
 
     return row(p, "_positive"), row(-delta, "_negative")

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from harnacklab import cli, testfuncs, verify
 from harnacklab.model import SemilinearSpec
@@ -844,3 +846,103 @@ def test_public_names_are_pinned():
     import harnacklab
 
     assert sorted(harnacklab.__all__) == PUBLIC_NAMES
+
+
+#: The one-dimensional model of the regression scenarios below.
+OU_1D = {"dim": 1, "A": [[-1.0]], "R": [[2.0]], "seed": 7}
+
+
+def _run_one(tmp_path, check, model=OU_1D):
+    """Run one check through `cli.main`: the exit code and the rows read back."""
+    path, out = tmp_path / "one.json", tmp_path / "one.csv"
+    path.write_text(json.dumps({**model, "checks": [check]}))
+    code = cli.main(["--config", str(path), "--out", str(out)])
+    if not out.exists():
+        return code, []
+    with out.open() as fh:
+        return code, list(csv.DictReader(fh))
+
+
+class TestTheoremRowsNeverExitOne:
+    """The Harnack, log-Harnack and gradient inequalities are theorems: each of
+    these scenarios exited 1, with VIOLATED or a traceback, before its row was
+    mended.  Every outcome is now a verdict or an input error (exit 3)."""
+
+    @staticmethod
+    def _no_draws(monkeypatch):
+        from harnacklab import sampler
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("endpoints drawn for a saturated coefficient")
+
+        monkeypatch.setattr(sampler, "endpoint_values", no_draws)
+
+    def test_kernel_power_at_alpha_one_exits_three(self, tmp_path, capsys):
+        # the rhs divided by alpha - 1 before the lhs rejected alpha <= 1: ZeroDivisionError
+        check = {"kind": "kernel_harnack", "t": 1.0, "x": [0.0], "y": [1.0], "alpha": 1.0}
+        assert _run_one(tmp_path, check)[0] == 3
+        assert "alpha must exceed 1" in capsys.readouterr().err
+
+    def test_closed_form_past_the_float_range_is_trivial(self, tmp_path, recwarn):
+        # (P f(x))^2 = e^778 overflowed a Python float power: OverflowError
+        check = {"kind": "harnack", "t": 1.0, "x": [0.0], "y": [1.0], "alpha": 2.0,
+                 "f": {"kind": "exp", "c": [30.0]}}
+        code, [row] = _run_one(tmp_path, check)
+        assert (code, row["verdict"]) == (0, verify.TRIVIAL_INFINITE_RHS)
+        assert json.loads(row["param_json"])["note"] == "growth factor exceeds the float range at this horizon"
+        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
+    def test_density_bound_of_an_underflowing_integral_is_trivial(self, tmp_path):
+        # the exponential integral underflowed to 0, and 0 ** (-1 / alpha) raised ZeroDivisionError
+        check = {"kind": "density_norm", "t": 1.0, "x": [1000.0], "alpha": 50.0}
+        code, [row] = _run_one(tmp_path, check, {**OU_1D, "R": [[1e-12]]})
+        assert (code, row["verdict"], row["rhs"]) == (0, verify.TRIVIAL_INFINITE_RHS, "inf")
+
+    @pytest.mark.parametrize("check", [
+        # every replicate of the right side read 0: VIOLATED with lhs 1, rhs 0 and no error at all
+        {"kind": "harnack", "t": 1.0, "x": [20.0], "y": [-20.0], "alpha": 2.0, "n": 4096,
+         "f": {"kind": "indicator", "c": [1.0]}},
+        # Var_x read 0, where its true value comes from an event of probability about 1e-15
+        {"kind": "gradient", "t": 1.0, "x": [20.0], "y": [0.0], "n": 4096, "f": {"kind": "indicator", "c": [1.0]}},
+    ], ids=["harnack", "gradient"])
+    def test_a_right_side_without_spread_is_no_verdict(self, tmp_path, capsys, check):
+        assert _run_one(tmp_path, check)[0] == 3
+        err = capsys.readouterr().err
+        assert "collapsed estimate" in err and "margin -" in err and "n_used=4096" in err
+
+    @pytest.mark.parametrize("check, model", [
+        # gamma 995: inf times a variance that is zero only by rounding read rhs 0, VIOLATED
+        ({"kind": "gradient", "t": 1e4, "x": [1e8], "y": [30.0], "n": 200,
+          "f": {"kind": "one_plus_sigmoid", "c": [0.1]}}, {**OU_1D, "A": [[-1e-6]], "R": [[1e6]]}),
+        # energy_sq 1001.7: inf times a mean of 0 read rhs 0, VIOLATED
+        ({"kind": "harnack", "t": 1.0, "x": [40.0], "y": [-40.0], "alpha": 2.0, "n": 4096,
+          "f": {"kind": "indicator", "c": [1.0]}}, OU_1D),
+    ], ids=["gradient", "harnack"])
+    def test_a_saturated_coefficient_is_trivial_before_any_draw(self, tmp_path, monkeypatch, check, model):
+        self._no_draws(monkeypatch)
+        code, [row] = _run_one(tmp_path, check, model)
+        params = json.loads(row["param_json"])
+        assert (code, row["verdict"], params["n_used"]) == (0, verify.TRIVIAL_INFINITE_RHS, 0)
+        assert params["note"] == "growth factor exceeds the float range at this horizon"
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["kernel_harnack", "kernel_kl", "density_norm", "hyper_constant",
+                                 "harnack", "log_harnack", "gradient"]),
+           t=st.sampled_from([1e-8, 1e-3, 1.0, 50.0, 1e4]),
+           x=st.sampled_from([0.0, 1.0, 20.0, 1e3, 1e8]),
+           y=st.sampled_from([0.0, 1.0, -20.0, 30.0]),
+           alpha=st.sampled_from([1.0, 1.5, 2.0, 50.0, 1e6]),
+           epsilon=st.sampled_from([0.0, 0.5, 10.0]),
+           f=st.one_of(st.builds(lambda kind, c: {"kind": kind, "c": [c]},
+                                 st.sampled_from(["exp", "clipped_exp", "indicator"]),
+                                 st.sampled_from([0.1, 1.0, 30.0])),
+                       st.just({"kind": "one"})),
+           a=st.sampled_from([-1.0, -1e-6, -50.0, 0.0]),
+           r=st.sampled_from([2.0, 1e-12, 1e6]))
+    def test_every_scenario_exits_with_a_documented_code(self, tmp_path, kind, t, x, y, alpha, epsilon, f, a, r):
+        check = {"kind": kind, "t": t, "x": [x], "y": [y], "alpha": alpha, "epsilon": epsilon, "f": f, "n": 200}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _ = _run_one(tmp_path, check, {**OU_1D, "A": [[a]], "R": [[r]]})
+        assert code in (0, 2, 3)

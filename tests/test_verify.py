@@ -69,8 +69,8 @@ class TestClassify:
 
 
 class TestSaturatedCoefficient:
-    """Exponents past 700 saturate the coefficient to inf; a constant observable has
-    zero variance, and inf times that exact zero is zero, not NaN."""
+    """Exponents past 700 saturate the coefficient to inf, and the row is
+    TRIVIAL_INFINITE_RHS before any draw: no sample ever meets an inf coefficient."""
 
     def test_harnack(self, flat_model):
         rep = verify.check_harnack(flat_model, 1.0, [40.0], [0.0], 2.0, ConstantObservable(1.0), n=200, seed=1)
@@ -79,8 +79,8 @@ class TestSaturatedCoefficient:
 
     def test_gradient(self, flat_model):
         rep = verify.check_gradient_estimate(flat_model, 1.0, [40.0], [0.0], ConstantObservable(2.0), n=200, seed=2)
-        assert (rep.lhs, rep.rhs, rep.rhs_se) == (0.0, 0.0, 0.0)
-        assert rep.verdict == verify.HOLDS_EQUALITY
+        assert (rep.lhs, rep.rhs, rep.rhs_se) == (0.0, math.inf, 0.0)
+        assert rep.verdict == verify.TRIVIAL_INFINITE_RHS
 
     def test_semilinear_harnack(self, scalar_model):
         rep = verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [100.0], [0.0], 4.0, 1.3, 1.3,
@@ -311,6 +311,52 @@ class TestEarlyStop:
                    verify.check_gradient_estimate(singular, 1.0, x, y, ConstantObservable(1.0), n=5000, seed=2)]
         assert closed.params["n_used"] == 0
         assert [(r.verdict, r.params["n_used"]) for r in trivial] == [(verify.TRIVIAL_INFINITE_RHS, 0)] * 3
+
+
+    @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
+    def test_a_negative_sample_stops_the_fold_in_its_first_block(self, scalar_model, kind):
+        # the sign guard wraps the observable: no block is drawn after the first negative sample
+        sizes = []
+
+        def tanh(pts):
+            sizes.append(len(pts))
+            return np.tanh(pts[:, 0])
+
+        n = 3 * hl.sampler.MC_BLOCK
+        with pytest.raises(ValueError, match="negative sample"):
+            if kind == "harnack":
+                verify.check_harnack(scalar_model, 1.0, [0.5], [0.0], 2.0, tanh, n=n, seed=3)
+            else:
+                verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [0.5], [0.0], 4.0, 1.3, 1.3, tanh,
+                                                n=n, K=8, seed=3)
+        assert sizes == [hl.sampler.MC_BLOCK]
+
+
+class TestWeightedRowsSayTheirSampleCount:
+    """Every semilinear_harnack and rho_moments row carries ``n_used``: the
+    weighted folds draw their full ``n``, and a trivial row draws nothing."""
+
+    def test_sampled_rows(self, scalar_model):
+        spec = drift_scaled_sine(scalar_model, 0.5)
+        rows = [verify.check_semilinear_harnack(scalar_model, spec, 1.0, [0.5], [0.0], 4.0, 1.3, 1.3,
+                                                ClippedExpObservable([0.4], 8.0), n=5000, K=8, seed=1),
+                *verify.check_rho_moments(scalar_model, spec, 1.0, [0.4], 2.0, 0.5, n=5000, K=8, seed=2)]
+        assert [(r.verdict in PASS, r.params["n_used"]) for r in rows] == [(True, 5000)] * 3
+
+    def test_trivial_rows(self, scalar_model):
+        sine, f = drift_scaled_sine(scalar_model, 0.5), ClippedExpObservable([0.3], 5.0)
+        quadratic = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.5)
+        singular = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
+        rows = [verify.check_semilinear_harnack(scalar_model, sine, 1e3, [0.5], [0.0], 4.0, 1.3, 1.3, f,
+                                                n=500, K=8, seed=1),  # coefficient past the float range
+                verify.check_semilinear_harnack(scalar_model, quadratic, 2.0, [0.3], [0.0], 4.0, 1.3, 1.3, f,
+                                                n=500, K=8, seed=2),  # divergent constant
+                verify.check_semilinear_harnack(singular, drift_zero(2), 1.0, [0.0, 1.0], [0.0, 0.0], 4.0, 1.3, 1.3,
+                                                ConstantObservable(1.0), n=500, K=8, seed=3)]  # unreachable
+        assert [(r.verdict, r.params["n_used"]) for r in rows] == [(verify.TRIVIAL_INFINITE_RHS, 0)] * 3
+        pos, neg = verify.check_rho_moments(scalar_model, sine, 3000.0, [0.4], 2.0, 0.5, n=500, K=16, seed=18)
+        assert (pos.verdict, pos.params["n_used"]) == (verify.TRIVIAL_INFINITE_RHS, 0)
+        assert (neg.verdict in PASS, neg.params["n_used"]) == (True, 500)
 
 
 class TestLogHarnack:
