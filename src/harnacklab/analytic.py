@@ -35,7 +35,7 @@ def _full_rank(fac: linops.PsdFactorization, name: str) -> linops.PsdFactorizati
 @dataclass(frozen=True, eq=False)
 class GaussianMeasure:
     """Mean-covariance pair, held as read-only copies; covariance must be symmetric PSD.
-    ``factor``, its `linops.psd_sqrt_pinv` factorization (one ``eigh``), is the PSD check,
+    ``factor``, its `linops.psd_factor` factorization (one ``eigh``), is the PSD check,
     and every closed form below reads it."""
 
     mean: np.ndarray
@@ -49,7 +49,7 @@ class GaussianMeasure:
             raise ValueError("mean and covariance dimensions differ")
         object.__setattr__(self, "mean", linops.read_only(mean))
         object.__setattr__(self, "cov", linops.read_only(cov))
-        object.__setattr__(self, "factor", linops.psd_sqrt_pinv(cov))
+        object.__setattr__(self, "factor", linops.psd_factor(cov))
 
     @property
     def dim(self) -> int:
@@ -223,7 +223,8 @@ def _gaussian_power_integral(m1, f1: linops.PsdFactorization, a: float,
     u = v.T @ (a * (p1 @ m1) + b * (p2 @ m2))
     c = a * float(m1 @ p1 @ m1) + b * float(m2 @ p2 @ m2)
     log_det = a * np.log(f1.eigenvalues).sum() + b * np.log(f2.eigenvalues).sum() + np.log(w).sum()
-    return float(np.exp(-0.5 * float(log_det) + 0.5 * (float(np.sum(u**2 / w)) - c)))
+    with np.errstate(over="ignore"):  # a moment past the float range is inf
+        return float(np.exp(-0.5 * float(log_det) + 0.5 * (float(np.sum(u**2 / w)) - c)))
 
 
 def density_norm_bound(model: OuLevyModel, t: float, x, alpha: float) -> tuple[float, float]:

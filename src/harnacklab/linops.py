@@ -1,10 +1,8 @@
-"""Dense linear-algebra primitives for Ornstein-Uhlenbeck semigroup calculus.
-
-Everything here is plain dense numpy at desk scale (d up to a few hundred):
-matrix exponentials and mean-square Gramians from one short-step expm (of the
-Van Loan block) and exact doubling, symmetric PSD square roots with
-rank-revealing pseudo-inverses, Lyapunov solves for the steady-state
-covariance, and the one integration rule over time, `integrate`.
+"""Dense linear-algebra primitives for Ornstein-Uhlenbeck semigroup calculus, in
+numpy alone at desk scale (d up to a few hundred): one Padé expm kernel; propagators
+and Gramians from one short-step expm (of the Van Loan block) and exact doubling;
+PSD square roots with rank-revealing pseudo-inverses; Lyapunov solves by squared
+Smith iteration; and the one integration rule over time, `integrate`.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial import chebyshev, legendre
 
 #: Relative tolerance used to decide that an eigenvalue of a PSD matrix is zero.
@@ -72,17 +69,61 @@ def spectral_abscissa(a) -> float:
     return float(np.linalg.eigvals(a).real.max())
 
 
-def _short_step(a: np.ndarray, block: np.ndarray, t: float) -> tuple[int, np.ndarray]:
+#: ``(m, theta_m, b)`` of `_expm`: each Padé degree, the largest 1-norm at which it meets double
+#: precision unscaled (Higham 2005, Table 2.3), and its numerator ``b_j = (2m-j)! m! / ((2m)! j! (m-j)!)``.
+_PADE = [(m, theta, [math.perm(m, j) / (math.perm(2 * m, j) * math.factorial(j)) for j in range(m + 1)])
+         for m, theta in ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1), (7, 9.504178996162932e-1),
+                          (9, 2.097847961257068e0), (13, 5.371920351148152e0))]
+
+
+def _expm(a: np.ndarray, split: int = 0) -> np.ndarray:
+    """``e^a`` of a square matrix or a stack ``(k, n, n)`` by Padé scaling and squaring
+    (Higham 2005): ``(V - U)^{-1} (V + U)``, the even and odd parts of the numerator of
+    the lowest degree whose ``theta_m`` covers the largest 1-norm; past ``theta_13``,
+    degree 13 of ``a / 2^s`` squared ``s`` times.  An ``a`` of 96 rows or more, zero below
+    its diagonal blocks at ``split``, is multiplied and solved by blocks at half the flops."""
+    k = split if a.shape[-1] >= 96 else 0  # below, the slicing costs more than it saves
+
+    def mul(x, y):
+        if not k:
+            return x @ y
+        return np.block([[x[:k, :k] @ y[:k, :k], x[:k] @ y[:, k:]], [np.zeros((len(x) - k, k)), x[k:, k:] @ y[k:, k:]]])
+
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    m, theta, b = next((p for p in _PADE if norm <= p[1]), _PADE[-1])
+    s = math.ceil(math.log2(norm / theta)) if norm > theta else 0
+    a = math.ldexp(1.0, -s) * a
+    even = [np.eye(a.shape[-1]), mul(a, a)]  # I, a^2, a^4, ...: up to a^6 for degree 13
+    while len(even) < (4 if m == 13 else m // 2 + 1):
+        even.append(mul(even[-1], even[1]))
+    poly = lambda c: sum(cj * p for cj, p in zip(c, even))  # noqa: E731
+    if m == 13:
+        u = mul(a, mul(even[3], poly(b[7::2])) + poly(b[1:7:2]))
+        v = mul(even[3], poly(b[6::2])) + poly(b[0:6:2])
+    else:
+        u, v = mul(a, poly(b[1::2])), poly(b[0::2])
+    del even  # its n x n powers are the bulk of the memory
+    q, e = v - u, v + u
+    if k:
+        e[k:, k:] = np.linalg.solve(q[k:, k:], e[k:, k:])
+        e[:k] = np.linalg.solve(q[:k, :k], e[:k] - q[:k, k:] @ e[k:])
+    else:
+        e = np.linalg.solve(q, e)
+    for _ in range(s):
+        e = mul(e, e)
+    return e
+
+
+def _short_step(a: np.ndarray, block: np.ndarray, t: float, split: int = 0) -> tuple[int, np.ndarray]:
     """``k = max(0, ceil(log2(|A|_1 t)))``, and the expm of ``block`` times ``h = t / 2^k``,
     the one step from which ``e^{tA}`` is doubled.  The 1-norm costs no SVD."""
     norm = float(np.linalg.norm(a, 1))
     k = max(0, math.ceil(math.log2(norm) + math.log2(t))) if norm > 0 and t > 0 else 0
-    return k, sla.expm(math.ldexp(t, -k) * block)
+    return k, _expm(math.ldexp(t, -k) * block, split)
 
 
 def matrix_exponential(a, t: float) -> np.ndarray:
-    """``exp(t*a)`` for finite ``t >= 0``: the expm of ``h a`` of `_short_step`, squared ``k`` times.
-    One expm of ``t a`` erred by up to 2e-10 relative on strongly non-normal drifts; the squares by 1e-13."""
+    """``exp(t*a)`` for finite ``t >= 0``: the expm of ``h a`` of `_short_step`, squared ``k`` times."""
     a = as_square_matrix(a, "drift matrix")
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
@@ -226,7 +267,7 @@ def exp_interpolant(a, t: float) -> ExpInterpolant:
     starts = np.empty((pieces + 1, d, d))  # the last is e^{tA}
     starts[0] = np.eye(d)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        starts[1] = np.exp(shift * h) * sla.expm(h * b)
+        starts[1] = np.exp(shift * h) * _expm(h * b)
         done = 1
         while done < pieces:  # e^{(j + k)hA} = e^{jhA} e^{khA}: log2(pieces) stacked products
             step = min(done, pieces - done)
@@ -244,7 +285,7 @@ def exp_interpolant(a, t: float) -> ExpInterpolant:
                                f"on [0, {t:g}] within {INTERPOLANT_TOL:g} (best bound {bounds.min():.3g})")
     m = int(ok[0])
     nodes = chebyshev.chebpts1(m + 1)
-    values = sla.expm(np.multiply.outer(h * (nodes + 1.0) / 2.0, b)).reshape(m + 1, d * d)
+    values = _expm(np.multiply.outer(h * (nodes + 1.0) / 2.0, b)).reshape(m + 1, d * d)
     coef = chebyshev.chebvander(nodes, m).T @ values * (2.0 / (m + 1))
     coef[0] /= 2.0
     return ExpInterpolant(t=float(t), piece=h, shift=shift, starts=read_only(starts[:pieces]),
@@ -329,7 +370,11 @@ def psd_sqrt_pinv(s) -> PsdFactorization:
     Eigenvalues below `psd_floor` are rejected as a genuine PSD violation;
     small negatives from roundoff are clipped to zero.
     """
-    s = check_symmetric(s, "PSD matrix")
+    return psd_factor(check_symmetric(s, "PSD matrix"))
+
+
+def psd_factor(s: np.ndarray) -> PsdFactorization:
+    """`psd_sqrt_pinv` of a matrix that `check_symmetric` has already checked and symmetrized."""
     w, v = np.linalg.eigh(s)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     if w.size and w[-1] < psd_floor(s):
@@ -385,7 +430,7 @@ def semigroup_snapshot(a, r, offset, t: float) -> SemigroupSnapshot:
     block[:d, d:2 * d] = r
     block[:d, 2 * d] = offset
     block[d:2 * d, d:2 * d] = -a.T
-    k, e = _short_step(a, block, t)
+    k, e = _short_step(a, block, t, d)
     p, m = e[:d, :d], e[:d, 2 * d]
     g = e[:d, d:2 * d] @ p.T
     for _ in range(k):
@@ -402,17 +447,32 @@ def convolution_factor(a, r_sqrt, t: float) -> np.ndarray:
     aug = np.zeros((2 * d, 2 * d))
     aug[:d, :d] = a
     aug[:d, d:] = r_sqrt
-    return sla.expm(t * aug)[:d, d:]
+    return _expm(t * aug)[:d, d:]
 
 
 def lyapunov_solve(a, r) -> np.ndarray:
     """Steady-state covariance: solve ``A X + X A' = -R`` for Hurwitz ``A``.
 
+    With ``q = |det A|^{1/d}``, ``M = (qI - A)^{-1}`` and ``U = M (qI + A)`` (spectral
+    radius below one for Hurwitz ``A``), ``X = sum_k U^k X_0 U'^k`` with ``X_0 = 2q M R M'``,
+    summed by squared Smith iteration (Smith 1968): ``X <- X + U X U'``, ``U <- U^2``,
+    until the increment is below ``1e-17 |X|``.
+
     Stability is not checked here: `OuLevyModel.steady_covariance` decides it
     by the model's memoized `OuLevyModel.is_stable`.
     """
-    x = sla.solve_continuous_lyapunov(a, -np.asarray(r, dtype=float))
-    return 0.5 * (x + x.T)
+    d = len(a)
+    q = math.exp(np.linalg.slogdet(a)[1] / d)
+    m = np.linalg.inv(q * np.eye(d) - a)
+    u = m @ (q * np.eye(d) + a)
+    x = 2.0 * q * m @ r @ m.T
+    for _ in range(64):  # 2^64 terms: more only if rho(U) is 1 to roundoff, A not Hurwitz
+        step = u @ x @ u.T
+        x = x + step
+        if np.abs(step).max() <= 1e-17 * np.abs(x).max():
+            return 0.5 * (x + x.T)
+        u = u @ u
+    raise UnstableMatrixError("Smith iteration did not converge: the drift is not Hurwitz to roundoff")
 
 
 #: Relative error at which `integrate` accepts, against the integral of ``|f|``.

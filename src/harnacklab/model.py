@@ -67,7 +67,7 @@ class OuLevyModel:
     offset, optional compound-Poisson jump part.
 
     Checks ``A``, ``R`` and the offset once, when it is built: the noise root
-    `linops.psd_sqrt_pinv` of ``R`` (one ``eigh``) is the PSD check, and it is
+    `linops.psd_factor` of ``R`` (one ``eigh``) is the PSD check, and it is
     the first memo entry.  Keeps read-only copies of its arrays and memoizes,
     with read-only arrays, what it derives from them: the snapshot per ``t``,
     whose propagator is the model's only ``e^{tA}``, the interpolant of
@@ -95,7 +95,7 @@ class OuLevyModel:
         object.__setattr__(self, "drift_matrix", linops.read_only(a))
         object.__setattr__(self, "noise_cov", linops.read_only(r))
         object.__setattr__(self, "drift_offset", linops.read_only(offset))
-        object.__setattr__(self, "_memo", {"noise_sqrt": linops.psd_sqrt_pinv(r)})
+        object.__setattr__(self, "_memo", {"noise_sqrt": linops.psd_factor(r)})
 
     def _memoized(self, key, build):
         """``build()``, computed on the first request for ``key`` only.  A value

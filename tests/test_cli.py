@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -680,19 +681,21 @@ def _jump_free_suite_config(d: int = 3) -> dict:
             "checks": [{**c, "n": 2000} for c in checks]}
 
 
-#: ``np.linalg`` factorizations and ``scipy.linalg.expm`` calls per closed-form Gaussian
-#: kind on a fresh model of `_jump_free_suite_config`, counted after it is parsed.  Each
+#: ``np.linalg`` factorizations and `linops._expm` calls per closed-form Gaussian kind
+#: on a fresh model of `_jump_free_suite_config`, counted after it is parsed.  Each
 #: snapshot takes one ``expm`` and no check of R: a model checks R once, by the ``eigh``
 #: of its noise root when it is built (the adjoint's is counted here); the decay
-#: certificate of ``hwi`` takes one more ``expm``; ``solve`` is the invariant mean and
-#: the adjoint drift; each ``eigvalsh`` is one `analytic.gaussian_kl`.
+#: certificate of ``hwi`` takes one more ``expm``.  ``solve`` is one per ``expm`` (the
+#: Padé quotient), plus the invariant mean and the adjoint drift; the one Lyapunov
+#: solve of a model takes its ``slogdet`` and ``inv``; each ``eigvalsh`` is one
+#: `analytic.gaussian_kl`.
 GAUSSIAN_KIND_FACTORIZATIONS = {
-    "density_norm": {"eigh": 3, "expm": 1, "solve": 1},
-    "kernel_kl": {"eigh": 1, "expm": 1},
-    "kernel_harnack": {"eigh": 1, "expm": 1},
-    "hyper_constant": {"eigh": 2, "expm": 1, "solve": 1},
-    "entropy_cost": {"eigh": 8, "eigvalsh": 2, "expm": 2, "solve": 2},
-    "hwi": {"eigh": 5, "eigvalsh": 1, "expm": 2, "solve": 2},
+    "density_norm": {"eigh": 3, "expm": 1, "inv": 1, "slogdet": 1, "solve": 2},
+    "kernel_kl": {"eigh": 1, "expm": 1, "solve": 1},
+    "kernel_harnack": {"eigh": 1, "expm": 1, "solve": 1},
+    "hyper_constant": {"eigh": 2, "expm": 1, "inv": 1, "slogdet": 1, "solve": 2},
+    "entropy_cost": {"eigh": 8, "eigvalsh": 2, "expm": 2, "inv": 1, "slogdet": 1, "solve": 4},
+    "hwi": {"eigh": 5, "eigvalsh": 1, "expm": 2, "inv": 1, "slogdet": 1, "solve": 4},
 }
 
 
@@ -721,10 +724,10 @@ class TestSemigroupStateOncePerModel:
 
         names = ("eigh", "eigvalsh", "cholesky", "slogdet", "solve", "inv")
         counts = {}
-        for module, name in [(np.linalg, name) for name in names] + [(linops.sla, "expm")]:
+        for module, name in [(np.linalg, name) for name in names] + [(linops, "_expm")]:
             original = getattr(module, name)
 
-            def counted(*args, _original=original, _name=name, **kwargs):
+            def counted(*args, _original=original, _name=name.lstrip("_"), **kwargs):
                 counts[_name] = counts.get(_name, 0) + 1
                 return _original(*args, **kwargs)
 
@@ -802,8 +805,20 @@ class TestRankDeficientGramian:
         assert self._run(tmp_path, "kernel_harnack", 1e-5, y=(0.3, 0.1)) == (0, verify.HOLDS_EQUALITY, 1.0)
 
 
-#: scipy subpackages that ``import harnacklab`` and its checks must not load.
-HEAVY_SCIPY = ("scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+#: scipy modules that ``import harnacklab`` and its checks must not load: numpy is the runtime.
+HEAVY_SCIPY = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.special", "scipy.optimize", "scipy.sparse")
+
+
+def test_no_source_module_imports_scipy():
+    src = Path(cli.__file__).resolve().parent
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert imported and not [(name, mod) for name, mod in imported if mod.split(".")[0] == "scipy"]
 
 
 def test_import_and_scenario_runs_leave_heavy_scipy_unloaded(tmp_path):
@@ -892,6 +907,7 @@ class TestTheoremRowsNeverExitOne:
         assert json.loads(row["param_json"])["note"] == "growth factor exceeds the float range at this horizon"
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.filterwarnings("error")  # the moment overflows to inf without a warning
     def test_density_bound_of_an_underflowing_integral_is_trivial(self, tmp_path):
         # the exponential integral underflowed to 0, and 0 ** (-1 / alpha) raised ZeroDivisionError
         check = {"kind": "density_norm", "t": 1.0, "x": [1000.0], "alpha": 50.0}

@@ -174,8 +174,8 @@ class TestWeightedControl:
 
     def test_no_expm_per_quadrature_node(self, monkeypatch):
         calls = []
-        expm = linops.sla.expm
-        monkeypatch.setattr(linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        expm = linops._expm
+        monkeypatch.setattr(linops, "_expm", lambda x, *split: calls.append(np.shape(x)) or expm(x, *split))
         m = OuLevyModel(drift_matrix=[[-1.0, 30.0], [-30.0, -1.0]], noise_cov=np.eye(2))
         weighted_control(m, 2.0, [1.0, 0.5], lambda s: 1.0 + 0.5 * np.sin(3.0 * s), 8)
         # the interpolant's step and its stacked nodes, for the grid states and the quadrature

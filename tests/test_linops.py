@@ -61,6 +61,71 @@ class TestMatrixExponential:
             linops.matrix_exponential(np.zeros((2, 2)), -0.1)
 
 
+def _expm_oracle(a):
+    """``e^a`` from ``scipy.linalg.expm`` at 1-norms up to 1, where it and `linops._expm`
+    are both one Padé approximant without squaring; above, from a 40-digit ``mpmath.expm``,
+    since scipy's own error there reaches 6e-12 relative on the non-normal stress drifts."""
+    if np.abs(a).sum(axis=-2).max() <= 1.0:
+        return sla.expm(a)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a)).tolist(), dtype=float)
+
+
+def _assert_expm_close(got, want, tol=1e-13):
+    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+class TestExpmKernel:
+    """`linops._expm`, the one Padé kernel, at 1e-13 relative in the Frobenius norm."""
+
+    @pytest.mark.parametrize("log_norm", np.linspace(-8.0, 3.0, 12))
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_random_over_norms(self, dim, log_norm):
+        rng = np.random.default_rng(int(100 * (log_norm + 8)) + dim)
+        for _ in range(3):
+            a = rng.normal(size=(dim, dim))
+            a *= 10.0**log_norm / np.abs(a).sum(axis=0).max()
+            a -= max(0.0, linops.spectral_abscissa(a)) * np.eye(dim)  # e^a stays within the float range
+            _assert_expm_close(linops._expm(a), _expm_oracle(a))
+
+    @pytest.mark.parametrize("kind", ["jordan", "stiff", "nonnormal", "rotating", "zero"])
+    def test_hard_drifts(self, kind):
+        rng = np.random.default_rng(17)
+        for dim in (1, 2, 3, 6):
+            for _ in range(4):
+                a = rng.uniform(0.1, 5.0) * _drift(kind, dim, rng)
+                _assert_expm_close(linops._expm(a), _expm_oracle(a))
+
+    @pytest.mark.parametrize("x", [-700.0, -30.0, -1e-8, 0.0, 1e-3, 1.0, 4.0, 700.0])
+    def test_scalar(self, x):
+        # the relative condition number of e^x is |x|
+        assert linops._expm(np.array([[x]]))[0, 0] == pytest.approx(math.exp(x), rel=1e-15 * max(1.0, abs(x)))
+
+    def test_stacked_matches_one_by_one(self):
+        # one degree and scaling serve the whole stack: that of its largest 1-norm
+        rng = np.random.default_rng(18)
+        stack = rng.normal(size=(7, 4, 4)) * np.logspace(-6, 0.5, 7)[:, None, None]
+        got = linops._expm(stack)
+        assert got.shape == stack.shape
+        for g, a in zip(got, stack):
+            _assert_expm_close(g, _expm_oracle(a))
+
+    @pytest.mark.parametrize("d, scale", [(50, 0.5), (60, 1.0), (60, 30.0)])
+    def test_van_loan_block_by_blocks(self, d, scale):
+        # zero below the diagonal blocks, at and past the size from which the kernel works by blocks
+        rng = np.random.default_rng(d)
+        a = make_stable(rng, d)
+        block = np.zeros((2 * d + 1, 2 * d + 1))
+        block[:d, :d], block[:d, d:2 * d], block[:d, 2 * d] = a, make_psd(rng, d), rng.normal(size=d)
+        block[d:2 * d, d:2 * d] = -a.T
+        block *= scale / np.abs(block).sum(axis=0).max()
+        got = linops._expm(block, d)
+        assert np.all(got[d:, :d] == 0.0)
+        _assert_expm_close(got, linops._expm(block), 1e-14)
+        _assert_expm_close(got, sla.expm(block), 1e-12)
+
+
 def _interpolated(it, ages, dim):
     """``e^{vA}`` from the interpolant at each age, as ``(len(ages), dim, dim)``."""
     out = it.apply(np.repeat(ages, dim), np.tile(np.eye(dim), (len(ages), 1)))
@@ -138,8 +203,8 @@ class TestExpInterpolant:
 
     def test_two_expm_calls_per_build(self, monkeypatch):
         stacks = []
-        expm = sla.expm
-        monkeypatch.setattr(linops.sla, "expm", lambda x: stacks.append(np.shape(x)) or expm(x))
+        expm = linops._expm
+        monkeypatch.setattr(linops, "_expm", lambda x, *split: stacks.append(np.shape(x)) or expm(x, *split))
         it = linops.exp_interpolant(np.diag([-1.0, -300.0]) + np.diag([1.0], 1), 5.0)
         assert stacks == [(2, 2), (it.degree + 1, 2, 2)]
 
@@ -331,8 +396,8 @@ class TestSemigroupSnapshot:
 
     def test_one_expm_per_snapshot(self, monkeypatch):
         calls = []
-        expm = linops.sla.expm
-        monkeypatch.setattr(linops.sla, "expm", lambda x: calls.append(np.shape(x)) or expm(x))
+        expm = linops._expm
+        monkeypatch.setattr(linops, "_expm", lambda x, *split: calls.append(np.shape(x)) or expm(x, *split))
         linops.semigroup_snapshot(np.array([[-1.0, 3.0], [0.0, -20.0]]), np.eye(2), np.ones(2), 5.0)
         assert calls == [(5, 5)]
 
@@ -411,6 +476,23 @@ def test_one_psd_floor_for_every_covariance(build):
     build(np.diag([1.0, -1e-12]))  # roundoff-sized, within the floor
 
 
+@pytest.mark.parametrize("build", PSD_CHECKED.values(), ids=PSD_CHECKED.keys())
+def test_one_symmetry_check_for_every_covariance(build, monkeypatch):
+    calls = []
+    check = linops.check_symmetric
+    monkeypatch.setattr(linops, "check_symmetric", lambda s, name="matrix": calls.append(name) or check(s, name))
+    build(np.eye(2))
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="not symmetric"):
+        build([[1.0, 0.5], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("s, message", [([[1.0, 0.5], [0.0, 1.0]], "not symmetric"), ([[np.nan]], "non-finite")])
+def test_psd_sqrt_pinv_checks_outside_input(s, message):
+    with pytest.raises(ValueError, match=message):
+        linops.psd_sqrt_pinv(s)
+
+
 class TestLyapunov:
     def test_scalar_balance(self):
         assert abs(linops.lyapunov_solve([[-1.0]], [[2.0]])[0, 0] - 1.0) <= 1e-12
@@ -426,6 +508,31 @@ class TestLyapunov:
         got = linops.lyapunov_solve(a, r)
         oracle = lyapunov_truncated_integral(a, r)
         assert np.abs(got - oracle).max() <= 1e-8 * (1.0 + np.abs(oracle).max())
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["defective", "stiff", "singular_noise", "near_critical"]),
+           dim=st.sampled_from([1, 2, 5, 20, 200]), seed=st.integers(0, 2**32 - 1))
+    def test_against_scipy(self, kind, dim, seed):
+        # normwise residual, and agreement within the conditioning |A| / |abscissa| of the equation
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        upper = np.triu(rng.normal(size=(dim, dim)), 1) / np.sqrt(dim)
+        if kind == "defective":  # one Jordan block; the superdiagonal below |lambda| keeps X finite
+            lam = -rng.uniform(0.5, 2.0)
+            a = lam * np.eye(dim) + np.diag(-lam * rng.uniform(0.2, 0.9, dim - 1), 1)
+        elif kind == "stiff":  # decay rates from 0.1 to 300
+            a = q @ (upper - np.diag(np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim)))) @ q.T
+        elif kind == "near_critical":  # spectral abscissa -1e-6
+            a = q @ (upper - np.diag(np.concatenate([[1e-6], rng.uniform(0.1, 3.0, dim - 1)]))) @ q.T
+        else:
+            a = make_stable(rng, dim)
+        r = make_psd(rng, dim, rank=1) if kind == "singular_noise" else make_psd(rng, dim, ridge=0.1)
+        x = linops.lyapunov_solve(a, r)
+        residual = np.linalg.norm(a @ x + x @ a.T + r) / (2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(r))
+        assert residual <= 1e-13
+        want = sla.solve_continuous_lyapunov(a, -r)
+        abscissa = -linops.spectral_abscissa(a)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(a, 2) / abscissa * np.linalg.norm(want)
 
     def test_residual(self):
         rng = np.random.default_rng(14)
