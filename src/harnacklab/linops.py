@@ -1,6 +1,6 @@
 """Dense linear-algebra primitives for Ornstein-Uhlenbeck semigroup calculus, in
-numpy alone at desk scale (d up to a few hundred): one Padé expm kernel; propagators
-and Gramians from one short-step expm (of the Van Loan block) and exact doubling;
+numpy alone at desk scale (d up to a few hundred): one Padé expm kernel; Gramians
+from one short-step expm (of the Van Loan block) and exact doubling;
 PSD square roots with rank-revealing pseudo-inverses; Lyapunov solves by squared
 Smith iteration; and the one integration rule over time, `integrate`.
 """
@@ -115,22 +115,19 @@ def _expm(a: np.ndarray, split: int = 0) -> np.ndarray:
 
 
 def _short_step(a: np.ndarray, block: np.ndarray, t: float, split: int = 0) -> tuple[int, np.ndarray]:
-    """``k = max(0, ceil(log2(|A|_1 t)))``, and the expm of ``block`` times ``h = t / 2^k``,
-    the one step from which ``e^{tA}`` is doubled.  The 1-norm costs no SVD."""
+    """``k = max(0, ceil(log2(|A|_1 t)))`` for ``t > 0``, and the expm of ``block`` times
+    ``h = t / 2^k``, the one step from which a Gramian is doubled.  The 1-norm costs no SVD."""
     norm = float(np.linalg.norm(a, 1))
-    k = max(0, math.ceil(math.log2(norm) + math.log2(t))) if norm > 0 and t > 0 else 0
+    k = max(0, math.ceil(math.log2(norm) + math.log2(t))) if norm > 0 else 0
     return k, _expm(math.ldexp(t, -k) * block, split)
 
 
 def matrix_exponential(a, t: float) -> np.ndarray:
-    """``exp(t*a)`` for finite ``t >= 0``: the expm of ``h a`` of `_short_step`, squared ``k`` times."""
+    """``exp(t*a)`` for finite ``t >= 0``: one `_expm`, whose own scaling sets the squarings."""
     a = as_square_matrix(a, "drift matrix")
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
-    k, e = _short_step(a, a, t)
-    for _ in range(k):
-        e = e @ e
-    return e
+    return _expm(t * a)
 
 
 #: Error that `exp_interpolant` certifies, relative to ``max(1, max_v |e^{vA}|_2)``.

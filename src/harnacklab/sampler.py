@@ -15,7 +15,10 @@ weight exponent; the discrete weight is still an exact martingale for
 previsible integrands.  The coupled pair, the Girsanov functionals and the
 perturbed-drift estimators step through one path loop, `_weighted_paths`,
 and differ only in the drift shift whose weight it accumulates: the null
-control, a fixed control, or ``R^{-1/2} F`` along the path.
+control, a fixed control, or ``R^{-1/2} F`` along the path.  A step draws
+``d`` normals per replicate for the innovation; an estimate of ``E[rho
+f(X_t)]`` takes the weight's mean given the innovations (Rao-Blackwell), and
+the other estimators draw ``d`` more for the full weight.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
@@ -450,7 +453,7 @@ def girsanov_functional_estimates(
     if uvals.shape != (K, model.dim):
         raise ValueError("control values have the wrong shape")
     paths = _weighted_paths(model, t, np.zeros((1, model.dim)), K,
-                            lambda k, states: np.broadcast_to(uvals[k], states.shape), _stream_blocks(seed, n))
+                            lambda k, states: np.broadcast_to(uvals[k], states.shape), _stream_blocks(seed, n), True)
     moments = fold(np.stack([fn(log_rho[0]) for fn in funcs.values()]) for *_, log_rho in paths)
     return {name: moments.estimate(i, seed) for i, name in enumerate(funcs)}
 
@@ -462,20 +465,17 @@ def girsanov_functional_estimates(
 
 @dataclass(frozen=True)
 class _StepSampler:
-    """Joint draw of a Brownian increment and the matching convolution
-    innovation over one step, with the exact cross-covariance."""
+    """One grid step of ``delta``, innovation first: ``P'``, ``G^{1/2}'``, ``V'``
+    and ``U'``, C-contiguous for ``np.dot`` on row-stacked states.  ``P`` and
+    ``G`` are the step's propagator and Gramian, and the innovation is ``eta =
+    G^{1/2} z``, ``z`` standard normal.  With ``C = int_0^delta e^{sA} R^{1/2}
+    ds``, the Brownian increment is ``dW = V' z + U zeta`` in law, ``V =
+    G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``, ``zeta`` ``d`` more normals."""
 
-    propagator: np.ndarray
-    cross_over_delta: np.ndarray
-    cond_root: np.ndarray
-    root_delta: float
-
-    def draw(self, gen: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        d = self.propagator.shape[0]
-        dw = gen.standard_normal((size, d)) * self.root_delta
-        zeta = gen.standard_normal((size, d))
-        eta = dw @ self.cross_over_delta.T + zeta @ self.cond_root.T
-        return dw, eta
+    propagator_t: np.ndarray
+    innovation_t: np.ndarray
+    whiten_t: np.ndarray
+    residual_t: np.ndarray
 
 
 def _step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
@@ -485,25 +485,25 @@ def _step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
 def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
     snap = model.snapshot(delta)
     cross = linops.convolution_factor(model.drift_matrix, model.noise_sqrt().sqrt_matrix, delta)
-    cond = snap.gramian - (cross @ cross.T) / delta
-    cond_root = linops.psd_sqrt_pinv(0.5 * (cond + cond.T)).sqrt_matrix
-    return _StepSampler(
-        propagator=snap.propagator,
-        cross_over_delta=linops.read_only(cross / delta),
-        cond_root=cond_root,
-        root_delta=float(np.sqrt(delta)),
-    )
+    whiten = snap.gramian_sqrt.pinv_sqrt_matrix @ cross
+    residual_root = linops.psd_sqrt_pinv(delta * np.eye(snap.dim) - whiten.T @ whiten).sqrt_matrix
+    return _StepSampler(*(linops.read_only(np.ascontiguousarray(m.T)) for m in (
+        snap.propagator, snap.gramian_sqrt.sqrt_matrix, whiten, residual_root)))
 
 
-def _weighted_paths(model, t, starts, K, psi, blocks):
+def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
     """The one path loop: ``K`` exact grid steps of the stochastic convolution
     from ``S`` stacked starts ``(S, d)``, weighted by a drift shift.  At each
     left point ``psi(k, states)`` gives the ``(S, size, d)`` shift at the
-    states ``e^{t_k A} x_s + convolution`` of that shape, and the log-weight
-    gains ``psi . dW_k - |psi|^2 dt / 2``.  Every
-    start shares the draws (common random numbers).  Yields ``(generator,
-    convolution (size, d), log_weights (S, size))`` per ``(generator, size)``
-    block, the generator past the path's draws."""
+    states ``e^{t_k A} x_s + convolution`` of that shape.  The log-weight
+    gains ``v . z - |v|^2 / 2``, ``v = V psi`` (`_StepSampler`), which is
+    ``E[exp(psi . dW_k - |psi|^2 dt / 2) | eta_k]``: an estimate of ``E[rho
+    f(X_t)]`` keeps its mean and cannot gain variance (Casella & Robert
+    1996).  With ``full_weight`` it also gains ``u . zeta - |u|^2 / 2``, ``u =
+    U psi``, and the weight is ``rho`` in law, for estimands of the weight
+    itself.  Every start shares the draws (common random numbers).  Yields
+    ``(generator, convolution (size, d), log_weights (S, size))`` per
+    ``(generator, size)`` block, the generator past the path's draws."""
     n_starts, d = starts.shape
     delta = _grid_step(t, K)
     step = _step_sampler(model, delta)
@@ -512,16 +512,21 @@ def _weighted_paths(model, t, starts, K, psi, blocks):
     mean_path = np.empty((K, n_starts, 1, d))
     mean_path[0, :, 0] = starts
     for k in range(1, K):
-        mean_path[k] = mean_path[k - 1] @ step.propagator.T
+        mean_path[k] = np.dot(mean_path[k - 1], step.propagator_t)
 
     for gen, size in blocks:
         conv = np.zeros((size, d))
         log_rho = np.zeros((n_starts, size))
         for k in range(K):
             shift = psi(k, conv + mean_path[k])
-            dw, eta = step.draw(gen, size)
-            log_rho += np.einsum("sij,ij->si", shift, dw) - 0.5 * delta * np.einsum("sij,sij->si", shift, shift)
-            conv = conv @ step.propagator.T + eta
+            z = gen.standard_normal((size, d))
+            rows = shift.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
+            v = np.dot(rows, step.whiten_t).reshape(shift.shape)
+            log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
+            if full_weight:
+                u = np.dot(rows, step.residual_t).reshape(shift.shape)
+                log_rho += np.einsum("sij,sij->si", u, gen.standard_normal((size, d)) - 0.5 * u)
+            conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
         yield gen, conv, log_rho
 
 
@@ -548,7 +553,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     base = snap.propagator @ y + snap.mean_shift
     sq = _grid_step(t, K) * float(np.sum(u * u))
     for gen, conv, log_rho in _weighted_paths(model, t, y[None], K,
-                                              lambda k, states: np.broadcast_to(u[k], states.shape), blocks):
+                                              lambda k, states: np.broadcast_to(u[k], states.shape), blocks, True):
         endpoints = base + conv
         if model.has_jumps:
             endpoints = endpoints + _jump_block(model, t, gen, conv.shape[0], transport)
@@ -575,23 +580,19 @@ def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStre
 # ---------------------------------------------------------------------------
 
 
-def _require_semilinear_setting(model: OuLevyModel) -> None:
+def _semilinear_blocks(model, spec, t, starts, K, seed, n, full_weight):
+    """Path blocks for the perturbed-drift weight from ``S`` stacked start
+    points ``(S, d)``: yields per block the final convolution values
+    ``(size, d)`` and the log-weights ``(S, size)`` of `_weighted_paths`,
+    full or not as ``full_weight`` says, with the shift ``psi = R^{-1/2}
+    F(state)``, the drift evaluated on the ``(S * size, d)`` stacked states."""
     if model.has_jumps:
         raise ValueError("perturbed-drift estimation requires a jump-free model")
     if float(np.abs(model.drift_offset).max(initial=0.0)) != 0.0:
         raise ValueError("perturbed-drift estimation requires a zero drift offset")
-
-
-def _semilinear_blocks(model, spec, t, starts, K, seed, n):
-    """Path blocks for the perturbed-drift weight from ``S`` stacked start
-    points ``(S, d)``: yields per block the final convolution values
-    ``(size, d)`` and the log-weights ``(S, size)`` of `_weighted_paths` with
-    the shift ``psi = R^{-1/2} F(state)``, the drift evaluated on the
-    ``(S * size, d)`` stacked states."""
-    _require_semilinear_setting(model)
     d = starts.shape[1]
     rfac = model.noise_sqrt()
-    pinv_root = rfac.pinv_sqrt_matrix
+    pinv_root_t = np.ascontiguousarray(rfac.pinv_sqrt_matrix.T)
 
     def psi(k, states):
         state = states.reshape(-1, d)
@@ -602,21 +603,21 @@ def _semilinear_blocks(model, spec, t, starts, K, seed, n):
             bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
             if bad.size:
                 raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
-        return (drift @ pinv_root.T).reshape(states.shape)
+        return np.dot(drift, pinv_root_t).reshape(states.shape)
 
-    return ((conv, log_rho) for _, conv, log_rho in _weighted_paths(model, t, starts, K, psi, _stream_blocks(seed, n)))
+    return ((c, lr) for _, c, lr in _weighted_paths(model, t, starts, K, psi, _stream_blocks(seed, n), full_weight))
 
 
 def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts, fs,
                       n: int, K: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks ``(S, size)`` of ``rho_s f_s(X_t^{x_s})`` for ``S`` start points
-    from one pass of increments shared by all starts (common random numbers):
-    the weights differ only through the drift evaluated along each start's
-    path.  ``fs`` holds one vectorized observable per start."""
+    """Blocks ``(S, size)`` of ``L_s f_s(X_t^{x_s})``, ``L_s`` the weight given
+    the path, for ``S`` start points from one pass shared by all starts
+    (common random numbers): the weights differ only through the drift
+    evaluated along each start's path.  ``fs`` holds one observable per start."""
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     prop = model.snapshot(t).propagator
     terms = [prop @ x for x in starts]
-    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n):
+    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n, False):
         yield np.stack([np.exp(lr) * eval_rows(f, conv + term)
                         for f, term, lr in zip(fs, terms, log_rho, strict=True)])
 
@@ -626,23 +627,24 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     """Weighted Monte Carlo estimate of the perturbed-drift expectation.
 
     Per replicate the stochastic convolution is advanced exactly on the grid;
-    the drift perturbation enters only through the previsible weight
-    ``rho = exp(sum psi_k . dW_k - sum |psi_k|^2 dt / 2)`` with
-    ``psi = R^{-1/2} F(state)``, and the estimate is the mean of
-    ``rho * f(endpoint)``, from one pass on the given grid.  The weight is an
-    exact martingale at every ``K``, so its own mean is 1 on any grid; but
-    the law it reweights to holds ``F`` frozen at the left grid points, so
-    for a state-dependent ``F`` the estimate carries an ``O(1/K)`` weak
-    error (Kloeden & Platen 1992, ch. 14) that a finer grid shrinks.
+    the drift perturbation enters only through the weight ``L``, the mean
+    given the path's innovations of the previsible weight ``rho = exp(sum
+    psi_k . dW_k - sum |psi_k|^2 dt / 2)`` with ``psi = R^{-1/2} F(state)``.
+    The estimate is the mean of ``L * f(endpoint)`` from one pass on the
+    given grid: the mean of ``rho * f(endpoint)``, with no more variance.  The
+    weight is an exact martingale at every ``K``, so its own mean is 1 on any
+    grid; but the law it reweights to holds ``F`` frozen at the left grid
+    points, so for a state-dependent ``F`` the estimate carries an ``O(1/K)``
+    weak error (Kloeden & Platen 1992, ch. 14) that a finer grid shrinks.
     """
     return fold(semilinear_values(model, spec, t, [x], [f], n, K, seed)).estimate(0, seed)
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                            powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
-    """Monte Carlo moments ``E rho^p`` of the perturbed-drift weight."""
+    """Moments ``E rho^p`` of the full perturbed-drift weight; the conditional weight's are smaller (Jensen)."""
     powers = [float(p) for p in powers]
     x = np.asarray(x, dtype=float).reshape(1, -1)
     moments = fold(np.stack([np.exp(p * log_rho[0]) for p in powers])
-                   for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n))
+                   for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n, True))
     return {p: moments.estimate(i, seed) for i, p in enumerate(powers)}

@@ -43,7 +43,7 @@ class TestMatrixExponential:
             assert np.abs(left - right).max() <= 1e-10 * (1.0 + np.abs(left).max())
 
     def test_non_normal_drifts_against_high_precision_oracle(self):
-        # one expm of tA errs by up to 3.4e-11 relative on these drifts, the squared short step by 8.7e-14
+        # scipy's one expm of tA errs by up to 3.4e-11 relative on these drifts, the Padé kernel's by 1.1e-14
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(11)
         for _ in range(30):

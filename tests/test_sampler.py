@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from harnacklab.sampler import (
     wa_path,
 )
 from harnacklab.testfuncs import ClippedExpObservable, ConstantObservable, ExpObservable, drift_constant, drift_zero
-from oracles import make_psd, make_stable, within_sigma
+from oracles import hard_drift, make_psd, make_stable, within_sigma
 
 
 def coupled_expectation(model, t, x, y, g, n, K, seed):
@@ -394,6 +395,47 @@ class TestSamplerStateMemo:
             call()
             assert entries == [16], name
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["defective", "stiff", "singular_noise", "uncontrollable"]),
+           dim=st.integers(1, 6), delta=st.floats(0.05, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_whitened_step_rebuilds_the_joint_covariance(self, kind, dim, delta, seed):
+        """The step draws ``eta = G^{1/2} z`` and the Brownian increment is
+        ``V' z + U zeta``: the implied covariance of ``(eta, dW)`` must be the
+        step Gramian of the pair, ``[[G, C], [C', delta I]]``, which an
+        independent short-step ``scipy.linalg.expm`` with doubling gives.  The
+        ``z`` part alone must carry ``Cov(eta) = G`` and ``Cov(eta, V' z) = C``.
+        The drifts keep the step Gramian's conditioning away from the rank
+        rule, or make it exactly singular: the whitening is exact on its range."""
+        rng = np.random.default_rng(seed)
+        if kind in ("defective", "stiff"):
+            a, r = hard_drift("jordan" if kind == "defective" else "stiff", dim, rng), make_psd(rng, dim, ridge=0.1)
+        elif kind == "singular_noise":  # rank d - 1, and the pair stays controllable
+            a, r = make_stable(rng, dim), make_psd(rng, dim, rank=max(dim - 1, 1))
+        else:  # noise reaches only the first half, which the second does not feed
+            a, h = make_stable(rng, dim), (dim + 1) // 2
+            a[h:, :h] = 0.0
+            r = np.zeros((dim, dim))
+            r[:h, :h] = make_psd(rng, h, ridge=0.1)
+        m = OuLevyModel(drift_matrix=a, noise_cov=r)
+        step = sampler._step_sampler(m, delta)
+        root, v_t, u = step.innovation_t.T, step.whiten_t, step.residual_t.T
+
+        # the pair (X, W) is an OU process with drift diag(A, 0) and noise factor [R^(1/2); I]
+        pair_drift = np.zeros((2 * dim, 2 * dim))
+        pair_drift[:dim, :dim] = a
+        factor = np.vstack([m.noise_sqrt().sqrt_matrix, np.eye(dim)])
+        block = np.block([[pair_drift, factor @ factor.T], [np.zeros((2 * dim, 2 * dim)), -pair_drift.T]])
+        k = max(0, math.ceil(math.log2(np.linalg.norm(pair_drift, 1) * delta + 1e-300)) + 1)
+        e = scipy.linalg.expm(math.ldexp(delta, -k) * block)
+        prop, want = e[:2 * dim, :2 * dim], e[:2 * dim, 2 * dim:] @ e[:2 * dim, :2 * dim].T
+        for _ in range(k):
+            want, prop = want + prop @ want @ prop.T, prop @ prop
+        load = np.block([[root, np.zeros((dim, dim))], [v_t, u]])
+        scale = np.abs(want).max()
+        assert np.abs(load @ load.T - want).max() <= 1e-12 * scale
+        assert np.abs(root @ root.T - want[:dim, :dim]).max() <= 1e-12 * scale
+        assert np.abs(root @ v_t.T - want[:dim, dim:]).max() <= 1e-12 * scale
+
     def test_sampler_state_refers_only_to_arrays(self):
         import gc
         import weakref
@@ -602,6 +644,53 @@ class TestSemilinear:
                                      ConstantObservable(1.0), 60_000, 128, 216)
         assert within_sigma(est.mean, est.std_error, 1.0)
 
+    def test_rho_moments_keep_the_full_weight(self):
+        """A constant shift psi = 1 over one step of delta = 2 (A = -2, R = 1):
+        the full log-weight is N(-1, 2), so E rho^2 = e^2.  The endpoint-only
+        weight L has E L^2 = exp(C^2 / G) = 2.62 and mean 1."""
+        m = OuLevyModel(drift_matrix=[[-2.0]], noise_cov=[[1.0]])
+        spec = drift_constant(m, [1.0])
+        est = sampler.semilinear_rho_moments(m, spec, 2.0, [0.0], [2.0], 100_000, 1, 5)[2.0]
+        assert within_sigma(est.mean, est.std_error, math.e ** 2)
+        cross, gram = (1.0 - math.exp(-4.0)) / 2.0, (1.0 - math.exp(-8.0)) / 4.0
+        assert abs(est.mean - math.exp(cross ** 2 / gram)) > 4.0 * est.std_error
+        mean_l = hl.semilinear_estimate(m, spec, 2.0, [0.0], ConstantObservable(1.0), 100_000, 1, 6)
+        assert within_sigma(mean_l.mean, mean_l.std_error, 1.0)
+
+    def test_normals_per_step_and_dimension(self, monkeypatch, nonnormal_model):
+        """An endpoint estimator draws d normals per step and replicate, shared
+        by every start; a moment of the weight draws 2 d."""
+        from harnacklab.testfuncs import drift_clipped_linear
+
+        drawn = []
+        open_stream = RngStream.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                draw = getattr(self._gen, name)
+                if name != "standard_normal":
+                    return draw
+
+                def counted(*args, **kwargs):
+                    out = draw(*args, **kwargs)
+                    drawn.append(out.size)
+                    return out
+
+                return counted
+
+        monkeypatch.setattr(RngStream, "generator", lambda stream: Counting(open_stream(stream)))
+        spec = drift_clipped_linear(nonnormal_model, 0.4)
+        f = ConstantObservable(1.0)
+        n, K, d = 5000, 8, nonnormal_model.dim
+        list(sampler.semilinear_values(nonnormal_model, spec, 0.8, [[0.3, -0.2], [0.1, 0.0]], [f, f], n, K, 1))
+        assert sum(drawn) == K * n * d
+        drawn.clear()
+        sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [2.0], n, K, 2)
+        assert sum(drawn) == 2 * K * n * d
+
     def test_out_of_range_drift_aborts(self):
         from harnacklab.model import SemilinearSpec
 
@@ -650,7 +739,7 @@ class TestSemilinear:
         # pass on the requested grid and reports what that pass saw
         grids = []
 
-        def blocks(model, spec, t, x, K, seed, n):
+        def blocks(model, spec, t, x, K, seed, n, full_weight):
             grids.append(K)
             yield np.zeros((n, 1)), np.full((1, n), np.log(2.0))
 
