@@ -27,6 +27,32 @@ def coupled_expectation(model, t, x, y, g, n, K, seed):
     return sampler.fold(np.reshape(g(np.exp(log_rho), ends), (1, -1)) for ends, log_rho, _ in blocks).estimate(0, seed)
 
 
+def count_normals(monkeypatch):
+    """Wrap `RngStream.generator` so that each ``standard_normal`` call appends
+    its draw count to the returned list."""
+    drawn = []
+    open_stream = RngStream.generator
+
+    class Counting:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            draw = getattr(self._gen, name)
+            if name != "standard_normal":
+                return draw
+
+            def counted(*args, **kwargs):
+                out = draw(*args, **kwargs)
+                drawn.append(out.size)
+                return out
+
+            return counted
+
+    monkeypatch.setattr(RngStream, "generator", lambda stream: Counting(open_stream(stream)))
+    return drawn
+
+
 class TestRngStream:
     def test_identical_keys_identical_draws(self):
         a = RngStream(123, 7).generator().standard_normal(5)
@@ -37,6 +63,50 @@ class TestRngStream:
         a = RngStream(123, 7).generator().standard_normal(5)
         b = RngStream(123, 8).generator().standard_normal(5)
         assert not np.array_equal(a, b)
+
+
+class TestBlockLadder:
+    """Endpoint blocks form a doubling ladder from ``MC_FIRST_BLOCK`` up to
+    ``MC_BLOCK``; path blocks keep ``MC_BLOCK`` each.  Block ``b`` draws from
+    stream ``b`` in both layouts."""
+
+    NS = [100, 1023, 1024, 3000, 4097, 20_000]
+
+    @staticmethod
+    def _ladder(seed, n):
+        return list(sampler._stream_blocks(seed, n, sampler.MC_FIRST_BLOCK))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_block_sizes_sum_to_n(self, n):
+        sizes = [size for _, size in self._ladder(5, n)]
+        ladder = [1024, 1024, 2048] + [sampler.MC_BLOCK] * len(sizes)
+        assert sum(sizes) == n
+        assert sizes[:-1] == ladder[:len(sizes) - 1]  # only the last block is cut to the cap
+        assert 0 < sizes[-1] <= ladder[len(sizes) - 1]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_block_b_comes_from_stream_b(self, n):
+        for b, (gen, _) in enumerate(self._ladder(9, n)):
+            assert np.array_equal(gen.standard_normal(3), RngStream(9, b).generator().standard_normal(3))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_path_layout_is_whole_mc_blocks(self, n):
+        blocks = list(sampler._stream_blocks(9, n))
+        assert [size for _, size in blocks] == [min(sampler.MC_BLOCK, n - done)
+                                                 for done in range(0, n, sampler.MC_BLOCK)]
+        for b, (gen, _) in enumerate(blocks):
+            assert np.array_equal(gen.standard_normal(3), RngStream(9, b).generator().standard_normal(3))
+
+    def test_a_decided_jump_row_draws_one_first_block(self, monkeypatch):
+        # margin about 14 joint errors at the first look: the row stops there,
+        # having drawn one normal per replicate and dimension
+        m = OuLevyModel(drift_matrix=[[-1.0, 0.5], [0.0, -1.5]], noise_cov=np.eye(2),
+                        jump=hl.CompoundPoissonSpec(rate=2.0, atoms=[[1.0, 0.0], [0.0, -1.0]]))
+        drawn = count_normals(monkeypatch)
+        rep = hl.verify.check_harnack(m, 1.0, [1.5, 0.5], [0.0, 0.0], 2.0, ClippedExpObservable([0.5, 0.3], 10.0),
+                                      n=20_000, seed=0)
+        assert (rep.verdict, rep.params["n_used"]) == (hl.verify.HOLDS, sampler.MC_FIRST_BLOCK)
+        assert sum(drawn) == sampler.MC_FIRST_BLOCK * m.dim
 
 
 class TestEndpointSampling:
@@ -662,26 +732,7 @@ class TestSemilinear:
         by every start; a moment of the weight draws 2 d."""
         from harnacklab.testfuncs import drift_clipped_linear
 
-        drawn = []
-        open_stream = RngStream.generator
-
-        class Counting:
-            def __init__(self, gen):
-                self._gen = gen
-
-            def __getattr__(self, name):
-                draw = getattr(self._gen, name)
-                if name != "standard_normal":
-                    return draw
-
-                def counted(*args, **kwargs):
-                    out = draw(*args, **kwargs)
-                    drawn.append(out.size)
-                    return out
-
-                return counted
-
-        monkeypatch.setattr(RngStream, "generator", lambda stream: Counting(open_stream(stream)))
+        drawn = count_normals(monkeypatch)
         spec = drift_clipped_linear(nonnormal_model, 0.4)
         f = ConstantObservable(1.0)
         n, K, d = 5000, 8, nonnormal_model.dim

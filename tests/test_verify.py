@@ -242,8 +242,9 @@ class TestSharedNoise:
 
 class TestEarlyStop:
     """The unweighted two-point checks take ``n`` as a cap: their fold stops
-    at a block boundary once the margin exceeds ``sampler.EARLY_Z`` times its
-    positive joint error, and the row says how many replicates it drew."""
+    at a block boundary of the endpoint ladder (1024, 2048, 4096, 8192, ...)
+    once the margin exceeds ``sampler.EARLY_Z`` times its positive joint
+    error, and the row says how many replicates it drew."""
 
     @staticmethod
     def _count_looks(monkeypatch):
@@ -261,9 +262,11 @@ class TestEarlyStop:
 
     def test_a_stop_is_bitwise_the_row_at_that_cap(self, jump_model):
         f = ClippedExpObservable([0.5], 10.0)
+        # seed 3 stops at the second look, past the first ladder block
         early = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=20_000, seed=3)
-        capped = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=hl.sampler.MC_BLOCK, seed=3)
-        assert early.params["n_used"] == capped.params["n_used"] == hl.sampler.MC_BLOCK
+        stop = 2 * hl.sampler.MC_FIRST_BLOCK
+        capped = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=stop, seed=3)
+        assert early.params["n_used"] == capped.params["n_used"] == stop
         assert early.verdict == verify.HOLDS
         for side in ("lhs", "rhs", "lhs_se", "rhs_se"):
             assert getattr(early, side) == getattr(capped, side)
@@ -285,22 +288,34 @@ class TestEarlyStop:
         assert all(r.params["n_used"] == n for r in capped)
         assert [r.verdict for r in capped] == [r.verdict for r in full]
 
+    def test_a_violated_row_never_stops_early(self, flat_model, monkeypatch):
+        # the equality above with the coefficient cut by 1e-3: the true margin is
+        # negative, so no look, the first at 1024 replicates included, may stop
+        f = ClippedExpObservable([0.6], 1000.0)
+        n = 3 * hl.sampler.MC_BLOCK
+        exp = verify.saturating_exp
+        monkeypatch.setattr(verify, "saturating_exp", lambda z: (1.0 - 1e-3) * exp(z))
+        reps = [verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s) for s in range(200)]
+        assert all(r.params["n_used"] == n for r in reps)  # so no HOLDS comes from an early stop
+
     def test_zero_sigma_never_stops_early(self, flat_model, monkeypatch):
         looks = self._count_looks(monkeypatch)
         n = 3 * hl.sampler.MC_BLOCK
         rep = verify.check_harnack(flat_model, 1.0, [0.5], [0.0], 2.0, ConstantObservable(2.0), n=n, seed=3)
         assert rep.params["margin_se"] == 0.0 and rep.margin > 0.0
         assert rep.params["n_used"] == n and rep.verdict == verify.HOLDS
-        assert looks == [hl.sampler.MC_BLOCK, 2 * hl.sampler.MC_BLOCK]  # none once no block remains
+        first = hl.sampler.MC_FIRST_BLOCK
+        assert looks == [first, 2 * first, 4 * first, 8 * first]  # none once no block remains
 
     def test_one_block_check_never_reads_the_margin(self, jump_model, monkeypatch):
         looks = self._count_looks(monkeypatch)
         f = ClippedExpObservable([0.5], 10.0)
-        reps = [verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=3000, seed=3),
-                verify.check_log_harnack(jump_model, 1.0, [0.6], [0.0], OnePlusSigmoid([0.7]), n=3000, seed=3),
-                verify.check_gradient_estimate(jump_model, 1.0, [0.6], [0.0], TanhObservable([1.0]), n=3000, seed=3)]
+        n = hl.sampler.MC_FIRST_BLOCK  # the ladder's first block holds the whole cap
+        reps = [verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=3),
+                verify.check_log_harnack(jump_model, 1.0, [0.6], [0.0], OnePlusSigmoid([0.7]), n=n, seed=3),
+                verify.check_gradient_estimate(jump_model, 1.0, [0.6], [0.0], TanhObservable([1.0]), n=n, seed=3)]
         assert looks == []
-        assert [r.params["n_used"] for r in reps] == [3000] * 3
+        assert [r.params["n_used"] for r in reps] == [n] * 3
 
     def test_rows_that_draw_nothing_say_so(self, jump_model, flat_model):
         closed = verify.check_harnack(jump_model, 1.0, [0.5], [0.0], 3.0, ExpObservable([0.3]), n=20_000, seed=1)
@@ -315,7 +330,8 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
     def test_a_negative_sample_stops_the_fold_in_its_first_block(self, scalar_model, kind):
-        # the sign guard wraps the observable: no block is drawn after the first negative sample
+        # the sign guard wraps the observable: no block is drawn after the first negative sample;
+        # the endpoint ladder starts at MC_FIRST_BLOCK, path blocks hold MC_BLOCK
         sizes = []
 
         def tanh(pts):
@@ -329,7 +345,7 @@ class TestEarlyStop:
             else:
                 verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [0.5], [0.0], 4.0, 1.3, 1.3, tanh,
                                                 n=n, K=8, seed=3)
-        assert sizes == [hl.sampler.MC_BLOCK]
+        assert sizes == [hl.sampler.MC_FIRST_BLOCK if kind == "harnack" else hl.sampler.MC_BLOCK]
 
 
 class TestWeightedRowsSayTheirSampleCount:
