@@ -26,12 +26,10 @@ of replicates and yield each block's per-replicate values as the columns
 of a ``(k, size)`` array; `fold` merges the blocks' column means and
 co-moments into one `Moments` accumulator in stream order, so results are
 bitwise reproducible regardless of how blocks are scheduled.  Path blocks
-hold ``MC_BLOCK`` replicates each.  Endpoint blocks form a doubling ladder,
-``MC_FIRST_BLOCK`` twice and then as many as have been drawn up to
-``MC_BLOCK`` (1024, 1024, 2048, 4096, 4096, ...), so the boundaries fall at
-1024, 2048, 4096, 8192, ... replicates.  Given a check's margin, `fold`
-stops at the first block boundary where the margin is decided; the moments
-there are those of a cap at that boundary.
+hold ``MC_BLOCK`` replicates each; endpoint blocks form the doubling ladder
+of `_stream_blocks`.  Given a check's margin, `fold` stops at the first
+block boundary where the margin is decided; the moments there are those of
+a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
 of them (common random numbers), one column per start.
 """
@@ -52,15 +50,14 @@ from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 #: largest block of the endpoint ladder.
 MC_BLOCK = 4096
 
-#: First block of the endpoint ladder: the first look of `fold`'s stop rule
-#: comes after this many replicates.
+#: First block of the endpoint ladder (see `_stream_blocks`): the first look
+#: of `fold`'s stop rule comes after this many replicates.
 MC_FIRST_BLOCK = 1024
 
 #: z boundary of `fold`'s stop rule: a margin that is not positive reads
 #: above it at one look with a chance of about 1e-9 (normal tail), so over
-#: the looks of a check (one per ladder boundary below its cap, at most
-#: ``ceil(n / MC_BLOCK) + 1``) an early stop is far less likely to be wrong
-#: than the final one-sigma rule.
+#: the looks of a check (one per block boundary below its cap) an early stop
+#: is far less likely to be wrong than the final one-sigma rule.
 EARLY_Z = 6.0
 
 _MASK64 = (1 << 64) - 1
@@ -98,7 +95,9 @@ class RngStream:
 def _stream_blocks(seed: int, n: int, first: int = MC_BLOCK) -> Iterator[tuple[np.random.Generator, int]]:
     """Replicate blocks, one keyed stream per block, for ``n >= 100`` replicates:
     ``first`` replicates, then as many as have been drawn, up to ``MC_BLOCK``
-    a block, the last cut to ``n``.  The default is blocks of ``MC_BLOCK``."""
+    a block, the last cut to ``n``.  The default is blocks of ``MC_BLOCK``;
+    ``first = MC_FIRST_BLOCK`` gives the endpoint ladder 1024, 1024, 2048,
+    then 4096 each, whose boundaries fall at 1024, 2048, 4096, 8192, ..."""
     if n < 100:
         raise ValueError("at least 100 replicates are required")
     sizes, done = [], 0
@@ -350,8 +349,7 @@ def iter_endpoint_noise(model: OuLevyModel, t: float, n: int, seed: int) -> Iter
     Yields ``(block, d)`` arrays of ``X_t - e^{tA} X_0`` realizations; adding
     ``e^{tA} x`` gives endpoint samples started at ``x``.  Reusing one block
     for several starts gives common-random-number coupling.  The blocks
-    form the ladder that starts at ``MC_FIRST_BLOCK``, so an early stop
-    can come after 1024 replicates.
+    form the ladder that starts at ``MC_FIRST_BLOCK``.
     """
     snap = model.snapshot(t)
     transport = _jump_transport(model, t) if model.has_jumps else None

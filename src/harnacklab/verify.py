@@ -23,8 +23,8 @@ three times the larger of that error and the sides' combined one.
 Every sampled row is made by `_mc_report`, and ``params["n_used"]`` says
 how many replicates it drew (0 for a row that draws nothing).  The
 unweighted checks (``harnack``, ``log_harnack``, ``gradient``) take ``n`` as
-a cap: their fold stops at the first block boundary (after 1024, 2048,
-4096, 8192, ... replicates) where the margin exceeds ``sampler.EARLY_Z``
+a cap: their fold stops at the first endpoint block boundary (see
+``sampler.MC_FIRST_BLOCK``) where the margin exceeds ``sampler.EARLY_Z``
 times its positive joint error.  Every other verdict is read at the cap.
 A negative margin whose right side has no spread raises ``ValueError``:
 the sample missed the event that carries that side, so the margin is no

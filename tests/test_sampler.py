@@ -72,30 +72,24 @@ class TestBlockLadder:
 
     NS = [100, 1023, 1024, 3000, 4097, 20_000]
 
-    @staticmethod
-    def _ladder(seed, n):
-        return list(sampler._stream_blocks(seed, n, sampler.MC_FIRST_BLOCK))
-
     @pytest.mark.parametrize("n", NS)
     def test_block_sizes_sum_to_n(self, n):
-        sizes = [size for _, size in self._ladder(5, n)]
+        sizes = [size for _, size in sampler._stream_blocks(5, n, sampler.MC_FIRST_BLOCK)]
         ladder = [1024, 1024, 2048] + [sampler.MC_BLOCK] * len(sizes)
         assert sum(sizes) == n
         assert sizes[:-1] == ladder[:len(sizes) - 1]  # only the last block is cut to the cap
         assert 0 < sizes[-1] <= ladder[len(sizes) - 1]
 
+    @pytest.mark.parametrize("first", [sampler.MC_FIRST_BLOCK, sampler.MC_BLOCK], ids=["ladder", "path"])
     @pytest.mark.parametrize("n", NS)
-    def test_block_b_comes_from_stream_b(self, n):
-        for b, (gen, _) in enumerate(self._ladder(9, n)):
+    def test_block_b_comes_from_stream_b(self, n, first):
+        for b, (gen, _) in enumerate(sampler._stream_blocks(9, n, first)):
             assert np.array_equal(gen.standard_normal(3), RngStream(9, b).generator().standard_normal(3))
 
     @pytest.mark.parametrize("n", NS)
     def test_path_layout_is_whole_mc_blocks(self, n):
-        blocks = list(sampler._stream_blocks(9, n))
-        assert [size for _, size in blocks] == [min(sampler.MC_BLOCK, n - done)
-                                                 for done in range(0, n, sampler.MC_BLOCK)]
-        for b, (gen, _) in enumerate(blocks):
-            assert np.array_equal(gen.standard_normal(3), RngStream(9, b).generator().standard_normal(3))
+        assert [size for _, size in sampler._stream_blocks(9, n)] == [min(sampler.MC_BLOCK, n - done)
+                                                                       for done in range(0, n, sampler.MC_BLOCK)]
 
     def test_a_decided_jump_row_draws_one_first_block(self, monkeypatch):
         # margin about 14 joint errors at the first look: the row stops there,

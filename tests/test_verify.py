@@ -242,7 +242,7 @@ class TestSharedNoise:
 
 class TestEarlyStop:
     """The unweighted two-point checks take ``n`` as a cap: their fold stops
-    at a block boundary of the endpoint ladder (1024, 2048, 4096, 8192, ...)
+    at a block boundary of the endpoint ladder (see `sampler._stream_blocks`)
     once the margin exceeds ``sampler.EARLY_Z`` times its positive joint
     error, and the row says how many replicates it drew."""
 
@@ -297,6 +297,35 @@ class TestEarlyStop:
         monkeypatch.setattr(verify, "saturating_exp", lambda z: (1.0 - 1e-3) * exp(z))
         reps = [verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s) for s in range(200)]
         assert all(r.params["n_used"] == n for r in reps)  # so no HOLDS comes from an early stop
+
+    def test_a_missed_rare_left_event_never_stops_early(self, flat_model, monkeypatch):
+        # the indicator of X_1 > 0 from x = -2.88 (p about 2e-3) against y = -3.09 (p about
+        # 1e-3), with the coefficient 1e-3 below equality: the true margin is negative.  Some
+        # first looks miss the left side's event.  Both starts share the noise, so the right
+        # side's event lies inside the left side's and is missed too: such a look reads the
+        # margin -slack with no error, and no look of any row stops
+        x, y, alpha = -2.88, -3.09, 1.05
+        p_x, p_y = (0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (x, y))
+        coef = (1.0 - 1e-3) * p_x**alpha / p_y
+        assert coef > 1.0
+        monkeypatch.setattr(verify, "saturating_exp", lambda z: coef)
+        fold, first_looks = hl.sampler.fold, []
+
+        def recording(blocks, decided):
+            def margin(acc):
+                if acc.n == hl.sampler.MC_FIRST_BLOCK:
+                    first_looks.append((float(acc.mean[0]), *decided.margin(acc)))
+                return decided.margin(acc)
+            return fold(blocks, hl.sampler.EarlyHolds(decided.n, margin))
+
+        monkeypatch.setattr(hl.sampler, "fold", recording)
+        n = 3 * hl.sampler.MC_BLOCK
+        reps = [verify.check_harnack(flat_model, 1.0, [x], [y], alpha, IndicatorObservable([1.0]), n=n, seed=s)
+                for s in range(200)]
+        missed = [(margin, se) for mean_x, margin, se in first_looks if mean_x == 0.0]
+        assert len(first_looks) == 200 and len(missed) >= 10
+        assert all(margin < 0.0 and se == 0.0 for margin, se in missed)
+        assert all(r.params["n_used"] == n for r in reps)
 
     def test_zero_sigma_never_stops_early(self, flat_model, monkeypatch):
         looks = self._count_looks(monkeypatch)
