@@ -31,12 +31,19 @@ of `_stream_blocks`.  Given a check's margin, `fold` stops at the first
 block boundary where the margin is decided; the moments there are those of
 a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
-of them (common random numbers), one column per start.
+of them (common random numbers), one column per start.  The path loop takes
+its step normals a chunk of steps at a time from `_step_normals`, which
+draws the next chunk on one helper thread while the loop works on the
+current one; a chunk is filled in the order of one draw per step, so the
+draws are bitwise those of a single thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -49,6 +56,10 @@ from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 #: Replicates per RNG stream in vectorized Monte Carlo estimators, the
 #: largest block of the endpoint ladder.
 MC_BLOCK = 4096
+
+#: Normals per chunk of the path loop's step draws (see `_step_normals`), at
+#: least one step: the look-ahead buffer.
+PATH_CHUNK = 1 << 15
 
 #: First block of the endpoint ladder (see `_stream_blocks`): the first look
 #: of `fold`'s stop rule comes after this many replicates.
@@ -506,6 +517,55 @@ def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
         snap.propagator, snap.gramian_sqrt.sqrt_matrix, whiten, residual_root)))
 
 
+def _step_normals(gen, K, shape):
+    """The path loop's step normals for ``K`` steps, one ``shape = (m, size,
+    d)`` array per step: ``z_k``, then ``zeta_k`` when ``m`` is 2.  A chunk
+    of about ``PATH_CHUNK`` normals is one ``gen.standard_normal`` call, whose
+    C-order fill is the order of one draw per step, so the draws are bitwise
+    those of a per-step loop.  One helper thread draws the next chunk while
+    the caller works on the current one (numpy fills without the GIL); one
+    chunk, or a process that may run on one CPU only, is drawn inline.  No
+    draw goes past step ``K``, and the helper is joined once the steps are
+    out or the generator is closed, so the caller may draw from ``gen`` again."""
+    c = max(1, PATH_CHUNK // math.prod(shape))
+    chunks = (gen.standard_normal((min(c, K - k), *shape)) for k in range(0, K, c))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    if K <= c or len(cpus) == 1:
+        for chunk in chunks:
+            yield from chunk
+        return
+
+    box, stop = [], []
+    go, done = threading.Lock(), threading.Lock()  # released by the other thread: the hand-over
+    go.acquire()
+    done.acquire()
+
+    def ahead():  # the helper: one chunk per `go`, until stopped
+        while go.acquire() and not stop:
+            try:
+                box.append(next(chunks, None))
+            except BaseException as exc:  # raised again on the caller's thread
+                box.append(exc)
+            done.release()
+
+    chunk = next(chunks)
+    helper = threading.Thread(target=ahead, name="harnacklab-step-normals", daemon=True)
+    helper.start()
+    try:
+        while chunk is not None:
+            go.release()
+            yield from chunk
+            done.acquire()
+            chunk = box.pop()
+            if isinstance(chunk, BaseException):
+                raise chunk
+    finally:
+        stop.append(True)
+        if go.locked():  # only this thread releases `go`, so the test holds
+            go.release()
+        helper.join()
+
+
 def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
     """The one path loop: ``K`` exact grid steps of the stochastic convolution
     from ``S`` stacked starts ``(S, d)``, weighted by a drift shift.  At each
@@ -516,9 +576,11 @@ def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
     f(X_t)]`` keeps its mean and cannot gain variance (Casella & Robert
     1996).  With ``full_weight`` it also gains ``u . zeta - |u|^2 / 2``, ``u =
     U psi``, and the weight is ``rho`` in law, for estimands of the weight
-    itself.  Every start shares the draws (common random numbers).  Yields
-    ``(generator, convolution (size, d), log_weights (S, size))`` per
-    ``(generator, size)`` block, the generator past the path's draws."""
+    itself.  Every start shares the draws (common random numbers).  The step
+    normals come from `_step_normals`, a chunk ahead on a helper thread, in
+    the order of one draw per step.  Yields ``(generator, convolution (size,
+    d), log_weights (S, size))`` per ``(generator, size)`` block, the
+    generator past the path's draws and no helper left running."""
     n_starts, d = starts.shape
     delta = _grid_step(t, K)
     step = _step_sampler(model, delta)
@@ -532,16 +594,16 @@ def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
     for gen, size in blocks:
         conv = np.zeros((size, d))
         log_rho = np.zeros((n_starts, size))
-        for k in range(K):
-            shift = psi(k, conv + mean_path[k])
-            z = gen.standard_normal((size, d))
-            rows = shift.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
-            v = np.dot(rows, step.whiten_t).reshape(shift.shape)
-            log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
-            if full_weight:
-                u = np.dot(rows, step.residual_t).reshape(shift.shape)
-                log_rho += np.einsum("sij,sij->si", u, gen.standard_normal((size, d)) - 0.5 * u)
-            conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
+        with closing(_step_normals(gen, K, (1 + full_weight, size, d))) as normals:
+            for k, (z, *zeta) in enumerate(normals):
+                shift = psi(k, conv + mean_path[k])
+                rows = shift.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
+                v = np.dot(rows, step.whiten_t).reshape(shift.shape)
+                log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
+                if full_weight:
+                    u = np.dot(rows, step.residual_t).reshape(shift.shape)
+                    log_rho += np.einsum("sij,sij->si", u, zeta[0] - 0.5 * u)
+                conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
         yield gen, conv, log_rho
 
 

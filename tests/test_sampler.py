@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -792,3 +795,245 @@ class TestSemilinear:
         est = hl.semilinear_estimate(scalar_model, drift_zero(1), 1.0, [0.0], ConstantObservable(1.0), 200, 16, 0)
         assert grids == [16]
         assert est.mean == pytest.approx(2.0, rel=1e-15) and est.n == 200
+
+
+def reference_paths(model, t, starts, K, psi, blocks, full_weight):
+    """`sampler._weighted_paths` as one thread draws it: one ``standard_normal``
+    call per step for ``z_k``, then one for ``zeta_k``."""
+    n_starts, d = starts.shape
+    step = sampler._step_sampler(model, t / K)
+    mean_path = np.empty((K, n_starts, 1, d))
+    mean_path[0, :, 0] = starts
+    for k in range(1, K):
+        mean_path[k] = np.dot(mean_path[k - 1], step.propagator_t)
+    for gen, size in blocks:
+        conv = np.zeros((size, d))
+        log_rho = np.zeros((n_starts, size))
+        for k in range(K):
+            shift = psi(k, conv + mean_path[k])
+            z = gen.standard_normal((size, d))
+            rows = shift.reshape(-1, d)
+            v = np.dot(rows, step.whiten_t).reshape(shift.shape)
+            log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
+            if full_weight:
+                u = np.dot(rows, step.residual_t).reshape(shift.shape)
+                log_rho += np.einsum("sij,sij->si", u, gen.standard_normal((size, d)) - 0.5 * u)
+            conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
+        yield gen, conv, log_rho
+
+
+def set_cpus(monkeypatch, cpus):
+    """Let the process see ``cpus`` as its CPU affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
+def against_reference(monkeypatch, call):
+    """``call()`` through `reference_paths`, then through the path loop."""
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_weighted_paths", reference_paths)
+        want = call()
+    return want, call()
+
+
+def _plane_model(d):
+    """A stable non-normal drift with correlated full-rank noise."""
+    rng = np.random.default_rng(40 + d)
+    return OuLevyModel(drift_matrix=make_stable(rng, d), noise_cov=make_psd(rng, d, ridge=0.5))
+
+
+def _chunk_steps(which, c):
+    return {"1": 1, "c-1": c - 1, "c": c, "2c+1": 2 * c + 1}[which]
+
+
+CPUS = pytest.mark.parametrize("cpus", [(0,), (0, 1)], ids=["one_cpu", "two_cpus"])
+STEPS = pytest.mark.parametrize("steps", ["1", "c-1", "c", "2c+1"])
+
+
+class TestStepNormalsLookAhead:
+    """The path loop draws its step normals a chunk of ``c`` steps at a time,
+    the next chunk on a helper thread unless the process may run on one CPU
+    only: every estimate is bitwise that of the one-draw-per-step reference
+    loop, and no helper outlives its block."""
+
+    N = 300  # one block of 300 replicates
+
+    @CPUS
+    @STEPS
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    def test_semilinear_values(self, monkeypatch, cpus, steps, d, n_starts):
+        from harnacklab.testfuncs import drift_clipped_linear
+
+        set_cpus(monkeypatch, cpus)
+        m = _plane_model(d)
+        spec = drift_clipped_linear(m, 0.4)
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (self.N * d))
+        starts = [np.linspace(-0.3, 0.4, d) * (s + 1) for s in range(n_starts)]
+        fs = [ExpObservable(np.full(d, 0.3))] * n_starts
+        want, got = against_reference(monkeypatch, lambda: list(
+            sampler.semilinear_values(m, spec, 0.8, starts, fs, self.N, K, 11)))
+        assert len(want) == len(got) == 1 and np.array_equal(want[0], got[0])
+
+    @CPUS
+    @STEPS
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rho_moments(self, monkeypatch, cpus, steps, d):
+        from harnacklab.testfuncs import drift_clipped_linear
+
+        set_cpus(monkeypatch, cpus)
+        m = _plane_model(d)
+        spec = drift_clipped_linear(m, 0.4)
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
+        want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
+            m, spec, 0.8, np.full(d, 0.2), [2.0, -0.5], self.N, K, 12))
+        assert want == got
+
+    @CPUS
+    @STEPS
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_girsanov_functionals(self, monkeypatch, cpus, steps, d):
+        set_cpus(monkeypatch, cpus)
+        m = _plane_model(d)
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
+        funcs = {"rho": np.exp, "log_rho": lambda lr: lr}
+        want, got = against_reference(monkeypatch, lambda: girsanov_functional_estimates(
+            m, 0.8, np.full((1, d), 0.5), K, self.N, 13, funcs))
+        assert want == got
+
+    @CPUS
+    def test_blocks_of_two_sizes(self, monkeypatch, cpus):
+        """5000 replicates are blocks of 4096 and 904, so ``c`` is 4 steps in
+        the first and 18 in the second."""
+        from harnacklab.testfuncs import drift_clipped_linear
+
+        set_cpus(monkeypatch, cpus)
+        m = _plane_model(1)
+        spec = drift_clipped_linear(m, 0.4)
+        want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
+            m, spec, 0.8, [0.2], [2.0], 5000, 41, 14))
+        assert want == got
+
+    @CPUS
+    @STEPS
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_one_replicate_coupled_pair(self, monkeypatch, cpus, steps, d):
+        """`sample_coupled_pair` draws a block of one replicate; with a chunk
+        of ``8 d`` normals, ``c`` is 4 steps.  The driftless model keeps the
+        null control exact on every grid."""
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sampler, "PATH_CHUNK", 8 * d)
+        m = OuLevyModel(drift_matrix=np.zeros((d, d)), noise_cov=make_psd(np.random.default_rng(d), d, ridge=0.5))
+        K = _chunk_steps(steps, 4)
+        want, got = against_reference(monkeypatch, lambda: hl.sample_coupled_pair(
+            m, 0.8, np.full(d, 0.4), np.zeros(d), K, RngStream(15, 0)))
+        assert np.array_equal(want[0], got[0]) and want[1] == got[1]
+
+    @CPUS
+    def test_coupled_pair_jumps_follow_the_path_draws(self, monkeypatch, cpus):
+        """The jumps are drawn from each block's generator after the path, so
+        equal endpoints prove the generator stands exactly past the path's
+        draws when the jumps are drawn: ``c`` is 2 steps in the first block
+        (4096 replicates) and 9 in the second (904), over 32 steps."""
+        set_cpus(monkeypatch, cpus)
+        m = OuLevyModel(drift_matrix=[[-1.0, 0.3], [0.0, -2.0]], noise_cov=np.eye(2),
+                        jump=hl.CompoundPoissonSpec(rate=2.0, atoms=[[1.0, 0.5], [-0.3, 0.2]]))
+        want, got = against_reference(monkeypatch, lambda: list(sampler._coupled_blocks(
+            m, 1.0, [0.3, 0.1], [0.0, 0.0], 32, sampler._stream_blocks(16, 5000))))
+        assert len(want) == len(got) == 2
+        for (ends_w, lr_w, sq_w), (ends_g, lr_g, sq_g) in zip(want, got):
+            assert np.array_equal(ends_w, ends_g) and np.array_equal(lr_w, lr_g) and sq_w == sq_g
+
+    def test_drift_range_error_mid_path_leaves_no_thread(self, monkeypatch):
+        """The model of `test_drift_leaving_the_range_mid_path_aborts`, with
+        5000 replicates so that 8 steps are two chunks: the error still
+        propagates, and the helper that was running is joined."""
+        set_cpus(monkeypatch, (0, 1))
+        before, seen = threading.active_count(), []
+
+        def drift(pts):
+            seen.append(threading.active_count())
+            return np.stack([np.zeros(len(pts)), pts[:, 0]], axis=1)
+
+        m = OuLevyModel(drift_matrix=np.diag([-1.0, -1.0]), noise_cov=np.diag([1.0, 0.0]))
+        spec = hl.SemilinearSpec(drift_fn=drift, k1=1.0, k2=1.0)
+        with pytest.raises(sampler.DriftRangeError, match="range"):
+            hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 5000, 8, 0)
+        assert seen == [before + 1, before + 1]  # a helper ran while the path was drawn
+        assert threading.active_count() == before
+
+    def test_closed_generators_leave_no_thread(self, monkeypatch, scalar_model):
+        set_cpus(monkeypatch, (0, 1))
+        before = threading.active_count()
+        paths = sampler._weighted_paths(scalar_model, 0.8, np.zeros((1, 1)), 40,
+                                        lambda k, states: np.zeros(states.shape), sampler._stream_blocks(1, 9000), True)
+        next(paths)
+        assert threading.active_count() == before
+        paths.close()
+        assert threading.active_count() == before
+        steps = sampler._step_normals(RngStream(1, 0).generator(), 40, (2, 4096, 1))  # 10 chunks of 4 steps
+        next(steps)
+        assert threading.active_count() == before + 1
+        steps.close()
+        assert threading.active_count() == before
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        set_cpus(monkeypatch, (3,))
+        before = threading.active_count()
+        steps = sampler._step_normals(RngStream(1, 0).generator(), 40, (2, 4096, 1))
+        next(steps)
+        assert threading.active_count() == before
+        steps.close()
+
+    def test_a_failed_draw_is_raised_on_the_loop_thread(self, monkeypatch):
+        set_cpus(monkeypatch, (0, 1))
+        before = threading.active_count()
+
+        class FailsSecond:
+            def __init__(self):
+                self.calls = 0
+
+            def standard_normal(self, shape):
+                self.calls += 1
+                if self.calls == 2:
+                    raise MemoryError("no room for the chunk")
+                return np.zeros(shape)
+
+        steps = sampler._step_normals(FailsSecond(), 40, (2, 4096, 1))
+        with pytest.raises(MemoryError, match="no room"):
+            for _ in steps:
+                pass
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_keep_their_bits(self, monkeypatch, scalar_model):
+        """Four callers at once, each with its own helper, on a switch interval
+        of 1 us: each gets the reference bits."""
+        from harnacklab.testfuncs import drift_scaled_sine
+
+        set_cpus(monkeypatch, (0, 1))
+        spec = drift_scaled_sine(scalar_model, 0.3)
+        f = ExpObservable([0.3])
+
+        def values(seed):
+            return np.concatenate(list(sampler.semilinear_values(scalar_model, spec, 0.8, [[0.2]], [f], 5000, 24, seed)),
+                                  axis=1)
+
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_weighted_paths", reference_paths)
+            want = [values(seed) for seed in range(4)]
+        got = [None] * 4
+
+        def run(i):
+            got[i] = values(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for th in callers:
+                th.start()
+            for th in callers:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in callers)
+        assert all(g is not None and np.array_equal(w, g) for w, g in zip(want, got))
