@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -522,48 +521,26 @@ def _step_normals(gen, K, shape):
     d)`` array per step: ``z_k``, then ``zeta_k`` when ``m`` is 2.  A chunk
     of about ``PATH_CHUNK`` normals is one ``gen.standard_normal`` call, whose
     C-order fill is the order of one draw per step, so the draws are bitwise
-    those of a per-step loop.  One helper thread draws the next chunk while
-    the caller works on the current one (numpy fills without the GIL); one
-    chunk, or a process that may run on one CPU only, is drawn inline.  No
-    draw goes past step ``K``, and the helper is joined once the steps are
-    out or the generator is closed, so the caller may draw from ``gen`` again."""
+    those of a per-step loop.  One worker thread draws the next chunk while
+    the caller works on the current one (numpy fills without the GIL); a
+    single chunk, or a process that may run on one CPU only, is drawn inline.
+    No draw goes past step ``K``, a failed draw is raised on the caller's
+    thread, and the worker is joined once the steps are out or the generator
+    is closed, so the caller may draw from ``gen`` again."""
+    from concurrent.futures import ThreadPoolExecutor  # on the first path, not at import
+
     c = max(1, PATH_CHUNK // math.prod(shape))
     chunks = (gen.standard_normal((min(c, K - k), *shape)) for k in range(0, K, c))
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
-    if K <= c or len(cpus) == 1:
-        for chunk in chunks:
+    if K <= c or hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) == 1:
+        for chunk in chunks:  # nothing to overlap: a worker on one CPU only costs its hand-offs
             yield from chunk
         return
-
-    box, stop = [], []
-    go, done = threading.Lock(), threading.Lock()  # released by the other thread: the hand-over
-    go.acquire()
-    done.acquire()
-
-    def ahead():  # the helper: one chunk per `go`, until stopped
-        while go.acquire() and not stop:
-            try:
-                box.append(next(chunks, None))
-            except BaseException as exc:  # raised again on the caller's thread
-                box.append(exc)
-            done.release()
-
     chunk = next(chunks)
-    helper = threading.Thread(target=ahead, name="harnacklab-step-normals", daemon=True)
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="harnacklab-step-normals") as pool:
         while chunk is not None:
-            go.release()
+            ahead = pool.submit(next, chunks, None)
             yield from chunk
-            done.acquire()
-            chunk = box.pop()
-            if isinstance(chunk, BaseException):
-                raise chunk
-    finally:
-        stop.append(True)
-        if go.locked():  # only this thread releases `go`, so the test holds
-            go.release()
-        helper.join()
+            chunk = ahead.result()
 
 
 def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):

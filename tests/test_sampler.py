@@ -822,11 +822,6 @@ def reference_paths(model, t, starts, K, psi, blocks, full_weight):
         yield gen, conv, log_rho
 
 
-def set_cpus(monkeypatch, cpus):
-    """Let the process see ``cpus`` as its CPU affinity."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-
-
 def against_reference(monkeypatch, call):
     """``call()`` through `reference_paths`, then through the path loop."""
     with monkeypatch.context() as m:
@@ -845,26 +840,28 @@ def _chunk_steps(which, c):
     return {"1": 1, "c-1": c - 1, "c": c, "2c+1": 2 * c + 1}[which]
 
 
-CPUS = pytest.mark.parametrize("cpus", [(0,), (0, 1)], ids=["one_cpu", "two_cpus"])
 STEPS = pytest.mark.parametrize("steps", ["1", "c-1", "c", "2c+1"])
 
 
 class TestStepNormalsLookAhead:
     """The path loop draws its step normals a chunk of ``c`` steps at a time,
-    the next chunk on a helper thread unless the process may run on one CPU
-    only: every estimate is bitwise that of the one-draw-per-step reference
-    loop, and no helper outlives its block."""
+    the next chunk on a helper thread: every estimate is bitwise that of the
+    one-draw-per-step reference loop, and no helper outlives its block."""
 
     N = 300  # one block of 300 replicates
 
-    @CPUS
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Let the process see two CPUs, so the worker runs whatever the
+        host's affinity."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("n_starts", [1, 2])
-    def test_semilinear_values(self, monkeypatch, cpus, steps, d, n_starts):
+    def test_semilinear_values(self, monkeypatch, steps, d, n_starts):
         from harnacklab.testfuncs import drift_clipped_linear
 
-        set_cpus(monkeypatch, cpus)
         m = _plane_model(d)
         spec = drift_clipped_linear(m, 0.4)
         K = _chunk_steps(steps, sampler.PATH_CHUNK // (self.N * d))
@@ -874,13 +871,11 @@ class TestStepNormalsLookAhead:
             sampler.semilinear_values(m, spec, 0.8, starts, fs, self.N, K, 11)))
         assert len(want) == len(got) == 1 and np.array_equal(want[0], got[0])
 
-    @CPUS
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])
-    def test_rho_moments(self, monkeypatch, cpus, steps, d):
+    def test_rho_moments(self, monkeypatch, steps, d):
         from harnacklab.testfuncs import drift_clipped_linear
 
-        set_cpus(monkeypatch, cpus)
         m = _plane_model(d)
         spec = drift_clipped_linear(m, 0.4)
         K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
@@ -888,11 +883,9 @@ class TestStepNormalsLookAhead:
             m, spec, 0.8, np.full(d, 0.2), [2.0, -0.5], self.N, K, 12))
         assert want == got
 
-    @CPUS
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])
-    def test_girsanov_functionals(self, monkeypatch, cpus, steps, d):
-        set_cpus(monkeypatch, cpus)
+    def test_girsanov_functionals(self, monkeypatch, steps, d):
         m = _plane_model(d)
         K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
         funcs = {"rho": np.exp, "log_rho": lambda lr: lr}
@@ -900,27 +893,23 @@ class TestStepNormalsLookAhead:
             m, 0.8, np.full((1, d), 0.5), K, self.N, 13, funcs))
         assert want == got
 
-    @CPUS
-    def test_blocks_of_two_sizes(self, monkeypatch, cpus):
+    def test_blocks_of_two_sizes(self, monkeypatch):
         """5000 replicates are blocks of 4096 and 904, so ``c`` is 4 steps in
         the first and 18 in the second."""
         from harnacklab.testfuncs import drift_clipped_linear
 
-        set_cpus(monkeypatch, cpus)
         m = _plane_model(1)
         spec = drift_clipped_linear(m, 0.4)
         want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
             m, spec, 0.8, [0.2], [2.0], 5000, 41, 14))
         assert want == got
 
-    @CPUS
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])
-    def test_one_replicate_coupled_pair(self, monkeypatch, cpus, steps, d):
+    def test_one_replicate_coupled_pair(self, monkeypatch, steps, d):
         """`sample_coupled_pair` draws a block of one replicate; with a chunk
         of ``8 d`` normals, ``c`` is 4 steps.  The driftless model keeps the
         null control exact on every grid."""
-        set_cpus(monkeypatch, cpus)
         monkeypatch.setattr(sampler, "PATH_CHUNK", 8 * d)
         m = OuLevyModel(drift_matrix=np.zeros((d, d)), noise_cov=make_psd(np.random.default_rng(d), d, ridge=0.5))
         K = _chunk_steps(steps, 4)
@@ -928,13 +917,11 @@ class TestStepNormalsLookAhead:
             m, 0.8, np.full(d, 0.4), np.zeros(d), K, RngStream(15, 0)))
         assert np.array_equal(want[0], got[0]) and want[1] == got[1]
 
-    @CPUS
-    def test_coupled_pair_jumps_follow_the_path_draws(self, monkeypatch, cpus):
+    def test_coupled_pair_jumps_follow_the_path_draws(self, monkeypatch):
         """The jumps are drawn from each block's generator after the path, so
         equal endpoints prove the generator stands exactly past the path's
         draws when the jumps are drawn: ``c`` is 2 steps in the first block
         (4096 replicates) and 9 in the second (904), over 32 steps."""
-        set_cpus(monkeypatch, cpus)
         m = OuLevyModel(drift_matrix=[[-1.0, 0.3], [0.0, -2.0]], noise_cov=np.eye(2),
                         jump=hl.CompoundPoissonSpec(rate=2.0, atoms=[[1.0, 0.5], [-0.3, 0.2]]))
         want, got = against_reference(monkeypatch, lambda: list(sampler._coupled_blocks(
@@ -947,7 +934,6 @@ class TestStepNormalsLookAhead:
         """The model of `test_drift_leaving_the_range_mid_path_aborts`, with
         5000 replicates so that 8 steps are two chunks: the error still
         propagates, and the helper that was running is joined."""
-        set_cpus(monkeypatch, (0, 1))
         before, seen = threading.active_count(), []
 
         def drift(pts):
@@ -962,7 +948,6 @@ class TestStepNormalsLookAhead:
         assert threading.active_count() == before
 
     def test_closed_generators_leave_no_thread(self, monkeypatch, scalar_model):
-        set_cpus(monkeypatch, (0, 1))
         before = threading.active_count()
         paths = sampler._weighted_paths(scalar_model, 0.8, np.zeros((1, 1)), 40,
                                         lambda k, states: np.zeros(states.shape), sampler._stream_blocks(1, 9000), True)
@@ -976,16 +961,21 @@ class TestStepNormalsLookAhead:
         steps.close()
         assert threading.active_count() == before
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        set_cpus(monkeypatch, (3,))
+    def test_one_cpu_draws_inline(self, monkeypatch):
+        """A process that may run on one CPU only draws every chunk inline (here
+        9 steps in chunks of 4): the bits of one draw per step, and no thread."""
+        shape, K = (2, 4096, 1), 9
+        gen = RngStream(1, 0).generator()
+        want = [gen.standard_normal(shape) for _ in range(K)]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         before = threading.active_count()
-        steps = sampler._step_normals(RngStream(1, 0).generator(), 40, (2, 4096, 1))
-        next(steps)
+        normals = sampler._step_normals(RngStream(1, 0).generator(), K, shape)
+        got = [next(normals)]
         assert threading.active_count() == before
-        steps.close()
+        got += normals
+        assert len(got) == K and all(np.array_equal(w, g) for w, g in zip(want, got))
 
     def test_a_failed_draw_is_raised_on_the_loop_thread(self, monkeypatch):
-        set_cpus(monkeypatch, (0, 1))
         before = threading.active_count()
 
         class FailsSecond:
@@ -1009,7 +999,6 @@ class TestStepNormalsLookAhead:
         of 1 us: each gets the reference bits."""
         from harnacklab.testfuncs import drift_scaled_sine
 
-        set_cpus(monkeypatch, (0, 1))
         spec = drift_scaled_sine(scalar_model, 0.3)
         f = ExpObservable([0.3])
 
