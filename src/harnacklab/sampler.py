@@ -16,9 +16,8 @@ previsible integrands.  The coupled pair, the Girsanov functionals and the
 perturbed-drift estimators step through one path loop, `_weighted_paths`,
 and differ only in the drift shift whose weight it accumulates: the null
 control, a fixed control, or ``R^{-1/2} F`` along the path.  A step draws
-``d`` normals per replicate for the innovation; an estimate of ``E[rho
-f(X_t)]`` takes the weight's mean given the innovations (Rao-Blackwell), and
-the other estimators draw ``d`` more for the full weight.
+``d`` normals per replicate; an estimate of ``E[rho f(X_t)]`` takes the
+weight's mean given them (Rao-Blackwell); the full weight adds one normal.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
@@ -31,11 +30,9 @@ of `_stream_blocks`.  Given a check's margin, `fold` stops at the first
 block boundary where the margin is decided; the moments there are those of
 a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
-of them (common random numbers), one column per start.  The path loop takes
-its step normals a chunk of steps at a time from `_step_normals`, which
-draws the next chunk on one helper thread while the loop works on the
-current one; a chunk is filled in the order of one draw per step, so the
-draws are bitwise those of a single thread.
+of them (common random numbers), one column per start.  The path loop's
+step normals are drawn a chunk ahead on a helper thread (`_step_normals`),
+bitwise those of a single thread.
 """
 
 from __future__ import annotations
@@ -495,7 +492,7 @@ class _StepSampler:
     ``G`` are the step's propagator and Gramian, and the innovation is ``eta =
     G^{1/2} z``, ``z`` standard normal.  With ``C = int_0^delta e^{sA} R^{1/2}
     ds``, the Brownian increment is ``dW = V' z + U zeta`` in law, ``V =
-    G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``, ``zeta`` ``d`` more normals."""
+    G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``, ``zeta`` normals never drawn."""
 
     propagator_t: np.ndarray
     innovation_t: np.ndarray
@@ -517,16 +514,16 @@ def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
 
 
 def _step_normals(gen, K, shape):
-    """The path loop's step normals for ``K`` steps, one ``shape = (m, size,
-    d)`` array per step: ``z_k``, then ``zeta_k`` when ``m`` is 2.  A chunk
-    of about ``PATH_CHUNK`` normals is one ``gen.standard_normal`` call, whose
-    C-order fill is the order of one draw per step, so the draws are bitwise
-    those of a per-step loop.  One worker thread draws the next chunk while
-    the caller works on the current one (numpy fills without the GIL); a
-    single chunk, or a process that may run on one CPU only, is drawn inline.
-    No draw goes past step ``K``, a failed draw is raised on the caller's
-    thread, and the worker is joined once the steps are out or the generator
-    is closed, so the caller may draw from ``gen`` again."""
+    """The path loop's step normals ``z_k`` for ``K`` steps, one ``shape =
+    (size, d)`` array per step.  A chunk of about ``PATH_CHUNK`` normals is
+    one ``gen.standard_normal`` call, whose C-order fill is the order of one
+    draw per step, so the draws are bitwise those of a per-step loop.  One
+    worker thread draws the next chunk while the caller works on the current
+    one (numpy fills without the GIL); a single chunk, or a process that may
+    run on one CPU only, is drawn inline.  No draw goes past step ``K``, a
+    failed draw is raised on the caller's thread, and the worker is joined
+    once the steps are out or the generator is closed, so the caller may
+    draw from ``gen`` again."""
     from concurrent.futures import ThreadPoolExecutor  # on the first path, not at import
 
     c = max(1, PATH_CHUNK // math.prod(shape))
@@ -551,16 +548,17 @@ def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
     gains ``v . z - |v|^2 / 2``, ``v = V psi`` (`_StepSampler`), which is
     ``E[exp(psi . dW_k - |psi|^2 dt / 2) | eta_k]``: an estimate of ``E[rho
     f(X_t)]`` keeps its mean and cannot gain variance (Casella & Robert
-    1996).  With ``full_weight`` it also gains ``u . zeta - |u|^2 / 2``, ``u =
-    U psi``, and the weight is ``rho`` in law, for estimands of the weight
-    itself.  Every start shares the draws (common random numbers).  The step
-    normals come from `_step_normals`, a chunk ahead on a helper thread, in
-    the order of one draw per step.  Yields ``(generator, convolution (size,
-    d), log_weights (S, size))`` per ``(generator, size)`` block, the
-    generator past the path's draws and no helper left running."""
+    1996).  The ``full_weight`` of one start, ``rho`` in law, also gains
+    ``sum_k u_k . zeta_k - |u_k|^2 / 2``, ``u = U psi``: given the ``z``,
+    ``N(-s/2, s)``, ``s = sum_k |u_k|^2``, drawn from one normal per
+    replicate after the path.  Every start shares the draws (common random
+    numbers), the step normals from `_step_normals`.  Yields ``(generator,
+    convolution (size, d), log_weights (S, size))`` per ``(generator, size)``
+    block, the generator past the path's draws and no helper left running."""
     n_starts, d = starts.shape
-    delta = _grid_step(t, K)
-    step = _step_sampler(model, delta)
+    if full_weight and n_starts != 1:
+        raise ValueError("the full weight is drawn for one start point only")
+    step = _step_sampler(model, _grid_step(t, K))
 
     # deterministic mean paths e^{t_k A} x at the left grid points, (K, S, 1, d)
     mean_path = np.empty((K, n_starts, 1, d))
@@ -570,17 +568,19 @@ def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
 
     for gen, size in blocks:
         conv = np.zeros((size, d))
-        log_rho = np.zeros((n_starts, size))
-        with closing(_step_normals(gen, K, (1 + full_weight, size, d))) as normals:
-            for k, (z, *zeta) in enumerate(normals):
+        log_rho, s = np.zeros((n_starts, size)), np.zeros((n_starts, size))
+        with closing(_step_normals(gen, K, (size, d))) as normals:
+            for k, z in enumerate(normals):
                 shift = psi(k, conv + mean_path[k])
                 rows = shift.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
                 v = np.dot(rows, step.whiten_t).reshape(shift.shape)
                 log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
                 if full_weight:
                     u = np.dot(rows, step.residual_t).reshape(shift.shape)
-                    log_rho += np.einsum("sij,sij->si", u, zeta[0] - 0.5 * u)
+                    s += np.einsum("sij,sij->si", u, u)
                 conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
+        if full_weight:
+            log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
         yield gen, conv, log_rho
 
 

@@ -724,9 +724,36 @@ class TestSemilinear:
         mean_l = hl.semilinear_estimate(m, spec, 2.0, [0.0], ConstantObservable(1.0), 100_000, 1, 6)
         assert within_sigma(mean_l.mean, mean_l.std_error, 1.0)
 
+    @pytest.mark.parametrize("K", [1, 16])
+    def test_rho_moments_of_a_constant_drift_are_lognormal(self, K):
+        """A constant drift ``b`` on a non-normal plane model with correlated
+        noise: ``log rho`` is exactly ``N(-s2 / 2, s2)``, ``s2 = t |R^{-1/2}
+        b|^2``, on any grid, so ``E rho^p = exp(p (p - 1) s2 / 2)``."""
+        m = OuLevyModel(drift_matrix=[[-1.0, 1.5], [0.0, -2.0]], noise_cov=[[1.0, 0.6], [0.6, 0.8]])
+        b, t = np.array([0.4, -0.3]), 0.8
+        sig2 = t * float(np.sum(m.noise_sqrt().apply_pinv_sqrt(b) ** 2))
+        est = sampler.semilinear_rho_moments(m, drift_constant(m, b), t, [0.3, -0.2], [2.0, -0.5], 40_000, K, 21)
+        for p, e in est.items():
+            assert within_sigma(e.mean, e.std_error, math.exp(p * (p - 1.0) * sig2 / 2.0))
+
+    def test_full_weight_has_mean_one(self, nonnormal_model):
+        from harnacklab.testfuncs import drift_scaled_sine
+
+        spec = drift_scaled_sine(nonnormal_model, 0.5)
+        est = sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [1.0], 40_000, 32, 22)[1.0]
+        assert within_sigma(est.mean, est.std_error, 1.0)
+
+    def test_full_weight_takes_one_start(self, scalar_model):
+        """One normal per replicate carries every start's full weight only if
+        there is one start: several would share it, wrongly correlated."""
+        paths = sampler._weighted_paths(scalar_model, 0.8, np.zeros((2, 1)), 8,
+                                        lambda k, states: np.zeros(states.shape), sampler._stream_blocks(1, 200), True)
+        with pytest.raises(ValueError, match="one start"):
+            next(paths)
+
     def test_normals_per_step_and_dimension(self, monkeypatch, nonnormal_model):
         """An endpoint estimator draws d normals per step and replicate, shared
-        by every start; a moment of the weight draws 2 d."""
+        by every start; a moment of the weight draws one more per replicate."""
         from harnacklab.testfuncs import drift_clipped_linear
 
         drawn = count_normals(monkeypatch)
@@ -737,7 +764,7 @@ class TestSemilinear:
         assert sum(drawn) == K * n * d
         drawn.clear()
         sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [2.0], n, K, 2)
-        assert sum(drawn) == 2 * K * n * d
+        assert sum(drawn) == K * n * d + n
 
     def test_out_of_range_drift_aborts(self):
         from harnacklab.model import SemilinearSpec
@@ -799,7 +826,9 @@ class TestSemilinear:
 
 def reference_paths(model, t, starts, K, psi, blocks, full_weight):
     """`sampler._weighted_paths` as one thread draws it: one ``standard_normal``
-    call per step for ``z_k``, then one for ``zeta_k``."""
+    call per step for ``z_k``, and for the full weight one normal ``xi`` per
+    replicate after the last step, which adds ``sqrt(s) xi - s / 2``, ``s``
+    the sum of the steps' ``|u_k|^2``."""
     n_starts, d = starts.shape
     step = sampler._step_sampler(model, t / K)
     mean_path = np.empty((K, n_starts, 1, d))
@@ -808,7 +837,7 @@ def reference_paths(model, t, starts, K, psi, blocks, full_weight):
         mean_path[k] = np.dot(mean_path[k - 1], step.propagator_t)
     for gen, size in blocks:
         conv = np.zeros((size, d))
-        log_rho = np.zeros((n_starts, size))
+        log_rho, s = np.zeros((n_starts, size)), np.zeros((n_starts, size))
         for k in range(K):
             shift = psi(k, conv + mean_path[k])
             z = gen.standard_normal((size, d))
@@ -817,8 +846,10 @@ def reference_paths(model, t, starts, K, psi, blocks, full_weight):
             log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
             if full_weight:
                 u = np.dot(rows, step.residual_t).reshape(shift.shape)
-                log_rho += np.einsum("sij,sij->si", u, gen.standard_normal((size, d)) - 0.5 * u)
+                s += np.einsum("sij,sij->si", u, u)
             conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
+        if full_weight:
+            log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
         yield gen, conv, log_rho
 
 
@@ -878,7 +909,7 @@ class TestStepNormalsLookAhead:
 
         m = _plane_model(d)
         spec = drift_clipped_linear(m, 0.4)
-        K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (self.N * d))
         want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
             m, spec, 0.8, np.full(d, 0.2), [2.0, -0.5], self.N, K, 12))
         assert want == got
@@ -887,15 +918,15 @@ class TestStepNormalsLookAhead:
     @pytest.mark.parametrize("d", [1, 3])
     def test_girsanov_functionals(self, monkeypatch, steps, d):
         m = _plane_model(d)
-        K = _chunk_steps(steps, sampler.PATH_CHUNK // (2 * self.N * d))
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (self.N * d))
         funcs = {"rho": np.exp, "log_rho": lambda lr: lr}
         want, got = against_reference(monkeypatch, lambda: girsanov_functional_estimates(
             m, 0.8, np.full((1, d), 0.5), K, self.N, 13, funcs))
         assert want == got
 
     def test_blocks_of_two_sizes(self, monkeypatch):
-        """5000 replicates are blocks of 4096 and 904, so ``c`` is 4 steps in
-        the first and 18 in the second."""
+        """5000 replicates are blocks of 4096 and 904, so ``c`` is 8 steps in
+        the first and 36 in the second."""
         from harnacklab.testfuncs import drift_clipped_linear
 
         m = _plane_model(1)
@@ -908,9 +939,9 @@ class TestStepNormalsLookAhead:
     @pytest.mark.parametrize("d", [1, 3])
     def test_one_replicate_coupled_pair(self, monkeypatch, steps, d):
         """`sample_coupled_pair` draws a block of one replicate; with a chunk
-        of ``8 d`` normals, ``c`` is 4 steps.  The driftless model keeps the
+        of ``4 d`` normals, ``c`` is 4 steps.  The driftless model keeps the
         null control exact on every grid."""
-        monkeypatch.setattr(sampler, "PATH_CHUNK", 8 * d)
+        monkeypatch.setattr(sampler, "PATH_CHUNK", 4 * d)
         m = OuLevyModel(drift_matrix=np.zeros((d, d)), noise_cov=make_psd(np.random.default_rng(d), d, ridge=0.5))
         K = _chunk_steps(steps, 4)
         want, got = against_reference(monkeypatch, lambda: hl.sample_coupled_pair(
@@ -920,8 +951,8 @@ class TestStepNormalsLookAhead:
     def test_coupled_pair_jumps_follow_the_path_draws(self, monkeypatch):
         """The jumps are drawn from each block's generator after the path, so
         equal endpoints prove the generator stands exactly past the path's
-        draws when the jumps are drawn: ``c`` is 2 steps in the first block
-        (4096 replicates) and 9 in the second (904), over 32 steps."""
+        draws when the jumps are drawn: ``c`` is 4 steps in the first block
+        (4096 replicates) and 18 in the second (904), over 32 steps."""
         m = OuLevyModel(drift_matrix=[[-1.0, 0.3], [0.0, -2.0]], noise_cov=np.eye(2),
                         jump=hl.CompoundPoissonSpec(rate=2.0, atoms=[[1.0, 0.5], [-0.3, 0.2]]))
         want, got = against_reference(monkeypatch, lambda: list(sampler._coupled_blocks(
@@ -955,7 +986,7 @@ class TestStepNormalsLookAhead:
         assert threading.active_count() == before
         paths.close()
         assert threading.active_count() == before
-        steps = sampler._step_normals(RngStream(1, 0).generator(), 40, (2, 4096, 1))  # 10 chunks of 4 steps
+        steps = sampler._step_normals(RngStream(1, 0).generator(), 40, (8192, 1))  # 10 chunks of 4 steps
         next(steps)
         assert threading.active_count() == before + 1
         steps.close()
@@ -964,7 +995,7 @@ class TestStepNormalsLookAhead:
     def test_one_cpu_draws_inline(self, monkeypatch):
         """A process that may run on one CPU only draws every chunk inline (here
         9 steps in chunks of 4): the bits of one draw per step, and no thread."""
-        shape, K = (2, 4096, 1), 9
+        shape, K = (8192, 1), 9
         gen = RngStream(1, 0).generator()
         want = [gen.standard_normal(shape) for _ in range(K)]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -988,7 +1019,7 @@ class TestStepNormalsLookAhead:
                     raise MemoryError("no room for the chunk")
                 return np.zeros(shape)
 
-        steps = sampler._step_normals(FailsSecond(), 40, (2, 4096, 1))
+        steps = sampler._step_normals(FailsSecond(), 40, (8192, 1))
         with pytest.raises(MemoryError, match="no room"):
             for _ in steps:
                 pass

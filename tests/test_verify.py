@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.integrate
 import scipy.linalg
 
 import harnacklab as hl
-from harnacklab import OuLevyModel, analytic, verify
+from harnacklab import OuLevyModel, analytic, control, verify
 from harnacklab.analytic import GaussianMeasure
 from harnacklab.model import HFunction
 from harnacklab.testfuncs import (
@@ -19,7 +20,7 @@ from harnacklab.testfuncs import (
     drift_scaled_sine,
     drift_zero,
 )
-from oracles import make_psd, make_stable
+from oracles import hard_drift, make_psd, make_stable
 
 PASS = verify.PASS_VERDICTS
 
@@ -187,6 +188,57 @@ class TestHarnack:
             assert log_rep.verdict != verify.VIOLATED
             if harnack.verdict in PASS:
                 assert log_rep.verdict in PASS
+
+
+def _sharp_case(kind, d):
+    """A jump-free stable model with an offset, of one hard ``kind``, and the
+    exact_gamma Harnack problem at t = 0.7, alpha = 2 whose ``x - y`` has
+    energy 1; returns the model, the problem and the sharp observable
+    coefficient ``c* = G^{-1} P (x - y) / (alpha - 1)``."""
+    rng = np.random.default_rng(100 + d)
+    if kind == "singular":  # rank d - 1 noise (full at d = 1), controllable through the drift
+        a, r = make_stable(rng, d), make_psd(rng, d, rank=max(1, d - 1))
+    else:
+        a, r = hard_drift("jordan" if kind == "defective" else "stiff", d, rng), make_psd(rng, d, ridge=0.1)
+    m = OuLevyModel(drift_matrix=a, noise_cov=r, drift_offset=rng.normal(0.0, 0.3, d))
+    t, alpha = 0.7, 2.0
+    delta = rng.normal(size=d)
+    delta /= float(control.gamma_norm(m, t, delta))
+    snap = m.snapshot(t)
+    c_star = np.linalg.solve(snap.gramian, snap.propagator @ delta) / (alpha - 1.0)
+    return m, (t, 0.5 * delta, -0.5 * delta, alpha), c_star
+
+
+SHARP_CASES = pytest.mark.parametrize("kind", ["defective", "stiff", "singular"])
+SHARP_DIMS = pytest.mark.parametrize("d", [1, 3, 10])
+
+
+class TestHarnackSharpness:
+    """The Gaussian Harnack bound is sharp: for ``f = exp(<c, .>)`` the
+    exact_gamma margin is zero at ``c*`` and positive elsewhere, so a bound
+    off by a relative 1e-6 changes the verdict at ``c*``."""
+
+    @SHARP_CASES
+    @SHARP_DIMS
+    def test_equality_at_the_sharp_observable_only(self, kind, d):
+        m, (t, x, y, alpha), c_star = _sharp_case(kind, d)
+        verdicts = [verify.check_harnack(m, t, x, y, alpha, ExpObservable(s * c_star), n=200).verdict
+                    for s in (1.0, 0.7, 1.3)]
+        assert verdicts == [verify.HOLDS_EQUALITY, verify.HOLDS, verify.HOLDS]
+
+    @SHARP_CASES
+    @SHARP_DIMS
+    @pytest.mark.parametrize("factor, verdict", [(1.0 - 1e-6, verify.VIOLATED), (1.0 + 1e-6, verify.HOLDS)])
+    def test_a_constant_off_by_1e_6_moves_the_verdict(self, monkeypatch, kind, d, factor, verdict):
+        m, (t, x, y, alpha), c_star = _sharp_case(kind, d)
+        exact = control.gamma_norm
+
+        def scaled(*args):
+            norm = exact(*args)
+            return dataclasses.replace(norm, value=norm.value * factor)
+
+        monkeypatch.setattr(control, "gamma_norm", scaled)
+        assert verify.check_harnack(m, t, x, y, alpha, ExpObservable(c_star), n=200).verdict == verdict
 
 
 class TestSharedNoise:
