@@ -10,7 +10,6 @@ from .model import (
     OuLevyModel,
     SemilinearSpec,
     build_adjoint,
-    check_assumption_A_sufficient,
     verify_h_condition,
 )
 from .sampler import (
@@ -20,9 +19,7 @@ from .sampler import (
     estimate_semigroup,
     girsanov_weight,
     sample_coupled_pair,
-    sample_ou_endpoint,
     semilinear_estimate,
-    wa_path,
 )
 from .verify import (
     CheckReport,

@@ -93,8 +93,9 @@ def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
     `linops.integrate`, and ``exp_moment`` called once per node.  The moment is
     integrated before the ``- 1``: near ``c = 0`` the difference is rounding noise
     of about 1e-16 per node, far above the rule's tolerance relative to its size.
-    Raises on a divergent exponential moment, and `linops.InterpolantError` for a
-    drift beyond the interpolant's table budget.
+    Saturates to ``inf`` past the float range, the jump moment included: an atom
+    law's moment is finite, so an ``inf`` one has only overflowed.  Raises
+    `linops.InterpolantError` for a drift beyond the interpolant's table budget.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -102,17 +103,18 @@ def mehler_exponential(model: OuLevyModel, t: float, c, x) -> float:
     log_val = float(c @ (snap.propagator @ x + snap.mean_shift) + 0.5 * c @ snap.gramian @ c)
     if model.has_jumps:
         j = model.jump
-        if j.exp_moment is None:
-            raise ValueError("jump law without exponential moment: closed form unavailable")
         interp = model.exp_interpolant(t)
 
         def moment(s: np.ndarray) -> np.ndarray:
             vals = np.array([j.exp_moment(lam) for lam in interp.apply_transpose(s, c)])
-            if not np.isfinite(vals).all():
-                raise ValueError("divergent jump exponential moment")
+            if np.isinf(vals).any():
+                raise OverflowError
             return vals
 
-        log_val += j.rate * (linops.integrate(moment, 0.0, t) - t)
+        try:
+            log_val += j.rate * (linops.integrate(moment, 0.0, t) - t)
+        except OverflowError:
+            return float("inf")
     with np.errstate(over="ignore"):  # a value past the float range is inf
         return float(np.exp(log_val))
 

@@ -3,14 +3,15 @@
 An `OuLevyModel` is the data of the linear SDE
 ``dX_t = (A X_t + a) dt + noise``, where the noise has Gaussian covariance
 rate ``R`` and, optionally, an independent compound-Poisson jump part.
-This module also hosts the decay-certificate check used by the sharpest
-inequalities, sufficient conditions for existence of an invariant law, and
-the adjoint (time-reversed) dynamics, itself an `OuLevyModel`.
+The jump part is a finite-activity law on finitely many atoms.  This module
+also hosts the decay-certificate check used by the sharpest inequalities,
+the invariant mean, and the adjoint (time-reversed) dynamics, itself an
+`OuLevyModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,45 +21,41 @@ from . import linops
 
 @dataclass(frozen=True, eq=False)
 class CompoundPoissonSpec:
-    """Finite-activity jump part: rate and jump-size law.
+    """Finite-activity jump part: a positive finite rate and a finite atom law.
 
-    The law is either a finite atom list (``atoms`` with ``probs``) or an
-    opaque ``sampler(generator, size) -> (size, d) array``.  ``exp_moment``
-    maps a vector ``c`` to ``E exp(<c, xi>)`` and is required for closed-form
-    checks; it is filled in automatically for atom laws.
+    Each jump is one of the ``atoms`` rows, drawn with ``probs`` (uniform when
+    omitted).  `exp_moment` gives ``E exp(<c, xi>)`` for the closed-form checks.
     """
 
     rate: float
-    atoms: np.ndarray | None = None
+    atoms: np.ndarray
     probs: np.ndarray | None = None
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
-    exp_moment: Callable[[np.ndarray], float] | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"jump rate must be positive, got {self.rate}")
-        if (self.atoms is None) == (self.sampler is None):
-            raise ValueError("exactly one of atoms or sampler must be given")
-        if self.atoms is not None:
-            atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-            if not np.isfinite(atoms).all():
-                raise ValueError("jump atoms must be finite vectors")
-            if self.probs is None:
-                probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
-            else:
-                probs = np.asarray(self.probs, dtype=float).reshape(-1)
-            if probs.shape[0] != atoms.shape[0]:
-                raise ValueError("atoms and probs length mismatch")
-            if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
-                raise ValueError("atom probabilities must be nonnegative and sum to 1")
-            object.__setattr__(self, "atoms", atoms)
-            object.__setattr__(self, "probs", probs)
-            if self.exp_moment is None:
-                object.__setattr__(self, "exp_moment", self._atom_exp_moment)
+        if not 0 < self.rate < np.inf:
+            raise ValueError(f"jump rate must be positive and finite, got {self.rate}")
+        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
+        if not np.isfinite(atoms).all():
+            raise ValueError("jump atoms must be finite vectors")
+        if self.probs is None:
+            probs = np.full(atoms.shape[0], 1.0 / atoms.shape[0])
+        else:
+            probs = np.asarray(self.probs, dtype=float).reshape(-1)
+        if probs.shape[0] != atoms.shape[0]:
+            raise ValueError("atoms and probs length mismatch")
+        if (probs < 0).any() or abs(probs.sum() - 1.0) > 1e-12:
+            raise ValueError("atom probabilities must be nonnegative and sum to 1")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "probs", probs)
 
-    def _atom_exp_moment(self, c) -> float:
+    def exp_moment(self, c) -> float:
+        """``E exp(<c, xi>)``, finite for an atom law: ``inf`` only past the float
+        range.  An atom of probability zero adds nothing, whatever its exponent."""
         c = np.asarray(c, dtype=float)
-        return float(self.probs @ np.exp(self.atoms @ c))
+        terms = np.zeros(len(self.probs))
+        with np.errstate(over="ignore"):
+            np.exp(self.atoms @ c, out=terms, where=self.probs > 0)
+        return float(self.probs @ terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +87,7 @@ class OuLevyModel:
         offset = np.zeros(d) if self.drift_offset is None else np.array(self.drift_offset, dtype=float).reshape(-1)
         if offset.shape[0] != d or not np.isfinite(offset).all():
             raise ValueError(f"drift offset must be a finite vector of dimension {d}")
-        if self.jump is not None and self.jump.atoms is not None and self.jump.atoms.shape[1] != d:
+        if self.jump is not None and self.jump.atoms.shape[1] != d:
             raise ValueError("jump atom dimension mismatch")
         object.__setattr__(self, "drift_matrix", linops.read_only(a))
         object.__setattr__(self, "noise_cov", linops.read_only(r))
@@ -279,51 +276,6 @@ class SemilinearSpec:
                 raise ValueError(
                     f"growth condition fails at probe {x}: {val:.6g} > {bound:.6g}"
                 )
-
-
-@dataclass(frozen=True)
-class AssumptionAReport:
-    """Sufficient-condition report for existence of an invariant law.
-
-    Checks (i) Hurwitz drift, (ii) a finite-activity jump part with finite
-    second moment, (iii) trace-class Gaussian covariance (automatic at finite
-    dimension).  The limit-existence clause of the full assumption is a
-    convergence statement, not a computable predicate, and is deliberately
-    replaced by these sufficient conditions.
-    """
-
-    stable_drift: bool
-    spectral_abscissa: float
-    jump_moment_finite: bool
-    jump_second_moment: float
-    trace_class: bool
-    note: str = field(default="invariant-law existence verified via sufficient conditions only")
-
-    @property
-    def all_pass(self) -> bool:
-        return self.stable_drift and self.jump_moment_finite and self.trace_class
-
-
-def check_assumption_A_sufficient(model: OuLevyModel) -> AssumptionAReport:
-    ab = linops.spectral_abscissa(model.drift_matrix)
-    moment = 0.0
-    finite = True
-    if model.has_jumps:
-        j = model.jump
-        if j.atoms is not None:
-            moment = float(j.probs @ np.sum(j.atoms**2, axis=1))
-        else:
-            gen = np.random.Generator(np.random.Philox(key=np.array([0xA55, 0], dtype=np.uint64)))
-            draws = np.atleast_2d(np.asarray(j.sampler(gen, 1000), dtype=float))
-            finite = bool(np.isfinite(draws).all())
-            moment = float(np.mean(np.sum(draws**2, axis=1))) if finite else float("inf")
-    return AssumptionAReport(
-        stable_drift=ab < 0,
-        spectral_abscissa=ab,
-        jump_moment_finite=finite and np.isfinite(moment),
-        jump_second_moment=moment,
-        trace_class=True,
-    )
 
 
 def invariant_mean(model: OuLevyModel) -> np.ndarray:

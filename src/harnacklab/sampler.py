@@ -8,16 +8,16 @@ needs paths.  The jump transport works in the drift's eigenbasis when its
 eigenvectors are well conditioned, and otherwise through the certified
 Chebyshev interpolant `linops.exp_interpolant` of ``e^{vA}`` on ``[0, t]``,
 built once per (model, ``t``): no matrix exponential is taken per jump.
-Path-based functionality (stochastic convolution, change-of-measure weights,
-the coupled pair, the perturbed-drift estimator) uses a fixed grid whose
-only approximation is the left-point rule in the stochastic integral of the
-weight exponent; the discrete weight is still an exact martingale for
-previsible integrands.  The coupled pair, the Girsanov functionals and the
-perturbed-drift estimators step through one path loop, `_weighted_paths`,
-and differ only in the drift shift whose weight it accumulates: the null
-control, a fixed control, or ``R^{-1/2} F`` along the path.  A step draws
-``d`` normals per replicate; an estimate of ``E[rho f(X_t)]`` takes the
-weight's mean given them (Rao-Blackwell); the full weight adds one normal.
+Path-based functionality (change-of-measure weights, the coupled pair, the
+perturbed-drift estimator) uses a fixed grid whose only approximation is the
+left-point rule in the stochastic integral of the weight exponent; the
+discrete weight is still an exact martingale for previsible integrands.  The
+coupled pair, the Girsanov functionals and the perturbed-drift estimators
+step through one path loop, `_weighted_paths`, and differ only in the drift
+shift whose weight it accumulates: the null control, a fixed control, or
+``R^{-1/2} F`` along the path.  A step draws ``d`` normals per replicate; an
+estimate of ``E[rho f(X_t)]`` takes the weight's mean given them
+(Rao-Blackwell); the full weight adds one normal.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
@@ -310,10 +310,7 @@ def _jump_block(model: OuLevyModel, t: float, gen: np.random.Generator, size: in
     if total == 0:
         return np.zeros((size, model.dim))
     ages = gen.uniform(0.0, t, size=total)
-    if j.atoms is not None:
-        sizes = np.take(j.atoms, gen.choice(j.atoms.shape[0], size=total, p=j.probs), axis=0)
-    else:
-        sizes = np.atleast_2d(np.asarray(j.sampler(gen, total), dtype=float))
+    sizes = np.take(j.atoms, gen.choice(j.atoms.shape[0], size=total, p=j.probs), axis=0)
     moved = transport.apply(ages, sizes)
     rows = np.repeat(np.arange(size), counts)
     # bincount adds in the order of ``rows`` from 0.0, bitwise as np.add.at
@@ -336,34 +333,6 @@ def _endpoint_noise_block(model: OuLevyModel, t: float, gen: np.random.Generator
     return noise
 
 
-def sample_ou_endpoint(model: OuLevyModel, t: float, x, rng: RngStream) -> np.ndarray:
-    """One exact draw of the state at time ``t`` started at ``x``.
-
-    The Gaussian part is ``N(e^{tA} x + m_t, R_t)`` via the Gramian
-    factorization; each of the ``Poisson(rate*t)`` jumps is transported by
-    the propagator over an independent uniform age.  No time grid enters.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    snap = model.snapshot(t)
-    transport = _jump_transport(model, t) if model.has_jumps else None
-    noise = _endpoint_noise_block(model, t, rng.generator(), 1, snap, transport)
-    return snap.propagator @ x + noise[0]
-
-
-def iter_endpoint_noise(model: OuLevyModel, t: float, n: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks of endpoint noise, shared across start points.
-
-    Yields ``(block, d)`` arrays of ``X_t - e^{tA} X_0`` realizations; adding
-    ``e^{tA} x`` gives endpoint samples started at ``x``.  Reusing one block
-    for several starts gives common-random-number coupling.  The blocks
-    form the ladder that starts at ``MC_FIRST_BLOCK``.
-    """
-    snap = model.snapshot(t)
-    transport = _jump_transport(model, t) if model.has_jumps else None
-    for gen, size in _stream_blocks(seed, n, MC_FIRST_BLOCK):
-        yield _endpoint_noise_block(model, t, gen, size, snap, transport)
-
-
 def endpoint_values(model: OuLevyModel, t: float, starts, fs, n: int, seed: int) -> Iterator[np.ndarray]:
     """Blocks ``(S, size)`` of ``f_s(X_t^{x_s})`` for ``S`` start points from one noise pass.
 
@@ -371,10 +340,14 @@ def endpoint_values(model: OuLevyModel, t: float, starts, fs, n: int, seed: int)
     jumps included, so every start shares every draw (common random
     numbers).  ``fs`` holds one vectorized observable per start; each
     start's endpoints are formed and evaluated before the next start's.
+    The noise blocks ``X_t - e^{tA} X_0`` form the ladder that starts at
+    ``MC_FIRST_BLOCK``.
     """
-    prop = model.snapshot(t).propagator
-    terms = [prop @ np.asarray(x, dtype=float).reshape(-1) for x in starts]
-    for noise in iter_endpoint_noise(model, t, n, seed):
+    snap = model.snapshot(t)
+    transport = _jump_transport(model, t) if model.has_jumps else None
+    terms = [snap.propagator @ np.asarray(x, dtype=float).reshape(-1) for x in starts]
+    for gen, size in _stream_blocks(seed, n, MC_FIRST_BLOCK):
+        noise = _endpoint_noise_block(model, t, gen, size, snap, transport)
         yield np.stack([eval_rows(f, term + noise) for f, term in zip(fs, terms, strict=True)])
         del noise  # not held while the next block is drawn
 
@@ -390,31 +363,8 @@ def estimate_semigroup(model: OuLevyModel, t: float, x, f: Callable, n: int, see
 
 
 # ---------------------------------------------------------------------------
-# stochastic convolution paths and change-of-measure weights
+# change-of-measure weights
 # ---------------------------------------------------------------------------
-
-
-def wa_path(model: OuLevyModel, grid, rng: RngStream) -> np.ndarray:
-    """Sample the stochastic convolution on a grid by exact recursion.
-
-    The marginal at each grid time is exactly Gaussian with the Gramian
-    covariance of the elapsed time: each step propagates the previous value
-    and adds an independent Gaussian innovation with the step Gramian.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.shape[0] < 2 or grid[0] != 0.0 or (np.diff(grid) <= 0).any():
-        raise ValueError("grid must increase strictly from 0")
-    steps = np.diff(grid)
-    uniform = grid[-1] / steps.shape[0]
-    if np.abs(steps - uniform).max() <= 4.0 * np.spacing(grid[-1]):  # uniform to rounding: one snapshot
-        steps = np.full_like(steps, uniform)
-    gen = rng.generator()
-    d = model.dim
-    out = np.zeros((grid.shape[0], d))
-    for k, step in enumerate(steps):
-        snap = model.snapshot(float(step))
-        out[k + 1] = snap.propagator @ out[k] + snap.gramian_sqrt.sqrt_matrix @ gen.standard_normal(d)
-    return out
 
 
 def girsanov_weight(model: OuLevyModel, grid, increments, u) -> GirsanovWeight:

@@ -150,12 +150,6 @@ def _power_fns(f, alpha: float):
     return checked, lambda pts: checked(pts) ** alpha
 
 
-def _closed_form_available(model: OuLevyModel, f) -> bool:
-    if not isinstance(f, ExpObservable):
-        return False
-    return not model.has_jumps or model.jump.exp_moment is not None
-
-
 def _propagated_sq_integral(model: OuLevyModel, t: float, *points: np.ndarray) -> float:
     """Sum over the points of ``int_0^t |e^{sA} x|^2 ds = x' G x``, with ``G``
     the Gramian of ``(A', I)`` at ``t``: one augmented-block expm."""
@@ -216,10 +210,10 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     squared minimum-energy norm of ``x - y``, the operator-norm variant, or
     the bound of `control.h_bound`, which certifies ``h`` first.
     A coefficient past the float range gives ``TRIVIAL_INFINITE_RHS`` before
-    any draw.  Exponential observables on models with a tractable jump
-    exponential moment are evaluated in closed form; anything else runs one
-    Monte Carlo pass whose noise serves both starts, and the margin is judged
-    by its joint standard error (``margin_se`` in the params).
+    any draw.  Exponential observables are evaluated in closed form, jumps
+    or not; anything else runs one Monte Carlo pass whose noise serves both
+    starts, and the margin is judged by its joint standard error
+    (``margin_se`` in the params).
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
@@ -234,7 +228,7 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     if math.isinf(coef):
         return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
-    if _closed_form_available(model, f):
+    if isinstance(f, ExpObservable):
         with np.errstate(over="ignore"):
             lhs = np.float64(analytic.mehler_exponential(model, t, f.c, x)) ** alpha
         rhs = coef * analytic.mehler_exponential(model, t, alpha * f.c, y)

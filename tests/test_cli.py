@@ -197,6 +197,22 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", str(out)]) == 0
         assert "TRIVIAL_INFINITE_RHS" in out.read_text()
 
+    def test_overflowing_atom_moment_saturates(self, tmp_path, recwarn):
+        # E exp(30 xi) of the one atom 30 is e^900: finite, but past the float range.
+        # Jensen, M(alpha lam) >= M(lam)^alpha, saturates the rhs with the lhs.
+        cfg = minimal_config(R=[[1.0]], seed=3, jump={"rate": 1.0, "atoms": [[30.0]]}, checks=[
+            {"kind": "harnack", "id": "h", "t": 1.0, "x": [0.5], "y": [0.0], "alpha": 2.0,
+             "f": {"kind": "exp", "c": [30.0]}}])
+        path = tmp_path / "atom_overflow.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "atom_overflow.csv"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        [row] = list(csv.DictReader(out.read_text().splitlines()))
+        assert row["verdict"] != "VIOLATED"
+        assert row["verdict"] == "TRIVIAL_INFINITE_RHS"
+        assert "growth factor exceeds the float range" in json.loads(row["param_json"])["note"]
+        assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
+
     def test_non_finite_model_number_exits_three(self, tmp_path, capsys):
         path = tmp_path / "nan_offset.json"
         path.write_text(json.dumps(minimal_config(a=[math.nan])))
@@ -851,13 +867,13 @@ def test_import_and_scenario_runs_leave_heavy_scipy_unloaded(tmp_path):
 PUBLIC_NAMES = [
     "CheckReport", "CompoundPoissonSpec", "GammaNorm", "GaussianMeasure", "GirsanovWeight", "HFunction",
     "McEstimate", "NullControl", "OuLevyModel", "PsdFactorization", "RngStream", "SemigroupSnapshot",
-    "SemilinearSpec", "analytic", "build_adjoint", "check_assumption_A_sufficient", "check_entropy_cost",
+    "SemilinearSpec", "analytic", "build_adjoint", "check_entropy_cost",
     "check_gradient_estimate", "check_harnack", "check_hwi", "check_log_harnack",
     "check_rho_moments", "check_semilinear_harnack", "control", "estimate_semigroup", "gamma_norm",
     "gamma_operator_norm", "girsanov_weight", "h_bound", "invariant_measure", "linops",
     "matrix_exponential", "min_energy_control", "model", "psd_sqrt_pinv", "sample_coupled_pair",
-    "sample_ou_endpoint", "sampler", "semilinear_estimate", "testfuncs", "verify",
-    "verify_h_condition", "wa_path", "weighted_control",
+    "sampler", "semilinear_estimate", "testfuncs", "verify",
+    "verify_h_condition", "weighted_control",
 ]
 
 

@@ -12,7 +12,6 @@ from harnacklab import (
     SemilinearSpec,
     build_adjoint,
     analytic,
-    check_assumption_A_sufficient,
     gamma_norm,
     gamma_operator_norm,
     linops,
@@ -23,20 +22,26 @@ from oracles import make_psd, make_stable
 
 
 class TestCompoundPoissonSpec:
-    def test_atom_exp_moment_autofilled(self):
+    def test_atom_exp_moment(self):
         spec = CompoundPoissonSpec(rate=2.0, atoms=[[1.0], [-1.0]])
         assert abs(spec.exp_moment(np.array([0.4])) - np.cosh(0.4)) <= 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e^800 saturates without a warning
+            assert CompoundPoissonSpec(rate=1.0, atoms=[[800.0]]).exp_moment([1.0]) == np.inf
+            null_atom = CompoundPoissonSpec(rate=1.0, atoms=[[1.0], [800.0]], probs=[1.0, 0.0])
+            assert null_atom.exp_moment([1.0]) == pytest.approx(np.e, rel=1e-15)  # adds nothing, not 0 * inf
 
     def test_bad_probs_rejected(self):
         with pytest.raises(ValueError):
             CompoundPoissonSpec(rate=1.0, atoms=[[1.0], [2.0]], probs=[0.6, 0.6])
 
     def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CompoundPoissonSpec(rate=0.0, atoms=[[1.0]])
+        for rate in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"jump rate .*, got {rate}"):
+                CompoundPoissonSpec(rate=rate, atoms=[[1.0]])
 
-    def test_atoms_xor_sampler(self):
-        with pytest.raises(ValueError):
+    def test_atoms_required(self):
+        with pytest.raises(TypeError, match="atoms"):
             CompoundPoissonSpec(rate=1.0)
 
 
@@ -138,31 +143,6 @@ class TestHFunction:
         assert h.integral_of_h(1.5) == pytest.approx(3.0, rel=1e-15)
         assert h.integral_of_inverse(1.5) == pytest.approx(0.75, rel=1e-15)
         assert calls and set(calls) == {np.float64}
-
-
-class TestAssumptionA:
-    def test_stable_gaussian_passes(self, scalar_model):
-        rep = check_assumption_A_sufficient(scalar_model)
-        assert rep.all_pass
-        assert rep.note
-
-    def test_driftless_fails_stability(self, flat_model):
-        rep = check_assumption_A_sufficient(flat_model)
-        assert not rep.stable_drift
-        assert not rep.all_pass
-
-    def test_atom_jumps_pass(self, jump_model):
-        rep = check_assumption_A_sufficient(jump_model)
-        assert rep.all_pass
-        assert rep.jump_second_moment == pytest.approx(1.0)
-
-    def test_sampler_jump_probe(self):
-        m = OuLevyModel(
-            drift_matrix=[[-1.0]], noise_cov=[[1.0]],
-            jump=CompoundPoissonSpec(rate=1.0, sampler=lambda gen, size: gen.normal(0, 1, size=(size, 1))),
-        )
-        rep = check_assumption_A_sufficient(m)
-        assert rep.jump_moment_finite
 
 
 class TestAdjoint:

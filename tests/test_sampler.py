@@ -18,7 +18,6 @@ from harnacklab.sampler import (
     RngStream,
     girsanov_functional_estimates,
     girsanov_weight,
-    wa_path,
 )
 from harnacklab.testfuncs import ClippedExpObservable, ConstantObservable, ExpObservable, drift_constant, drift_zero
 from oracles import hard_drift, make_psd, make_stable, within_sigma
@@ -109,8 +108,9 @@ class TestBlockLadder:
 class TestEndpointSampling:
     def test_noiseless_is_deterministic(self):
         m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[0.0]])
-        out = hl.sample_ou_endpoint(m, 2.0, [3.0], RngStream(0, 0))
-        assert out[0] == pytest.approx(3.0 * np.exp(-2.0), rel=1e-12)
+        est = hl.estimate_semigroup(m, 2.0, [3.0], lambda pts: pts[:, 0], 200, 0)
+        assert est.mean == pytest.approx(3.0 * np.exp(-2.0), rel=1e-12)
+        assert est.std_error <= 1e-15 * est.mean  # zero but for the rounding of the mean of 200 equal values
 
     def test_driftless_variance(self, flat_model):
         est = hl.estimate_semigroup(flat_model, 1.5, [0.0], lambda pts: pts[:, 0] ** 2, 100_000, 101)
@@ -134,15 +134,10 @@ class TestEndpointSampling:
         snap = m.snapshot(t)
         target_mean = snap.propagator @ x + snap.mean_shift
         n = 100_000
-        s1 = np.zeros(2)
-        s2 = np.zeros((2, 2))
-        start = snap.propagator @ x
-        for noise in sampler.iter_endpoint_noise(m, t, n, 104):
-            pts = start + noise
-            s1 += pts.sum(axis=0)
-            s2 += pts.T @ pts
-        mean = s1 / n
-        cov = s2 / n - np.outer(mean, mean)
+        # one column per coordinate, both from the one start x
+        acc = sampler.fold(sampler.endpoint_values(m, t, [x, x], [lambda pts: pts[:, 0], lambda pts: pts[:, 1]],
+                                                   n, 104))
+        mean, cov = acc.mean, acc.comoment / n
         for i in range(2):
             se = np.sqrt(snap.gramian[i, i] / n)
             assert abs(mean[i] - target_mean[i]) <= 4.0 * se
@@ -304,11 +299,8 @@ def _reference_jump_block(model, t, gen, size, transport):
     if total == 0:
         return out
     ages = gen.uniform(0.0, t, size=total)
-    if j.atoms is not None:
-        idx = gen.choice(j.atoms.shape[0], size=total, p=j.probs)
-        sizes = j.atoms[idx]
-    else:
-        sizes = np.atleast_2d(np.asarray(j.sampler(gen, total), dtype=float))
+    idx = gen.choice(j.atoms.shape[0], size=total, p=j.probs)
+    sizes = j.atoms[idx]
     if isinstance(transport, sampler._EigenTransport):
         moved = transport.apply(ages, sizes)
     else:
@@ -349,9 +341,9 @@ def _jordan_drift(rng, dim):
     return a + np.diag(rng.uniform(0.5, 1.5, size=dim - 1), k=1) - np.eye(dim)
 
 
-def _jump_law_model(drift, rate, atoms=None, sampler_fn=None):
+def _jump_law_model(drift, rate, atoms):
     d = drift.shape[0]
-    jump = hl.CompoundPoissonSpec(rate=rate, atoms=atoms, sampler=sampler_fn)
+    jump = hl.CompoundPoissonSpec(rate=rate, atoms=atoms)
     return OuLevyModel(drift_matrix=drift, noise_cov=np.eye(d), jump=jump)
 
 
@@ -367,9 +359,6 @@ def _jump_case(name):
     if name.startswith("jordan_d"):
         d = int(name[-1])
         return _jump_law_model(_jordan_drift(rng, d), 2.0, atoms=rng.uniform(-1.2, 1.2, size=(2, d)))
-    if name == "sampler_law":
-        return _jump_law_model(_jordan_drift(rng, 2), 2.0,
-                               sampler_fn=lambda gen, size: gen.standard_normal((size, 2)))
     raise KeyError(name)
 
 
@@ -379,11 +368,11 @@ class TestJumpBlockBitwise:
     the certified bound of the interpolant for a drift without one."""
 
     @pytest.mark.parametrize("name", ["atoms_d1", "atoms_d2", "atoms_d3", "eigen_real", "eigen_complex",
-                                      "jordan_d2", "jordan_d3", "sampler_law"])
+                                      "jordan_d2", "jordan_d3"])
     def test_matches_reference(self, name):
         m = _jump_case(name)
         transport = sampler._jump_transport(m, 1.3)
-        assert isinstance(transport, sampler._EigenTransport) == (not name.startswith(("jordan", "sampler")))
+        assert isinstance(transport, sampler._EigenTransport) == (not name.startswith("jordan"))
         for seed in range(3):
             _assert_matches_reference(m, 1.3, seed, 1000)
 
@@ -419,7 +408,6 @@ class TestSamplerStateMemo:
             first = sampler._jump_transport(m, 1.0)
             hl.estimate_semigroup(m, 1.0, np.zeros(m.dim), lambda pts: pts[:, 0], 200, 1)
             hl.estimate_semigroup(m, 0.5, np.full(m.dim, 0.1), lambda pts: pts[:, 1], 200, 2)
-            hl.sample_ou_endpoint(m, 0.5, np.zeros(m.dim), RngStream(3, 0))
             assert sampler._jump_transport(m, np.float64(1.0)) is first
             assert len(eigen) == 1
             assert interpolants == ([] if name == "eigen_real" else [1.0, 0.5])
@@ -517,42 +505,6 @@ class TestSamplerStateMemo:
             assert ref() is None
         finally:
             gc.enable()
-
-
-class TestWaPath:
-    def test_zero_noise_path_is_zero(self):
-        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[0.0]])
-        path = wa_path(m, np.linspace(0.0, 1.0, 9), RngStream(0, 1))
-        assert np.allclose(path, 0.0)
-
-    def test_marginal_variance(self, scalar_model):
-        t = 1.0
-        grid = np.linspace(0.0, t, 5)
-        n = 20_000
-        finals = np.array([wa_path(scalar_model, grid, RngStream(55, i))[-1, 0] for i in range(n)])
-        target = scalar_model.snapshot(t).gramian[0, 0]
-        var = finals.var(ddof=1)
-        se = target * np.sqrt(2.0 / (n - 1))
-        assert abs(var - target) <= 4.0 * se
-
-    def test_refined_grids_same_marginal_law(self, scalar_model):
-        t, n = 0.8, 4_000
-        coarse = np.array([wa_path(scalar_model, np.linspace(0, t, 5), RngStream(56, i))[-1, 0] for i in range(n)])
-        fine = np.array([wa_path(scalar_model, np.linspace(0, t, 17), RngStream(57, i))[-1, 0] for i in range(n)])
-        assert scipy.stats.ks_2samp(coarse, fine).pvalue > 0.01
-
-    def test_bad_grid_rejected(self, scalar_model):
-        with pytest.raises(ValueError):
-            wa_path(scalar_model, [0.5, 1.0], RngStream(0, 0))
-
-    def test_uniform_grid_takes_one_snapshot(self):
-        # linspace steps differ by ulps; a grid uniform to rounding takes the one step t/K,
-        # while a non-uniform grid keeps its exact steps
-        for grid, snapshots in ((np.linspace(0.0, 1.0, 11), 1), (np.linspace(0.0, 1.0, 1001), 1),
-                                ([0.0, 0.25, 1.0], 2)):
-            m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
-            wa_path(m, grid, RngStream(0, 0))
-            assert sum(isinstance(key, tuple) and key[0] == "snapshot" for key in m._memo) == snapshots
 
 
 class TestGirsanovWeight:
