@@ -1,6 +1,8 @@
 """Closed forms are gated on independent quadrature / Monte Carlo oracles
 before the verification layer is allowed to rely on them."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -42,6 +44,26 @@ class TestMehlerExponential:
         c, t = 0.4, 0.9
         expected = np.exp(c * c * t / 2.0 + 1.7 * t * (np.cosh(c) - 1.0))
         assert analytic.mehler_exponential(m, t, [c], [0.0]) == pytest.approx(expected, rel=1e-12)
+
+    def test_overflowing_atom_moment_saturates(self):
+        # E exp(30 xi) of the one atom 30 is e^900: finite, but past the float range
+        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]],
+                        jump=hl.CompoundPoissonSpec(rate=1.0, atoms=[[30.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert analytic.mehler_exponential(m, 1.0, [30.0], [0.5]) == np.inf
+
+    def test_null_atom_changes_nothing(self):
+        # an atom of probability zero leaves the moment as it is, even where its own exp overflows
+        def model(atoms, probs):
+            return OuLevyModel(drift_matrix=[[-1.0, 0.5], [0.0, -0.7]], noise_cov=np.eye(2),
+                               jump=hl.CompoundPoissonSpec(rate=1.2, atoms=atoms, probs=probs))
+
+        c, x = [0.3, -0.2], [0.4, 0.1]
+        plain = analytic.mehler_exponential(model([[1.0, 0.5], [-0.5, 0.2]], [0.4, 0.6]), 0.9, c, x)
+        padded = analytic.mehler_exponential(
+            model([[1.0, 0.5], [-0.5, 0.2], [3000.0, -3000.0]], [0.4, 0.6, 0.0]), 0.9, c, x)
+        assert padded == pytest.approx(plain, rel=1e-14)
 
     def test_against_monte_carlo(self, jump_model):
         target = analytic.mehler_exponential(jump_model, 0.8, [0.3], [0.5])

@@ -44,6 +44,43 @@ class TestCompoundPoissonSpec:
         with pytest.raises(TypeError, match="atoms"):
             CompoundPoissonSpec(rate=1.0)
 
+    def test_probs_default_uniform(self):
+        spec = CompoundPoissonSpec(rate=1.0, atoms=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        assert spec.atoms.shape == (4, 2) and spec.atoms.dtype == float
+        assert np.array_equal(spec.probs, np.full(4, 0.25))
+
+    def test_one_atom_vector_is_one_row(self):
+        spec = CompoundPoissonSpec(rate=1.0, atoms=[0.5, -0.5])
+        assert spec.atoms.shape == (1, 2)
+        assert np.array_equal(spec.probs, [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atom_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite vectors"):
+            CompoundPoissonSpec(rate=1.0, atoms=[[1.0], [bad]])
+
+    def test_probs_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="length mismatch"):
+            CompoundPoissonSpec(rate=1.0, atoms=[[1.0], [2.0]], probs=[1.0])
+
+    def test_negative_prob_rejected(self):
+        # the probabilities sum to 1, but one is negative
+        with pytest.raises(ValueError, match="nonnegative"):
+            CompoundPoissonSpec(rate=1.0, atoms=[[1.0], [2.0]], probs=[1.5, -0.5])
+
+    def test_weighted_exp_moment(self):
+        atoms = np.array([[1.0, -0.5], [0.2, 0.3], [-0.4, 0.0]])
+        probs = np.array([0.2, 0.3, 0.5])
+        spec = CompoundPoissonSpec(rate=1.0, atoms=atoms, probs=probs)
+        c = np.array([0.7, -1.1])
+        assert spec.exp_moment(c) == pytest.approx(sum(p * np.exp(a @ c) for p, a in zip(probs, atoms)), rel=1e-14)
+        assert spec.exp_moment(np.zeros(2)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_atom_dimension_must_match_model(self):
+        with pytest.raises(ValueError, match="jump atom dimension mismatch"):
+            OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[1.0]],
+                        jump=CompoundPoissonSpec(rate=1.0, atoms=[[1.0, 0.0]]))
+
 
 class TestModelValidation:
     def test_asymmetric_noise_rejected(self):

@@ -126,6 +126,39 @@ class TestEndpointSampling:
         est_v = hl.estimate_semigroup(jump_model, t, [0.0], lambda pts: pts[:, 0] ** 2, 100_000, 103)
         assert within_sigma(est_v.mean, est_v.std_error, base_var + jump_var)
 
+    def test_asymmetric_jump_mean_and_variance(self):
+        # A=-1: jumps of mean 2 and second moment 5 at rate 2 add rate E xi (1 - e^{-t}) to the
+        # mean and rate E xi^2 int_0^t e^{-2s} ds to the variance
+        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]],
+                        jump=hl.CompoundPoissonSpec(rate=2.0, atoms=[[1.0], [3.0]]))
+        t, x = 0.7, 0.5
+        mean = np.exp(-t) * x + 2.0 * 2.0 * (1.0 - np.exp(-t))
+        var = (1.0 - np.exp(-2.0 * t)) + 2.0 * 5.0 * (1.0 - np.exp(-2.0 * t)) / 2.0
+        est_m = hl.estimate_semigroup(m, t, [x], lambda pts: pts[:, 0], 100_000, 107)
+        assert within_sigma(est_m.mean, est_m.std_error, mean)
+        est_v = hl.estimate_semigroup(m, t, [x], lambda pts: (pts[:, 0] - mean) ** 2, 100_000, 108)
+        assert within_sigma(est_v.mean, est_v.std_error, var)
+
+    def test_null_atom_never_drawn(self):
+        # each drawn atom 1 moves to at most 1, each atom 100 to at least 100 e^{-1}; no noise
+        # but the jumps, and P(Poisson(5) > 30) is about 1e-13
+        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[0.0]],
+                        jump=hl.CompoundPoissonSpec(rate=5.0, atoms=[[1.0], [100.0]], probs=[1.0, 0.0]))
+        blocks = list(sampler.endpoint_values(m, 1.0, [[0.0]], [lambda pts: pts[:, 0]], 20_000, 109))
+        assert sum(b.shape[1] for b in blocks) == 20_000
+        assert max(b.max() for b in blocks) < 30.0
+
+    def test_starts_share_every_draw(self):
+        # common random numbers: the endpoints from x and y differ by e^{tA} (x - y) in every draw
+        m = OuLevyModel(drift_matrix=[[-1.0, 0.4], [0.0, -0.6]], noise_cov=np.eye(2), drift_offset=[0.2, -0.1],
+                        jump=hl.CompoundPoissonSpec(rate=3.0, atoms=[[1.0, -0.5], [-0.3, 0.8]]))
+        t, x, y = 0.9, np.array([0.7, -0.2]), np.array([-0.4, 0.5])
+        shift = m.snapshot(t).propagator @ (x - y)
+        fs = [lambda pts: pts[:, 0], lambda pts: pts[:, 1], lambda pts: pts[:, 0], lambda pts: pts[:, 1]]
+        for block in sampler.endpoint_values(m, t, [x, x, y, y], fs, 5000, 110):
+            assert np.abs(block[0] - block[2] - shift[0]).max() <= 1e-12
+            assert np.abs(block[1] - block[3] - shift[1]).max() <= 1e-12
+
     def test_endpoint_law_exact_mean_cov(self):
         rng = np.random.default_rng(51)
         m = OuLevyModel(drift_matrix=make_stable(rng, 2), noise_cov=make_psd(rng, 2, ridge=0.3),
