@@ -10,14 +10,14 @@ Chebyshev interpolant `linops.exp_interpolant` of ``e^{vA}`` on ``[0, t]``,
 built once per (model, ``t``): no matrix exponential is taken per jump.
 Path-based functionality (change-of-measure weights, the coupled pair, the
 perturbed-drift estimator) uses a fixed grid whose only approximation is the
-left-point rule in the stochastic integral of the weight exponent; the
-discrete weight is still an exact martingale for previsible integrands.  The
-coupled pair, the Girsanov functionals and the perturbed-drift estimators
-step through one path loop, `_weighted_paths`, and differ only in the drift
-shift whose weight it accumulates: the null control, a fixed control, or
-``R^{-1/2} F`` along the path.  A step draws ``d`` normals per replicate; an
-estimate of ``E[rho f(X_t)]`` takes the weight's mean given them
-(Rao-Blackwell); the full weight adds one normal.
+left-point rule: in the stochastic integral of the weight exponent, whose
+discrete weight is still an exact martingale for previsible integrands, and
+in the perturbed drift, held over each step.  All of them step through one
+path loop, `_paths`, of exact OU steps with ``d`` normals per replicate: the
+perturbed-drift estimators of ``E f(X_t)`` add the drift ``F`` to the state,
+and the weight's estimands (the coupled pair, the Girsanov functionals, the
+perturbed-drift weight's moments) accumulate the weight of a drift shift, the
+null control, a fixed control or ``R^{-1/2} F``, with one more normal.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Monte Carlo estimators assign one stream per block
@@ -181,7 +181,8 @@ class Moments:
     def add(self, block) -> None:
         v = np.asarray(block, dtype=float)
         na, nb = self.n, v.shape[1]
-        mb = v.mean(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is caught as a non-finite mean
+            mb = v[:, 0] + (v - v[:, :1]).mean(axis=1)  # centred on the first replicate: exact for equal values
         if not np.isfinite(mb).all():  # a non-finite value, or a block sum that overflows
             bad = int(np.count_nonzero(~np.isfinite(v).all(axis=0)))  # replicates, not entries
             raise NonFiniteValueError(f"{bad} non-finite value(s) in the block at replicate {na}")
@@ -409,8 +410,8 @@ def girsanov_functional_estimates(
 
     ``u`` is a callable of time or an array on the left points / full grid;
     each entry of ``funcs`` maps the vector of log-weights of a block to
-    per-replicate values.  One pass of `_weighted_paths` serves all
-    functionals, one column per functional.
+    per-replicate values.  One pass of `_paths` serves all functionals, one
+    column per functional.
     """
     _grid_step(t, K)  # rejects K < 1 before the control is read
     grid = np.linspace(0.0, t, K + 1)
@@ -424,28 +425,29 @@ def girsanov_functional_estimates(
             uvals = uvals[:K]
     if uvals.shape != (K, model.dim):
         raise ValueError("control values have the wrong shape")
-    paths = _weighted_paths(model, t, np.zeros((1, model.dim)), K,
-                            lambda k, states: np.broadcast_to(uvals[k], states.shape), _stream_blocks(seed, n), True)
-    moments = fold(np.stack([fn(log_rho[0]) for fn in funcs.values()]) for *_, log_rho in paths)
+    paths = _paths(model, t, np.zeros((1, model.dim)), K, _stream_blocks(seed, n),
+                   shift=lambda k, states: np.broadcast_to(uvals[k], states.shape))
+    moments = fold(np.stack([fn(log_rho) for fn in funcs.values()]) for *_, log_rho in paths)
     return {name: moments.estimate(i, seed) for i, name in enumerate(funcs)}
 
 
 # ---------------------------------------------------------------------------
-# joint increments and the one weighted path loop
+# joint increments and the one path loop
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _StepSampler:
-    """One grid step of ``delta``, innovation first: ``P'``, ``G^{1/2}'``, ``V'``
-    and ``U'``, C-contiguous for ``np.dot`` on row-stacked states.  ``P`` and
-    ``G`` are the step's propagator and Gramian, and the innovation is ``eta =
-    G^{1/2} z``, ``z`` standard normal.  With ``C = int_0^delta e^{sA} R^{1/2}
-    ds``, the Brownian increment is ``dW = V' z + U zeta`` in law, ``V =
-    G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``, ``zeta`` normals never drawn."""
+    """One grid step of ``delta``, innovation first: ``P'``, ``G^{1/2}'``, ``B'``,
+    ``V'`` and ``U'``, C-contiguous for ``np.dot`` on row-stacked states: the
+    step's propagator, Gramian root (the innovation is ``eta = G^{1/2} z``,
+    ``z`` standard normal) and ``B = int_0^delta e^{sA} ds``, which moves a
+    drift held over the step.  With ``C = int_0^delta e^{sA} R^{1/2} ds``, ``dW
+    = V' z + U zeta`` in law, ``V = G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``."""
 
     propagator_t: np.ndarray
     innovation_t: np.ndarray
+    drift_t: np.ndarray
     whiten_t: np.ndarray
     residual_t: np.ndarray
 
@@ -456,11 +458,13 @@ def _step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
 
 def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
     snap = model.snapshot(delta)
-    cross = linops.convolution_factor(model.drift_matrix, model.noise_sqrt().sqrt_matrix, delta)
+    a, eye = model.drift_matrix, np.eye(snap.dim)
+    cross = linops.convolution_factor(a, model.noise_sqrt().sqrt_matrix, delta)
     whiten = snap.gramian_sqrt.pinv_sqrt_matrix @ cross
-    residual_root = linops.psd_sqrt_pinv(delta * np.eye(snap.dim) - whiten.T @ whiten).sqrt_matrix
+    residual_root = linops.psd_sqrt_pinv(delta * eye - whiten.T @ whiten).sqrt_matrix
     return _StepSampler(*(linops.read_only(np.ascontiguousarray(m.T)) for m in (
-        snap.propagator, snap.gramian_sqrt.sqrt_matrix, whiten, residual_root)))
+        snap.propagator, snap.gramian_sqrt.sqrt_matrix, linops.convolution_factor(a, eye, delta),
+        whiten, residual_root)))
 
 
 def _step_normals(gen, K, shape):
@@ -490,48 +494,41 @@ def _step_normals(gen, K, shape):
             chunk = ahead.result()
 
 
-def _weighted_paths(model, t, starts, K, psi, blocks, full_weight):
-    """The one path loop: ``K`` exact grid steps of the stochastic convolution
-    from ``S`` stacked starts ``(S, d)``, weighted by a drift shift.  At each
-    left point ``psi(k, states)`` gives the ``(S, size, d)`` shift at the
-    states ``e^{t_k A} x_s + convolution`` of that shape.  The log-weight
-    gains ``v . z - |v|^2 / 2``, ``v = V psi`` (`_StepSampler`), which is
-    ``E[exp(psi . dW_k - |psi|^2 dt / 2) | eta_k]``: an estimate of ``E[rho
-    f(X_t)]`` keeps its mean and cannot gain variance (Casella & Robert
-    1996).  The ``full_weight`` of one start, ``rho`` in law, also gains
-    ``sum_k u_k . zeta_k - |u_k|^2 / 2``, ``u = U psi``: given the ``z``,
-    ``N(-s/2, s)``, ``s = sum_k |u_k|^2``, drawn from one normal per
-    replicate after the path.  Every start shares the draws (common random
-    numbers), the step normals from `_step_normals`.  Yields ``(generator,
-    convolution (size, d), log_weights (S, size))`` per ``(generator, size)``
-    block, the generator past the path's draws and no helper left running."""
+def _paths(model, t, starts, K, blocks, drift=None, shift=None):
+    """The one path loop: ``K`` grid steps ``X <- P X + B drift(X) + eta``
+    (`_StepSampler`) of ``S`` stacked starts ``(S, d)`` on shared step normals
+    from `_step_normals` (common random numbers), ``drift`` of the ``(S *
+    size, d)`` stacked states held over each step; without it the step is the
+    exact OU one.  For one start, ``shift(k, X)`` gives the drift shift ``psi``
+    whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt / 2)`` the loop
+    carries in law: each step adds ``v . z - |v|^2 / 2``, ``v = V psi``, and
+    one normal per replicate the rest, ``N(-s/2, s)`` given the ``z``, ``s =
+    sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size, d),
+    log_weights (size,))`` per ``(generator, size)`` block, zero log-weights
+    without a shift, the generator past the path's draws and no helper left
+    running."""
     n_starts, d = starts.shape
-    if full_weight and n_starts != 1:
+    if shift is not None and n_starts != 1:
         raise ValueError("the full weight is drawn for one start point only")
     step = _step_sampler(model, _grid_step(t, K))
-
-    # deterministic mean paths e^{t_k A} x at the left grid points, (K, S, 1, d)
-    mean_path = np.empty((K, n_starts, 1, d))
-    mean_path[0, :, 0] = starts
-    for k in range(1, K):
-        mean_path[k] = np.dot(mean_path[k - 1], step.propagator_t)
-
     for gen, size in blocks:
-        conv = np.zeros((size, d))
-        log_rho, s = np.zeros((n_starts, size)), np.zeros((n_starts, size))
+        x = np.broadcast_to(starts[:, None], (n_starts, size, d))
+        log_rho, s = np.zeros(size), np.zeros(size)
         with closing(_step_normals(gen, K, (size, d))) as normals:
             for k, z in enumerate(normals):
-                shift = psi(k, conv + mean_path[k])
-                rows = shift.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
-                v = np.dot(rows, step.whiten_t).reshape(shift.shape)
-                log_rho += np.einsum("sij,sij->si", v, z - 0.5 * v)
-                if full_weight:
-                    u = np.dot(rows, step.residual_t).reshape(shift.shape)
-                    s += np.einsum("sij,sij->si", u, u)
-                conv = np.dot(conv, step.propagator_t) + np.dot(z, step.innovation_t)
-        if full_weight:
+                rows = x.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
+                if shift is not None:
+                    psi = shift(k, rows)
+                    v, u = np.dot(psi, step.whiten_t), np.dot(psi, step.residual_t)
+                    log_rho += np.einsum("ij,ij->i", v, z - 0.5 * v)
+                    s += np.einsum("ij,ij->i", u, u)
+                moved = np.dot(rows, step.propagator_t)
+                if drift is not None:
+                    moved += np.dot(drift(rows), step.drift_t)
+                x = moved.reshape(x.shape) + np.dot(z, step.innovation_t)
+        if shift is not None:
             log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
-        yield gen, conv, log_rho
+        yield gen, x, log_rho
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +553,12 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     transport = _jump_transport(model, t) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
     sq = _grid_step(t, K) * float(np.sum(u * u))
-    for gen, conv, log_rho in _weighted_paths(model, t, y[None], K,
-                                              lambda k, states: np.broadcast_to(u[k], states.shape), blocks, True):
-        endpoints = base + conv
+    for gen, conv, log_rho in _paths(model, t, np.zeros((1, model.dim)), K, blocks,
+                                     shift=lambda k, states: np.broadcast_to(u[k], states.shape)):
+        endpoints = base + conv[0]
         if model.has_jumps:
-            endpoints = endpoints + _jump_block(model, t, gen, conv.shape[0], transport)
-        yield endpoints, log_rho[0], sq
+            endpoints = endpoints + _jump_block(model, t, gen, len(log_rho), transport)
+        yield endpoints, log_rho, sq
 
 
 def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStream):
@@ -584,71 +581,60 @@ def sample_coupled_pair(model: OuLevyModel, t: float, x, y, K: int, rng: RngStre
 # ---------------------------------------------------------------------------
 
 
-def _semilinear_blocks(model, spec, t, starts, K, seed, n, full_weight):
-    """Path blocks for the perturbed-drift weight from ``S`` stacked start
-    points ``(S, d)``: yields per block the final convolution values
-    ``(size, d)`` and the log-weights ``(S, size)`` of `_weighted_paths`,
-    full or not as ``full_weight`` says, with the shift ``psi = R^{-1/2}
-    F(state)``, the drift evaluated on the ``(S * size, d)`` stacked states."""
+def _checked_drift(model: OuLevyModel, spec: SemilinearSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The perturbed drift ``F`` of a jump-free model with a zero drift offset,
+    on row-stacked states ``(m, d)``: each call checks that ``F`` returned
+    ``(m, d)`` values in the range of ``R^{1/2}``."""
     if model.has_jumps:
         raise ValueError("perturbed-drift estimation requires a jump-free model")
     if float(np.abs(model.drift_offset).max(initial=0.0)) != 0.0:
         raise ValueError("perturbed-drift estimation requires a zero drift offset")
-    d = starts.shape[1]
     rfac = model.noise_sqrt()
-    pinv_root_t = np.ascontiguousarray(rfac.pinv_sqrt_matrix.T)
 
-    def psi(k, states):
-        state = states.reshape(-1, d)
-        drift = np.asarray(spec.drift_fn(state), dtype=float)
-        if drift.shape != state.shape:
+    def drift(states):
+        values = np.asarray(spec.drift_fn(states), dtype=float)
+        if values.shape != states.shape:
             raise ValueError("drift function must map (m, d) states to (m, d) values")
-        if rfac.rank < d:  # only a null space of R^{1/2} can fail the range test
-            bad = np.flatnonzero(~rfac.in_range(drift, DRIFT_RANGE_TOL))
+        if rfac.rank < model.dim:  # only a null space of R^{1/2} can fail the range test
+            bad = np.flatnonzero(~rfac.in_range(values, DRIFT_RANGE_TOL))
             if bad.size:
-                raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {state[bad[0]]}")
-        return np.dot(drift, pinv_root_t).reshape(states.shape)
+                raise DriftRangeError(f"drift value leaves the range of R^(1/2) at state {states[bad[0]]}")
+        return values
 
-    return ((c, lr) for _, c, lr in _weighted_paths(model, t, starts, K, psi, _stream_blocks(seed, n), full_weight))
+    return drift
 
 
 def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts, fs,
                       n: int, K: int, seed: int) -> Iterator[np.ndarray]:
-    """Blocks ``(S, size)`` of ``L_s f_s(X_t^{x_s})``, ``L_s`` the weight given
-    the path, for ``S`` start points from one pass shared by all starts
-    (common random numbers): the weights differ only through the drift
-    evaluated along each start's path.  ``fs`` holds one observable per start."""
+    """Blocks ``(S, size)`` of ``f_s(X_t^{x_s})`` on the perturbed-drift paths
+    of ``S`` start points from one pass shared by all starts (common random
+    numbers).  ``fs`` holds one observable per start."""
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
-    prop = model.snapshot(t).propagator
-    terms = [prop @ x for x in starts]
-    for conv, log_rho in _semilinear_blocks(model, spec, t, starts, K, seed, n, False):
-        yield np.stack([np.exp(lr) * eval_rows(f, conv + term)
-                        for f, term, lr in zip(fs, terms, log_rho, strict=True)])
+    for _, ends, _ in _paths(model, t, starts, K, _stream_blocks(seed, n), drift=_checked_drift(model, spec)):
+        yield np.stack([eval_rows(f, x) for f, x in zip(fs, ends, strict=True)])
 
 
 def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                         f: Callable, n: int, K: int, seed: int) -> McEstimate:
-    """Weighted Monte Carlo estimate of the perturbed-drift expectation.
+    """Monte Carlo estimate of ``E f(X_t)`` for ``dX = (A X + F(X)) dt + R^{1/2} dW``.
 
-    Per replicate the stochastic convolution is advanced exactly on the grid;
-    the drift perturbation enters only through the weight ``L``, the mean
-    given the path's innovations of the previsible weight ``rho = exp(sum
-    psi_k . dW_k - sum |psi_k|^2 dt / 2)`` with ``psi = R^{-1/2} F(state)``.
-    The estimate is the mean of ``L * f(endpoint)`` from one pass on the
-    given grid: the mean of ``rho * f(endpoint)``, with no more variance.  The
-    weight is an exact martingale at every ``K``, so its own mean is 1 on any
-    grid; but the law it reweights to holds ``F`` frozen at the left grid
-    points, so for a state-dependent ``F`` the estimate carries an ``O(1/K)``
-    weak error (Kloeden & Platen 1992, ch. 14) that a finer grid shrinks.
+    Each path takes ``K`` grid steps ``X <- P X + B F(X) + eta``, exact but
+    for ``F``, held at its left-point value over each step: the law to which
+    the previsible Girsanov weight of ``psi = R^{-1/2} F`` reweights exact OU
+    paths.  For a state-dependent ``F`` the estimate carries that law's
+    ``O(1/K)`` weak error (Kloeden & Platen 1992, ch. 14), which a finer grid
+    shrinks; a constant ``F`` is exact on any grid.
     """
     return fold(semilinear_values(model, spec, t, [x], [f], n, K, seed)).estimate(0, seed)
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
                            powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
-    """Moments ``E rho^p`` of the full perturbed-drift weight; the conditional weight's are smaller (Jensen)."""
+    """Moments ``E rho^p`` of the perturbed-drift weight, ``psi = R^{-1/2}
+    F(state)`` along exact OU paths."""
     powers = [float(p) for p in powers]
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    moments = fold(np.stack([np.exp(p * log_rho[0]) for p in powers])
-                   for _, log_rho in _semilinear_blocks(model, spec, t, x, K, seed, n, True))
+    drift, rfac = _checked_drift(model, spec), model.noise_sqrt()
+    paths = _paths(model, t, np.asarray(x, dtype=float).reshape(1, -1), K, _stream_blocks(seed, n),
+                   shift=lambda k, states: rfac.apply_pinv_sqrt(drift(states)))
+    moments = fold(np.stack([np.exp(p * log_rho) for p in powers]) for *_, log_rho in paths)
     return {p: moments.estimate(i, seed) for i, p in enumerate(powers)}

@@ -492,7 +492,9 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     exact by `analytic.convolution_square_exp_moment`), the minimum-energy
     exponent rescaled by the comparison exponents ``p, q``, and the additive
     growth integral.  A divergent constant, or a coefficient past the float
-    range, gives ``TRIVIAL_INFINITE_RHS`` before any path is drawn.
+    range, gives ``TRIVIAL_INFINITE_RHS`` before any path is drawn.  The sides
+    are unweighted means over the ``K``-step perturbed-drift paths of
+    `sampler.semilinear_values`, with their ``O(1/K)`` grid bias.
     """
     if alpha <= 1 or p <= 1 or q <= 1:
         raise ValueError("alpha, p, q must exceed 1")

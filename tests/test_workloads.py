@@ -55,7 +55,7 @@ def test_jump_reports_match_the_jump_by_jump_reference(name, monkeypatch):
         assert g.lhs == pytest.approx(w.lhs, rel=1e-10) and g.rhs == pytest.approx(w.rhs, rel=1e-10)
 
 
-@pytest.mark.parametrize("name", ["jump_suite", "jump_defective"])
+@pytest.mark.parametrize("name", ["jump_suite", "jump_defective", "semilinear_paths"])
 def test_jump_workloads_pass_the_benchmark_row_gate(name):
     """The benchmark marks a run incorrect on any INCONCLUSIVE, VIOLATED or NaN
     row; the Monte Carlo workloads must clear that gate on several seeds."""
