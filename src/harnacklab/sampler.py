@@ -24,9 +24,10 @@ Randomness comes from counter-based Philox streams keyed by
 of replicates and yield each block's per-replicate values as the columns
 of a ``(k, size)`` array; `fold` merges the blocks' column means and
 co-moments into one `Moments` accumulator in stream order, so results are
-bitwise reproducible regardless of how blocks are scheduled.  Path blocks
-hold ``MC_BLOCK`` replicates each; endpoint blocks form the doubling ladder
-of `_stream_blocks`.  Given a check's margin, `fold` stops at the first
+bitwise reproducible regardless of how blocks are scheduled.  The blocks
+of endpoints and of perturbed-drift paths form the doubling ladder of
+`_stream_blocks`; weighted path blocks hold ``MC_BLOCK`` replicates each.
+Given a check's margin, `fold` stops at the first
 block boundary where the margin is decided; the moments there are those of
 a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
@@ -50,14 +51,14 @@ from .control import min_energy_control
 from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 #: Replicates per RNG stream in vectorized Monte Carlo estimators, the
-#: largest block of the endpoint ladder.
+#: largest block of the ladder.
 MC_BLOCK = 4096
 
 #: Normals per chunk of the path loop's step draws (see `_step_normals`), at
 #: least one step: the look-ahead buffer.
 PATH_CHUNK = 1 << 15
 
-#: First block of the endpoint ladder (see `_stream_blocks`): the first look
+#: First block of the ladder (see `_stream_blocks`): the first look
 #: of `fold`'s stop rule comes after this many replicates.
 MC_FIRST_BLOCK = 1024
 
@@ -103,7 +104,7 @@ def _stream_blocks(seed: int, n: int, first: int = MC_BLOCK) -> Iterator[tuple[n
     """Replicate blocks, one keyed stream per block, for ``n >= 100`` replicates:
     ``first`` replicates, then as many as have been drawn, up to ``MC_BLOCK``
     a block, the last cut to ``n``.  The default is blocks of ``MC_BLOCK``;
-    ``first = MC_FIRST_BLOCK`` gives the endpoint ladder 1024, 1024, 2048,
+    ``first = MC_FIRST_BLOCK`` gives the ladder 1024, 1024, 2048,
     then 4096 each, whose boundaries fall at 1024, 2048, 4096, 8192, ..."""
     if n < 100:
         raise ValueError("at least 100 replicates are required")
@@ -443,28 +444,33 @@ class _StepSampler:
     step's propagator, Gramian root (the innovation is ``eta = G^{1/2} z``,
     ``z`` standard normal) and ``B = int_0^delta e^{sA} ds``, which moves a
     drift held over the step.  With ``C = int_0^delta e^{sA} R^{1/2} ds``, ``dW
-    = V' z + U zeta`` in law, ``V = G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``."""
+    = V' z + U zeta`` in law, ``V = G^{+1/2} C``, ``U = (delta I - V'V)^{1/2}``.
+    A weighted step builds ``V`` and ``U`` and no ``B``, a drift step only
+    ``B``; the factors a step does not build are None."""
 
     propagator_t: np.ndarray
     innovation_t: np.ndarray
-    drift_t: np.ndarray
-    whiten_t: np.ndarray
-    residual_t: np.ndarray
+    drift_t: np.ndarray | None
+    whiten_t: np.ndarray | None
+    residual_t: np.ndarray | None
 
 
-def _step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
-    return model._memoized(("step_sampler", float(delta)), lambda: _build_step_sampler(model, float(delta)))
+def _step_sampler(model: OuLevyModel, delta: float, weighted: bool) -> _StepSampler:
+    return model._memoized(("step_sampler", float(delta), weighted),
+                           lambda: _build_step_sampler(model, float(delta), weighted))
 
 
-def _build_step_sampler(model: OuLevyModel, delta: float) -> _StepSampler:
+def _build_step_sampler(model: OuLevyModel, delta: float, weighted: bool) -> _StepSampler:
     snap = model.snapshot(delta)
     a, eye = model.drift_matrix, np.eye(snap.dim)
-    cross = linops.convolution_factor(a, model.noise_sqrt().sqrt_matrix, delta)
-    whiten = snap.gramian_sqrt.pinv_sqrt_matrix @ cross
-    residual_root = linops.psd_sqrt_pinv(delta * eye - whiten.T @ whiten).sqrt_matrix
-    return _StepSampler(*(linops.read_only(np.ascontiguousarray(m.T)) for m in (
-        snap.propagator, snap.gramian_sqrt.sqrt_matrix, linops.convolution_factor(a, eye, delta),
-        whiten, residual_root)))
+    if weighted:
+        cross = linops.convolution_factor(a, model.noise_sqrt().sqrt_matrix, delta)
+        whiten = snap.gramian_sqrt.pinv_sqrt_matrix @ cross
+        extra = None, whiten, linops.psd_sqrt_pinv(delta * eye - whiten.T @ whiten).sqrt_matrix
+    else:
+        extra = linops.convolution_factor(a, eye, delta), None, None
+    return _StepSampler(*(None if m is None else linops.read_only(np.ascontiguousarray(m.T)) for m in (
+        snap.propagator, snap.gramian_sqrt.sqrt_matrix, *extra)))
 
 
 def _step_normals(gen, K, shape):
@@ -499,18 +505,18 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
     (`_StepSampler`) of ``S`` stacked starts ``(S, d)`` on shared step normals
     from `_step_normals` (common random numbers), ``drift`` of the ``(S *
     size, d)`` stacked states held over each step; without it the step is the
-    exact OU one.  For one start, ``shift(k, X)`` gives the drift shift ``psi``
-    whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt / 2)`` the loop
-    carries in law: each step adds ``v . z - |v|^2 / 2``, ``v = V psi``, and
-    one normal per replicate the rest, ``N(-s/2, s)`` given the ``z``, ``s =
-    sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size, d),
-    log_weights (size,))`` per ``(generator, size)`` block, zero log-weights
-    without a shift, the generator past the path's draws and no helper left
-    running."""
+    exact OU one.  For one start and no drift, ``shift(k, X)`` gives the drift
+    shift ``psi`` whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt /
+    2)`` the loop carries in law: each step adds ``v . z - |v|^2 / 2``, ``v =
+    V psi``, and one normal per replicate the rest, ``N(-s/2, s)`` given the
+    ``z``, ``s = sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size,
+    d), log_weights (size,))`` per ``(generator, size)`` block, zero
+    log-weights without a shift, the generator past the path's draws and no
+    helper left running."""
     n_starts, d = starts.shape
-    if shift is not None and n_starts != 1:
-        raise ValueError("the full weight is drawn for one start point only")
-    step = _step_sampler(model, _grid_step(t, K))
+    if shift is not None and (n_starts != 1 or drift is not None):
+        raise ValueError("the full weight is drawn along exact OU paths of one start point only")
+    step = _step_sampler(model, _grid_step(t, K), shift is not None)
     for gen, size in blocks:
         x = np.broadcast_to(starts[:, None], (n_starts, size, d))
         log_rho, s = np.zeros(size), np.zeros(size)
@@ -608,9 +614,11 @@ def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts
                       n: int, K: int, seed: int) -> Iterator[np.ndarray]:
     """Blocks ``(S, size)`` of ``f_s(X_t^{x_s})`` on the perturbed-drift paths
     of ``S`` start points from one pass shared by all starts (common random
-    numbers).  ``fs`` holds one observable per start."""
+    numbers).  ``fs`` holds one observable per start.  The path blocks form
+    the ladder that starts at ``MC_FIRST_BLOCK``, as the endpoint blocks do."""
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
-    for _, ends, _ in _paths(model, t, starts, K, _stream_blocks(seed, n), drift=_checked_drift(model, spec)):
+    blocks = _stream_blocks(seed, n, MC_FIRST_BLOCK)
+    for _, ends, _ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
         yield np.stack([eval_rows(f, x) for f, x in zip(fs, ends, strict=True)])
 
 

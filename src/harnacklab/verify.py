@@ -22,10 +22,12 @@ three times the larger of that error and the sides' combined one.
 
 Every sampled row is made by `_mc_report`, and ``params["n_used"]`` says
 how many replicates it drew (0 for a row that draws nothing).  The
-unweighted checks (``harnack``, ``log_harnack``, ``gradient``) take ``n`` as
-a cap: their fold stops at the first endpoint block boundary (see
-``sampler.MC_FIRST_BLOCK``) where the margin exceeds ``sampler.EARLY_Z``
-times its positive joint error.  Every other verdict is read at the cap.
+unweighted checks (``harnack``, ``log_harnack``, ``gradient`` and
+``semilinear_harnack``) take ``n`` as a cap: their fold stops at the first
+block boundary of the ladder (see ``sampler.MC_FIRST_BLOCK``) where the
+margin exceeds ``sampler.EARLY_Z`` times its positive joint error.  Every
+other verdict, the weighted ``rho_moments`` rows among them, is read at the
+cap.
 A negative margin whose right side has no spread raises ``ValueError``:
 the sample missed the event that carries that side, so the margin is no
 verdict.
@@ -494,7 +496,9 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     growth integral.  A divergent constant, or a coefficient past the float
     range, gives ``TRIVIAL_INFINITE_RHS`` before any path is drawn.  The sides
     are unweighted means over the ``K``-step perturbed-drift paths of
-    `sampler.semilinear_values`, with their ``O(1/K)`` grid bias.
+    `sampler.semilinear_values`, with their ``O(1/K)`` grid bias, so ``n`` is
+    a cap as for `check_harnack`: the fold stops at the first block boundary
+    where the margin is decided, and ``params["n_used"]`` says where.
     """
     if alpha <= 1 or p <= 1 or q <= 1:
         raise ValueError("alpha, p, q must exceed 1")
@@ -527,7 +531,7 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
         return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
     values = sampler.semilinear_values(model, spec, t, [x, y], _power_fns(f, alpha), n, K, sampler.mix_seed(seed, 1))
-    return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef))
+    return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef), cap=n)
 
 
 def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

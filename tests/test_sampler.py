@@ -451,14 +451,44 @@ class TestSamplerStateMemo:
 
         built = []
         build = sampler._build_step_sampler
-        monkeypatch.setattr(sampler, "_build_step_sampler", lambda m, delta: built.append(delta) or build(m, delta))
+        monkeypatch.setattr(sampler, "_build_step_sampler",
+                            lambda m, delta, weighted: built.append((delta, weighted)) or build(m, delta, weighted))
         spec = drift_scaled_sine(scalar_model, 0.3)
         for seed in (1, 2):
             hl.semilinear_estimate(scalar_model, spec, 0.8, [0.2], ExpObservable([0.3]), 200, 16, seed)
-        sampler.semilinear_rho_moments(scalar_model, spec, 0.8, [0.2], [2.0], 200, 16, 3)
+            sampler.semilinear_rho_moments(scalar_model, spec, 0.8, [0.2], [2.0], 200, 16, 3)
         delta = 0.8 / 16
-        assert sampler._step_sampler(scalar_model, delta) is sampler._step_sampler(scalar_model, np.float64(delta))
-        assert delta in built and len(built) == len(set(built))
+        for weighted in (False, True):
+            step = sampler._step_sampler(scalar_model, delta, weighted)
+            assert step is sampler._step_sampler(scalar_model, np.float64(delta), weighted)
+        assert built == [(delta, False), (delta, True)]  # one drift step and one weighted step, each built once
+
+    def test_a_step_builds_only_the_factors_its_mode_reads(self, monkeypatch):
+        """A drift step takes the snapshot's expm and the one of ``B``, and the
+        snapshot's Gramian root; a weighted step adds the expm of ``C`` and the
+        root of ``delta I - V'V`` instead of ``B``.  The two steps share the
+        snapshot, so their propagators and roots are equal."""
+        from harnacklab import linops
+        from harnacklab.testfuncs import drift_scaled_sine
+
+        m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
+        spec = drift_scaled_sine(m, 0.3)
+        calls = {"_expm": 0, "psd_sqrt_pinv": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(linops, name), _name=name, **kw):
+                calls[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(linops, name, counting)
+        hl.semilinear_estimate(m, spec, 1.0, [0.2], ExpObservable([0.3]), 200, 128, 1)
+        assert calls == {"_expm": 2, "psd_sqrt_pinv": 1}
+        drifted = sampler._step_sampler(m, 1.0 / 128, False)
+        assert drifted.whiten_t is None and drifted.residual_t is None
+        sampler.semilinear_rho_moments(m, spec, 1.0, [0.2], [2.0], 200, 128, 2)
+        assert calls == {"_expm": 3, "psd_sqrt_pinv": 2}
+        weighted = sampler._step_sampler(m, 1.0 / 128, True)
+        assert weighted.drift_t is None
+        assert np.array_equal(weighted.propagator_t, drifted.propagator_t)
+        assert np.array_equal(weighted.innovation_t, drifted.innovation_t)
 
     def test_one_path_loop_per_call(self, monkeypatch, scalar_model):
         """Every path estimator steps through `_paths`, once per call and not
@@ -507,7 +537,7 @@ class TestSamplerStateMemo:
             r = np.zeros((dim, dim))
             r[:h, :h] = make_psd(rng, h, ridge=0.1)
         m = OuLevyModel(drift_matrix=a, noise_cov=r)
-        step = sampler._step_sampler(m, delta)
+        step = sampler._step_sampler(m, delta, True)
         root, v_t, u = step.innovation_t.T, step.whiten_t, step.residual_t.T
 
         # the pair (X, W) is an OU process with drift diag(A, 0) and noise factor [R^(1/2); I]
@@ -525,7 +555,7 @@ class TestSamplerStateMemo:
         assert np.abs(load @ load.T - want).max() <= 1e-12 * scale
         assert np.abs(root @ root.T - want[:dim, :dim]).max() <= 1e-12 * scale
         assert np.abs(root @ v_t.T - want[:dim, dim:]).max() <= 1e-12 * scale
-        b = step.drift_t.T
+        b = sampler._step_sampler(m, delta, False).drift_t.T
         gap = np.abs(a @ b - (step.propagator_t.T - np.eye(dim))).max()
         assert gap <= 1e-12 * (1.0 + np.abs(a).max() * np.abs(b).max())
 
@@ -535,7 +565,8 @@ class TestSamplerStateMemo:
 
         m = _jump_case("jordan_d2")
         hl.estimate_semigroup(m, 1.0, [0.0, 0.0], lambda pts: pts[:, 0], 200, 1)
-        sampler._step_sampler(m, 0.1)
+        sampler._step_sampler(m, 0.1, False)
+        sampler._step_sampler(m, 0.1, True)
         ref = weakref.ref(m)
         gc.disable()
         try:
@@ -835,7 +866,7 @@ def reference_paths(model, t, starts, K, blocks, drift=None, shift=None):
     after the last step, which adds ``sqrt(s) xi - s / 2``, ``s`` the sum of
     the steps' ``|u_k|^2``."""
     n_starts, d = starts.shape
-    step = sampler._step_sampler(model, t / K)
+    step = sampler._step_sampler(model, t / K, shift is not None)
     for gen, size in blocks:
         x = np.repeat(starts, size, axis=0)  # start-major stacked states
         log_rho, s = np.zeros(size), np.zeros(size)
@@ -964,9 +995,10 @@ class TestStepNormalsLookAhead:
             assert np.array_equal(ends_w, ends_g) and np.array_equal(lr_w, lr_g) and sq_w == sq_g
 
     def test_drift_range_error_mid_path_leaves_no_thread(self, monkeypatch):
-        """The model of `test_drift_leaving_the_range_mid_path_aborts`, with
-        5000 replicates so that 8 steps are two chunks: the error still
-        propagates, and the helper that was running is joined."""
+        """The model of `test_drift_leaving_the_range_mid_path_aborts`: the
+        first block holds ``MC_FIRST_BLOCK`` replicates, so ``c`` is 16 steps
+        and 32 steps are two chunks.  The error still propagates, and the
+        helper that was running is joined."""
         before, seen = threading.active_count(), []
 
         def drift(pts):
@@ -976,7 +1008,8 @@ class TestStepNormalsLookAhead:
         m = OuLevyModel(drift_matrix=np.diag([-1.0, -1.0]), noise_cov=np.diag([1.0, 0.0]))
         spec = hl.SemilinearSpec(drift_fn=drift, k1=1.0, k2=1.0)
         with pytest.raises(sampler.DriftRangeError, match="range"):
-            hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 5000, 8, 0)
+            hl.semilinear_estimate(m, spec, 1.0, [0.0, 0.0], ConstantObservable(1.0), 5000, 32, 0)
+        assert sampler.PATH_CHUNK // (sampler.MC_FIRST_BLOCK * 2) == 16
         assert seen == [before + 1, before + 1]  # a helper ran while the path was drawn
         assert threading.active_count() == before
 

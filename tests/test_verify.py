@@ -293,10 +293,15 @@ class TestSharedNoise:
 
 
 class TestEarlyStop:
-    """The unweighted two-point checks take ``n`` as a cap: their fold stops
-    at a block boundary of the endpoint ladder (see `sampler._stream_blocks`)
+    """The unweighted two-point checks, ``semilinear_harnack`` among them,
+    take ``n`` as a cap: their fold stops at a block boundary of the ladder
+    that starts at ``sampler.MC_FIRST_BLOCK`` (see `sampler._stream_blocks`)
     once the margin exceeds ``sampler.EARLY_Z`` times its positive joint
     error, and the row says how many replicates it drew."""
+
+    @staticmethod
+    def _semilinear(model, spec, x, y, f, n, seed, alpha=4.0, K=8):
+        return verify.check_semilinear_harnack(model, spec, 1.0, x, y, alpha, 1.3, 1.3, f, n=n, K=K, seed=seed)
 
     @staticmethod
     def _count_looks(monkeypatch):
@@ -312,12 +317,19 @@ class TestEarlyStop:
         monkeypatch.setattr(hl.sampler, "fold", counting)
         return looks
 
-    def test_a_stop_is_bitwise_the_row_at_that_cap(self, jump_model):
-        f = ClippedExpObservable([0.5], 10.0)
-        # seed 3 stops at the second look, past the first ladder block
-        early = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=20_000, seed=3)
+    @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
+    def test_a_stop_is_bitwise_the_row_at_that_cap(self, jump_model, scalar_model, kind):
+        # each seed stops at the second look, past the first ladder block
+        def run(n):
+            if kind == "harnack":
+                return verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, ClippedExpObservable([0.5], 10.0),
+                                            n=n, seed=3)
+            return self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.5], [0.0],
+                                    ClippedExpObservable([0.4], 8.0), n, seed=2)
+
+        early = run(20_000)
         stop = 2 * hl.sampler.MC_FIRST_BLOCK
-        capped = verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, f, n=stop, seed=3)
+        capped = run(stop)
         assert early.params["n_used"] == capped.params["n_used"] == stop
         assert early.verdict == verify.HOLDS
         for side in ("lhs", "rhs", "lhs_se", "rhs_se"):
@@ -350,6 +362,18 @@ class TestEarlyStop:
         reps = [verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s) for s in range(200)]
         assert all(r.params["n_used"] == n for r in reps)  # so no HOLDS comes from an early stop
 
+    def test_a_semilinear_row_below_the_true_ratio_never_stops_early(self, flat_model, monkeypatch):
+        # with zero drift the paths are exact OU ones, so the sides are those of the
+        # harnack equality above; its coefficient e^{0.36} cut by 1e-3 replaces the
+        # semilinear one, so the true margin is negative and no look may stop
+        f = ClippedExpObservable([0.6], 1000.0)
+        n = 3 * hl.sampler.MC_BLOCK
+        coef = (1.0 - 1e-3) * math.exp(0.36)
+        monkeypatch.setattr(verify, "saturating_exp", lambda z: coef)
+        reps = [self._semilinear(flat_model, drift_zero(1), [0.6], [0.0], f, n, seed=s, alpha=2.0, K=2)
+                for s in range(200)]
+        assert all(r.params["n_used"] == n for r in reps)
+
     def test_a_missed_rare_left_event_never_stops_early(self, flat_model, monkeypatch):
         # the indicator of X_1 > 0 from x = -2.88 (p about 2e-3) against y = -3.09 (p about
         # 1e-3), with the coefficient 1e-3 below equality: the true margin is negative.  Some
@@ -379,14 +403,39 @@ class TestEarlyStop:
         assert all(margin < 0.0 and se == 0.0 for margin, se in missed)
         assert all(r.params["n_used"] == n for r in reps)
 
-    def test_zero_sigma_never_stops_early(self, flat_model, monkeypatch):
+    @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
+    def test_zero_sigma_never_stops_early(self, flat_model, scalar_model, monkeypatch, kind):
         looks = self._count_looks(monkeypatch)
-        n = 3 * hl.sampler.MC_BLOCK
-        rep = verify.check_harnack(flat_model, 1.0, [0.5], [0.0], 2.0, ConstantObservable(2.0), n=n, seed=3)
+        n, f = 3 * hl.sampler.MC_BLOCK, ConstantObservable(2.0)
+        if kind == "harnack":
+            rep = verify.check_harnack(flat_model, 1.0, [0.5], [0.0], 2.0, f, n=n, seed=3)
+        else:
+            rep = self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.5], [0.0], f, n, seed=3)
         assert rep.params["margin_se"] == 0.0 and rep.margin > 0.0
         assert rep.params["n_used"] == n and rep.verdict == verify.HOLDS
         first = hl.sampler.MC_FIRST_BLOCK
         assert looks == [first, 2 * first, 4 * first, 8 * first]  # none once no block remains
+
+    def test_a_semilinear_row_says_its_sample_count(self, scalar_model):
+        # the row of a bounded drift decides its margin at the first look of a cap of 5000
+        rep = self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.5], [0.0],
+                               ClippedExpObservable([0.4], 8.0), 5000, seed=1)
+        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.MC_FIRST_BLOCK)
+
+    def test_a_first_look_stop_draws_one_block_of_step_normals(self, nonnormal_model, monkeypatch):
+        # a count that does not depend on the machine: the paths of the one block
+        # drawn take K steps of MC_FIRST_BLOCK * d normals each
+        drawn, step_normals = [], hl.sampler._step_normals
+
+        def counting(gen, K, shape):
+            drawn.append(K * math.prod(shape))
+            return step_normals(gen, K, shape)
+
+        monkeypatch.setattr(hl.sampler, "_step_normals", counting)
+        rep = self._semilinear(nonnormal_model, drift_scaled_sine(nonnormal_model, 0.5), [0.5, 0.2], [0.0, 0.0],
+                               ClippedExpObservable([0.4, 0.3], 8.0), 20_000, seed=1, K=16)
+        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.MC_FIRST_BLOCK)
+        assert drawn == [hl.sampler.MC_FIRST_BLOCK * 16 * 2]
 
     def test_one_block_check_never_reads_the_margin(self, jump_model, monkeypatch):
         looks = self._count_looks(monkeypatch)
@@ -412,7 +461,7 @@ class TestEarlyStop:
     @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
     def test_a_negative_sample_stops_the_fold_in_its_first_block(self, scalar_model, kind):
         # the sign guard wraps the observable: no block is drawn after the first negative sample;
-        # the endpoint ladder starts at MC_FIRST_BLOCK, path blocks hold MC_BLOCK
+        # both kinds draw the ladder that starts at MC_FIRST_BLOCK
         sizes = []
 
         def tanh(pts):
@@ -426,19 +475,18 @@ class TestEarlyStop:
             else:
                 verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [0.5], [0.0], 4.0, 1.3, 1.3, tanh,
                                                 n=n, K=8, seed=3)
-        assert sizes == [hl.sampler.MC_FIRST_BLOCK if kind == "harnack" else hl.sampler.MC_BLOCK]
+        assert sizes == [hl.sampler.MC_FIRST_BLOCK]
 
 
 class TestWeightedRowsSayTheirSampleCount:
     """Every semilinear_harnack and rho_moments row carries ``n_used``: the
-    weighted folds draw their full ``n``, and a trivial row draws nothing."""
+    weighted rho_moments fold draws its full ``n``, and a trivial row draws
+    nothing.  A sampled semilinear_harnack row may stop early (`TestEarlyStop`)."""
 
     def test_sampled_rows(self, scalar_model):
         spec = drift_scaled_sine(scalar_model, 0.5)
-        rows = [verify.check_semilinear_harnack(scalar_model, spec, 1.0, [0.5], [0.0], 4.0, 1.3, 1.3,
-                                                ClippedExpObservable([0.4], 8.0), n=5000, K=8, seed=1),
-                *verify.check_rho_moments(scalar_model, spec, 1.0, [0.4], 2.0, 0.5, n=5000, K=8, seed=2)]
-        assert [(r.verdict in PASS, r.params["n_used"]) for r in rows] == [(True, 5000)] * 3
+        rows = verify.check_rho_moments(scalar_model, spec, 1.0, [0.4], 2.0, 0.5, n=5000, K=8, seed=2)
+        assert [(r.verdict in PASS, r.params["n_used"]) for r in rows] == [(True, 5000)] * 2
 
     def test_trivial_rows(self, scalar_model):
         sine, f = drift_scaled_sine(scalar_model, 0.5), ClippedExpObservable([0.3], 5.0)

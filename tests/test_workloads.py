@@ -3,6 +3,7 @@ producing scenarios that the command-line parser accepts, the Monte Carlo
 workloads must keep clearing the benchmark's row gate, and the runner
 (``perfbench/run.py``) must run one, traced and untraced."""
 
+import functools
 import importlib.util
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from harnacklab import cli, verify
+from harnacklab import cli, sampler, verify
 
 _PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -34,8 +35,6 @@ def test_jump_reports_match_the_jump_by_jump_reference(name, monkeypatch):
     its rows keep their verdicts, with lhs and rhs within 1e-10 relative."""
     from test_sampler import _reference_jump_block
 
-    from harnacklab import sampler
-
     cfgs, _ = workloads.WORKLOADS[name](401)
 
     def reports():
@@ -55,19 +54,37 @@ def test_jump_reports_match_the_jump_by_jump_reference(name, monkeypatch):
         assert g.lhs == pytest.approx(w.lhs, rel=1e-10) and g.rhs == pytest.approx(w.rhs, rel=1e-10)
 
 
+@functools.cache
+def _reports(name, seed):
+    """Every row of one workload seed, run once for the tests below."""
+    cfgs, _ = workloads.WORKLOADS[name](seed)
+    return [r for cfg in cfgs for r in cli.run_scenario(cli.Scenario.parse(cfg))]
+
+
 @pytest.mark.parametrize("name", ["jump_suite", "jump_defective", "semilinear_paths"])
 def test_jump_workloads_pass_the_benchmark_row_gate(name):
     """The benchmark marks a run incorrect on any INCONCLUSIVE, VIOLATED or NaN
     row; the Monte Carlo workloads must clear that gate on several seeds."""
     bad = []
     for seed in range(1, 6):
-        cfgs, _ = workloads.WORKLOADS[name](seed)
-        for cfg in cfgs:
-            for r in cli.run_scenario(cli.Scenario.parse(cfg)):
-                values = (r.lhs, r.rhs, r.lhs_se, r.rhs_se, r.margin)
-                if r.verdict in (verify.INCONCLUSIVE, verify.VIOLATED) or any(map(math.isnan, values)):
-                    bad.append((seed, r.check_id, r.verdict, r.margin))
+        for r in _reports(name, seed):
+            values = (r.lhs, r.rhs, r.lhs_se, r.rhs_se, r.margin)
+            if r.verdict in (verify.INCONCLUSIVE, verify.VIOLATED) or any(map(math.isnan, values)):
+                bad.append((seed, r.check_id, r.verdict, r.margin))
     assert not bad
+
+
+def test_semilinear_rows_stop_at_the_first_look():
+    """semilinear_paths caps its semilinear_harnack rows at 2048 replicates,
+    two blocks of the ladder: every row stops at a block boundary, and at
+    least 90 % stop at the first (137 of the 140 rows of seeds 1-5 do).  A
+    change that quietly draws the whole cap again fails here."""
+    first = sampler.MC_FIRST_BLOCK
+    used = [r.params["n_used"] for seed in range(1, 6) for r in _reports("semilinear_paths", seed)
+            if r.check_id.startswith("semilinear")]
+    assert len(used) == 5 * 2 * workloads.SEMILINEAR_COUNT
+    assert set(used) <= {first, 2 * first} and 2 * first == workloads.SEMILINEAR_N
+    assert sum(u == first for u in used) >= 0.9 * len(used)
 
 
 @pytest.mark.parametrize("trace", [1, 0])
