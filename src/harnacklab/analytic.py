@@ -282,17 +282,22 @@ def hyper_constant(model: OuLevyModel, t: float, alpha: float, eps: float) -> fl
 
 
 def gaussian_kl(nu: GaussianMeasure, mu: GaussianMeasure) -> float:
-    """Relative entropy ``KL(nu || mu)`` of Gaussian measures, with covariances ``Sigma`` and ``S``.
-
-    It is ``(sum (w - log1p w) + |S^{-1/2} (m_nu - m_mu)|^2) / 2`` for the eigenvalues
-    ``w`` of ``S^{-1/2} (Sigma - S) S^{-1/2}``: nonnegative terms, so a small divergence
-    keeps its relative accuracy, which ``tr(S^{-1} Sigma) - d + log det S - log det Sigma`` loses.
-    """
+    """Relative entropy ``KL(nu || mu)`` of Gaussian measures: `_whitened_kl` with ``Q = I``."""
     if nu.dim != mu.dim:
         raise ValueError("dimension mismatch")
-    _full_rank(nu.factor, "first covariance")
-    root = _full_rank(mu.factor, "reference covariance").pinv_sqrt_matrix
-    w = np.linalg.eigvalsh(root @ (nu.cov - mu.cov) @ root)
+    return _whitened_kl(nu, mu, _full_rank(mu.factor, "reference covariance").pinv_sqrt_matrix)
+
+
+def _whitened_kl(nu: GaussianMeasure, mu: GaussianMeasure, root: np.ndarray) -> float:
+    """``KL(N(m + Q (m_nu - m), S + Q (Sigma_nu - S) Q') || mu)``, ``mu = N(m, S)``, ``root = S^{-1/2} Q``:
+    the law at ``t`` from ``nu`` of dynamics of propagator ``Q`` that leave ``mu`` invariant.
+    It is ``(sum (w - log1p w) + |root (m_nu - m)|^2) / 2`` for the eigenvalues ``w`` of
+    ``root (Sigma_nu - S) root'``: nonnegative terms, so a small divergence keeps its relative
+    accuracy, which ``tr(S^{-1} Sigma) - d + log det S - log det Sigma`` loses.
+    `SingularityError` when ``1 + w`` fails the rank rule."""
+    w = np.linalg.eigvalsh(root @ (nu.cov - mu.cov) @ root.T)
+    if linops.psd_rank(1.0 + w) < len(w):
+        raise SingularityError("first covariance is singular: density does not exist on the support")
     z = root @ (nu.mean - mu.mean)
     return 0.5 * float(np.sum(w - np.log1p(w)) + z @ z)
 

@@ -192,18 +192,10 @@ class Scenario:
 
     def to_dict(self) -> dict:
         m = self.model
-        out: dict = {
-            "dim": m.dim,
-            "A": m.drift_matrix.tolist(),
-            "R": m.noise_cov.tolist(),
-            "a": m.drift_offset.tolist(),
-        }
+        out: dict = {"dim": m.dim, "A": m.drift_matrix.tolist(), "R": m.noise_cov.tolist(),
+                     "a": m.drift_offset.tolist()}
         if m.jump is not None:
-            out["jump"] = {
-                "rate": m.jump.rate,
-                "atoms": m.jump.atoms.tolist(),
-                "probs": m.jump.probs.tolist(),
-            }
+            out["jump"] = {"rate": m.jump.rate, "atoms": m.jump.atoms.tolist(), "probs": m.jump.probs.tolist()}
         if self.seed is not None:
             out["seed"] = self.seed
         out["checks"] = [dict(c) for c in self.checks]
@@ -230,8 +222,7 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
         if kind == "harnack":
             h = _parse_h(entry, path) if entry.get("h") else None
             return [verify.check_harnack(
-                model, t, x, y, num("alpha"), f,
-                bound_mode=entry.get("bound_mode", "exact_gamma"),
+                model, t, x, y, num("alpha"), f, bound_mode=entry.get("bound_mode", "exact_gamma"),
                 n=n, seed=seed, h=h, check_id=cid)]
         if kind == "log_harnack":
             return [verify.check_log_harnack(model, t, x, y, f, n=n, seed=seed, check_id=cid)]
@@ -239,8 +230,7 @@ def _run_check(model: OuLevyModel, entry: dict, samples: int | None) -> list[ver
             return [verify.check_gradient_estimate(model, t, x, y, f, n=n, seed=seed, check_id=cid)]
         spec = drift_from_spec(_typed(entry, "F", path, dict), model)
         return [verify.check_semilinear_harnack(
-            model, spec, t, x, y, num("alpha"), num("p"), num("q"),
-            f, n=n, K=grid, seed=seed, check_id=cid)]
+            model, spec, t, x, y, num("alpha"), num("p"), num("q"), f, n=n, K=grid, seed=seed, check_id=cid)]
 
     if kind in ("kernel_harnack", "kernel_kl"):
         x = _vector(entry, "x", path, dim)
@@ -351,11 +341,7 @@ def _apply_sweep_value(entry: dict, name: str, value: float, dim: int) -> dict:
 def run_sweep(scenario: Scenario, check_id: str, name: str, grid,
               samples: int | None = None) -> list[tuple[float, verify.CheckReport]]:
     """Rerun one check over a parameter grid; first report per point."""
-    entry = None
-    for e in scenario.checks:
-        if e["id"] == check_id:
-            entry = e
-            break
+    entry = next((e for e in scenario.checks if e["id"] == check_id), None)
     if entry is None:
         raise SchemaError(f"sweep: no check with id {check_id!r}")
     rows = []
@@ -413,8 +399,7 @@ def _parse_sweep_flag(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="harnacklab",
-                                     description="Run inequality checks from a JSON scenario.")
+    parser = argparse.ArgumentParser(prog="harnacklab", description="Run inequality checks from a JSON scenario.")
     parser.add_argument("--config", required=True, help="path to the scenario JSON file")
     parser.add_argument("--check", default=None, help="run only the check with this id")
     parser.add_argument("--samples", type=int, default=None, help="override the Monte Carlo sample cap")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .model import HFunction, OuLevyModel, verify_h_condition
+from .model import HFunction, OuLevyModel, _adjoint_law, verify_h_condition
 
 #: Terminal-state acceptance threshold, relative to ``1 + |x0|``.
 TERMINAL_RESIDUAL_TOL = 1e-8
@@ -82,13 +82,14 @@ def gamma_norm(model: OuLevyModel, t: float, x) -> GammaNorm:
 
 
 def gamma_operator_norm(model: OuLevyModel, t: float) -> float:
-    """Operator norm of the minimum-energy map at horizon ``t``.
+    """Operator norm ``|G^{-1/2} e^{tA}|_2`` of the minimum-energy map at horizon ``t``.
 
     The propagator is invertible at finite dimension, so the range inclusion
-    needed for boundedness holds iff the Gramian has full rank; when it
+    needed for boundedness holds iff the Gramian ``G`` has full rank; when it
     fails the norm is reported as infinite (this convention also covers the
     case of a map bounded only on a proper domain).  Memoized on the model
-    per ``t``: at large ``d`` each value is one dense SVD.
+    per ``t``: at large ``d`` each value is one dense SVD.  `_adjoint_state`
+    reads the norm of `build_adjoint` ``(model)`` off the same snapshot.
     """
     def build() -> float:
         snap = model.snapshot(t)
@@ -98,6 +99,26 @@ def gamma_operator_norm(model: OuLevyModel, t: float) -> float:
         return float(np.linalg.norm(fac.pinv_sqrt_matrix @ snap.propagator, 2))
 
     return model._memoized(("gamma_operator_norm", float(t)), build)
+
+
+def _adjoint_state(model: OuLevyModel, t: float) -> tuple[np.ndarray, float]:
+    """``P* = S P' S^{-1}``, ``P = e^{tA}``, and `gamma_operator_norm` of `build_adjoint`
+    ``(model)``, ``sqrt(lambda_max(P*' G*^{-1} P*))`` with ``G*^{-1} = S^{-1} + P' G^{-1} P``
+    (Woodbury on ``G* = S - P* S P*'``): PSD terms, so nothing cancels.  Whitened by ``S``,
+    ``G`` and ``G*`` are ``I - KK'`` and ``I - K'K``: of one rank.  No adjoint model or expm;
+    memoized on the model per ``t``; raises as `build_adjoint` does."""
+    mu = _adjoint_law(model)
+
+    def build() -> tuple[np.ndarray, float]:
+        snap = model.snapshot(t)
+        p, fac = snap.propagator, snap.gramian_sqrt
+        adj = linops.read_only(np.linalg.solve(mu.cov, p @ mu.cov).T)
+        if fac.rank < snap.dim:
+            return adj, float("inf")
+        prec = mu.factor.pinv_matrix + p.T @ fac.pinv_matrix @ p
+        return adj, float(np.sqrt(np.linalg.eigvalsh(adj.T @ prec @ adj)[-1]))
+
+    return model._memoized(("adjoint_state", float(t)), build)
 
 
 def _rk4_terminal(model: OuLevyModel, t: float, x0: np.ndarray, drive_half: np.ndarray) -> np.ndarray:

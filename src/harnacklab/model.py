@@ -229,7 +229,9 @@ def verify_h_condition(model: OuLevyModel, h: HFunction, t: float) -> HCondition
             raise ValueError(f"decay profile must be nonnegative, got h({s}) = {hv}")
         rhs = float(np.sqrt(hv)) * sqrt_norms
         v = v @ step
-        lhs = np.where(rfac.in_range(v), np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1), np.inf)
+        lhs = np.linalg.norm(rfac.apply_pinv_sqrt(v), axis=1)
+        if rfac.rank < model.dim or not np.isfinite(v).all():  # a full-rank R's range holds every finite v
+            lhs[~rfac.in_range(v)] = np.inf  # and the range test raises on a non-finite one
         ratio = np.divide(lhs, rhs, out=np.full_like(lhs, np.inf), where=rhs > 0)
         ratio[(lhs <= H_CONDITION_SLACK) & (rhs <= H_CONDITION_SLACK)] = 0.0
         worst = max(worst, float(ratio.max()))
@@ -273,9 +275,7 @@ class SemilinearSpec:
             val = float(np.sum(rfac.apply_pinv_sqrt(fv) ** 2))
             bound = self.k1 + self.k2 * float(np.sum(x**2))
             if val > bound + 1e-9:
-                raise ValueError(
-                    f"growth condition fails at probe {x}: {val:.6g} > {bound:.6g}"
-                )
+                raise ValueError(f"growth condition fails at probe {x}: {val:.6g} > {bound:.6g}")
 
 
 def invariant_mean(model: OuLevyModel) -> np.ndarray:
@@ -285,16 +285,9 @@ def invariant_mean(model: OuLevyModel) -> np.ndarray:
         np.linalg.solve(model.drift_matrix, -model.drift_offset)))
 
 
-def build_adjoint(model: OuLevyModel) -> OuLevyModel:
-    """The adjoint of the transition semigroup in ``L^2`` of the invariant law
-    ``mu = N(m, S)``, again an OU model: drift ``A* = S A' S^{-1}``, noise ``R``
-    and offset ``-A* m``, so that ``mu`` is its invariant law too.  Memoized on
-    the model.
-
-    Requires a jump-free stable model with invertible steady-state
-    covariance; otherwise the time-reversal is not an OU model of the same
-    class and the construction fails in this truncation.
-    """
+def _adjoint_law(model: OuLevyModel):
+    """The invariant law ``N(m, S)`` of a model that has adjoint dynamics; the
+    `ValueError` of `build_adjoint` otherwise."""
     from .analytic import invariant_measure
 
     if model.has_jumps:
@@ -302,6 +295,20 @@ def build_adjoint(model: OuLevyModel) -> OuLevyModel:
     mu = invariant_measure(model)
     if mu.factor.rank < model.dim:
         raise ValueError("steady-state covariance is singular: adjoint construction fails in this truncation")
+    return mu
+
+
+def build_adjoint(model: OuLevyModel) -> OuLevyModel:
+    """The adjoint of the transition semigroup in ``L^2`` of the invariant law
+    ``mu = N(m, S)``, again an OU model: drift ``A* = S A' S^{-1}``, noise ``R``
+    and offset ``-A* m``, so that ``mu`` is its invariant law too.  Memoized on
+    the model; the checks read what they need of it off the model's snapshot.
+
+    Requires a jump-free stable model with invertible steady-state
+    covariance; otherwise the time-reversal is not an OU model of the same
+    class and the construction fails in this truncation.
+    """
+    mu = _adjoint_law(model)
 
     def build() -> OuLevyModel:
         drift = mu.cov @ np.linalg.solve(mu.cov, model.drift_matrix).T

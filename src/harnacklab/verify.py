@@ -43,7 +43,7 @@ import numpy as np
 
 from . import analytic, control, linops, sampler
 from .analytic import saturating_exp
-from .model import HFunction, OuLevyModel, SemilinearSpec, build_adjoint, verify_h_condition
+from .model import HFunction, OuLevyModel, SemilinearSpec, _adjoint_law, verify_h_condition
 from .testfuncs import ExpObservable
 
 HOLDS = "HOLDS"
@@ -125,17 +125,8 @@ def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None, margin_
     if note:
         params["note"] = note if "note" not in params else params["note"] + "; " + note
     margin = float("inf") if math.isinf(rhs) and rhs > 0 else rhs - lhs
-    return CheckReport(
-        check_id=check_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        lhs_se=float(lhs_se),
-        rhs_se=float(rhs_se),
-        margin=float(margin),
-        verdict=verdict,
-        params=params,
-        seed=int(seed),
-    )
+    return CheckReport(check_id, float(lhs), float(rhs), float(lhs_se), float(rhs_se), float(margin), verdict,
+                       params, int(seed))
 
 
 def _power_fns(f, alpha: float):
@@ -222,8 +213,7 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     e_sq = _energy_squared(model, t, x, y, bound_mode, h)
-    params = _echo(t=t, x=x, y=y, alpha=alpha, bound_mode=bound_mode, n=n, n_used=0, f=f, h=h,
-                   energy_sq=e_sq)
+    params = _echo(t=t, x=x, y=y, alpha=alpha, bound_mode=bound_mode, n=n, n_used=0, f=f, h=h, energy_sq=e_sq)
     if math.isinf(e_sq):
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed)
     coef = saturating_exp(alpha * e_sq / (2.0 * (alpha - 1.0)))
@@ -272,8 +262,7 @@ def _mc_report(check_id, params, seed, blocks, sides, cap=None, note=None) -> Ch
                    margin_se=margin_se)
 
 
-def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
-                      n: int = 100_000, seed: int = 0,
+def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, seed: int = 0,
                       check_id: str = "log_harnack") -> CheckReport:
     """Logarithmic comparison: ``P_t log f(x) <= log P_t f(y) + |op|^2
     |x-y|^2 / 2`` for observables at least 1.
@@ -310,8 +299,7 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f,
     return _mc_report(check_id, params, seed, values, sides, cap=n, note=note)
 
 
-def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f,
-                            n: int = 100_000, seed: int = 0,
+def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, seed: int = 0,
                             check_id: str = "gradient") -> CheckReport:
     """Two-point variance bound on the semigroup increment.
 
@@ -390,8 +378,7 @@ def kernel_kl_report(model: OuLevyModel, t: float, x, y, alpha: float, check_id:
                    0.0, 0.0, params, 0)
 
 
-def check_density_norm(model: OuLevyModel, t: float, x, alpha: float,
-                       check_id: str = "density_norm") -> CheckReport:
+def check_density_norm(model: OuLevyModel, t: float, x, alpha: float, check_id: str = "density_norm") -> CheckReport:
     """Transition-density norm against its closed-form bound."""
     lhs, rhs = analytic.density_norm_bound(model, t, np.asarray(x, dtype=float), alpha)
     params = _echo(t=t, x=np.asarray(x, dtype=float), alpha=alpha)
@@ -420,19 +407,20 @@ def check_entropy_cost(model: OuLevyModel, nu: analytic.GaussianMeasure, t: floa
     adjoint-dynamics pushforward, operator norm of the adjoint
     minimum-energy map) and the adjoint-semigroup bound (entropy of the
     forward pushforward, original operator norm).  Neither is asserted to be
-    the sharper one.
+    the sharper one.  Both read the model's snapshot at ``t`` (the adjoint's
+    by `control._adjoint_state`); no pushforward law is formed.
     """
-    adj = build_adjoint(model)
-    mu = analytic.invariant_measure(model)
+    mu = _adjoint_law(model)
     w2_sq = analytic.gaussian_w2(nu, mu) ** 2
 
-    def variant(rid: str, dynamics: OuLevyModel, name: str) -> CheckReport:
-        op = control.gamma_operator_norm(dynamics, t)
-        return _report(rid, analytic.gaussian_kl(analytic.ou_pushforward(dynamics, nu, t), mu), 0.5 * op**2 * w2_sq,
-                       0.0, 0.0, _echo(t=t, nu=_measure_echo(nu), variant=name, operator_norm=op), 0)
+    def variant(rid: str, q: np.ndarray, op: float, name: str) -> CheckReport:
+        kl = analytic._whitened_kl(nu, mu, mu.factor.pinv_sqrt_matrix @ q)
+        return _report(rid, kl, 0.5 * op**2 * w2_sq, 0.0, 0.0,
+                       _echo(t=t, nu=_measure_echo(nu), variant=name, operator_norm=op), 0)
 
-    return (variant(check_id, adj, "forward_semigroup"),
-            variant(check_id + "_adjoint", model, "adjoint_semigroup"))
+    return (variant(check_id, *control._adjoint_state(model, t), "forward_semigroup"),
+            variant(check_id + "_adjoint", model.snapshot(t).propagator, control.gamma_operator_norm(model, t),
+                    "adjoint_semigroup"))
 
 
 def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t: float,
@@ -446,19 +434,17 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
     first.
     """
     cert = verify_h_condition(model, h, t).require()
-    adj = build_adjoint(model)
-    mu = analytic.invariant_measure(model)
+    mu = _adjoint_law(model)
     lhs = analytic.gaussian_kl(nu, mu)
     fisher = analytic.fisher_information(model, nu, mu)
     if use_h_bound:
         coef = 1.0 / (2.0 * h.integral_of_inverse(t))
         variant = "symmetric_h_bound"
     else:
-        coef = 0.5 * control.gamma_operator_norm(adj, t) ** 2
+        coef = 0.5 * control._adjoint_state(model, t)[1] ** 2
         variant = "adjoint_operator_norm"
     rhs = 2.0 * fisher * h.integral_of_h(t) + coef * analytic.gaussian_w2(nu, mu) ** 2
-    params = _echo(t=t, nu=_measure_echo(nu), h=h, variant=variant,
-                   fisher=fisher, worst_ratio=cert.worst_ratio)
+    params = _echo(t=t, nu=_measure_echo(nu), h=h, variant=variant, fisher=fisher, worst_ratio=cert.worst_ratio)
     return _report(check_id, lhs, rhs, 0.0, 0.0, params, 0)
 
 
@@ -468,11 +454,8 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
 
 
 def _default_probes(model: OuLevyModel, *pts) -> list[np.ndarray]:
-    probes = [np.zeros(model.dim)]
-    probes += list(np.eye(model.dim))  # rows of one identity, not one identity per row
-    probes += [2.0 * np.ones(model.dim)]
-    probes += [np.asarray(p, dtype=float).reshape(-1) for p in pts]
-    return probes
+    d = model.dim
+    return [np.zeros(d), *np.eye(d), 2.0 * np.ones(d), *(np.asarray(p, dtype=float).reshape(-1) for p in pts)]
 
 
 def _exp_moment_constant(model: OuLevyModel, spec: SemilinearSpec, t: float, r: float) -> float:
@@ -552,8 +535,7 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
         raise ValueError("need p > 1 and delta > 0")
     x = np.asarray(x, dtype=float).reshape(-1)
     spec.validate(model, _default_probes(model, x))
-    params = _echo(t=t, x=x, p=p, delta=delta, n=n, K=K, drift=spec.label,
-                   k1=spec.k1, k2=spec.k2)
+    params = _echo(t=t, x=x, p=p, delta=delta, n=n, K=K, drift=spec.label, k1=spec.k1, k2=spec.k2)
     bounds = {}
     for power, growth in ((p, 0.5 * p * (2.0 * p - 1.0)), (-delta, 0.5 * delta * (2.0 * delta + 1.0))):
         const = _exp_moment_constant(model, spec, t, abs(power))

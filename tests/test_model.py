@@ -140,6 +140,14 @@ class TestHCondition:
         rep = verify_h_condition(m, HFunction.exponential(2.0), 1e6)
         assert rep.certified and rep.worst_ratio == 0.0
 
+    @pytest.mark.parametrize("noise", [np.eye(2), np.diag([1.0, 0.0])], ids=["full_rank", "rank_one"])
+    def test_non_finite_stepped_vector_raises(self, noise):
+        # each step multiplies R x by e^500: finite after the first, inf after the second;
+        # a full-rank R skips the range test of a finite vector, but not of this one
+        m = OuLevyModel(drift_matrix=50.0 * np.eye(2), noise_cov=noise)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="non-finite vector"):
+            verify_h_condition(m, HFunction.constant(1.0), 80.0)
+
     def test_propagated_state_leaving_range_gives_infinite_ratio(self):
         # rotation carries R x out of the rank-one range of R^(1/2)
         m = OuLevyModel(drift_matrix=[[0.0, 1.0], [-1.0, 0.0]], noise_cov=np.diag([1.0, 0.0]))

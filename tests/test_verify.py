@@ -625,6 +625,57 @@ class TestEntropyCost:
         assert adjoint.verdict in PASS
 
 
+    @pytest.mark.parametrize("kind", ["nonnormal", "singular"])
+    @pytest.mark.parametrize("d", [1, 3, 10, 50])
+    def test_rows_match_the_explicit_adjoint_route(self, kind, d):
+        """Both rows, and hwi's adjoint_operator_norm coefficient, read off the model's
+        snapshot, against build_adjoint -> ou_pushforward -> gaussian_kl and the adjoint
+        model's own gamma_operator_norm: equal verdicts, and each KL within 1e-10 where
+        it exceeds 1e-8 (below, the explicit route's Sigma_t - S cancels).  A norm reads
+        a Gramian whose smallest eigenvalue carries eps cond(G) of relative rounding, in
+        either route: about 1e-8 for rank d - 1 noise at t = 1e-3."""
+        rng = np.random.default_rng(700 + d)
+        if kind == "nonnormal":  # A = R^(1/2) M R^(-1/2), sym(M) <= -0.3 I, so h = exp(-0.3 t) is certified
+            r = make_psd(rng, d, ridge=0.5)
+            w, g = rng.normal(size=(2, d, d)) / np.sqrt(d)
+            root = scipy.linalg.sqrtm(r).real
+            a = root @ (w - w.T - 0.3 * np.eye(d) - g @ g.T) @ np.linalg.inv(root)
+        else:  # rank d - 1 noise (full at d = 1), controllable through a dense drift
+            a, r = make_stable(rng, d, margin=0.3, scale=1.0 / np.sqrt(d)), make_psd(rng, d, rank=max(1, d - 1))
+        m = OuLevyModel(drift_matrix=a, noise_cov=r, drift_offset=rng.normal(size=d))
+        nu = GaussianMeasure(mean=rng.normal(size=d), cov=make_psd(rng, d, ridge=0.5))
+        mu, adj = analytic.invariant_measure(m), hl.build_adjoint(m)
+        w2_sq, fisher = analytic.gaussian_w2(nu, mu) ** 2, analytic.fisher_information(m, nu, mu)
+        for t in (1e-3, 0.7, 20.0):
+            g = np.linalg.eigvalsh(m.snapshot(t).gramian)
+            norm_tol = 1e-10 + np.finfo(float).eps * g[-1] / g[0]
+            rows = verify.check_entropy_cost(m, nu, t)
+            for rep, dynamics in zip(rows, (adj, m)):
+                kl = analytic.gaussian_kl(analytic.ou_pushforward(dynamics, nu, t), mu)
+                op = control.gamma_operator_norm(dynamics, t)
+                assert rep.verdict == verify.classify(kl, 0.5 * op**2 * w2_sq)
+                assert rep.params["operator_norm"] == pytest.approx(op, rel=norm_tol)
+                if kl > 1e-8:
+                    assert rep.lhs == pytest.approx(kl, rel=1e-10)
+            if kind == "nonnormal":
+                h = HFunction.exponential(0.3)
+                rep = verify.check_hwi(m, nu, h, t)
+                op = control.gamma_operator_norm(adj, t)
+                rhs = 2.0 * fisher * h.integral_of_h(t) + 0.5 * op**2 * w2_sq
+                assert rep.verdict == verify.classify(analytic.gaussian_kl(nu, mu), rhs)
+                assert rep.rhs == pytest.approx(rhs, rel=2.0 * norm_tol)
+
+    @pytest.mark.parametrize("check", ["entropy_cost", "hwi"])
+    def test_no_adjoint_dynamics_raises_as_build_adjoint(self, check, jump_model):
+        singular = OuLevyModel(drift_matrix=-np.eye(2), noise_cov=np.diag([1.0, 0.0]))
+        for m, message in ((singular, "steady-state covariance is singular"), (jump_model, "jump-free")):
+            nu = GaussianMeasure(mean=np.ones(m.dim), cov=np.eye(m.dim))
+            with pytest.raises(ValueError, match=message):
+                if check == "entropy_cost":
+                    verify.check_entropy_cost(m, nu, 0.8)
+                else:
+                    verify.check_hwi(m, nu, HFunction.exponential(1.0), 0.8)
+
     def test_measure_is_echoed_by_digest(self, scalar_model):
         nu = GaussianMeasure(mean=[1.5], cov=[[1.0]])
         forward, adjoint = verify.check_entropy_cost(scalar_model, nu, 0.8)
@@ -669,7 +720,7 @@ class TestHwi:
         assert rep.verdict in PASS
 
     def test_expm_calls_on_a_fresh_model(self, monkeypatch):
-        # one step of the certificate grid, then one snapshot of the adjoint at t
+        # one step of the certificate grid, then the model's one snapshot at t
         calls = []
         expm = hl.linops._expm
         monkeypatch.setattr(hl.linops, "_expm", lambda x, *split: calls.append(np.shape(x)) or expm(x, *split))

@@ -61,12 +61,13 @@ def _reports(name, seed):
     return [r for cfg in cfgs for r in cli.run_scenario(cli.Scenario.parse(cfg))]
 
 
-@pytest.mark.parametrize("name", ["jump_suite", "jump_defective", "semilinear_paths"])
+@pytest.mark.parametrize("name", ["jump_suite", "jump_defective", "semilinear_paths", "highdim_suite"])
 def test_jump_workloads_pass_the_benchmark_row_gate(name):
     """The benchmark marks a run incorrect on any INCONCLUSIVE, VIOLATED or NaN
-    row; the Monte Carlo workloads must clear that gate on several seeds."""
+    row; the Monte Carlo workloads must clear that gate on several seeds, and
+    highdim_suite, whose closed forms take about a second a seed, on three."""
     bad = []
-    for seed in range(1, 6):
+    for seed in range(1, 4 if name == "highdim_suite" else 6):
         for r in _reports(name, seed):
             values = (r.lhs, r.rhs, r.lhs_se, r.rhs_se, r.margin)
             if r.verdict in (verify.INCONCLUSIVE, verify.VIOLATED) or any(map(math.isnan, values)):
