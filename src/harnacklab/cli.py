@@ -432,7 +432,7 @@ def main(argv=None) -> int:
             reports = run_scenario(scenario, samples=args.samples, only_check=args.check)
             text = render_reports(reports, fmt=args.format)
             code = exit_code(reports)
-    except (SchemaError, KeyError, ValueError) as exc:
+    except (SchemaError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:

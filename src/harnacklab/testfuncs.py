@@ -2,15 +2,17 @@
 
 Scenario files select functions by name so that runs stay declarative and
 reproducible.  Observables act on row-stacked points ``(m, d)`` and return
-``(m,)``; drift perturbations map ``(m, d)`` to ``(m, d)``.  Exponential
-observables carry their direction so the verification layer can switch to
-closed forms.
+``(m,)``; drift perturbations map ``(m, d)`` to ``(m, d)``.  Every
+observable but the constant is a `RidgeObservable`, which carries its
+direction and profile so that the verification layer can switch to closed
+forms and one-dimensional quadrature.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -18,78 +20,78 @@ from .model import DRIFT_RANGE_TOL, OuLevyModel, SemilinearSpec
 
 
 @dataclass(frozen=True)
-class ExpObservable:
-    """``exp(<c, z>)``: positive, unbounded, closed-form friendly."""
+class RidgeObservable:
+    """``g(<c, z>)`` for a scalar ``profile`` ``g``, monotone in every kind
+    here and called where an overflow is no error; `spec` is the scenario
+    description ``f`` that builds it.  `verify` integrates ``g`` against the
+    normal law of ``<c, X_t>`` of a jump-free model."""
 
     c: np.ndarray
+    kind: ClassVar[str]
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
 
     def __call__(self, pts):
-        with np.errstate(over="ignore"):  # an overflow is an inf that `sampler.Moments` names
-            return np.exp(np.atleast_2d(pts) @ self.c)
+        with np.errstate(over="ignore"):  # an overflow of exp is capped, or an inf that `sampler.Moments` names
+            return self.profile(np.atleast_2d(pts) @ self.c)
+
+    @property
+    def spec(self) -> dict:
+        return {"kind": self.kind, "c": self.c.tolist(), **{k.name: getattr(self, k.name) for k in fields(self)[1:]}}
+
+
+class ExpObservable(RidgeObservable):
+    """``exp(<c, z>)``: positive, unbounded, closed-form friendly."""
+
+    kind = "exp"
+    profile = staticmethod(np.exp)
 
     def power(self, alpha: float) -> "ExpObservable":
         return ExpObservable(alpha * self.c)
 
 
 @dataclass(frozen=True)
-class ClippedExpObservable:
+class ClippedExpObservable(RidgeObservable):
     """``min(exp(<c, z>), cap)``: bounded positive."""
 
-    c: np.ndarray
     cap: float = 10.0
+    kind = "clipped_exp"
 
     def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
+        super().__post_init__()
         if self.cap <= 0:
             raise ValueError("cap must be positive")
 
-    def __call__(self, pts):
-        with np.errstate(over="ignore"):  # an overflow is capped
-            return np.minimum(np.exp(np.atleast_2d(pts) @ self.c), self.cap)
+    def profile(self, z):
+        return np.minimum(np.exp(z), self.cap)
 
 
-@dataclass(frozen=True)
-class TanhObservable:
+class TanhObservable(RidgeObservable):
     """``tanh(<c, z>)``: bounded, sign changing."""
 
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
-
-    def __call__(self, pts):
-        return np.tanh(np.atleast_2d(pts) @ self.c)
+    kind = "tanh"
+    profile = staticmethod(np.tanh)
 
 
-@dataclass(frozen=True)
-class OnePlusSigmoid:
+class OnePlusSigmoid(RidgeObservable):
     """``1 + sigmoid(<c, z>)``: bounded in (1, 2), suited to log bounds."""
 
-    c: np.ndarray
+    kind = "one_plus_sigmoid"
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
-
-    def __call__(self, pts):
-        z = np.atleast_2d(pts) @ self.c
+    def profile(self, z):
         return 1.0 + 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass(frozen=True)
-class IndicatorObservable:
+class IndicatorObservable(RidgeObservable):
     """``1 if <c, z> > threshold else 0``."""
 
-    c: np.ndarray
     threshold: float = 0.0
+    kind = "indicator"
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float).reshape(-1))
-
-    def __call__(self, pts):
-        return (np.atleast_2d(pts) @ self.c > self.threshold).astype(float)
+    def profile(self, z):
+        return (z > self.threshold).astype(float)
 
 
 @dataclass(frozen=True)
@@ -100,22 +102,18 @@ class ConstantObservable:
         return np.full(np.atleast_2d(pts).shape[0], self.value)
 
 
+_RIDGE_KINDS = (ExpObservable, ClippedExpObservable, TanhObservable, OnePlusSigmoid, IndicatorObservable)
+
+
 def observable_from_spec(spec: dict, dim: int):
     """Build an observable from its scenario description ``f``."""
     kind = spec.get("kind")
-    if kind == "exp":
-        return ExpObservable(spec_vector(spec, "c", dim, "f"))
-    if kind == "clipped_exp":
-        return ClippedExpObservable(spec_vector(spec, "c", dim, "f"), _number(spec, "cap", "f", 10.0))
-    if kind == "tanh":
-        return TanhObservable(spec_vector(spec, "c", dim, "f"))
-    if kind == "one_plus_sigmoid":
-        return OnePlusSigmoid(spec_vector(spec, "c", dim, "f"))
-    if kind == "indicator":
-        return IndicatorObservable(spec_vector(spec, "c", dim, "f"), _number(spec, "threshold", "f", 0.0))
     if kind == "one":
         return ConstantObservable(1.0)
-    raise ValueError(f"f.kind: unknown observable kind {kind!r}")
+    cls = next((cls for cls in _RIDGE_KINDS if cls.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"f.kind: unknown observable kind {kind!r}")
+    return cls(spec_vector(spec, "c", dim, "f"), *(_number(spec, k.name, "f", k.default) for k in fields(cls)[1:]))
 
 
 def spec_vector(spec: dict, key: str, dim: int, path: str) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Executable inequality checks with explicit statistical verdicts.
 
 Each check evaluates a left-hand side and a right-hand side, by closed form
-where one exists (standard error zero) and by seeded Monte Carlo otherwise,
-and classifies the margin:
+where one exists, by one-dimensional quadrature for a ridge observable of a
+jump-free model (both with standard error zero), and by seeded Monte Carlo
+otherwise, says which in ``params["method"]``, and classifies the margin:
 
 * ``VIOLATED`` needs a breach beyond three combined standard errors (plus a
   relative slack of 1e-9 for exact evaluations); the shipped inequalities
@@ -44,7 +45,7 @@ import numpy as np
 from . import analytic, control, linops, sampler
 from .analytic import saturating_exp
 from .model import HFunction, OuLevyModel, SemilinearSpec, _adjoint_law, verify_h_condition
-from .testfuncs import ExpObservable
+from .testfuncs import ExpObservable, IndicatorObservable, RidgeObservable
 
 HOLDS = "HOLDS"
 HOLDS_EQUALITY = "HOLDS_EQUALITY"
@@ -116,7 +117,7 @@ def _times(coef: float, v: float) -> float:
 
 
 def _report(check_id, lhs, rhs, lhs_se, rhs_se, params, seed, note=None, margin_se=None) -> CheckReport:
-    params = dict(params)
+    params = {"method": "closed_form", **params}
     verdict = classify(lhs, rhs, lhs_se, rhs_se, margin_se)
     if margin_se is not None:
         params["margin_se"] = float(margin_se)
@@ -158,6 +159,8 @@ def _echo(**kw) -> dict:
             out[k] = v.tolist()
         elif isinstance(v, HFunction):
             out[k] = v.label
+        elif hasattr(v, "spec"):
+            out[k] = v.spec
         elif isinstance(v, (np.floating, np.integer)):
             out[k] = float(v)
         elif v is None or isinstance(v, (int, float, str, bool, list, dict)):
@@ -204,8 +207,9 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
     the bound of `control.h_bound`, which certifies ``h`` first.
     A coefficient past the float range gives ``TRIVIAL_INFINITE_RHS`` before
     any draw.  Exponential observables are evaluated in closed form, jumps
-    or not; anything else runs one Monte Carlo pass whose noise serves both
-    starts, and the margin is judged by its joint standard error
+    or not, and other ridge observables of a jump-free model by
+    `_ridge_report`; anything else runs one Monte Carlo pass whose noise
+    serves both starts, and the margin is judged by its joint standard error
     (``margin_se`` in the params).
     """
     if alpha <= 1:
@@ -225,6 +229,11 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
             lhs = np.float64(analytic.mehler_exponential(model, t, f.c, x)) ** alpha
         rhs = coef * analytic.mehler_exponential(model, t, alpha * f.c, y)
         return _report(check_id, lhs, rhs, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW if math.isinf(rhs) else None)
+    g, g_alpha = _power_fns(lambda v: v, alpha)
+    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y],
+                        lambda mean: (np.float64(mean(g, 0)) ** alpha, coef * mean(g_alpha, 1)), check=g)
+    if row is not None:
+        return row
 
     values = sampler.endpoint_values(model, t, [x, y], _power_fns(f, alpha), n, sampler.mix_seed(seed, 1))
     return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef), cap=n)
@@ -258,8 +267,52 @@ def _mc_report(check_id, params, seed, blocks, sides, cap=None, note=None) -> Ch
     if rhs - lhs < -_slack(lhs, rhs) and rhs_se == 0.0:
         raise ValueError(f"collapsed estimate: the right side has no spread, so margin {rhs - lhs:.6g} "
                          f"at n_used={acc.n} is no verdict")
-    return _report(check_id, lhs, rhs, lhs_se, rhs_se, {**params, "n_used": acc.n}, seed, note and note(),
-                   margin_se=margin_se)
+    return _report(check_id, lhs, rhs, lhs_se, rhs_se, {**params, "n_used": acc.n, "method": "monte_carlo"}, seed,
+                   note and note(), margin_se=margin_se)
+
+
+#: Half-width of `_ridge_report`'s range in standard deviations; the normal density is 0 beyond 38.6.
+RIDGE_RANGE = 40.0
+
+
+def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides, note=None, check=None):
+    """The exact row of a ridge observable ``f`` on a jump-free model whose
+    ``sigma^2 = c'G_t c`` passes the rank rule: ``sides(mean) -> (lhs, rhs)``, with
+    ``mean(h, i) = E h(f(X_t^{x_i}))`` for ``<c, X_t^{x_i}> ~ N(mu_i, sigma^2)``:
+    ``h(1) p + h(0) q`` for the indicator, ``p`` and ``q`` each by erfc, else by
+    `linops.integrate` over ``mu_i +- RIDGE_RANGE sigma``, whose ends ``check``
+    sees first.  ``None`` where the check samples, and where the integrator
+    cannot certify a side, such as a variance or a log that is mostly rounding."""
+    if model.has_jumps or not isinstance(f, RidgeObservable):
+        return None
+    snap = model.snapshot(t)
+    var = float(f.c @ snap.gramian @ f.c)
+    if not var > linops.DEFAULT_RANK_TOL * float(f.c @ f.c) * float(np.diag(snap.gramian).max()):
+        return None
+    sampler.require_replicates(n)
+    sigma, cp = math.sqrt(var), f.c @ snap.propagator
+    mus = [float(cp @ x + f.c @ snap.mean_shift) for x in starts]
+
+    def mean(h, i):
+        if isinstance(f, IndicatorObservable):
+            a = (f.threshold - mus[i]) / (sigma * math.sqrt(2.0))
+            return float(h(np.array([1.0, 0.0])) @ [0.5 * math.erfc(a), 0.5 * math.erfc(-a)])
+
+        def integrand(u):
+            vals = h(f.profile(mus[i] + sigma * u)) * np.exp(-0.5 * u * u)
+            if not np.isfinite(vals).all():  # an overflow, which sampling would not certify either
+                raise sampler.NonFiniteValueError(f"non-finite integrand of N({mus[i]:.6g}, {sigma:.6g}^2)")
+            return vals
+        return linops.integrate(integrand, -RIDGE_RANGE, RIDGE_RANGE) / math.sqrt(2.0 * math.pi)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # `integrand` names a non-finite value
+            if check is not None:
+                check(f.profile(np.add.outer(mus, [-RIDGE_RANGE * sigma, RIDGE_RANGE * sigma])))
+            lhs, rhs = sides(mean)
+    except linops.QuadratureError:
+        return None
+    method = "closed_form" if isinstance(f, IndicatorObservable) else "quadrature"
+    return _report(check_id, lhs, rhs, 0.0, 0.0, {**params, "method": method}, seed, note and note())
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, seed: int = 0,
@@ -269,6 +322,7 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, s
 
     Observables dipping below 1 are clamped up to 1 (recorded in the
     params); an infinite operator norm makes the bound trivially infinite.
+    A ridge observable of a jump-free model is integrated by `_ridge_report`.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -279,9 +333,9 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, s
                        "operator norm infinite (range inclusion fails)")
     lowest = math.inf
 
-    def g(pts):
+    def g(vals):
         nonlocal lowest
-        vals = np.asarray(f(pts), dtype=float)
+        vals = np.asarray(vals, dtype=float)
         lowest = min(lowest, float(vals.min()))
         return np.maximum(vals, 1.0)
 
@@ -295,7 +349,13 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, s
     def note():
         return f"observable clamped up to 1 (minimum sample {lowest:.6g})" if lowest < 1.0 else None
 
-    values = sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(pts)), g], n, sampler.mix_seed(seed, 1))
+    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y],
+                        lambda mean: (mean(lambda v: np.log(g(v)), 0), math.log(mean(g, 1)) + bound), note)
+    if row is not None:
+        return row
+    lowest = math.inf  # a sampled row's note reads its samples alone
+    values = sampler.endpoint_values(model, t, [x, y], [lambda pts: np.log(g(f(pts))), lambda pts: g(f(pts))], n,
+                                     sampler.mix_seed(seed, 1))
     return _mc_report(check_id, params, seed, values, sides, cap=n, note=note)
 
 
@@ -310,9 +370,10 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f, n: int = 100_
     v_x, u_x^2, v_y, u_y^2)``, ``v = f(X_t)`` and ``u = v - s`` for the
     first replicate's value ``s``: each variance is a smooth function of the
     means of ``v`` and ``u^2``, so the error of the right side and the joint
-    error of the margin both come from their co-moment matrix.  A factor
-    ``e^{G^2} - 1`` past the float range gives ``TRIVIAL_INFINITE_RHS``
-    before any draw.
+    error of the margin both come from their co-moment matrix.  A ridge
+    observable of a jump-free model is integrated by `_ridge_report` instead,
+    each variance centred on its mean.  A factor ``e^{G^2} - 1`` past the
+    float range gives ``TRIVIAL_INFINITE_RHS`` before any draw.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -323,6 +384,14 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f, n: int = 100_
         return _report(check_id, 0.0, float("inf"), 0.0, 0.0, params, seed,
                        _GROWTH_OVERFLOW if gam.in_domain else "x - y outside the steerable domain")
     factor = math.expm1(gam_sq)
+
+    def exact(mean):
+        m = [mean(lambda v: v, i) for i in (0, 1)]
+        return (m[0] - m[1]) ** 2, factor * min(mean(lambda v, mi=mi: (v - mi) ** 2, i) for i, mi in enumerate(m))
+
+    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y], exact)
+    if row is not None:
+        return row
     shift = None
 
     def columns(v):
@@ -555,6 +624,7 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
         if power not in powers:
             return _report(check_id + suffix, 0.0, bound, 0.0, 0.0, {**params, "n_used": 0}, seed, note)
         est = moments[float(power)]
-        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0, {**params, "n_used": est.n}, seed)
+        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0,
+                       {**params, "n_used": est.n, "method": "monte_carlo"}, seed)
 
     return row(p, "_positive"), row(-delta, "_negative")

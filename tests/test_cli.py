@@ -128,9 +128,10 @@ class TestMain:
     def test_tight_check_small_sample_exits_two(self, tmp_path):
         # sharp-point comparison at n=100, an exact equality: for this frozen
         # seed the margin lands 2.3 joint standard errors below zero, inside
-        # three of the sides' combined error
+        # three of the sides' combined error.  The jump part of a single zero
+        # atom leaves the law as it is and keeps the row on Monte Carlo
         cfg = {
-            "dim": 1, "A": [[0.0]], "R": [[1.0]], "a": [0.0],
+            "dim": 1, "A": [[0.0]], "R": [[1.0]], "a": [0.0], "jump": {"rate": 1.0, "atoms": [[0.0]]},
             "checks": [{
                 "kind": "harnack", "id": "tight", "t": 1.0, "x": [0.6], "y": [0.0],
                 "alpha": 2.0, "f": {"kind": "clipped_exp", "c": [0.6], "cap": 1000.0},
@@ -144,7 +145,7 @@ class TestMain:
         assert "INCONCLUSIVE" in out.read_text()
 
     def test_non_finite_observable_exits_three(self, tmp_path, capsys, recwarn):
-        # exp(400 x) overflows on the sampled endpoints: an input error, not a verdict
+        # exp(400 x) overflows at the quadrature nodes: an input error, not a verdict
         cfg = minimal_config()
         cfg["checks"] = [{"kind": "gradient", "id": "g", "t": 1.0, "x": [0.5], "y": [0.0],
                           "f": {"kind": "exp", "c": [400.0]}, "n": 2000}]
@@ -154,7 +155,7 @@ class TestMain:
         assert cli.main(["--config", str(path), "--out", str(out)]) == 3
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
-        # the overflow is named once, by the fold: no step warns about it or computes with inf
+        # the overflow is named once, by the integrand: no step warns about it or computes with inf
         assert not [w for w in recwarn.list if issubclass(w.category, RuntimeWarning)]
 
     def test_clipped_exp_overflow_is_capped_silently(self, recwarn):
@@ -307,6 +308,30 @@ class TestMain:
             assert threading.active_count() == before
             paths.append(out)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_rows_echo_the_observable_spec_and_the_method(self, tmp_path):
+        # f was echoed by repr, which depends on numpy's print options; --samples bounds no quadrature row
+        checks = [{"kind": "harnack", "id": "clipped", "alpha": 2.0, "f": {"kind": "clipped_exp", "c": [0.5]}},
+                  {"kind": "gradient", "id": "indicator", "f": {"kind": "indicator", "c": [1.0], "threshold": 0.2}},
+                  {"kind": "harnack", "id": "exp", "alpha": 2.0, "f": {"kind": "exp", "c": [0.5]}},
+                  {"kind": "semilinear_harnack", "id": "semilinear", "alpha": 4.0, "p": 1.3, "q": 1.3, "K": 8,
+                   "F": {"kind": "zero"}, "f": {"kind": "one"}}]
+        cfg = minimal_config(checks=[{"t": 1.0, "x": [0.4], "y": [0.0], **c} for c in checks])
+        path = tmp_path / "echo.json"
+        path.write_text(json.dumps(cfg))
+        rows = {}
+        for samples in ([], ["--samples", "100"]):
+            out = tmp_path / f"echo{len(samples)}.csv"
+            assert cli.main(["--config", str(path), "--out", str(out), *samples]) == 0
+            with out.open() as fh:
+                rows[len(samples)] = {r["check_id"]: r for r in csv.DictReader(fh)}
+        params = {cid: json.loads(r["param_json"]) for cid, r in rows[0].items()}
+        assert params["clipped"]["f"] == {"kind": "clipped_exp", "c": [0.5], "cap": 10.0}
+        assert params["indicator"]["f"] == {"kind": "indicator", "c": [1.0], "threshold": 0.2}
+        assert {cid: p["method"] for cid, p in params.items()} == {
+            "clipped": "quadrature", "indicator": "closed_form", "exp": "closed_form", "semilinear": "monte_carlo"}
+        for cid in ("clipped", "indicator", "exp"):
+            assert (rows[2][cid]["lhs"], rows[2][cid]["rhs"]) == (rows[0][cid]["lhs"], rows[0][cid]["rhs"])
 
     @pytest.mark.parametrize("check, field, message", [
         ({"kind": "rho_moments", "p": 2.0, "delta": 0.5}, {"n": 0}, "at least 100 replicates"),
@@ -800,20 +825,26 @@ class TestSemigroupStateOncePerModel:
 
 def test_each_monte_carlo_check_folds_once(monkeypatch):
     """Every Monte Carlo check of scalar_ou.json passes its blocks through one
-    `sampler.fold` call (rho_moments one for both rows), and a closed-form
-    row makes none, harnack_exact_closed included, which echoes n."""
+    `sampler.fold` call (rho_moments one for both rows), and a closed-form or
+    quadrature row makes none, harnack_exact_closed included, which echoes n.
+    With a jump part, the endpoint rows of the registry observables other than
+    exp are Monte Carlo rows again, and each folds once."""
     from harnacklab import sampler
 
     fold, calls = sampler.fold, []
     monkeypatch.setattr(sampler, "fold", lambda blocks, decided=None: calls.append(1) or fold(blocks, decided))
-    scenario = cli.Scenario.parse(json.loads((SCENARIO_DIR / "scalar_ou.json").read_text()))
-    monte_carlo = {"harnack_operator_mc", "log_harnack", "gradient", "semilinear", "rho_moments"}
-    counts = {}
-    for entry in scenario.checks:
-        calls.clear()
-        assert all(r.passed for r in cli.run_scenario(scenario, samples=2000, only_check=entry["id"]))
-        counts[entry["id"]] = len(calls)
-    assert counts == {entry["id"]: int(entry["id"] in monte_carlo) for entry in scenario.checks}
+    cfg = json.loads((SCENARIO_DIR / "scalar_ou.json").read_text())
+    endpoint = [c for c in cfg["checks"] if c["kind"] in ("harnack", "log_harnack", "gradient")]
+    jump_cfg = {**cfg, "jump": {"rate": 0.5, "atoms": [[0.3], [-0.3]]}, "checks": endpoint}
+    for config, monte_carlo in ((cfg, {"semilinear", "rho_moments"}),
+                                (jump_cfg, {"harnack_operator_mc", "log_harnack", "gradient"})):
+        scenario = cli.Scenario.parse(config)
+        counts = {}
+        for entry in scenario.checks:
+            calls.clear()
+            assert all(r.passed for r in cli.run_scenario(scenario, samples=2000, only_check=entry["id"]))
+            counts[entry["id"]] = len(calls)
+        assert counts == {entry["id"]: int(entry["id"] in monte_carlo) for entry in scenario.checks}
 
 
 class TestRankDeficientGramian:
@@ -976,9 +1007,22 @@ class TestTheoremRowsNeverExitOne:
         {"kind": "gradient", "t": 1.0, "x": [20.0], "y": [0.0], "n": 4096, "f": {"kind": "indicator", "c": [1.0]}},
     ], ids=["harnack", "gradient"])
     def test_a_right_side_without_spread_is_no_verdict(self, tmp_path, capsys, check):
-        assert _run_one(tmp_path, check)[0] == 3
+        # a jump part of a single zero atom leaves the law as it is and keeps the row on Monte Carlo
+        assert _run_one(tmp_path, check, {**OU_1D, "jump": {"rate": 1.0, "atoms": [[0.0]]}})[0] == 3
         err = capsys.readouterr().err
         assert "collapsed estimate" in err and "margin -" in err and "n_used=4096" in err
+
+    def test_a_right_side_from_a_missed_tail_holds(self, tmp_path):
+        # Var_x of 1.1e-15 comes from an event of probability about 1e-15, so 4096 samples
+        # read VIOLATED or a collapsed estimate; the quadrature row has it exactly
+        check = {"kind": "gradient", "t": 1.0, "x": [20.0], "y": [0.0], "n": 4096,
+                 "f": {"kind": "one_plus_sigmoid", "c": [10.0]}}
+        code, [row] = _run_one(tmp_path, check)
+        params = json.loads(row["param_json"])
+        assert (code, row["verdict"], params["method"], params["n_used"]) == (0, verify.HOLDS, "quadrature", 0)
+        assert (row["lhs_se"], row["rhs_se"]) == ("0.0", "0.0")
+        assert float(row["lhs"]) == pytest.approx(0.25, rel=1e-12)
+        assert float(row["rhs"]) == pytest.approx(1.7159e12, rel=1e-4)
 
     @pytest.mark.parametrize("check, model", [
         # gamma 995: inf times a variance that is zero only by rounding read rhs 0, VIOLATED
@@ -1005,7 +1049,7 @@ class TestTheoremRowsNeverExitOne:
            alpha=st.sampled_from([1.0, 1.5, 2.0, 50.0, 1e6]),
            epsilon=st.sampled_from([0.0, 0.5, 10.0]),
            f=st.one_of(st.builds(lambda kind, c: {"kind": kind, "c": [c]},
-                                 st.sampled_from(["exp", "clipped_exp", "indicator"]),
+                                 st.sampled_from(["exp", "clipped_exp", "indicator", "one_plus_sigmoid", "tanh"]),
                                  st.sampled_from([0.1, 1.0, 30.0])),
                        st.just({"kind": "one"})),
            a=st.sampled_from([-1.0, -1e-6, -50.0, 0.0]),

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -253,9 +254,12 @@ class TestSharedNoise:
         assert 0.0 < rep.params["margin_se"] < math.hypot(rep.lhs_se, rep.rhs_se)
 
     def test_margin_error_only_on_monte_carlo_rows(self, jump_model, scalar_model):
+        # a plain callable keeps the jump-free row on Monte Carlo
+        f = OnePlusSigmoid([0.7])
         closed = verify.check_harnack(jump_model, 1.0, [0.5], [0.0], 3.0, ExpObservable([0.3]), n=200, seed=1)
-        log = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], OnePlusSigmoid([0.7]), n=2000, seed=4)
-        assert "margin_se" not in closed.params
+        exact = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], f, n=2000, seed=4)
+        log = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], lambda pts: f(pts), n=2000, seed=4)
+        assert "margin_se" not in closed.params and "margin_se" not in exact.params
         assert 0.0 < log.params["margin_se"] < math.hypot(log.lhs_se, log.rhs_se)
 
     @pytest.mark.parametrize("kind", ["harnack", "log_harnack", "semilinear_harnack", "gradient"])
@@ -338,8 +342,10 @@ class TestEarlyStop:
 
     def test_exact_equality_runs_to_the_cap(self, flat_model, monkeypatch):
         # both sides are e^{1.08}: no margin is ever decided, so every row draws its
-        # whole cap and gives the verdict of the fold without the stop rule
-        f = ClippedExpObservable([0.6], 1000.0)
+        # whole cap and gives the verdict of the fold without the stop rule; a plain
+        # callable keeps the jump-free row on Monte Carlo
+        clipped = ClippedExpObservable([0.6], 1000.0)
+        f = lambda pts: clipped(pts)
         n = 3 * hl.sampler.MC_BLOCK
 
         def run(s):
@@ -355,7 +361,8 @@ class TestEarlyStop:
     def test_a_violated_row_never_stops_early(self, flat_model, monkeypatch):
         # the equality above with the coefficient cut by 1e-3: the true margin is
         # negative, so no look, the first at 1024 replicates included, may stop
-        f = ClippedExpObservable([0.6], 1000.0)
+        clipped = ClippedExpObservable([0.6], 1000.0)
+        f = lambda pts: clipped(pts)
         n = 3 * hl.sampler.MC_BLOCK
         exp = verify.saturating_exp
         monkeypatch.setattr(verify, "saturating_exp", lambda z: (1.0 - 1e-3) * exp(z))
@@ -379,8 +386,10 @@ class TestEarlyStop:
         # 1e-3), with the coefficient 1e-3 below equality: the true margin is negative.  Some
         # first looks miss the left side's event.  Both starts share the noise, so the right
         # side's event lies inside the left side's and is missed too: such a look reads the
-        # margin -slack with no error, and no look of any row stops
+        # margin -slack with no error, and no look of any row stops.  A plain callable
+        # keeps the jump-free row on Monte Carlo
         x, y, alpha = -2.88, -3.09, 1.05
+        indicator = IndicatorObservable([1.0])
         p_x, p_y = (0.5 * math.erfc(-z / math.sqrt(2.0)) for z in (x, y))
         coef = (1.0 - 1e-3) * p_x**alpha / p_y
         assert coef > 1.0
@@ -396,7 +405,7 @@ class TestEarlyStop:
 
         monkeypatch.setattr(hl.sampler, "fold", recording)
         n = 3 * hl.sampler.MC_BLOCK
-        reps = [verify.check_harnack(flat_model, 1.0, [x], [y], alpha, IndicatorObservable([1.0]), n=n, seed=s)
+        reps = [verify.check_harnack(flat_model, 1.0, [x], [y], alpha, lambda pts: indicator(pts), n=n, seed=s)
                 for s in range(200)]
         missed = [(margin, se) for mean_x, margin, se in first_looks if mean_x == 0.0]
         assert len(first_looks) == 200 and len(missed) >= 10
@@ -562,6 +571,150 @@ class TestGradientEstimate:
             for side in ("lhs", "rhs", "lhs_se", "rhs_se"):
                 assert getattr(shifted, side) == pytest.approx(getattr(plain, side), rel=1e-6)
             assert shifted.verdict == plain.verdict
+
+
+class TestRidgeQuadrature:
+    """On a jump-free model ``<c, X_t^x> ~ N(mu, sigma^2)``, so each side of a
+    harnack, log_harnack or gradient row of a ridge observable is a
+    one-dimensional Gaussian integral: exact rows with no draw."""
+
+    # d = 1 with an offset: mu = c (e^{at} x + a0 (e^{at} - 1) / a), sigma^2 = c^2 r (e^{2at} - 1) / (2a)
+    A, R, OFFSET, T = -0.7, 1.3, 0.4, 0.9
+
+    @classmethod
+    def _law(cls, c, x):
+        """``(mu, sigma)`` of ``<c, X_t^x>`` at 50 digits."""
+        a, t = mpmath.mpf(cls.A), mpmath.mpf(cls.T)
+        e = mpmath.exp(a * t)
+        mu = c * (e * x + mpmath.mpf(cls.OFFSET) * (e - 1) / a)
+        return mu, abs(c) * mpmath.sqrt(mpmath.mpf(cls.R) * (e * e - 1) / (2 * a))
+
+    @classmethod
+    def _oracle(cls, kind, f, check, x, y, params, alpha):
+        """The row's sides from ``mpmath.quad`` at 50 digits, split where the profile has a kink or step."""
+        spec, c = f.spec, mpmath.mpf(f.spec["c"][0])
+        profile = {"exp": mpmath.exp, "clipped_exp": lambda z: min(mpmath.exp(z), spec.get("cap")),
+                   "tanh": mpmath.tanh, "one_plus_sigmoid": lambda z: 1 + 1 / (1 + mpmath.exp(-z)),
+                   "indicator": lambda z: mpmath.mpf(z > spec.get("threshold"))}[kind]
+        kinks = {"clipped_exp": [0, mpmath.log(spec.get("cap", 1))], "exp": [0],
+                 "indicator": [spec.get("threshold")]}.get(kind, [])
+
+        def mean(h, start):
+            mu, sigma = cls._law(c, start)
+            cuts = sorted({-mpmath.inf, mpmath.inf, *((k - mu) / sigma for k in kinks)})
+            return mpmath.quad(lambda u: h(profile(mu + sigma * u)) * mpmath.npdf(u), cuts)
+
+        with mpmath.workdps(50):
+            if check == "harnack":
+                coef = mpmath.exp(alpha * mpmath.mpf(params["energy_sq"]) / (2 * (alpha - 1)))
+                return mean(lambda v: v, x) ** alpha, coef * mean(lambda v: v**alpha, y)
+            if check == "log_harnack":
+                bound = mpmath.mpf(params["operator_norm"]) ** 2 * (x - y) ** 2 / 2
+                return mean(lambda v: mpmath.log(max(v, 1)), x), mpmath.log(mean(lambda v: max(v, 1), y)) + bound
+            m = [mean(lambda v: v, start) for start in (x, y)]
+            var = min(mean(lambda v, mi=mi: (v - mi) ** 2, start) for start, mi in zip((x, y), m))
+            return (m[0] - m[1]) ** 2, mpmath.expm1(mpmath.mpf(params["gamma"]) ** 2) * var
+
+    @pytest.mark.parametrize("kind, f, check", [
+        ("exp", ExpObservable([0.8]), "log_harnack"),
+        ("exp", ExpObservable([0.8]), "gradient"),
+        ("clipped_exp", ClippedExpObservable([0.9], 2.5), "harnack"),
+        ("clipped_exp", ClippedExpObservable([0.9], 2.5), "log_harnack"),
+        ("clipped_exp", ClippedExpObservable([0.9], 2.5), "gradient"),
+        ("tanh", TanhObservable([1.2]), "gradient"),
+        ("tanh", TanhObservable([1.2]), "log_harnack"),
+        ("one_plus_sigmoid", OnePlusSigmoid([-1.5]), "harnack"),
+        ("one_plus_sigmoid", OnePlusSigmoid([-1.5]), "log_harnack"),
+        ("one_plus_sigmoid", OnePlusSigmoid([-1.5]), "gradient"),
+        ("indicator", IndicatorObservable([1.0], 0.2), "harnack"),
+        ("indicator", IndicatorObservable([1.0], 0.2), "gradient"),
+        ("indicator", IndicatorObservable([1.0], -7.0), "gradient"),  # q about 1e-19: not 1 - p
+    ])
+    def test_each_ridge_kind_matches_a_50_digit_oracle(self, kind, f, check):
+        m = OuLevyModel(drift_matrix=[[self.A]], noise_cov=[[self.R]], drift_offset=[self.OFFSET])
+        x, y, alpha = 0.9, -0.4, 3.0
+        if check == "harnack":
+            rep = verify.check_harnack(m, self.T, [x], [y], alpha, f, n=200, seed=1)
+        elif check == "log_harnack":
+            rep = verify.check_log_harnack(m, self.T, [x], [y], f, n=200, seed=1)
+        else:
+            rep = verify.check_gradient_estimate(m, self.T, [x], [y], f, n=200, seed=1)
+        lhs, rhs = self._oracle(kind, f, check, mpmath.mpf(x), mpmath.mpf(y), rep.params, alpha)
+        method = "closed_form" if kind == "indicator" else "quadrature"
+        assert (rep.lhs_se, rep.rhs_se, rep.params["n_used"], rep.params["method"]) == (0.0, 0.0, 0, method)
+        assert "margin_se" not in rep.params
+        # the gradient lhs squares a difference of two means near 1, known to an ulp of 1 at best
+        assert rep.lhs == pytest.approx(float(lhs), rel=1e-11, abs=1e-30)
+        assert rep.rhs == pytest.approx(float(rhs), rel=1e-11, abs=0.0)
+
+    def test_clamp_note_gives_the_lowest_node(self, scalar_model):
+        # the indicator's two nodes are its values 1 and 0
+        rep = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], IndicatorObservable([1.0]), n=200)
+        assert rep.params["note"] == "observable clamped up to 1 (minimum sample 0)"
+        clipped = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], ClippedExpObservable([1.0]), n=200)
+        lowest = float(clipped.params["note"].split("minimum sample ")[1].rstrip(")"))
+        assert 0.0 < lowest < math.exp(-35.0)  # e^z at a node near the bottom of mu -+ 40 sigma
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_quadrature_agrees_with_monte_carlo_through_a_plain_callable(self, d):
+        rng = np.random.default_rng(300 + d)
+        m = OuLevyModel(drift_matrix=make_stable(rng, d), noise_cov=make_psd(rng, d, ridge=0.3),
+                        drift_offset=rng.normal(size=d) * 0.3)
+        x, y = rng.normal(size=d) * 0.5, rng.normal(size=d) * 0.5
+        c = rng.normal(size=d) / math.sqrt(d)
+        rows = [
+            lambda f, **kw: verify.check_harnack(m, 0.8, x, y, 2.0, f, bound_mode="operator_norm", **kw),
+            lambda f, **kw: verify.check_log_harnack(m, 0.8, x, y, f, **kw),
+            lambda f, **kw: verify.check_gradient_estimate(m, 0.8, x, y, f, **kw),
+        ]
+        for row, f in zip(rows, [ClippedExpObservable(c, 3.0), OnePlusSigmoid(2.0 * c), TanhObservable(c)]):
+            exact = row(f, n=200)
+            sampled = row(lambda pts: f(pts), n=40_000, seed=d)
+            assert exact.params["method"] == "quadrature" and sampled.params["method"] == "monte_carlo"
+            assert abs(exact.lhs - sampled.lhs) <= 4.0 * sampled.lhs_se
+            assert abs(exact.rhs - sampled.rhs) <= 4.0 * sampled.rhs_se
+            assert exact.verdict == sampled.verdict == verify.HOLDS
+
+    def test_a_jump_model_or_a_noiseless_direction_samples(self, jump_model):
+        # c = e_2 lies outside the range of G_t = diag(G_11, 0): the row keeps the sampled path
+        flat = OuLevyModel(drift_matrix=-np.eye(2), noise_cov=np.diag([1.0, 0.0]))
+        rows = [verify.check_gradient_estimate(jump_model, 1.0, [0.6], [0.0], TanhObservable([1.0]), n=2000),
+                verify.check_gradient_estimate(flat, 1.0, [0.6, 0.0], [0.0, 0.0], TanhObservable([0.0, 1.0]), n=2000)]
+        assert [r.params["method"] for r in rows] == ["monte_carlo"] * 2
+        assert rows[0].params["n_used"] > 0
+
+    def test_sample_count_is_checked_but_draws_nothing(self, scalar_model, monkeypatch):
+        monkeypatch.setattr(hl.sampler, "endpoint_values", None)  # any draw would fail
+        rep = verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], OnePlusSigmoid([1.0]), n=100)
+        assert (rep.params["n_used"], rep.params["n"]) == (0, 100)
+        with pytest.raises(ValueError, match="at least 100 replicates"):
+            verify.check_log_harnack(scalar_model, 1.0, [0.5], [0.0], OnePlusSigmoid([1.0]), n=99)
+
+    def test_a_negative_range_end_raises_before_any_integral(self, flat_model, monkeypatch):
+        # tanh(0.5 + sigma u) is negative only below u = -0.5 / sigma, far in the tail
+        monkeypatch.setattr(hl.linops, "integrate", None)  # any integral would fail
+        with pytest.raises(ValueError, match="negative sample of the observable"):
+            verify.check_harnack(flat_model, 0.01, [0.5], [0.5], 2.0, TanhObservable([1.0]), n=200)
+
+    @pytest.mark.parametrize("kind", ["gradient", "log_harnack"])
+    def test_a_side_below_rounding_is_the_plain_callables_row(self, flat_model, kind):
+        # sigma = 1e-5: (g - m)^2 and log(max(e^z, 1)) are mostly the rounding of g, which the
+        # integrator cannot certify; the sampled row is the plain callable's, clamp note included
+        if kind == "gradient":
+            f = OnePlusSigmoid([1.0])
+            run = lambda g: verify.check_gradient_estimate(flat_model, 1e-10, [0.5], [0.5], g, n=2000, seed=3)
+        else:
+            f = ClippedExpObservable([1.0], 3.0)
+            run = lambda g: verify.check_log_harnack(flat_model, 1e-10, [0.0], [0.0], g, n=2000, seed=3)
+        row, plain = run(f), run(lambda pts: f(pts))
+        assert row.params["method"] == "monte_carlo"
+        assert {**row.params, "f": None} == {**plain.params, "f": None}
+        assert (row.lhs, row.rhs, row.lhs_se, row.rhs_se, row.verdict) == (
+            plain.lhs, plain.rhs, plain.lhs_se, plain.rhs_se, plain.verdict)
+
+    def test_an_overflowing_integrand_is_named(self, scalar_model):
+        with pytest.raises(hl.sampler.NonFiniteValueError, match="non-finite integrand"):
+            verify.check_gradient_estimate(scalar_model, 1.0, [0.5], [0.0], ExpObservable([400.0]), n=200)
 
 
 class TestKernelInequalities:
