@@ -100,19 +100,14 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def require_replicates(n: int) -> None:
-    """The input rule of every check that takes a replicate count ``n``, drawn or not."""
-    if n < 100:
-        raise ValueError("at least 100 replicates are required")
-
-
 def _stream_blocks(seed: int, n: int, first: int = MC_BLOCK) -> Iterator[tuple[np.random.Generator, int]]:
     """Replicate blocks, one keyed stream per block, for ``n >= 100`` replicates:
     ``first`` replicates, then as many as have been drawn, up to ``MC_BLOCK``
     a block, the last cut to ``n``.  The default is blocks of ``MC_BLOCK``;
     ``first = MC_FIRST_BLOCK`` gives the ladder 1024, 1024, 2048,
     then 4096 each, whose boundaries fall at 1024, 2048, 4096, 8192, ..."""
-    require_replicates(n)
+    if n < 100:
+        raise ValueError("at least 100 replicates are required")
     sizes, done = [], 0
     while done < n:
         sizes.append(min(MC_BLOCK, max(first, done), n - done))

@@ -103,6 +103,8 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
 
 _DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
 _GROWTH_OVERFLOW = "growth factor exceeds the float range at this horizon"
+#: Half-width of `_ridge_report`'s range in standard deviations; the normal density is 0 beyond 38.6.
+RIDGE_RANGE = 40.0
 
 
 def _slack(lhs: float, rhs: float) -> float:
@@ -230,8 +232,12 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
         rhs = coef * analytic.mehler_exponential(model, t, alpha * f.c, y)
         return _report(check_id, lhs, rhs, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW if math.isinf(rhs) else None)
     g, g_alpha = _power_fns(lambda v: v, alpha)
-    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y],
-                        lambda mean: (np.float64(mean(g, 0)) ** alpha, coef * mean(g_alpha, 1)), check=g)
+
+    def exact(mean, ends):
+        g(ends)  # the sign guard, before any integral
+        return np.float64(mean(g, 0)) ** alpha, coef * mean(g_alpha, 1), None
+
+    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y], exact)
     if row is not None:
         return row
 
@@ -271,25 +277,20 @@ def _mc_report(check_id, params, seed, blocks, sides, cap=None, note=None) -> Ch
                    note and note(), margin_se=margin_se)
 
 
-#: Half-width of `_ridge_report`'s range in standard deviations; the normal density is 0 beyond 38.6.
-RIDGE_RANGE = 40.0
-
-
-def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides, note=None, check=None):
-    """The exact row of a ridge observable ``f`` on a jump-free model whose
-    ``sigma^2 = c'G_t c`` passes the rank rule: ``sides(mean) -> (lhs, rhs)``, with
-    ``mean(h, i) = E h(f(X_t^{x_i}))`` for ``<c, X_t^{x_i}> ~ N(mu_i, sigma^2)``:
-    ``h(1) p + h(0) q`` for the indicator, ``p`` and ``q`` each by erfc, else by
-    `linops.integrate` over ``mu_i +- RIDGE_RANGE sigma``, whose ends ``check``
-    sees first.  ``None`` where the check samples, and where the integrator
-    cannot certify a side, such as a variance or a log that is mostly rounding."""
+def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides):
+    """The exact row of a ridge observable ``f`` on a jump-free model whose ``sigma^2 = c'G_t c``
+    passes the rank rule, as ``sides(mean, ends) -> (lhs, rhs, note)``: ``ends`` is the profile at
+    ``mu_i +- RIDGE_RANGE sigma``, and ``mean(h, i) = E h(f(X_t^{x_i}))`` is ``h(1) p + h(0) q`` for the
+    indicator, ``p`` and ``q`` each by erfc, else `linops.integrate` over that range.  ``None`` where the
+    check samples, or the integrator cannot certify a side (a variance or a log that is mostly rounding)."""
     if model.has_jumps or not isinstance(f, RidgeObservable):
         return None
     snap = model.snapshot(t)
     var = float(f.c @ snap.gramian @ f.c)
     if not var > linops.DEFAULT_RANK_TOL * float(f.c @ f.c) * float(np.diag(snap.gramian).max()):
         return None
-    sampler.require_replicates(n)
+    if n < 100:
+        raise ValueError("at least 100 replicates are required")
     sigma, cp = math.sqrt(var), f.c @ snap.propagator
     mus = [float(cp @ x + f.c @ snap.mean_shift) for x in starts]
 
@@ -306,13 +307,11 @@ def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides, note=No
         return linops.integrate(integrand, -RIDGE_RANGE, RIDGE_RANGE) / math.sqrt(2.0 * math.pi)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # `integrand` names a non-finite value
-            if check is not None:
-                check(f.profile(np.add.outer(mus, [-RIDGE_RANGE * sigma, RIDGE_RANGE * sigma])))
-            lhs, rhs = sides(mean)
+            lhs, rhs, note = sides(mean, f.profile(np.add.outer(mus, [-RIDGE_RANGE * sigma, RIDGE_RANGE * sigma])))
     except linops.QuadratureError:
         return None
     method = "closed_form" if isinstance(f, IndicatorObservable) else "quadrature"
-    return _report(check_id, lhs, rhs, 0.0, 0.0, {**params, "method": method}, seed, note and note())
+    return _report(check_id, lhs, rhs, 0.0, 0.0, {**params, "method": method}, seed, note)
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, seed: int = 0,
@@ -350,7 +349,7 @@ def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, s
         return f"observable clamped up to 1 (minimum sample {lowest:.6g})" if lowest < 1.0 else None
 
     row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y],
-                        lambda mean: (mean(lambda v: np.log(g(v)), 0), math.log(mean(g, 1)) + bound), note)
+                        lambda mean, ends: (mean(lambda v: np.log(g(v)), 0), math.log(mean(g, 1)) + bound, note()))
     if row is not None:
         return row
     lowest = math.inf  # a sampled row's note reads its samples alone
@@ -385,9 +384,9 @@ def check_gradient_estimate(model: OuLevyModel, t: float, x, y, f, n: int = 100_
                        _GROWTH_OVERFLOW if gam.in_domain else "x - y outside the steerable domain")
     factor = math.expm1(gam_sq)
 
-    def exact(mean):
+    def exact(mean, ends):
         m = [mean(lambda v: v, i) for i in (0, 1)]
-        return (m[0] - m[1]) ** 2, factor * min(mean(lambda v, mi=mi: (v - mi) ** 2, i) for i, mi in enumerate(m))
+        return (m[0] - m[1]) ** 2, factor * min(mean(lambda v, mi=mi: (v - mi) ** 2, i) for i, mi in enumerate(m)), None
 
     row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y], exact)
     if row is not None:
