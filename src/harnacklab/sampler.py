@@ -14,8 +14,9 @@ left-point rule: in the stochastic integral of the weight exponent, whose
 discrete weight is still an exact martingale for previsible integrands, and
 in the perturbed drift, held over each step.  All of them step through one
 path loop, `_paths`, of exact OU steps with ``d`` normals per replicate: the
-perturbed-drift estimators of ``E f(X_t)`` add the drift ``F`` to the state,
-and the weight's estimands (the coupled pair, the Girsanov functionals, the
+perturbed-drift estimators of ``E f(X_t)`` add the drift ``F`` to the state
+and carry its drift-free twin, an exact OU path, as a control variate; the
+weight's estimands (the coupled pair, the Girsanov functionals, the
 perturbed-drift weight's moments) accumulate the weight of a drift shift, the
 null control, a fixed control or ``R^{-1/2} F``, with one more normal.
 
@@ -26,10 +27,10 @@ of a ``(k, size)`` array; `fold` merges the blocks' column means and
 co-moments into one `Moments` accumulator in stream order, so results are
 bitwise reproducible regardless of how blocks are scheduled.  The blocks
 of endpoints and of perturbed-drift paths form the doubling ladder of
-`_stream_blocks`; weighted path blocks hold ``MC_BLOCK`` replicates each.
-Given a check's margin, `fold` stops at the first
-block boundary where the margin is decided; the moments there are those of
-a cap at that boundary.
+`_stream_blocks`, from ``PATH_FIRST_BLOCK`` for the control-variate paths;
+weighted path blocks hold ``MC_BLOCK`` replicates each.  Given a check's
+margin, `fold` stops at the first block boundary where the margin is
+decided; the moments there are those of a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
 of them (common random numbers), one column per start.  The path loop's
 step normals are drawn a chunk ahead on a helper thread (`_step_normals`),
@@ -61,6 +62,9 @@ PATH_CHUNK = 1 << 15
 #: First block of the ladder (see `_stream_blocks`): the first look
 #: of `fold`'s stop rule comes after this many replicates.
 MC_FIRST_BLOCK = 1024
+
+#: First block of the control-variate path ladder (see `semilinear_twin_values`).
+PATH_FIRST_BLOCK = 128
 
 #: z boundary of `fold`'s stop rule: a margin that is not positive reads
 #: above it at one look with a chance of about 1e-9 (normal tail), so over
@@ -105,7 +109,8 @@ def _stream_blocks(seed: int, n: int, first: int = MC_BLOCK) -> Iterator[tuple[n
     ``first`` replicates, then as many as have been drawn, up to ``MC_BLOCK``
     a block, the last cut to ``n``.  The default is blocks of ``MC_BLOCK``;
     ``first = MC_FIRST_BLOCK`` gives the ladder 1024, 1024, 2048,
-    then 4096 each, whose boundaries fall at 1024, 2048, 4096, 8192, ..."""
+    then 4096 each, whose boundaries fall at 1024, 2048, 4096, 8192, ...,
+    and ``first = PATH_FIRST_BLOCK`` the ladder 128, 128, 256, 512, ..."""
     if n < 100:
         raise ValueError("at least 100 replicates are required")
     sizes, done = [], 0
@@ -502,23 +507,26 @@ def _step_normals(gen, K, shape):
 
 def _paths(model, t, starts, K, blocks, drift=None, shift=None):
     """The one path loop: ``K`` grid steps ``X <- P X + B drift(X) + eta``
-    (`_StepSampler`) of ``S`` stacked starts ``(S, d)`` on shared step normals
-    from `_step_normals` (common random numbers), ``drift`` of the ``(S *
-    size, d)`` stacked states held over each step; without it the step is the
-    exact OU one.  For one start and no drift, ``shift(k, X)`` gives the drift
-    shift ``psi`` whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt /
-    2)`` the loop carries in law: each step adds ``v . z - |v|^2 / 2``, ``v =
-    V psi``, and one normal per replicate the rest, ``N(-s/2, s)`` given the
-    ``z``, ``s = sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size,
-    d), log_weights (size,))`` per ``(generator, size)`` block, zero
+    (`_StepSampler`) of ``S`` start points on shared step normals from
+    `_step_normals` (common random numbers), ``drift`` of the ``(S * size,
+    d)`` stacked states held over each step; without it the step is the
+    exact OU one.  With a drift, its twin ``X0 <- P X0 + eta`` on the same
+    innovations is an exact OU path on any grid; without, the twin is ``X``.
+    For one start and no drift, ``shift(k, X)`` gives the drift shift ``psi``
+    whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt / 2)`` the loop
+    carries in law: each step adds ``v . z - |v|^2 / 2``, ``v = V psi``, and
+    one normal per replicate the rest, ``N(-s/2, s)`` given the ``z``, ``s =
+    sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size, d), twins (S,
+    size, d), log_weights (size,))`` per ``(generator, size)`` block, zero
     log-weights without a shift, the generator past the path's draws and no
     helper left running."""
+    starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     n_starts, d = starts.shape
     if shift is not None and (n_starts != 1 or drift is not None):
         raise ValueError("the full weight is drawn along exact OU paths of one start point only")
     step = _step_sampler(model, _grid_step(t, K), shift is not None)
     for gen, size in blocks:
-        x = np.broadcast_to(starts[:, None], (n_starts, size, d))
+        x = twin = np.broadcast_to(starts[:, None], (n_starts, size, d))
         log_rho, s = np.zeros(size), np.zeros(size)
         with closing(_step_normals(gen, K, (size, d))) as normals:
             for k, z in enumerate(normals):
@@ -529,12 +537,14 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
                     log_rho += np.einsum("ij,ij->i", v, z - 0.5 * v)
                     s += np.einsum("ij,ij->i", u, u)
                 moved = np.dot(rows, step.propagator_t)
+                eta = np.dot(z, step.innovation_t)
                 if drift is not None:
                     moved += np.dot(drift(rows), step.drift_t)
-                x = moved.reshape(x.shape) + np.dot(z, step.innovation_t)
+                    twin = np.dot(twin.reshape(-1, d), step.propagator_t).reshape(x.shape) + eta
+                x = moved.reshape(x.shape) + eta
         if shift is not None:
             log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
-        yield gen, x, log_rho
+        yield gen, x, (twin if drift is not None else x), log_rho
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +569,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     transport = _jump_transport(model, t) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
     sq = _grid_step(t, K) * float(np.sum(u * u))
-    for gen, conv, log_rho in _paths(model, t, np.zeros((1, model.dim)), K, blocks,
+    for gen, conv, _, log_rho in _paths(model, t, np.zeros((1, model.dim)), K, blocks,
                                      shift=lambda k, states: np.broadcast_to(u[k], states.shape)):
         endpoints = base + conv[0]
         if model.has_jumps:
@@ -616,10 +626,21 @@ def semilinear_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts
     of ``S`` start points from one pass shared by all starts (common random
     numbers).  ``fs`` holds one observable per start.  The path blocks form
     the ladder that starts at ``MC_FIRST_BLOCK``, as the endpoint blocks do."""
-    starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     blocks = _stream_blocks(seed, n, MC_FIRST_BLOCK)
-    for _, ends, _ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
+    for _, ends, *_ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
         yield np.stack([eval_rows(f, x) for f, x in zip(fs, ends, strict=True)])
+
+
+def semilinear_twin_values(model: OuLevyModel, spec: SemilinearSpec, t: float, starts, fs, means,
+                           n: int, K: int, seed: int) -> Iterator[np.ndarray]:
+    """`semilinear_values` with the twin ``X0`` of `_paths` as a control variate
+    of coefficient 1 (Glasserman 2003, 4.1): blocks of ``means[s] + f_s(X_t) -
+    f_s(X0_t)``, ``means[s] = E f_s(X0_t)`` the exact OU mean, unbiased for the
+    grid law, on the ladder that starts at ``PATH_FIRST_BLOCK``."""
+    blocks = _stream_blocks(seed, n, PATH_FIRST_BLOCK)
+    for _, ends, twins, _ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
+        yield np.stack([q + (eval_rows(f, x) - eval_rows(f, x0))
+                        for f, q, x, x0 in zip(fs, means, ends, twins, strict=True)])
 
 
 def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,

@@ -25,10 +25,11 @@ Every sampled row is made by `_mc_report`, and ``params["n_used"]`` says
 how many replicates it drew (0 for a row that draws nothing).  The
 unweighted checks (``harnack``, ``log_harnack``, ``gradient`` and
 ``semilinear_harnack``) take ``n`` as a cap: their fold stops at the first
-block boundary of the ladder (see ``sampler.MC_FIRST_BLOCK``) where the
-margin exceeds ``sampler.EARLY_Z`` times its positive joint error.  Every
-other verdict, the weighted ``rho_moments`` rows among them, is read at the
-cap.
+block boundary of the ladder (see ``sampler.MC_FIRST_BLOCK``, and
+``sampler.PATH_FIRST_BLOCK`` for a control-variate ``semilinear_harnack`` row)
+where the margin exceeds ``sampler.EARLY_Z`` times its positive joint error.
+Every other verdict, the weighted ``rho_moments`` rows among them, is read
+at the cap.
 A negative margin whose right side has no spread raises ``ValueError``:
 the sample missed the event that carries that side, so the margin is no
 verdict.
@@ -231,18 +232,24 @@ def check_harnack(model: OuLevyModel, t: float, x, y, alpha: float, f,
             lhs = np.float64(analytic.mehler_exponential(model, t, f.c, x)) ** alpha
         rhs = coef * analytic.mehler_exponential(model, t, alpha * f.c, y)
         return _report(check_id, lhs, rhs, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW if math.isinf(rhs) else None)
-    g, g_alpha = _power_fns(lambda v: v, alpha)
-
-    def exact(mean, ends):
-        g(ends)  # the sign guard, before any integral
-        return np.float64(mean(g, 0)) ** alpha, coef * mean(g_alpha, 1), None
-
-    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y], exact)
+    row = _ridge_report(check_id, params, seed, model, t, f, n, [x, y], _power_exact(alpha, coef))
     if row is not None:
         return row
 
     values = sampler.endpoint_values(model, t, [x, y], _power_fns(f, alpha), n, sampler.mix_seed(seed, 1))
     return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef), cap=n)
+
+
+def _power_exact(alpha, coef):
+    """`_ridge_sides`' callback of a power check: the exact ``E f(X_t^x)`` and ``E f^alpha(X_t^y)``, or given a
+    ``coef`` `_ridge_report`'s sides ``(E f(X_t^x))^alpha`` and ``coef E f^alpha(X_t^y)``."""
+    g, g_alpha = _power_fns(lambda v: v, alpha)
+
+    def exact(mean, ends):
+        g(ends)  # the sign guard, before any integral
+        means = mean(g, 0), mean(g_alpha, 1)
+        return means if coef is None else (np.float64(means[0]) ** alpha, coef * means[1], None)
+    return exact
 
 
 def _power_sides(alpha, coef):
@@ -277,12 +284,12 @@ def _mc_report(check_id, params, seed, blocks, sides, cap=None, note=None) -> Ch
                    note and note(), margin_se=margin_se)
 
 
-def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides):
-    """The exact row of a ridge observable ``f`` on a jump-free model whose ``sigma^2 = c'G_t c``
-    passes the rank rule, as ``sides(mean, ends) -> (lhs, rhs, note)``: ``ends`` is the profile at
-    ``mu_i +- RIDGE_RANGE sigma``, and ``mean(h, i) = E h(f(X_t^{x_i}))`` is ``h(1) p + h(0) q`` for the
-    indicator, ``p`` and ``q`` each by erfc, else `linops.integrate` over that range.  ``None`` where the
-    check samples, or the integrator cannot certify a side (a variance or a log that is mostly rounding)."""
+def _ridge_sides(model, t, f, n, starts, sides):
+    """``sides(mean, ends)`` of a ridge observable ``f`` on a jump-free model whose ``sigma^2 = c'G_t c`` passes the
+    rank rule: ``ends`` is the profile at ``mu_i +- RIDGE_RANGE sigma``, and ``mean(h, i) = E h(f(X_t^{x_i}))`` is
+    ``h(1) p + h(0) q`` for the indicator, ``p`` and ``q`` each by erfc, else `linops.integrate` over that range.
+    ``None`` where the check samples: the integrator cannot certify a side, or, before any integral, the profile's
+    spread over the range is within ``1 / QUAD_TOL`` ulps, where a side that cancels its level would be rounding."""
     if model.has_jumps or not isinstance(f, RidgeObservable):
         return None
     snap = model.snapshot(t)
@@ -305,13 +312,24 @@ def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides):
                 raise sampler.NonFiniteValueError(f"non-finite integrand of N({mus[i]:.6g}, {sigma:.6g}^2)")
             return vals
         return linops.integrate(integrand, -RIDGE_RANGE, RIDGE_RANGE) / math.sqrt(2.0 * math.pi)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # `integrand` names a non-finite value
-            lhs, rhs, note = sides(mean, f.profile(np.add.outer(mus, [-RIDGE_RANGE * sigma, RIDGE_RANGE * sigma])))
-    except linops.QuadratureError:
+    with np.errstate(over="ignore", invalid="ignore"):  # `integrand` names a non-finite value
+        ends = f.profile(np.add.outer(mus, [-RIDGE_RANGE * sigma, RIDGE_RANGE * sigma]))
+        spread = np.abs(ends[:, 1] - ends[:, 0])
+        if ((spread > 0.0) & (spread < np.spacing(np.abs(ends).max(axis=1)) / linops.QUAD_TOL)).any():
+            return None
+        try:
+            return sides(mean, ends)
+        except linops.QuadratureError:
+            return None
+
+
+def _ridge_report(check_id, params, seed, model, t, f, n, starts, sides):
+    """The exact row of `_ridge_sides`, whose ``sides`` give ``(lhs, rhs, note)``; ``None`` where the check samples."""
+    exact = _ridge_sides(model, t, f, n, starts, sides)
+    if exact is None:
         return None
     method = "closed_form" if isinstance(f, IndicatorObservable) else "quadrature"
-    return _report(check_id, lhs, rhs, 0.0, 0.0, {**params, "method": method}, seed, note)
+    return _report(check_id, exact[0], exact[1], 0.0, 0.0, {**params, "method": method}, seed, exact[2])
 
 
 def check_log_harnack(model: OuLevyModel, t: float, x, y, f, n: int = 100_000, seed: int = 0,
@@ -546,10 +564,12 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     exponent rescaled by the comparison exponents ``p, q``, and the additive
     growth integral.  A divergent constant, or a coefficient past the float
     range, gives ``TRIVIAL_INFINITE_RHS`` before any path is drawn.  The sides
-    are unweighted means over the ``K``-step perturbed-drift paths of
-    `sampler.semilinear_values`, with their ``O(1/K)`` grid bias, so ``n`` is
-    a cap as for `check_harnack`: the fold stops at the first block boundary
-    where the margin is decided, and ``params["n_used"]`` says where.
+    are unweighted means over the ``K``-step perturbed-drift paths, with their
+    ``O(1/K)`` grid bias, and ``n`` is a cap as for `check_harnack`: plain ones
+    (`sampler.semilinear_values`), or, where `_ridge_sides` gives the exact OU
+    means, those plus the mean gap to the drift-free twin
+    (`sampler.semilinear_twin_values`, ``"control_variate": "ou_twin"``), which
+    ``k1 = k2 = 0`` closes: ``F = 0``, so that row is exact.
     """
     if alpha <= 1 or p <= 1 or q <= 1:
         raise ValueError("alpha, p, q must exceed 1")
@@ -581,7 +601,17 @@ def check_semilinear_harnack(model: OuLevyModel, spec: SemilinearSpec, t: float,
     if math.isinf(coef):
         return _report(check_id, 0.0, coef, 0.0, 0.0, params, seed, _GROWTH_OVERFLOW)
 
-    values = sampler.semilinear_values(model, spec, t, [x, y], _power_fns(f, alpha), n, K, sampler.mix_seed(seed, 1))
+    sampler._grid_step(t, K)  # rejects K < 1 where no path is drawn, too
+    means = _ridge_sides(model, t, f, n, [x, y], _power_exact(alpha, None))  # the drift-free twin's exact OU means
+    if means is not None and spec.k1 == spec.k2 == 0.0:  # the growth condition forces F = 0: X_t is the twin
+        return _ridge_report(check_id, params, seed, model, t, f, n, [x, y],
+                             lambda *_: (np.float64(means[0]) ** alpha, coef * means[1], None))
+    fns = _power_fns(f, alpha)
+    if means is None:
+        values = sampler.semilinear_values(model, spec, t, [x, y], fns, n, K, sampler.mix_seed(seed, 1))
+    else:
+        params["control_variate"] = "ou_twin"
+        values = sampler.semilinear_twin_values(model, spec, t, [x, y], fns, means, n, K, sampler.mix_seed(seed, 1))
     return _mc_report(check_id, params, seed, values, _power_sides(alpha, coef), cap=n)
 
 

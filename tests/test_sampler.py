@@ -19,7 +19,17 @@ from harnacklab.sampler import (
     girsanov_functional_estimates,
     girsanov_weight,
 )
-from harnacklab.testfuncs import ClippedExpObservable, ConstantObservable, ExpObservable, drift_constant, drift_zero
+from harnacklab.testfuncs import (
+    ClippedExpObservable,
+    ConstantObservable,
+    ExpObservable,
+    IndicatorObservable,
+    TanhObservable,
+    drift_clipped_linear,
+    drift_constant,
+    drift_scaled_sine,
+    drift_zero,
+)
 from oracles import hard_drift, make_psd, make_stable, within_sigma
 
 
@@ -80,6 +90,14 @@ class TestBlockLadder:
         ladder = [1024, 1024, 2048] + [sampler.MC_BLOCK] * len(sizes)
         assert sum(sizes) == n
         assert sizes[:-1] == ladder[:len(sizes) - 1]  # only the last block is cut to the cap
+        assert 0 < sizes[-1] <= ladder[len(sizes) - 1]
+
+    @pytest.mark.parametrize("n", NS)
+    def test_the_control_variate_ladder_starts_at_128(self, n):
+        sizes = [size for _, size in sampler._stream_blocks(5, n, sampler.PATH_FIRST_BLOCK)]
+        ladder = [128, 128, 256, 512, 1024, 2048] + [sampler.MC_BLOCK] * len(sizes)
+        assert sum(sizes) == n and sampler.PATH_FIRST_BLOCK == 128
+        assert sizes[:-1] == ladder[:len(sizes) - 1]
         assert 0 < sizes[-1] <= ladder[len(sizes) - 1]
 
     @pytest.mark.parametrize("first", [sampler.MC_FIRST_BLOCK, sampler.MC_BLOCK], ids=["ladder", "path"])
@@ -744,7 +762,7 @@ class TestSemilinear:
         root = scalar_model.noise_sqrt().pinv_sqrt_matrix.T
         paths = sampler._paths(scalar_model, t, np.array(x0), 128, sampler._stream_blocks(4, 20_000),
                                shift=lambda k, states: drift(states) @ root)
-        weighted = sampler.fold(np.exp(lr)[None] * f(ends[0])[None] for _, ends, lr in paths).estimate(0, 4)
+        weighted = sampler.fold(np.exp(lr)[None] * f(ends[0])[None] for _, ends, _, lr in paths).estimate(0, 4)
         assert direct.std_error <= 0.5 * weighted.std_error
         assert abs(direct.mean - weighted.mean) <= 4.0 * math.hypot(direct.std_error, weighted.std_error)
 
@@ -860,15 +878,55 @@ class TestSemilinear:
         assert a == b
 
 
+class TestOuTwin:
+    """The drift-free twin that `sampler._paths` carries beside a perturbed-drift
+    path, ``X0 <- P X0 + eta`` on the same innovations, is an exact OU path, so
+    ``Q + f(X_t) - f(X0_t)`` with ``Q = E f(X0_t)`` exact is an unbiased
+    estimate of ``E f(X_t)`` on the grid (control variate of coefficient 1)."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_twin_endpoints_have_the_exact_ou_law(self, scalar_model, nonnormal_model, d):
+        # z-tests of the twin's mean P_t x and of each entry of its covariance G_t, whose
+        # product estimator has variance G_ii G_jj + G_ij^2 for a Gaussian law
+        m = scalar_model if d == 1 else nonnormal_model
+        x0, t, n = np.linspace(0.5, -0.3, d), 0.8, 1 << 16
+        paths = sampler._paths(m, t, x0[None], 8, sampler._stream_blocks(3, n),
+                               drift=sampler._checked_drift(m, drift_scaled_sine(m, 0.5)))
+        blocks = [(states[0], twins[0]) for _, states, twins, _ in paths]
+        ends, twins = (np.concatenate(part) for part in zip(*blocks))
+        snap = m.snapshot(t)
+        dev, g = twins - snap.propagator @ x0, snap.gramian
+        z_mean = dev.mean(axis=0) / np.sqrt(np.diag(g) / n)
+        z_cov = (dev.T @ dev / n - g) / np.sqrt((np.outer(np.diag(g), np.diag(g)) + g * g) / n)
+        assert np.abs(z_mean).max() < 4.0 and np.abs(z_cov).max() < 4.0
+        assert np.abs((ends - twins).mean(axis=0)).max() > 0.05  # the drift moved the paths themselves
+
+    @pytest.mark.parametrize("drift", ["scaled_sine", "clipped_linear", "constant"])
+    @pytest.mark.parametrize("f", [ClippedExpObservable([0.5], 3.0), TanhObservable([1.0]),
+                                   IndicatorObservable([1.0], 0.2)], ids=["clipped_exp", "tanh", "indicator"])
+    def test_the_twin_estimate_agrees_with_a_plain_one(self, scalar_model, drift, f):
+        spec = {"scaled_sine": drift_scaled_sine(scalar_model, 0.5),
+                "clipped_linear": drift_clipped_linear(scalar_model, 0.5),
+                "constant": drift_constant(scalar_model, [0.5])}[drift]
+        t, K, x, n = 1.0, 16, [0.3], 4096
+        means = hl.verify._ridge_sides(scalar_model, t, f, n, [x], lambda mean, ends: [mean(lambda v: v, 0)])
+        twin = sampler.fold(sampler.semilinear_twin_values(scalar_model, spec, t, [x], [f], means, n, K, 5))
+        plain = hl.semilinear_estimate(scalar_model, spec, t, x, f, 1 << 16, K, 6)
+        twin_se = twin.std_error(0)
+        assert abs(twin.mean[0] - plain.mean) <= 4.0 * math.hypot(twin_se, plain.std_error)
+        assert twin_se * math.sqrt(n) < plain.std_error * math.sqrt(plain.n)  # less spread per replicate
+
+
 def reference_paths(model, t, starts, K, blocks, drift=None, shift=None):
     """`sampler._paths` as one thread draws it: one ``standard_normal`` call
     per step for ``z_k``, and with a shift one normal ``xi`` per replicate
     after the last step, which adds ``sqrt(s) xi - s / 2``, ``s`` the sum of
-    the steps' ``|u_k|^2``."""
+    the steps' ``|u_k|^2``.  With a drift, the drift-free twin steps beside."""
+    starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     n_starts, d = starts.shape
     step = sampler._step_sampler(model, t / K, shift is not None)
     for gen, size in blocks:
-        x = np.repeat(starts, size, axis=0)  # start-major stacked states
+        x = twin = np.repeat(starts, size, axis=0)  # start-major stacked states
         log_rho, s = np.zeros(size), np.zeros(size)
         for k in range(K):
             z = gen.standard_normal((size, d))
@@ -877,13 +935,15 @@ def reference_paths(model, t, starts, K, blocks, drift=None, shift=None):
                 v, u = np.dot(psi, step.whiten_t), np.dot(psi, step.residual_t)
                 log_rho += np.einsum("ij,ij->i", v, z - 0.5 * v)
                 s += np.einsum("ij,ij->i", u, u)
-            moved = np.dot(x, step.propagator_t)
+            moved, eta = np.dot(x, step.propagator_t), np.tile(np.dot(z, step.innovation_t), (n_starts, 1))
             if drift is not None:
                 moved += np.dot(drift(x), step.drift_t)
-            x = moved + np.tile(np.dot(z, step.innovation_t), (n_starts, 1))
+                twin = np.dot(twin, step.propagator_t) + eta
+            x = moved + eta
         if shift is not None:
             log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
-        yield gen, x.reshape(n_starts, size, d), log_rho
+        twin = twin if drift is not None else x
+        yield gen, x.reshape(n_starts, size, d), twin.reshape(n_starts, size, d), log_rho
 
 
 def against_reference(monkeypatch, call):
@@ -933,6 +993,18 @@ class TestStepNormalsLookAhead:
         fs = [ExpObservable(np.full(d, 0.3))] * n_starts
         want, got = against_reference(monkeypatch, lambda: list(
             sampler.semilinear_values(m, spec, 0.8, starts, fs, self.N, K, 11)))
+        assert len(want) == len(got) == 1 and np.array_equal(want[0], got[0])
+
+    @STEPS
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_semilinear_twin_values(self, monkeypatch, steps, d):
+        m = _plane_model(d)
+        spec = drift_clipped_linear(m, 0.4)
+        n = sampler.PATH_FIRST_BLOCK  # one block of the control-variate ladder
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (n * d))
+        starts, fs = [np.linspace(-0.3, 0.4, d), np.full(d, 0.2)], [ExpObservable(np.full(d, 0.3))] * 2
+        want, got = against_reference(monkeypatch, lambda: list(
+            sampler.semilinear_twin_values(m, spec, 0.8, starts, fs, [1.5, 2.5], n, K, 11)))
         assert len(want) == len(got) == 1 and np.array_equal(want[0], got[0])
 
     @STEPS

@@ -18,6 +18,7 @@ from harnacklab.testfuncs import (
     IndicatorObservable,
     OnePlusSigmoid,
     TanhObservable,
+    drift_constant,
     drift_scaled_sine,
     drift_zero,
 )
@@ -325,16 +326,17 @@ class TestEarlyStop:
 
     @pytest.mark.parametrize("kind", ["harnack", "semilinear_harnack"])
     def test_a_stop_is_bitwise_the_row_at_that_cap(self, jump_model, scalar_model, kind):
-        # each seed stops at the second look, past the first ladder block
+        # each seed stops at the second look, past the first ladder block: the endpoint
+        # ladder's for harnack, the control-variate path ladder's for semilinear_harnack
         def run(n):
             if kind == "harnack":
                 return verify.check_harnack(jump_model, 1.0, [0.6], [0.0], 2.0, ClippedExpObservable([0.5], 10.0),
                                             n=n, seed=3)
-            return self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.5], [0.0],
-                                    ClippedExpObservable([0.4], 8.0), n, seed=2)
+            return self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.05), [0.5], [0.0],
+                                    ClippedExpObservable([1.0], 1000.0), n, seed=4)
 
         early = run(20_000)
-        stop = 2 * hl.sampler.MC_FIRST_BLOCK
+        stop = 2 * (hl.sampler.MC_FIRST_BLOCK if kind == "harnack" else hl.sampler.PATH_FIRST_BLOCK)
         capped = run(stop)
         assert early.params["n_used"] == capped.params["n_used"] == stop
         assert early.verdict == verify.HOLDS
@@ -371,17 +373,34 @@ class TestEarlyStop:
         reps = [verify.check_harnack(flat_model, 1.0, [0.6], [0.0], 2.0, f, n=n, seed=s) for s in range(200)]
         assert all(r.params["n_used"] == n for r in reps)  # so no HOLDS comes from an early stop
 
+    @staticmethod
+    def _clipped_exp_mean(a, cap, mu):
+        """``E min(e^{aZ}, cap)`` for ``Z ~ N(mu, 1)``."""
+        z = (math.log(cap) / a - mu) / math.sqrt(2.0)
+        return math.exp(a * mu + 0.5 * a * a) * 0.5 * math.erfc(a / math.sqrt(2.0) - z) + cap * 0.5 * math.erfc(z)
+
     def test_a_semilinear_row_below_the_true_ratio_never_stops_early(self, flat_model, monkeypatch):
-        # with zero drift the paths are exact OU ones, so the sides are those of the
-        # harnack equality above; its coefficient e^{0.36} cut by 1e-3 replaces the
-        # semilinear one, so the true margin is negative and no look may stop
-        f = ClippedExpObservable([0.6], 1000.0)
+        # the stop rule's error rate at the control-variate ladder's looks, the first at 128
+        # paths: a constant drift b moves X_t^x to N(x + b t, t) on any grid, so the exact
+        # ratio (E f(X^x))^alpha / E f^alpha(X^y) is known; the coefficient cut by 1e-3 below
+        # it replaces the semilinear one, so the true margin is negative and no look may stop
+        a, cap, b, alpha = 0.6, 1000.0, 0.5, 2.0
+        f = ClippedExpObservable([a], cap)
         n = 3 * hl.sampler.MC_BLOCK
-        coef = (1.0 - 1e-3) * math.exp(0.36)
-        monkeypatch.setattr(verify, "saturating_exp", lambda z: coef)
-        reps = [self._semilinear(flat_model, drift_zero(1), [0.6], [0.0], f, n, seed=s, alpha=2.0, K=2)
-                for s in range(200)]
+        ratio = self._clipped_exp_mean(a, cap, 0.6 + b) ** alpha / self._clipped_exp_mean(alpha * a, cap**alpha, b)
+        monkeypatch.setattr(verify, "saturating_exp", lambda z: (1.0 - 1e-3) * ratio)
+        reps = [self._semilinear(flat_model, drift_constant(flat_model, [b]), [0.6], [0.0], f, n, seed=s,
+                                 alpha=alpha, K=2) for s in range(200)]
+        assert {(r.params["method"], r.params["control_variate"]) for r in reps} == {("monte_carlo", "ou_twin")}
         assert all(r.params["n_used"] == n for r in reps)
+
+    def test_a_zero_drift_row_below_the_true_ratio_is_violated(self, flat_model, monkeypatch):
+        # with zero drift the paths are exact OU ones, so the row is the harnack equality
+        # above, integrated; its coefficient e^{0.36} cut by 1e-3 reads VIOLATED with no draw
+        monkeypatch.setattr(verify, "saturating_exp", lambda z: (1.0 - 1e-3) * math.exp(0.36))
+        rep = self._semilinear(flat_model, drift_zero(1), [0.6], [0.0], ClippedExpObservable([0.6], 1000.0),
+                               3 * hl.sampler.MC_BLOCK, seed=0, alpha=2.0, K=2)
+        assert (rep.verdict, rep.params["method"], rep.params["n_used"]) == (verify.VIOLATED, "quadrature", 0)
 
     def test_a_missed_rare_left_event_never_stops_early(self, flat_model, monkeypatch):
         # the indicator of X_1 > 0 from x = -2.88 (p about 2e-3) against y = -3.09 (p about
@@ -431,11 +450,11 @@ class TestEarlyStop:
         # the row of a bounded drift decides its margin at the first look of a cap of 5000
         rep = self._semilinear(scalar_model, drift_scaled_sine(scalar_model, 0.5), [0.5], [0.0],
                                ClippedExpObservable([0.4], 8.0), 5000, seed=1)
-        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.MC_FIRST_BLOCK)
+        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.PATH_FIRST_BLOCK)
 
     def test_a_first_look_stop_draws_one_block_of_step_normals(self, nonnormal_model, monkeypatch):
         # a count that does not depend on the machine: the paths of the one block
-        # drawn take K steps of MC_FIRST_BLOCK * d normals each
+        # drawn take K steps of PATH_FIRST_BLOCK * d normals each
         drawn, step_normals = [], hl.sampler._step_normals
 
         def counting(gen, K, shape):
@@ -445,8 +464,8 @@ class TestEarlyStop:
         monkeypatch.setattr(hl.sampler, "_step_normals", counting)
         rep = self._semilinear(nonnormal_model, drift_scaled_sine(nonnormal_model, 0.5), [0.5, 0.2], [0.0, 0.0],
                                ClippedExpObservable([0.4, 0.3], 8.0), 20_000, seed=1, K=16)
-        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.MC_FIRST_BLOCK)
-        assert drawn == [hl.sampler.MC_FIRST_BLOCK * 16 * 2]
+        assert (rep.verdict, rep.params["n_used"]) == (verify.HOLDS, hl.sampler.PATH_FIRST_BLOCK)
+        assert drawn == [hl.sampler.PATH_FIRST_BLOCK * 16 * 2]
 
     def test_one_block_check_never_reads_the_margin(self, jump_model, monkeypatch):
         looks = self._count_looks(monkeypatch)
@@ -717,6 +736,18 @@ class TestRidgeQuadrature:
         assert (row.lhs, row.rhs, row.lhs_se, row.rhs_se, row.verdict) == (
             plain.lhs, plain.rhs, plain.lhs_se, plain.rhs_se, plain.verdict)
 
+    @pytest.mark.parametrize("kind", ["gradient", "log_harnack"])
+    def test_a_profile_flat_to_rounding_takes_no_integral(self, flat_model, monkeypatch, kind):
+        # the rows above: at sigma = 1e-5 the profile moves by under 1 / QUAD_TOL ulps over the
+        # range, so the row samples without first running the integrator to its piece cap
+        calls, integrate = [], hl.linops.integrate
+        monkeypatch.setattr(hl.linops, "integrate", lambda *args: calls.append(1) or integrate(*args))
+        if kind == "gradient":
+            rep = verify.check_gradient_estimate(flat_model, 1e-10, [0.5], [0.5], OnePlusSigmoid([1.0]), n=2000)
+        else:
+            rep = verify.check_log_harnack(flat_model, 1e-10, [0.0], [0.0], ClippedExpObservable([1.0], 3.0), n=2000)
+        assert (rep.params["method"], calls) == ("monte_carlo", [])
+
     def test_an_overflowing_integrand_is_named(self, scalar_model):
         with pytest.raises(hl.sampler.NonFiniteValueError, match="non-finite integrand"):
             verify.check_gradient_estimate(scalar_model, 1.0, [0.5], [0.0], ExpObservable([400.0]), n=200)
@@ -931,6 +962,51 @@ class TestSemilinearHarnack:
                                               1.0, [0.4], [0.4], 4.0, 1.3, 1.3,
                                               ClippedExpObservable([0.4], 8.0), n=5000, K=32, seed=14)
         assert rep.verdict in PASS
+
+    def test_a_plain_callable_row_keeps_the_plain_estimator_bitwise(self, scalar_model):
+        # the sides, their errors and the stop of this row before the control variate existed
+        clipped = ClippedExpObservable([0.4], 8.0)
+        rep = verify.check_semilinear_harnack(scalar_model, drift_scaled_sine(scalar_model, 0.5), 1.0, [0.5], [0.0],
+                                              4.0, 1.3, 1.3, lambda pts: clipped(pts), n=5000, K=16, seed=1)
+        assert "control_variate" not in rep.params
+        assert (rep.lhs, rep.rhs, rep.lhs_se, rep.rhs_se, rep.params["n_used"], rep.params["margin_se"]) == (
+            2.25194326927572, 3687.9176995461125, 0.12175743270941357, 289.0431979034341, 1024, 288.953048989594)
+
+    @pytest.mark.parametrize("case", ["sub_rank", "uncertified"])
+    def test_rows_without_an_exact_ou_mean_keep_the_plain_estimator(self, case, monkeypatch):
+        # sigma^2 = c'G_t c = 0 below the rank rule, or an integral the integrator cannot certify:
+        # the row is the plain callable's, bitwise
+        if case == "sub_rank":  # no noise moves <c, X> = X_2
+            m = OuLevyModel(drift_matrix=np.zeros((2, 2)), noise_cov=np.diag([1.0, 0.0]))
+            spec, f, x, y = drift_constant(m, [0.4, 0.0]), TanhObservable([0.0, 1.0]), [0.3, 0.5], [0.0, 0.5]
+        else:
+            def fail(*args):
+                raise hl.linops.QuadratureError("not certified")
+
+            monkeypatch.setattr(hl.linops, "integrate", fail)
+            m = OuLevyModel(drift_matrix=[[-1.0]], noise_cov=[[2.0]])
+            spec, f, x, y = drift_scaled_sine(m, 0.5), ClippedExpObservable([0.4], 8.0), [0.5], [0.0]
+
+        def run(g):
+            return verify.check_semilinear_harnack(m, spec, 1.0, x, y, 4.0, 1.3, 1.3, g, n=5000, K=8, seed=2)
+        row, plain = run(f), run(lambda pts: f(pts))
+        assert "control_variate" not in row.params
+        assert {**row.params, "f": None} == {**plain.params, "f": None}
+        assert (row.lhs, row.rhs, row.lhs_se, row.rhs_se, row.verdict) == (
+            plain.lhs, plain.rhs, plain.lhs_se, plain.rhs_se, plain.verdict)
+
+    @pytest.mark.parametrize("f", [ClippedExpObservable([0.4], 8.0), IndicatorObservable([1.0], 0.2)],
+                             ids=["clipped_exp", "indicator"])
+    def test_a_zero_drift_row_is_exact_and_draws_nothing(self, scalar_model, monkeypatch, f):
+        # k1 = k2 = 0 forces F = 0, so the paths are exact OU ones: the row is the harnack row's
+        # integral with the semilinear coefficient
+        monkeypatch.setattr(hl.sampler, "semilinear_values", None)
+        monkeypatch.setattr(hl.sampler, "semilinear_twin_values", None)
+        rep = verify.check_semilinear_harnack(scalar_model, drift_zero(1), 1.0, [0.5], [0.0], 4.0, 1.3, 1.3, f,
+                                              n=5000, K=8, seed=2)
+        exact = verify.check_harnack(scalar_model, 1.0, [0.5], [0.0], 4.0, f, n=5000, seed=2)
+        assert (rep.params["method"], rep.params["n_used"], rep.lhs_se, rep.rhs_se) == (exact.params["method"], 0, 0, 0)
+        assert rep.lhs == exact.lhs and rep.rhs > exact.rhs and rep.verdict == verify.HOLDS
 
     def test_exponent_constraint_enforced(self, scalar_model):
         with pytest.raises(ValueError, match="p\\*q"):

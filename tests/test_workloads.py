@@ -77,14 +77,16 @@ def test_jump_workloads_pass_the_benchmark_row_gate(name):
 
 def test_semilinear_rows_stop_at_the_first_look():
     """semilinear_paths caps its semilinear_harnack rows at 2048 replicates,
-    two blocks of the ladder: every row stops at a block boundary, and at
-    least 90 % stop at the first (137 of the 140 rows of seeds 1-5 do).  A
-    change that quietly draws the whole cap again fails here."""
-    first = sampler.MC_FIRST_BLOCK
-    used = [r.params["n_used"] for seed in range(1, 6) for r in _reports("semilinear_paths", seed)
-            if r.check_id.startswith("semilinear")]
+    five blocks of the control-variate path ladder (128, 128, 256, 512,
+    1024): every row stops at a block boundary, and at least 90 % stop at the
+    first (137 of the 140 rows of seeds 1-5 do).  A change that quietly draws
+    the whole cap again fails here."""
+    first = sampler.PATH_FIRST_BLOCK
+    rows = [r for seed in range(1, 6) for r in _reports("semilinear_paths", seed) if r.check_id.startswith("semilinear")]
+    used = [r.params["n_used"] for r in rows]
     assert len(used) == 5 * 2 * workloads.SEMILINEAR_COUNT
-    assert set(used) <= {first, 2 * first} and 2 * first == workloads.SEMILINEAR_N
+    assert {r.params["control_variate"] for r in rows} == {"ou_twin"}
+    assert set(used) <= {first << i for i in range(5)} and 16 * first == workloads.SEMILINEAR_N
     assert sum(u == first for u in used) >= 0.9 * len(used)
 
 
