@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, linops
-from .model import OuLevyModel, invariant_mean
+from .model import OuLevyModel
 
 
 class SingularityError(ValueError):
@@ -57,11 +57,12 @@ class GaussianMeasure:
 
 
 def invariant_measure(model: OuLevyModel) -> GaussianMeasure:
-    """Gaussian steady-state law of a stable jump-free model (memoized on the model)."""
+    """Gaussian steady-state law ``N(-A^{-1} a, S)`` of a stable jump-free model (memoized on the
+    model).  ``S`` comes first: its solve raises `linops.UnstableMatrixError` before ``A`` is solved."""
     if model.has_jumps:
         raise ValueError("no closed-form invariant law with a jump part")
     return model._memoized("invariant_measure", lambda: GaussianMeasure(
-        mean=invariant_mean(model), cov=model.steady_covariance()))
+        cov=model.steady_covariance(), mean=np.linalg.solve(model.drift_matrix, -model.drift_offset)))
 
 
 def transition_law(model: OuLevyModel, t: float, x) -> GaussianMeasure:
@@ -161,8 +162,7 @@ def _kernel_energy(model: OuLevyModel, t: float, x, y) -> float:
     """Squared minimum-energy norm of ``x - y`` (`control.gamma_norm`), ``inf`` off the Gramian's range."""
     if model.has_jumps:
         raise ValueError("kernel quantities require a jump-free model")
-    if not model.is_stable():
-        raise linops.UnstableMatrixError("kernel comparison needs an invariant law")
+    model.steady_covariance()  # the kernel comparison needs an invariant law
     return control.gamma_norm(model, t, np.asarray(x, dtype=float) - np.asarray(y, dtype=float)).value ** 2
 
 

@@ -109,7 +109,7 @@ def _reject_non_finite(node, path: str) -> None:
 
 def parse_model(cfg: dict, path: str = "") -> OuLevyModel:
     dim = _need(cfg, "dim", path or "config")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # True is no int
         raise SchemaError(f"{path}.dim: must be a positive integer")
     a = _rows(cfg, "A", path, dim, dim)
     r = _rows(cfg, "R", path, dim, dim)

@@ -2,7 +2,7 @@
 numpy alone at desk scale (d up to a few hundred): one Padé expm kernel; Gramians
 from one short-step expm (of the Van Loan block) and exact doubling;
 PSD square roots with rank-revealing pseudo-inverses; Lyapunov solves by squared
-Smith iteration; and the one integration rule over time, `integrate`.
+Smith iteration, which decide stability too; and the one integration rule over time, `integrate`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ SYMMETRY_TOL = 1e-12
 
 
 class UnstableMatrixError(ValueError):
-    """Raised when a computation needs a Hurwitz drift but the spectral
-    abscissa is nonnegative (no invariant measure in this truncation)."""
+    """Raised when a computation needs a Hurwitz drift and `lyapunov_solve`, the
+    one stability rule, finds that it is not (no invariant measure in this truncation)."""
 
 
 class NotPsdError(ValueError):
@@ -62,11 +62,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only, so that an in-place edit of a shared array raises."""
     a.setflags(write=False)
     return a
-
-
-def spectral_abscissa(a) -> float:
-    """Largest real part of the eigenvalues of ``a``."""
-    return float(np.linalg.eigvals(a).real.max())
 
 
 #: ``(m, theta_m, b)`` of `_expm`: each Padé degree, the largest 1-norm at which it meets double
@@ -448,28 +443,40 @@ def convolution_factor(a, r_sqrt, t: float) -> np.ndarray:
 
 
 def lyapunov_solve(a, r) -> np.ndarray:
-    """Steady-state covariance: solve ``A X + X A' = -R`` for Hurwitz ``A``.
+    """Steady-state covariance: solve ``A X + X A' = -R``, and decide that ``A`` is Hurwitz.
 
-    With ``q = |det A|^{1/d}``, ``M = (qI - A)^{-1}`` and ``U = M (qI + A)`` (spectral
-    radius below one for Hurwitz ``A``), ``X = sum_k U^k X_0 U'^k`` with ``X_0 = 2q M R M'``,
-    summed by squared Smith iteration (Smith 1968): ``X <- X + U X U'``, ``U <- U^2``,
-    until the increment is below ``1e-17 |X|``.
-
-    Stability is not checked here: `OuLevyModel.steady_covariance` decides it
-    by the model's memoized `OuLevyModel.is_stable`.
+    With ``q = |det A|^{1/d}``, ``M = (qI - A)^{-1}`` and the Cayley transform ``U = M (qI + A)``,
+    ``X = sum_k U^k X_0 U'^k`` with ``X_0 = 2q M R M'``, summed by squared Smith iteration
+    (Smith 1968): ``X <- X + U X U'``, ``U <- U^2``, until the increment is below ``1e-17 |X|``;
+    then only ``U`` is squared.  ``A`` is Hurwitz exactly when the powers ``U^(2^k)`` vanish
+    (``rho(U) < 1``), the package's one stability rule: raises `UnstableMatrixError` when
+    ``qI - A`` is singular (``q = 0`` included), an iterate is not finite, or ``max |U^(2^k)|``
+    is not below 1e-17 within 52 rounds.  The increments alone would accept a mode that ``R``
+    does not reach, and an overflowed ``X``.
     """
     d = len(a)
     q = math.exp(np.linalg.slogdet(a)[1] / d)
-    m = np.linalg.inv(q * np.eye(d) - a)
-    u = m @ (q * np.eye(d) + a)
-    x = 2.0 * q * m @ r @ m.T
-    for _ in range(64):  # 2^64 terms: more only if rho(U) is 1 to roundoff, A not Hurwitz
-        step = u @ x @ u.T
-        x = x + step
-        if np.abs(step).max() <= 1e-17 * np.abs(x).max():
-            return 0.5 * (x + x.T)
-        u = u @ u
-    raise UnstableMatrixError("Smith iteration did not converge: the drift is not Hurwitz to roundoff")
+    try:
+        m = np.linalg.inv(q * np.eye(d) - a)
+    except np.linalg.LinAlgError:  # A has the eigenvalue q > 0, or q = 0 and A is singular
+        m = np.full((d, d), np.nan)  # fails the first round's finiteness test
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite iterate raises below
+        u = m @ (q * np.eye(d) + a)
+        x = 2.0 * q * m @ r @ m.T
+        converged = False
+        for _ in range(52):  # 2^52 = 1/eps terms: powers not vanished by then have rho(U) = 1 to roundoff
+            if not converged:
+                step = u @ x @ u.T
+                x = x + step
+                scale = np.abs(x).max()
+                converged = np.abs(step).max() <= 1e-17 * scale
+            size = np.abs(u).max()
+            if not (scale < math.inf and size < math.inf):
+                break
+            if converged and size <= 1e-17:
+                return 0.5 * (x + x.T)
+            u = u @ u
+    raise UnstableMatrixError("drift matrix is not Hurwitz: no invariant measure in this truncation")
 
 
 #: Relative error at which `integrate` accepts, against the integral of ``|f|``.

@@ -4,9 +4,8 @@ An `OuLevyModel` is the data of the linear SDE
 ``dX_t = (A X_t + a) dt + noise``, where the noise has Gaussian covariance
 rate ``R`` and, optionally, an independent compound-Poisson jump part.
 The jump part is a finite-activity law on finitely many atoms.  This module
-also hosts the decay-certificate check used by the sharpest inequalities,
-the invariant mean, and the adjoint (time-reversed) dynamics, itself an
-`OuLevyModel`.
+also hosts the decay-certificate check used by the sharpest inequalities
+and the adjoint (time-reversed) dynamics, itself an `OuLevyModel`.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ class OuLevyModel:
     the first memo entry.  Keeps read-only copies of its arrays and memoizes,
     with read-only arrays, what it derives from them: the snapshot per ``t``,
     whose propagator is the model's only ``e^{tA}``, the interpolant of
-    ``e^{vA}`` per ``t``, the steady covariance, the stability flag, the adjoint
+    ``e^{vA}`` per ``t``, the steady covariance, the invariant law, the adjoint
     dynamics, and the sampler's state: the drift's eigenbasis transport and
     path-step samplers.
     """
@@ -117,15 +116,10 @@ class OuLevyModel:
         return self._memo["noise_sqrt"]
 
     def steady_covariance(self) -> np.ndarray:
-        """Solution ``S`` of ``A S + S A' = -R``; raises `linops.UnstableMatrixError`
-        for a non-Hurwitz drift, decided by the memoized `is_stable`."""
-        if not self.is_stable():
-            raise linops.UnstableMatrixError("drift matrix is not Hurwitz: no invariant measure in this truncation")
+        """Solution ``S`` of ``A S + S A' = -R`` by `linops.lyapunov_solve`, which raises
+        `linops.UnstableMatrixError` for a non-Hurwitz drift; a failed solve is not memoized."""
         return self._memoized("steady_covariance", lambda: linops.read_only(
             linops.lyapunov_solve(self.drift_matrix, self.noise_cov)))
-
-    def is_stable(self) -> bool:
-        return self._memoized("is_stable", lambda: linops.spectral_abscissa(self.drift_matrix) < 0)
 
     def exp_interpolant(self, t: float) -> linops.ExpInterpolant:
         """The certified interpolant `linops.exp_interpolant` of ``e^{vA}`` on ``[0, t]``."""
@@ -148,13 +142,15 @@ class HFunction:
 
     @staticmethod
     def exponential(rate: float) -> "HFunction":
-        """``h(t) = exp(-rate*t)`` with both integrals in closed form."""
+        """``h(t) = exp(-rate*t)`` with both integrals in closed form; past the float range
+        each is ``inf``, with no overflow warning."""
         if rate == 0.0:
             return HFunction.constant(1.0)
+        quiet = np.errstate(over="ignore")
         return HFunction(
-            fn=lambda t: float(np.exp(-rate * t)),
+            fn=quiet(lambda t: float(np.exp(-rate * t))),
             inv_integral=lambda t: float("inf") if rate * t > 700.0 else float(np.expm1(rate * t) / rate),
-            integral=lambda t: float(-np.expm1(-rate * t) / rate),
+            integral=quiet(lambda t: float(-np.expm1(-rate * t) / rate)),
             label=f"exp(-{rate:g} t)",
         )
 
@@ -276,13 +272,6 @@ class SemilinearSpec:
             bound = self.k1 + self.k2 * float(np.sum(x**2))
             if val > bound + 1e-9:
                 raise ValueError(f"growth condition fails at probe {x}: {val:.6g} > {bound:.6g}")
-
-
-def invariant_mean(model: OuLevyModel) -> np.ndarray:
-    if not model.is_stable():
-        raise linops.UnstableMatrixError("unstable drift: no invariant mean")
-    return model._memoized("invariant_mean", lambda: linops.read_only(
-        np.linalg.solve(model.drift_matrix, -model.drift_offset)))
 
 
 def _adjoint_law(model: OuLevyModel):

@@ -104,7 +104,7 @@ def classify(lhs: float, rhs: float, lhs_se: float = 0.0, rhs_se: float = 0.0,
 
 _DIVERGENT_CONSTANT = "exponential-moment constant diverges at this horizon"
 _GROWTH_OVERFLOW = "growth factor exceeds the float range at this horizon"
-#: Half-width of `_ridge_report`'s range in standard deviations; the normal density is 0 beyond 38.6.
+#: Half-width of `_ridge_sides`' range in standard deviations; the normal density is 0 beyond 38.6.
 RIDGE_RANGE = 40.0
 
 
@@ -529,7 +529,7 @@ def check_hwi(model: OuLevyModel, nu: analytic.GaussianMeasure, h: HFunction, t:
     else:
         coef = 0.5 * control._adjoint_state(model, t)[1] ** 2
         variant = "adjoint_operator_norm"
-    rhs = 2.0 * fisher * h.integral_of_h(t) + coef * analytic.gaussian_w2(nu, mu) ** 2
+    rhs = _times(2.0 * h.integral_of_h(t), fisher) + _times(coef, analytic.gaussian_w2(nu, mu) ** 2)
     params = _echo(t=t, nu=_measure_echo(nu), h=h, variant=variant, fisher=fisher, worst_ratio=cert.worst_ratio)
     return _report(check_id, lhs, rhs, 0.0, 0.0, params, 0)
 

@@ -407,6 +407,7 @@ class TestMain:
         ({"kind": "kernel_kl"}, {"A": [["-1"]], "R": [[True]]},
          "config.A[0]: must be a list of numbers of length 1, got ['-1']"),
         ({"kind": "kernel_kl"}, {"R": [[True]]}, "config.R[0]: must be a list of numbers of length 1, got [True]"),
+        ({"kind": "kernel_kl"}, {"dim": True}, "config.dim: must be a positive integer"),
         ({"kind": "harnack", "alpha": 2.0, "f": {"kind": "exp", "c": [0.5]}},
          {"jump": {"rate": 1.0, "atoms": [["0.5"]], "probs": [True]}},
          "config.jump.atoms[0]: must be a list of numbers of length 1, got ['0.5']"),
@@ -590,6 +591,15 @@ class TestCertifiedDecayProfile:
             [row] = csv.DictReader(fh)
         assert json.loads(row["param_json"])["energy_sq"] == 0.0
 
+    def test_hwi_at_the_invariant_law_with_an_overflowing_profile_is_an_equality(self, tmp_path):
+        # nu = mu makes the KL, the Fisher information and W2 exactly 0; int_0^80 exp(10 s) ds
+        # overflows to inf, and 0 * inf read NaN: exit 3, "NaN verdict input"
+        check = {"kind": "hwi", "t": 80.0, "nu": {"mean": [0.0], "cov": [[1.0]]},
+                 "h": {"kind": "exponential", "rate": -10.0}}
+        code, [row] = _run_one(tmp_path, check)
+        assert (code, row["verdict"], row["lhs"], row["rhs"]) == (0, verify.HOLDS_EQUALITY, "0.0", "0.0")
+        assert json.loads(row["param_json"])["fisher"] == 0.0
+
 
 class TestSweep:
     def test_sharpness_sweep_touches_zero(self, tmp_path):
@@ -772,12 +782,13 @@ def _jump_free_suite_config(d: int = 3) -> dict:
 #: of its noise root when it is built, and no adjoint model is built; the decay
 #: certificate of ``hwi`` takes one more ``expm``.  ``solve`` is one per ``expm`` (the
 #: Padé quotient), plus the invariant mean and the adjoint propagator ``S P' S^{-1}``;
-#: the one Lyapunov solve of a model takes its ``slogdet`` and ``inv``; each ``eigvalsh``
-#: is one whitened KL (`analytic._whitened_kl`) or the adjoint operator norm.
+#: the one Lyapunov solve of a model, which every kind needs for its stability, takes its
+#: ``slogdet`` and ``inv``, and no ``eigvals`` is left; each ``eigvalsh`` is one whitened KL
+#: (`analytic._whitened_kl`) or the adjoint operator norm.
 GAUSSIAN_KIND_FACTORIZATIONS = {
     "density_norm": {"eigh": 3, "expm": 1, "inv": 1, "slogdet": 1, "solve": 2},
-    "kernel_kl": {"eigh": 1, "expm": 1, "solve": 1},
-    "kernel_harnack": {"eigh": 1, "expm": 1, "solve": 1},
+    "kernel_kl": {"eigh": 1, "expm": 1, "inv": 1, "slogdet": 1, "solve": 1},
+    "kernel_harnack": {"eigh": 1, "expm": 1, "inv": 1, "slogdet": 1, "solve": 1},
     "hyper_constant": {"eigh": 2, "expm": 1, "inv": 1, "slogdet": 1, "solve": 2},
     "entropy_cost": {"eigh": 4, "eigvalsh": 3, "expm": 1, "inv": 1, "slogdet": 1, "solve": 3},
     "hwi": {"eigh": 4, "eigvalsh": 2, "expm": 2, "inv": 1, "slogdet": 1, "solve": 4},
@@ -807,7 +818,7 @@ class TestSemigroupStateOncePerModel:
         # one factorization per covariance: the measure's eigh, read by every closed form
         from harnacklab import linops
 
-        names = ("eigh", "eigvalsh", "cholesky", "slogdet", "solve", "inv")
+        names = ("eigh", "eigvalsh", "eigvals", "cholesky", "slogdet", "solve", "inv")
         counts = {}
         for module, name in [(np.linalg, name) for name in names] + [(linops, "_expm")]:
             original = getattr(module, name)
@@ -827,6 +838,19 @@ class TestSemigroupStateOncePerModel:
             assert all(r.passed for r in cli.run_scenario(scenario))
             calls[check["kind"]] = dict(sorted(counts.items()))
         assert calls == GAUSSIAN_KIND_FACTORIZATIONS
+
+
+@pytest.mark.parametrize("check", [
+    {"kind": "kernel_kl", "x": [1.0], "y": [0.0]},
+    {"kind": "density_norm", "x": [1.0], "alpha": 2.0},
+    {"kind": "hyper_constant", "alpha": 2.0, "epsilon": 0.002},
+    {"kind": "entropy_cost", "nu": {"mean": [0.0], "cov": [[1.0]]}},
+    {"kind": "hwi", "nu": {"mean": [0.0], "cov": [[1.0]]}, "h": {"kind": "exponential", "rate": -2.0}},
+], ids=lambda c: c["kind"])
+def test_invariant_law_rows_of_a_non_hurwitz_drift_exit_three(tmp_path, capsys, check):
+    # the Lyapunov solve decides stability for every row that needs the invariant law
+    assert _run_one(tmp_path, {"t": 0.8, **check}, {**OU_1D, "A": [[0.5]]})[0] == 3
+    assert "not Hurwitz" in capsys.readouterr().err
 
 
 def test_each_monte_carlo_check_folds_once(monkeypatch):
@@ -1062,7 +1086,5 @@ class TestTheoremRowsNeverExitOne:
            r=st.sampled_from([2.0, 1e-12, 1e6]))
     def test_every_scenario_exits_with_a_documented_code(self, tmp_path, kind, t, x, y, alpha, epsilon, f, a, r):
         check = {"kind": kind, "t": t, "x": [x], "y": [y], "alpha": alpha, "epsilon": epsilon, "f": f, "n": 200}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, _ = _run_one(tmp_path, check, {**OU_1D, "A": [[a]], "R": [[r]]})
+        code, _ = _run_one(tmp_path, check, {**OU_1D, "A": [[a]], "R": [[r]]})
         assert code in (0, 2, 3)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from harnacklab import GaussianMeasure, OuLevyModel, linops
@@ -86,7 +86,7 @@ class TestExpmKernel:
         for _ in range(3):
             a = rng.normal(size=(dim, dim))
             a *= 10.0**log_norm / np.abs(a).sum(axis=0).max()
-            a -= max(0.0, linops.spectral_abscissa(a)) * np.eye(dim)  # e^a stays within the float range
+            a -= max(0.0, np.linalg.eigvals(a).real.max()) * np.eye(dim)  # e^a stays within the float range
             _assert_expm_close(linops._expm(a), _expm_oracle(a))
 
     @pytest.mark.parametrize("kind", ["jordan", "stiff", "nonnormal", "rotating", "zero"])
@@ -493,6 +493,60 @@ def test_psd_sqrt_pinv_checks_outside_input(s, message):
         linops.psd_sqrt_pinv(s)
 
 
+HURWITZ_KINDS = ["plain", "defective", "stiff", "near_critical", "singular_noise"]
+NON_HURWITZ_KINDS = ["unstable", "imaginary_pair", "zero", "unreached"]
+
+
+def _hurwitz_case(kind, dim, rng):
+    """A Hurwitz drift of class ``kind`` and a noise covariance, rank 1 for ``singular_noise``."""
+    q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    upper = np.triu(rng.normal(size=(dim, dim)), 1) / np.sqrt(dim)
+    if kind == "defective":  # one Jordan block; the superdiagonal below |lambda| keeps X finite
+        lam = -rng.uniform(0.5, 2.0)
+        a = lam * np.eye(dim) + np.diag(-lam * rng.uniform(0.2, 0.9, dim - 1), 1)
+    elif kind == "stiff":  # decay rates from 0.1 to 300
+        a = q @ (upper - np.diag(np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim)))) @ q.T
+    elif kind == "near_critical":  # spectral abscissa -1e-6
+        a = q @ (upper - np.diag(np.concatenate([[1e-6], rng.uniform(0.1, 3.0, dim - 1)]))) @ q.T
+    else:
+        a = make_stable(rng, dim)
+    return a, make_psd(rng, dim, rank=1) if kind == "singular_noise" else make_psd(rng, dim, ridge=0.1)
+
+
+def _assert_matches_scipy(a, r):
+    """Normwise residual, and agreement within the conditioning ``|A| / |abscissa|`` of the equation."""
+    x = linops.lyapunov_solve(a, r)
+    residual = np.linalg.norm(a @ x + x @ a.T + r) / (2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(r))
+    assert residual <= 1e-13
+    want = sla.solve_continuous_lyapunov(a, -r)
+    abscissa = -np.linalg.eigvals(a).real.max()
+    assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(a, 2) / abscissa * np.linalg.norm(want)
+
+
+def _non_hurwitz_case(kind, dim, rng):
+    """A drift ``P [[S, B], [0, N]] P'`` with ``S`` Hurwitz and ``N`` of class ``kind``, and a noise
+    covariance.  ``N`` is an eigenvalue with real part in [0, 2] (``unstable``, a real one or a
+    pair), the pair ``+-iw`` or the eigenvalue 0; for ``unreached`` an unstable ``N`` that the
+    noise, zero on ``N``'s coordinates, does not reach.  The permutation ``P`` is exact, so ``N``
+    keeps its eigenvalues to the last bit."""
+    s = 0.0 if kind in ("imaginary_pair", "zero") else rng.uniform(0.0, 2.0)
+    w = rng.uniform(0.05, 5.0)
+    if kind == "imaginary_pair" or (kind != "zero" and dim >= 2 and rng.random() < 0.5):
+        n = np.array([[s, w], [-w, s]])
+    else:
+        n = np.array([[s]])
+    k = dim - len(n)
+    a = np.zeros((dim, dim))
+    a[:k, :k] = make_stable(rng, k) if k else 0.0
+    a[:k, k:] = rng.normal(size=(k, len(n)))
+    a[k:, k:] = n
+    r = make_psd(rng, dim, ridge=0.1)
+    if kind == "unreached":
+        r[k:], r[:, k:] = 0.0, 0.0
+    perm = rng.permutation(dim)
+    return a[perm][:, perm], r[perm][:, perm]
+
+
 class TestLyapunov:
     def test_scalar_balance(self):
         assert abs(linops.lyapunov_solve([[-1.0]], [[2.0]])[0, 0] - 1.0) <= 1e-12
@@ -513,26 +567,36 @@ class TestLyapunov:
     @given(kind=st.sampled_from(["defective", "stiff", "singular_noise", "near_critical"]),
            dim=st.sampled_from([1, 2, 5, 20, 200]), seed=st.integers(0, 2**32 - 1))
     def test_against_scipy(self, kind, dim, seed):
-        # normwise residual, and agreement within the conditioning |A| / |abscissa| of the equation
+        _assert_matches_scipy(*_hurwitz_case(kind, dim, np.random.default_rng(seed)))
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(HURWITZ_KINDS + NON_HURWITZ_KINDS), dim=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_stability_rule(self, kind, dim, seed):
+        # the solve is the only stability rule: it matches scipy on each Hurwitz class and
+        # raises on each non-Hurwitz one, without a warning
         rng = np.random.default_rng(seed)
-        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
-        upper = np.triu(rng.normal(size=(dim, dim)), 1) / np.sqrt(dim)
-        if kind == "defective":  # one Jordan block; the superdiagonal below |lambda| keeps X finite
-            lam = -rng.uniform(0.5, 2.0)
-            a = lam * np.eye(dim) + np.diag(-lam * rng.uniform(0.2, 0.9, dim - 1), 1)
-        elif kind == "stiff":  # decay rates from 0.1 to 300
-            a = q @ (upper - np.diag(np.exp(rng.uniform(np.log(0.1), np.log(300.0), dim)))) @ q.T
-        elif kind == "near_critical":  # spectral abscissa -1e-6
-            a = q @ (upper - np.diag(np.concatenate([[1e-6], rng.uniform(0.1, 3.0, dim - 1)]))) @ q.T
-        else:
-            a = make_stable(rng, dim)
-        r = make_psd(rng, dim, rank=1) if kind == "singular_noise" else make_psd(rng, dim, ridge=0.1)
-        x = linops.lyapunov_solve(a, r)
-        residual = np.linalg.norm(a @ x + x @ a.T + r) / (2.0 * np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(r))
-        assert residual <= 1e-13
-        want = sla.solve_continuous_lyapunov(a, -r)
-        abscissa = -linops.spectral_abscissa(a)
-        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(a, 2) / abscissa * np.linalg.norm(want)
+        if kind in HURWITZ_KINDS:
+            _assert_matches_scipy(*_hurwitz_case(kind, dim, rng))
+            return
+        assume(dim >= 2 or kind != "imaginary_pair")
+        a, r = _non_hurwitz_case(kind, dim, rng)
+        with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
+            linops.lyapunov_solve(a, r)
+
+    @pytest.mark.parametrize("a, r", [
+        ([[0.0]], [[1.0]]), ([[0.5]], [[1.0]]), ([[1.0]], [[1.0]]), ([[1e-300]], [[1.0]]),
+        (np.diag([2.0, -3.0]), np.eye(2)), ([[0.0, 1.0], [-1.0, 0.0]], np.eye(2)),
+        (np.diag([-1.0, 2.0]), np.diag([1.0, 0.0])), (np.diag([-1.0, 0.5]), np.diag([1.0, 0.0])),
+        ([[-1.0, 0.0], [1.0, 2.0]], np.diag([1.0, 0.0])),
+    ])
+    def test_non_hurwitz_drift_raises(self, a, r):
+        # qI - A was singular (LinAlgError) for the scalars, [[1e-300]] returned [[inf]], and the
+        # increments alone accepted the unstable modes that R does not reach
+        with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
+            linops.lyapunov_solve(np.array(a, dtype=float), np.array(r, dtype=float))
+        with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
+            OuLevyModel(drift_matrix=a, noise_cov=r).steady_covariance()
 
     def test_residual(self):
         rng = np.random.default_rng(14)

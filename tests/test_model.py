@@ -17,7 +17,7 @@ from harnacklab import (
     linops,
     verify_h_condition,
 )
-from harnacklab.model import default_h_probes, invariant_mean
+from harnacklab.model import default_h_probes
 from oracles import make_psd, make_stable
 
 
@@ -248,14 +248,14 @@ class TestInvariantLawFixedPoint:
                 noise_cov=make_psd(rng, d, ridge=0.2),
                 drift_offset=rng.normal(size=d),
             )
-            m_inf = invariant_mean(m)
-            r_inf = linops.lyapunov_solve(m.drift_matrix, m.noise_cov)
+            mu = analytic.invariant_measure(m)
+            m_inf, r_inf = mu.mean, linops.lyapunov_solve(m.drift_matrix, m.noise_cov)
             snap = m.snapshot(0.8)
             assert np.abs(snap.propagator @ m_inf + snap.mean_shift - m_inf).max() <= 1e-9
             drifted = snap.propagator @ r_inf @ snap.propagator.T + snap.gramian
             assert np.abs(drifted - r_inf).max() <= 1e-9
             # the adjoint dynamics is an OU model with the same invariant law
-            mu, adj = analytic.invariant_measure(m), build_adjoint(m)
+            adj = build_adjoint(m)
             adj_mu = analytic.invariant_measure(adj)
             assert np.abs(adj_mu.mean - mu.mean).max() <= 1e-9 * (1.0 + np.abs(mu.mean).max())
             assert np.abs(adj_mu.cov - mu.cov).max() <= 1e-9 * (1.0 + np.abs(mu.cov).max())
@@ -419,44 +419,37 @@ class TestMemoizedState:
         finally:
             gc.enable()
 
-    def test_stability_flag_computed_once(self, monkeypatch):
+    def test_stability_decided_by_one_lyapunov_solve(self, monkeypatch):
         calls = []
-        abscissa = linops.spectral_abscissa
-        monkeypatch.setattr(linops, "spectral_abscissa", lambda a: calls.append(a) or abscissa(a))
+        solve = linops.lyapunov_solve
+        monkeypatch.setattr(linops, "lyapunov_solve", lambda a, r: calls.append(a) or solve(a, r))
         m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2),
                         drift_offset=[0.5, -0.5])
         for _ in range(3):
-            assert m.is_stable() is True
-            invariant_mean(m)
+            analytic.invariant_measure(m)
             analytic.heat_kernel_kl(m, 0.7, [0.0, 0.0], [0.3, 0.1])
             analytic.kernel_harnack_lhs(m, 0.7, [0.0, 0.0], [0.3, 0.1], 2.0)
+            build_adjoint(m)
         assert len(calls) == 1
-        unstable = OuLevyModel(drift_matrix=[[0.5]], noise_cov=[[1.0]])
-        assert unstable.is_stable() is False and unstable.is_stable() is False
-        assert len(calls) == 2
 
-    def test_steady_covariance_reuses_the_stability_flag(self, monkeypatch):
+    def test_a_failed_stability_decision_is_not_memoized(self, monkeypatch):
         calls = []
-        abscissa = linops.spectral_abscissa
-        monkeypatch.setattr(linops, "spectral_abscissa", lambda a: calls.append(a) or abscissa(a))
-        m = OuLevyModel(drift_matrix=np.array([[-1.0, 1.0], [0.0, -2.0]]), noise_cov=np.eye(2))
-        assert m.is_stable() is True
-        analytic.invariant_measure(m)
-        build_adjoint(m)
-        assert len(calls) == 1
-        unstable = OuLevyModel(drift_matrix=[[0.5]], noise_cov=[[1.0]])
-        with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
-            unstable.steady_covariance()
-        assert unstable.is_stable() is False
-        assert len(calls) == 2
+        solve = linops.lyapunov_solve
+        monkeypatch.setattr(linops, "lyapunov_solve", lambda a, r: calls.append(a) or solve(a, r))
+        unstable = OuLevyModel(drift_matrix=[[0.5]], noise_cov=[[1.0]], drift_offset=[1.0])
+        for call in (unstable.steady_covariance, lambda: analytic.invariant_measure(unstable),
+                     lambda: analytic.heat_kernel_kl(unstable, 0.7, [0.0], [0.3])):
+            with pytest.raises(linops.UnstableMatrixError, match="not Hurwitz"):
+                call()
+        assert len(calls) == 3
 
     def test_each_invariant_is_checked_once(self, monkeypatch):
-        # R by the eigh of the noise root when the model is built, stability by one eigvals;
-        # snapshots and the Lyapunov solve read the model and check nothing again
+        # R by the eigh of the noise root when the model is built, stability by the one Lyapunov
+        # solve (its slogdet), with no eigvals; snapshots read the model and check nothing again
         rng = np.random.default_rng(21)
         a, r, offset = make_stable(rng, 3), make_psd(rng, 3), rng.normal(size=3)
         calls = []
-        for name in ("eigh", "eigvalsh", "eigvals"):
+        for name in ("eigh", "eigvalsh", "eigvals", "slogdet"):
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name,
                                 lambda *args, _o=original, _n=name, **kw: calls.append(_n) or _o(*args, **kw))
@@ -464,5 +457,6 @@ class TestMemoizedState:
         m.snapshot(0.5)
         m.snapshot(1.0)
         m.steady_covariance()
+        m.steady_covariance()
         m.noise_sqrt()
-        assert sorted(calls) == ["eigh", "eigvals"]
+        assert calls == ["eigh", "slogdet"]
