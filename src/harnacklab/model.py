@@ -151,7 +151,7 @@ class HFunction:
             fn=quiet(lambda t: float(np.exp(-rate * t))),
             inv_integral=lambda t: float("inf") if rate * t > 700.0 else float(np.expm1(rate * t) / rate),
             integral=quiet(lambda t: float(-np.expm1(-rate * t) / rate)),
-            label=f"exp(-{rate:g} t)",
+            label=f"exp({-rate:g} t)",
         )
 
     @staticmethod

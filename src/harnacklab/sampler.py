@@ -26,9 +26,10 @@ of replicates and yield each block's per-replicate values as the columns
 of a ``(k, size)`` array; `fold` merges the blocks' column means and
 co-moments into one `Moments` accumulator in stream order, so results are
 bitwise reproducible regardless of how blocks are scheduled.  The blocks
-of endpoints and of perturbed-drift paths form the doubling ladder of
-`_stream_blocks`, from ``PATH_FIRST_BLOCK`` for the control-variate paths;
-weighted path blocks hold ``MC_BLOCK`` replicates each.  Given a check's
+of endpoints and of paths form the doubling ladder of `_stream_blocks`,
+from ``PATH_FIRST_BLOCK`` for the control-variate paths (the drift-free
+twin, the weight's moments); the Girsanov functionals and the coupled pair
+take blocks of ``MC_BLOCK``.  Given a check's
 margin, `fold` stops at the first block boundary where the margin is
 decided; the moments there are those of a cap at that boundary.
 An estimator of several start points makes one pass whose draws serve all
@@ -433,7 +434,7 @@ def girsanov_functional_estimates(
         raise ValueError("control values have the wrong shape")
     paths = _paths(model, t, np.zeros((1, model.dim)), K, _stream_blocks(seed, n),
                    shift=lambda k, states: np.broadcast_to(uvals[k], states.shape))
-    moments = fold(np.stack([fn(log_rho) for fn in funcs.values()]) for *_, log_rho in paths)
+    moments = fold(np.stack([fn(log_rho) for fn in funcs.values()]) for *_, log_rho, _ in paths)
     return {name: moments.estimate(i, seed) for i, name in enumerate(funcs)}
 
 
@@ -516,10 +517,12 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
     whose weight ``rho = exp(sum psi_k . dW_k - |psi_k|^2 dt / 2)`` the loop
     carries in law: each step adds ``v . z - |v|^2 / 2``, ``v = V psi``, and
     one normal per replicate the rest, ``N(-s/2, s)`` given the ``z``, ``s =
-    sum_k |U psi_k|^2``.  Yields ``(generator, states (S, size, d), twins (S,
-    size, d), log_weights (size,))`` per ``(generator, size)`` block, zero
-    log-weights without a shift, the generator past the path's draws and no
-    helper left running."""
+    sum_k |U psi_k|^2``; the bracket ``q = sum_k |v_k|^2 + s`` of the exponent
+    makes ``exp(p log rho + (p - p^2) q / 2)`` a mean-one martingale for every
+    ``p``.  Yields ``(generator, states (S, size, d), twins (S, size, d),
+    log_weights (size,), brackets (size,))`` per ``(generator, size)`` block,
+    zero log-weights and brackets without a shift, the generator past the
+    path's draws and no helper left running."""
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     n_starts, d = starts.shape
     if shift is not None and (n_starts != 1 or drift is not None):
@@ -527,7 +530,7 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
     step = _step_sampler(model, _grid_step(t, K), shift is not None)
     for gen, size in blocks:
         x = twin = np.broadcast_to(starts[:, None], (n_starts, size, d))
-        log_rho, s = np.zeros(size), np.zeros(size)
+        log_rho, s, q = np.zeros((3, size))
         with closing(_step_normals(gen, K, (size, d))) as normals:
             for k, z in enumerate(normals):
                 rows = x.reshape(-1, d)  # np.dot of a 3-d array takes no BLAS path
@@ -535,6 +538,7 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
                     psi = shift(k, rows)
                     v, u = np.dot(psi, step.whiten_t), np.dot(psi, step.residual_t)
                     log_rho += np.einsum("ij,ij->i", v, z - 0.5 * v)
+                    q += np.einsum("ij,ij->i", v, v)
                     s += np.einsum("ij,ij->i", u, u)
                 moved = np.dot(rows, step.propagator_t)
                 eta = np.dot(z, step.innovation_t)
@@ -544,7 +548,8 @@ def _paths(model, t, starts, K, blocks, drift=None, shift=None):
                 x = moved.reshape(x.shape) + eta
         if shift is not None:
             log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
-        yield gen, x, (twin if drift is not None else x), log_rho
+            q += s
+        yield gen, x, (twin if drift is not None else x), log_rho, q
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +574,7 @@ def _coupled_blocks(model, t, x, y, K, blocks):
     transport = _jump_transport(model, t) if model.has_jumps else None
     base = snap.propagator @ y + snap.mean_shift
     sq = _grid_step(t, K) * float(np.sum(u * u))
-    for gen, conv, _, log_rho in _paths(model, t, np.zeros((1, model.dim)), K, blocks,
+    for gen, conv, _, log_rho, _ in _paths(model, t, np.zeros((1, model.dim)), K, blocks,
                                      shift=lambda k, states: np.broadcast_to(u[k], states.shape)):
         endpoints = base + conv[0]
         if model.has_jumps:
@@ -638,7 +643,7 @@ def semilinear_twin_values(model: OuLevyModel, spec: SemilinearSpec, t: float, s
     f_s(X0_t)``, ``means[s] = E f_s(X0_t)`` the exact OU mean, unbiased for the
     grid law, on the ladder that starts at ``PATH_FIRST_BLOCK``."""
     blocks = _stream_blocks(seed, n, PATH_FIRST_BLOCK)
-    for _, ends, twins, _ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
+    for _, ends, twins, *_ in _paths(model, t, starts, K, blocks, drift=_checked_drift(model, spec)):
         yield np.stack([q + (eval_rows(f, x) - eval_rows(f, x0))
                         for f, q, x, x0 in zip(fs, means, ends, twins, strict=True)])
 
@@ -658,12 +663,16 @@ def semilinear_estimate(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
 
 
 def semilinear_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
-                           powers, n: int, K: int, seed: int) -> dict[float, McEstimate]:
-    """Moments ``E rho^p`` of the perturbed-drift weight, ``psi = R^{-1/2}
-    F(state)`` along exact OU paths."""
-    powers = [float(p) for p in powers]
+                           powers, n: int, K: int, seed: int) -> Iterator[np.ndarray]:
+    """Blocks ``(len(powers), size)`` whose column means estimate the moments
+    ``E rho^p`` of the perturbed-drift weight, ``psi = R^{-1/2} F(state)``
+    along exact OU paths, on the ladder that starts at ``PATH_FIRST_BLOCK``:
+    ``1 + rho^p - L_p``, with ``L_p = exp(p log rho + (p - p^2) q / 2)`` of the
+    bracket ``q`` of `_paths`, an exponential martingale of mean exactly 1 on
+    any grid, as a control variate of coefficient 1 (Glasserman 2003, 4.1).
+    For ``p > 1`` or ``p < 0`` then ``0 <= rho^p - L_p <= rho^p``."""
     drift, rfac = _checked_drift(model, spec), model.noise_sqrt()
-    paths = _paths(model, t, np.asarray(x, dtype=float).reshape(1, -1), K, _stream_blocks(seed, n),
+    paths = _paths(model, t, np.asarray(x, dtype=float).reshape(1, -1), K, _stream_blocks(seed, n, PATH_FIRST_BLOCK),
                    shift=lambda k, states: rfac.apply_pinv_sqrt(drift(states)))
-    moments = fold(np.stack([np.exp(p * log_rho) for p in powers]) for *_, log_rho in paths)
-    return {p: moments.estimate(i, seed) for i, p in enumerate(powers)}
+    for *_, log_rho, q in paths:
+        yield np.stack([1.0 - np.exp(p * log_rho) * np.expm1(0.5 * p * (1.0 - p) * q) for p in powers])

@@ -23,13 +23,12 @@ three times the larger of that error and the sides' combined one.
 
 Every sampled row is made by `_mc_report`, and ``params["n_used"]`` says
 how many replicates it drew (0 for a row that draws nothing).  The
-unweighted checks (``harnack``, ``log_harnack``, ``gradient`` and
-``semilinear_harnack``) take ``n`` as a cap: their fold stops at the first
-block boundary of the ladder (see ``sampler.MC_FIRST_BLOCK``, and
-``sampler.PATH_FIRST_BLOCK`` for a control-variate ``semilinear_harnack`` row)
-where the margin exceeds ``sampler.EARLY_Z`` times its positive joint error.
-Every other verdict, the weighted ``rho_moments`` rows among them, is read
-at the cap.
+checks ``harnack``, ``log_harnack``, ``gradient``, ``semilinear_harnack``
+and ``rho_moments`` with ``k2 = 0`` take ``n`` as a cap: their fold stops
+at the first block boundary of the ladder (see ``sampler.MC_FIRST_BLOCK``,
+and ``sampler.PATH_FIRST_BLOCK`` for a control-variate row) where the
+margin exceeds ``sampler.EARLY_Z`` times its positive joint error.  Every
+other verdict is read at the cap.
 A negative margin whose right side has no spread raises ``ValueError``:
 the sample missed the event that carries that side, so the margin is no
 verdict.
@@ -627,7 +626,11 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
     `analytic.convolution_square_exp_moment`, multiplies them.  Both bounds
     come first: an infinite one, from a divergent constant or a growth
     factor past the float range, gives that row ``TRIVIAL_INFINITE_RHS``,
-    and its moment is not sampled.
+    and its moment is not sampled.  The sampled rows share one fold of
+    `sampler.semilinear_rho_moments` (``"control_variate": "exp_martingale"``).
+    With ``k2 = 0``, ``psi`` is bounded and ``log rho`` sub-Gaussian, so ``n``
+    is a cap: the fold stops once every sampled row's margin exceeds
+    ``sampler.EARLY_Z`` times its own positive error.
     """
     if p <= 1 or delta <= 0:
         raise ValueError("need p > 1 and delta > 0")
@@ -645,15 +648,22 @@ def check_rho_moments(model: OuLevyModel, spec: SemilinearSpec, t: float, x,
         bounds[power] = (math.sqrt(const) * saturating_exp(growth * integral),
                          _DIVERGENT_CONSTANT if math.isinf(const) else _GROWTH_OVERFLOW)
     powers = [power for power, (bound, _) in bounds.items() if math.isfinite(bound)]
-    moments = sampler.semilinear_rho_moments(model, spec, t, x, powers, n, K,
-                                             sampler.mix_seed(seed, 1)) if powers else {}
+
+    def least_decided(acc):  # the sampled row of smallest margin over error: a stop needs every row decided
+        return min(((bounds[pw][0] - m - _slack(m, bounds[pw][0]), acc.std_error(i))
+                    for i, (pw, m) in enumerate(zip(powers, acc.mean))),
+                   key=lambda ms: ms[0] / ms[1] if ms[1] > 0.0 else -math.inf)
+
+    if powers:
+        acc = sampler.fold(sampler.semilinear_rho_moments(model, spec, t, x, powers, n, K, sampler.mix_seed(seed, 1)),
+                           sampler.EarlyHolds(n, least_decided) if spec.k2 == 0.0 else None)
 
     def row(power, suffix):
         bound, note = bounds[power]
         if power not in powers:
             return _report(check_id + suffix, 0.0, bound, 0.0, 0.0, {**params, "n_used": 0}, seed, note)
-        est = moments[float(power)]
-        return _report(check_id + suffix, est.mean, bound, est.std_error, 0.0,
-                       {**params, "n_used": est.n, "method": "monte_carlo"}, seed)
+        i = powers.index(power)
+        return _report(check_id + suffix, acc.mean[i], bound, acc.std_error(i), 0.0,
+                       {**params, "n_used": acc.n, "method": "monte_carlo", "control_variate": "exp_martingale"}, seed)
 
     return row(p, "_positive"), row(-delta, "_negative")

@@ -174,6 +174,10 @@ class TestHFunction:
         assert abs(h_closed.integral_of_inverse(0.9) - h_quad.integral_of_inverse(0.9)) <= 1e-10
         assert abs(h_closed.integral_of_h(0.9) - h_quad.integral_of_h(0.9)) <= 1e-10
 
+    @pytest.mark.parametrize("rate, label", [(-10.0, "exp(10 t)"), (0.8, "exp(-0.8 t)"), (1e-5, "exp(-1e-05 t)")])
+    def test_exponential_label_reads_the_profile(self, rate, label):
+        # h(t) = exp(-rate t): a negative rate reads as a growing exponential, not exp(--10 t)
+        assert HFunction.exponential(rate).label == label
 
     def test_under_resolved_profile_raises(self):
         # 95 sharp dips on [0, 3]: QUADPACK returned 6.85697 with a warning, 1.5e-5 off a

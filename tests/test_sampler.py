@@ -474,7 +474,7 @@ class TestSamplerStateMemo:
         spec = drift_scaled_sine(scalar_model, 0.3)
         for seed in (1, 2):
             hl.semilinear_estimate(scalar_model, spec, 0.8, [0.2], ExpObservable([0.3]), 200, 16, seed)
-            sampler.semilinear_rho_moments(scalar_model, spec, 0.8, [0.2], [2.0], 200, 16, 3)
+            list(sampler.semilinear_rho_moments(scalar_model, spec, 0.8, [0.2], [2.0], 200, 16, 3))
         delta = 0.8 / 16
         for weighted in (False, True):
             step = sampler._step_sampler(scalar_model, delta, weighted)
@@ -501,7 +501,7 @@ class TestSamplerStateMemo:
         assert calls == {"_expm": 2, "psd_sqrt_pinv": 1}
         drifted = sampler._step_sampler(m, 1.0 / 128, False)
         assert drifted.whiten_t is None and drifted.residual_t is None
-        sampler.semilinear_rho_moments(m, spec, 1.0, [0.2], [2.0], 200, 128, 2)
+        list(sampler.semilinear_rho_moments(m, spec, 1.0, [0.2], [2.0], 200, 128, 2))
         assert calls == {"_expm": 3, "psd_sqrt_pinv": 2}
         weighted = sampler._step_sampler(m, 1.0 / 128, True)
         assert weighted.drift_t is None
@@ -524,8 +524,8 @@ class TestSamplerStateMemo:
             "sample_coupled_pair": lambda: hl.sample_coupled_pair(scalar_model, 0.8, [0.4], [0.0], 16, RngStream(2, 0)),
             "semilinear_values": lambda: list(sampler.semilinear_values(
                 scalar_model, spec, 0.8, [[0.2], [0.1]], [f, f], 5000, 16, 3)),
-            "semilinear_rho_moments": lambda: sampler.semilinear_rho_moments(
-                scalar_model, spec, 0.8, [0.2], [2.0], 5000, 16, 4),
+            "semilinear_rho_moments": lambda: list(sampler.semilinear_rho_moments(
+                scalar_model, spec, 0.8, [0.2], [2.0], 5000, 16, 4)),
         }
         for name, call in calls.items():
             entries.clear()
@@ -762,7 +762,7 @@ class TestSemilinear:
         root = scalar_model.noise_sqrt().pinv_sqrt_matrix.T
         paths = sampler._paths(scalar_model, t, np.array(x0), 128, sampler._stream_blocks(4, 20_000),
                                shift=lambda k, states: drift(states) @ root)
-        weighted = sampler.fold(np.exp(lr)[None] * f(ends[0])[None] for _, ends, _, lr in paths).estimate(0, 4)
+        weighted = sampler.fold(np.exp(lr)[None] * f(ends[0])[None] for _, ends, _, lr, _ in paths).estimate(0, 4)
         assert direct.std_error <= 0.5 * weighted.std_error
         assert abs(direct.mean - weighted.mean) <= 4.0 * math.hypot(direct.std_error, weighted.std_error)
 
@@ -787,7 +787,7 @@ class TestSemilinear:
         exp(C^2 / G) = 2.62 of its mean L given the endpoint."""
         m = OuLevyModel(drift_matrix=[[-2.0]], noise_cov=[[1.0]])
         spec = drift_constant(m, [1.0])
-        est = sampler.semilinear_rho_moments(m, spec, 2.0, [0.0], [2.0], 100_000, 1, 5)[2.0]
+        est = sampler.fold(sampler.semilinear_rho_moments(m, spec, 2.0, [0.0], [2.0], 100_000, 1, 5)).estimate(0, 5)
         assert within_sigma(est.mean, est.std_error, math.e ** 2)
         cross, gram = (1.0 - math.exp(-4.0)) / 2.0, (1.0 - math.exp(-8.0)) / 4.0
         assert abs(est.mean - math.exp(cross ** 2 / gram)) > 4.0 * est.std_error
@@ -800,16 +800,34 @@ class TestSemilinear:
         m = OuLevyModel(drift_matrix=[[-1.0, 1.5], [0.0, -2.0]], noise_cov=[[1.0, 0.6], [0.6, 0.8]])
         b, t = np.array([0.4, -0.3]), 0.8
         sig2 = t * float(np.sum(m.noise_sqrt().apply_pinv_sqrt(b) ** 2))
-        est = sampler.semilinear_rho_moments(m, drift_constant(m, b), t, [0.3, -0.2], [2.0, -0.5], 40_000, K, 21)
-        for p, e in est.items():
-            assert within_sigma(e.mean, e.std_error, math.exp(p * (p - 1.0) * sig2 / 2.0))
+        acc = sampler.fold(sampler.semilinear_rho_moments(m, drift_constant(m, b), t, [0.3, -0.2], [2.0, -0.5],
+                                                          40_000, K, 21))
+        for i, p in enumerate([2.0, -0.5]):
+            assert within_sigma(acc.mean[i], acc.std_error(i), math.exp(p * (p - 1.0) * sig2 / 2.0))
 
     def test_full_weight_has_mean_one(self, nonnormal_model):
-        from harnacklab.testfuncs import drift_scaled_sine
-
+        # the raw weight of the path loop, not a moment's control variate (identically 1 at p = 1)
         spec = drift_scaled_sine(nonnormal_model, 0.5)
-        est = sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [1.0], 40_000, 32, 22)[1.0]
-        assert within_sigma(est.mean, est.std_error, 1.0)
+        drift, rfac = sampler._checked_drift(nonnormal_model, spec), nonnormal_model.noise_sqrt()
+        paths = sampler._paths(nonnormal_model, 0.8, np.array([[0.3, -0.2]]), 32, sampler._stream_blocks(22, 40_000),
+                               shift=lambda k, states: rfac.apply_pinv_sqrt(drift(states)))
+        est = sampler.fold(np.exp(log_rho)[None] for *_, log_rho, _ in paths).estimate(0, 22)
+        assert est.std_error > 0.0 and within_sigma(est.mean, est.std_error, 1.0)
+
+    def test_the_martingale_variate_agrees_with_the_plain_moments(self, nonnormal_model):
+        # E rho^2 and E rho^(-1/2) of a bounded drift on a non-normal plane model: the
+        # variate's 4096 paths against the plain rho^p of 2^17 paths, within 4 combined
+        # errors, with less spread per path
+        spec, x, t, K, powers = drift_scaled_sine(nonnormal_model, 0.5), [0.3, -0.2], 0.8, 16, [2.0, -0.5]
+        variate = sampler.fold(sampler.semilinear_rho_moments(nonnormal_model, spec, t, x, powers, 4096, K, 23))
+        drift, rfac = sampler._checked_drift(nonnormal_model, spec), nonnormal_model.noise_sqrt()
+        paths = sampler._paths(nonnormal_model, t, np.array([x]), K, sampler._stream_blocks(24, 1 << 17),
+                               shift=lambda k, states: rfac.apply_pinv_sqrt(drift(states)))
+        plain = sampler.fold(np.stack([np.exp(p * log_rho) for p in powers]) for *_, log_rho, _ in paths)
+        for i in range(len(powers)):
+            se = math.hypot(variate.std_error(i), plain.std_error(i))
+            assert abs(variate.mean[i] - plain.mean[i]) <= 4.0 * se, powers[i]
+            assert variate.std_error(i) * math.sqrt(variate.n) < plain.std_error(i) * math.sqrt(plain.n)
 
     def test_full_weight_takes_one_start(self, scalar_model):
         """One normal per replicate carries every start's full weight only if
@@ -831,7 +849,7 @@ class TestSemilinear:
         list(sampler.semilinear_values(nonnormal_model, spec, 0.8, [[0.3, -0.2], [0.1, 0.0]], [f, f], n, K, 1))
         assert sum(drawn) == K * n * d
         drawn.clear()
-        sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [2.0], n, K, 2)
+        list(sampler.semilinear_rho_moments(nonnormal_model, spec, 0.8, [0.3, -0.2], [2.0], n, K, 2))
         assert sum(drawn) == K * n * d + n
 
     def test_out_of_range_drift_aborts(self):
@@ -892,7 +910,7 @@ class TestOuTwin:
         x0, t, n = np.linspace(0.5, -0.3, d), 0.8, 1 << 16
         paths = sampler._paths(m, t, x0[None], 8, sampler._stream_blocks(3, n),
                                drift=sampler._checked_drift(m, drift_scaled_sine(m, 0.5)))
-        blocks = [(states[0], twins[0]) for _, states, twins, _ in paths]
+        blocks = [(states[0], twins[0]) for _, states, twins, *_ in paths]
         ends, twins = (np.concatenate(part) for part in zip(*blocks))
         snap = m.snapshot(t)
         dev, g = twins - snap.propagator @ x0, snap.gramian
@@ -921,19 +939,21 @@ def reference_paths(model, t, starts, K, blocks, drift=None, shift=None):
     """`sampler._paths` as one thread draws it: one ``standard_normal`` call
     per step for ``z_k``, and with a shift one normal ``xi`` per replicate
     after the last step, which adds ``sqrt(s) xi - s / 2``, ``s`` the sum of
-    the steps' ``|u_k|^2``.  With a drift, the drift-free twin steps beside."""
+    the steps' ``|u_k|^2``, and the bracket ``sum_k |v_k|^2 + s``.  With a
+    drift, the drift-free twin steps beside."""
     starts = np.stack([np.asarray(x, dtype=float).reshape(-1) for x in starts])
     n_starts, d = starts.shape
     step = sampler._step_sampler(model, t / K, shift is not None)
     for gen, size in blocks:
         x = twin = np.repeat(starts, size, axis=0)  # start-major stacked states
-        log_rho, s = np.zeros(size), np.zeros(size)
+        log_rho, s, q = np.zeros(size), np.zeros(size), np.zeros(size)
         for k in range(K):
             z = gen.standard_normal((size, d))
             if shift is not None:
                 psi = shift(k, x)
                 v, u = np.dot(psi, step.whiten_t), np.dot(psi, step.residual_t)
                 log_rho += np.einsum("ij,ij->i", v, z - 0.5 * v)
+                q += np.einsum("ij,ij->i", v, v)
                 s += np.einsum("ij,ij->i", u, u)
             moved, eta = np.dot(x, step.propagator_t), np.tile(np.dot(z, step.innovation_t), (n_starts, 1))
             if drift is not None:
@@ -942,8 +962,9 @@ def reference_paths(model, t, starts, K, blocks, drift=None, shift=None):
             x = moved + eta
         if shift is not None:
             log_rho += np.sqrt(s) * gen.standard_normal(size) - 0.5 * s
+            q += s
         twin = twin if drift is not None else x
-        yield gen, x.reshape(n_starts, size, d), twin.reshape(n_starts, size, d), log_rho
+        yield gen, x.reshape(n_starts, size, d), twin.reshape(n_starts, size, d), log_rho, q
 
 
 def against_reference(monkeypatch, call):
@@ -1014,10 +1035,11 @@ class TestStepNormalsLookAhead:
 
         m = _plane_model(d)
         spec = drift_clipped_linear(m, 0.4)
-        K = _chunk_steps(steps, sampler.PATH_CHUNK // (self.N * d))
-        want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
-            m, spec, 0.8, np.full(d, 0.2), [2.0, -0.5], self.N, K, 12))
-        assert want == got
+        n = sampler.PATH_FIRST_BLOCK  # one block of the control-variate ladder
+        K = _chunk_steps(steps, sampler.PATH_CHUNK // (n * d))
+        want, got = against_reference(monkeypatch, lambda: list(sampler.semilinear_rho_moments(
+            m, spec, 0.8, np.full(d, 0.2), [2.0, -0.5], n, K, 12)))
+        assert len(want) == len(got) == 1 and np.array_equal(want[0], got[0])
 
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])
@@ -1029,16 +1051,19 @@ class TestStepNormalsLookAhead:
             m, 0.8, np.full((1, d), 0.5), K, self.N, 13, funcs))
         assert want == got
 
-    def test_blocks_of_two_sizes(self, monkeypatch):
-        """5000 replicates are blocks of 4096 and 904, so ``c`` is 8 steps in
-        the first and 36 in the second."""
+    def test_blocks_of_several_sizes(self, monkeypatch):
+        """5000 replicates are the path ladder's blocks 128, 128, 256, 512,
+        1024, 2048 and 904, so ``c`` is 256, 256, 128, 64, 32, 16 and 36
+        steps: over 41 steps the first four draw inline, the last three
+        through the helper."""
         from harnacklab.testfuncs import drift_clipped_linear
 
         m = _plane_model(1)
         spec = drift_clipped_linear(m, 0.4)
-        want, got = against_reference(monkeypatch, lambda: sampler.semilinear_rho_moments(
-            m, spec, 0.8, [0.2], [2.0], 5000, 41, 14))
-        assert want == got
+        want, got = against_reference(monkeypatch, lambda: list(sampler.semilinear_rho_moments(
+            m, spec, 0.8, [0.2], [2.0], 5000, 41, 14)))
+        assert [w.shape[1] for w in want] == [128, 128, 256, 512, 1024, 2048, 904]
+        assert len(want) == len(got) and all(np.array_equal(w, g) for w, g in zip(want, got))
 
     @STEPS
     @pytest.mark.parametrize("d", [1, 3])

@@ -402,6 +402,23 @@ class TestEarlyStop:
                                3 * hl.sampler.MC_BLOCK, seed=0, alpha=2.0, K=2)
         assert (rep.verdict, rep.params["method"], rep.params["n_used"]) == (verify.VIOLATED, "quadrature", 0)
 
+    @pytest.mark.parametrize("false_row", ["positive", "negative"])
+    def test_a_rho_moments_row_below_its_true_moment_never_stops_early(self, flat_model, monkeypatch, false_row):
+        # the stop rule's error rate at the rho_moments looks, the first at 128 paths: under
+        # a constant drift b, log rho is exactly N(-s2 / 2, s2) on any grid, s2 = b^2 t, so
+        # E rho^p = exp(p (p - 1) s2 / 2).  One row's bound is cut to 1e-3 below its moment,
+        # so its true margin is negative; the other keeps its own bound, decided at 128 paths
+        b, t, n = 0.5, 1.0, hl.sampler.MC_BLOCK
+        spec = drift_constant(flat_model, [b])
+        power, growth = (2.0, 3.0) if false_row == "positive" else (-0.5, 0.5)  # the bound is exp(growth k1 t)
+        moment = math.exp(power * (power - 1.0) * b * b * t / 2.0)
+        monkeypatch.setattr(verify, "saturating_exp",
+                            lambda z: (1.0 - 1e-3) * moment if z == growth * spec.k1 * t else math.exp(z))
+        reps = [verify.check_rho_moments(flat_model, spec, t, [0.3], 2.0, 0.5, n=n, K=2, seed=s) for s in range(200)]
+        assert {(r.params["method"], r.params["control_variate"]) for pair in reps for r in pair} == {
+            ("monte_carlo", "exp_martingale")}
+        assert all(r.params["n_used"] == n for pair in reps for r in pair)  # so no HOLDS comes from an early stop
+
     def test_a_missed_rare_left_event_never_stops_early(self, flat_model, monkeypatch):
         # the indicator of X_1 > 0 from x = -2.88 (p about 2e-3) against y = -3.09 (p about
         # 1e-3), with the coefficient 1e-3 below equality: the true margin is negative.  Some
@@ -509,13 +526,21 @@ class TestEarlyStop:
 
 
 class TestWeightedRowsSayTheirSampleCount:
-    """Every semilinear_harnack and rho_moments row carries ``n_used``: the
-    weighted rho_moments fold draws its full ``n``, and a trivial row draws
-    nothing.  A sampled semilinear_harnack row may stop early (`TestEarlyStop`)."""
+    """Every semilinear_harnack and rho_moments row carries ``n_used``, and a
+    trivial row draws nothing.  A sampled row with ``k2 = 0`` may stop at a
+    boundary of the path ladder (`TestEarlyStop`); the two rho_moments rows
+    share one fold, so they say the same count.  A rho_moments check with
+    ``k2 > 0`` draws its full ``n``."""
+
+    LADDER = {hl.sampler.PATH_FIRST_BLOCK << i for i in range(6)}
 
     def test_sampled_rows(self, scalar_model):
         spec = drift_scaled_sine(scalar_model, 0.5)
         rows = verify.check_rho_moments(scalar_model, spec, 1.0, [0.4], 2.0, 0.5, n=5000, K=8, seed=2)
+        assert all(r.verdict in PASS and r.params["control_variate"] == "exp_martingale" for r in rows)
+        assert rows[0].params["n_used"] == rows[1].params["n_used"] in self.LADDER
+        quadratic = hl.SemilinearSpec(drift_fn=lambda pts: 0.1 * np.sin(pts), k1=0.005, k2=0.01)
+        rows = verify.check_rho_moments(scalar_model, quadratic, 1.0, [0.4], 2.0, 0.5, n=5000, K=8, seed=2)
         assert [(r.verdict in PASS, r.params["n_used"]) for r in rows] == [(True, 5000)] * 2
 
     def test_trivial_rows(self, scalar_model):
@@ -531,7 +556,7 @@ class TestWeightedRowsSayTheirSampleCount:
         assert [(r.verdict, r.params["n_used"]) for r in rows] == [(verify.TRIVIAL_INFINITE_RHS, 0)] * 3
         pos, neg = verify.check_rho_moments(scalar_model, sine, 3000.0, [0.4], 2.0, 0.5, n=500, K=16, seed=18)
         assert (pos.verdict, pos.params["n_used"]) == (verify.TRIVIAL_INFINITE_RHS, 0)
-        assert (neg.verdict in PASS, neg.params["n_used"]) == (True, 500)
+        assert neg.verdict in PASS and neg.params["n_used"] in self.LADDER
 
 
 class TestLogHarnack:

@@ -90,6 +90,19 @@ def test_semilinear_rows_stop_at_the_first_look():
     assert sum(u == first for u in used) >= 0.9 * len(used)
 
 
+def test_rho_rows_stop_at_the_first_look():
+    """semilinear_paths' rho_moments rows (k2 = 0, cap 2048) fold the weight's
+    exponential-martingale control variate on the same path ladder: every row
+    stops at a block boundary, and at least 90 % stop at the first."""
+    first = sampler.PATH_FIRST_BLOCK
+    rows = [r for seed in range(1, 6) for r in _reports("semilinear_paths", seed) if r.check_id.startswith("rho")]
+    used = [r.params["n_used"] for r in rows]
+    assert len(used) == 5 * 2 * workloads.SEMILINEAR_COUNT
+    assert {r.params["control_variate"] for r in rows} == {"exp_martingale"}
+    assert set(used) <= {first << i for i in range(5)}
+    assert sum(u == first for u in used) >= 0.9 * len(used)
+
+
 @pytest.mark.parametrize("trace", [1, 0])
 def test_benchmark_runner_end_to_end(trace):
     """The runner itself, traced and untraced.  The trace hooks functions of the
